@@ -7,8 +7,6 @@ plain (name, ok, detail) records; the CLI renders counts and failures.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +15,7 @@ from . import circuitgen, gates, quanta, relalg, vecmonad
 from .relalg import BIT, FinBasis, Rel, pair_label, product_basis
 from .vecmonad import AmpVec, KleisliOp
 
-__all__ = ["CheckResult", "SUITES", "run_suites", "thread_cap"]
+__all__ = ["CheckResult", "SUITES", "run_suites"]
 
 
 @dataclass(frozen=True)
@@ -26,15 +24,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
-
-
-def thread_cap() -> int:
-    """Parallelism cap from QUANTAKIT_THREADS (default 1)."""
-    raw = os.environ.get("QUANTAKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _result(suite: str, name: str, ok: bool, detail: str = "") -> CheckResult:
@@ -608,10 +597,4 @@ SUITES = {
 
 
 def run_suites(names: list[str]) -> list[CheckResult]:
-    cap = thread_cap()
-    if cap > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            batches = list(pool.map(lambda n: SUITES[n](), names))
-    else:
-        batches = [SUITES[n]() for n in names]
-    return [r for batch in batches for r in batch]
+    return [r for n in names for r in SUITES[n]()]

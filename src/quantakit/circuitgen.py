@@ -5,22 +5,25 @@ of encoded bit-strings; each transposition is realized as a Gray-code
 chain of multi-controlled X gates (with positive and negative controls),
 and every multi-controlled X is lowered to Toffoli gates through a
 compute/uncompute ladder over ancilla qubits, which are always returned
-to zero.  Circuits simulate classically when only X/CX/CCX occur and by
-sparse statevector otherwise, and export to OpenQASM 2.0.
+to zero.  Circuits export to OpenQASM 2.0 and simulate on integer basis
+indices: classical circuits (X/CX/CCX/MCX only) on one basis input by
+bitmask, any circuit on a ket by a dense statevector of at most
+``MAX_STATE_QUBITS`` qubits.
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cached_property
 
 import numpy as np
 
-from .relalg import FinBasis
-from .vecmonad import AmpVec, CMatrix, PRUNE_EPS
+from .relalg import FinBasis, SizeLimitError
+from .vecmonad import AmpVec, CMatrix
 
 __all__ = [
+    "MAX_STATE_QUBITS",
     "AncillaError",
     "Circuit",
     "Encoding",
@@ -39,6 +42,15 @@ __all__ = [
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 _T_PHASE = np.exp(1j * np.pi / 4)
+_PHASE = {"t": _T_PHASE, "tdg": np.conj(_T_PHASE)}
+
+MAX_STATE_QUBITS = 20
+"""Largest data plus ancilla qubit count ``simulate_state`` accepts: its
+dense statevector takes 16 * 2^n bytes (16 MiB at the cap)."""
+
+Op = tuple[str, int, int, int]
+"""A decoded gate: (kind, control mask, control value, target mask), where
+kind is "x" for every controlled X (x/cx/ccx/mcx) or "h", "t", "tdg"."""
 
 
 class NonPermutationError(ValueError):
@@ -115,7 +127,8 @@ class Circuit:
 
     def __post_init__(self) -> None:
         total = self.data_qubits + self.ancilla_qubits
-        for g in self.gates:
+        # A Gate shared by many positions, as parse_qasm makes, is checked once.
+        for g in {id(g): g for g in self.gates}.values():
             if any(q < 0 or q >= total for q in g.qubits):
                 raise ValueError(f"gate {g} out of range for {total} qubits")
 
@@ -124,7 +137,46 @@ class Circuit:
         return self.data_qubits + self.ancilla_qubits
 
     def is_classical(self) -> bool:
-        return all(g.name in ("x", "cx", "ccx", "mcx") for g in self.gates)
+        return all(op[0] == "x" for op in self.ops)
+
+    @cached_property
+    def ops(self) -> tuple[Op, ...]:
+        """The gates as bitmasks over basis indices, qubit q at bit n-1-q;
+        decoded once per circuit and once per distinct Gate instance."""
+        n = self.total_qubits
+        decoded: dict[int, Op] = {}
+        out = []
+        for g in self.gates:
+            op = decoded.get(id(g))
+            if op is None:
+                op = decoded[id(g)] = _decode(g, n)
+            out.append(op)
+        return tuple(out)
+
+    @cached_property
+    def _view_ops(self) -> tuple[tuple[str, tuple, tuple], ...]:
+        """``ops`` as (kind, first, second), the index tuples of ``_view_index``
+        into the (2,)*n view of a statevector; built once per distinct op."""
+        n = self.total_qubits
+        built: dict[Op, tuple[str, tuple, tuple]] = {}
+        out = []
+        for op in self.ops:
+            v = built.get(op)
+            if v is None:
+                v = built[op] = (op[0], *_view_index(op, n))
+            out.append(v)
+        return tuple(out)
+
+
+def _decode(g: Gate, n: int) -> Op:
+    *controls, target = g.qubits
+    polarity = g.ctrl_state or (1,) * len(controls)
+    cmask = cval = 0
+    for q, pol in zip(controls, polarity):
+        cmask |= 1 << (n - 1 - q)
+        cval |= pol << (n - 1 - q)
+    kind = "x" if g.name in ("x", "cx", "ccx", "mcx") else g.name
+    return kind, cmask, cval, 1 << (n - 1 - target)
 
 
 @dataclass(frozen=True)
@@ -288,99 +340,96 @@ def peephole(c: Circuit) -> Circuit:
 
 # ---------------------------------------------------------------------------
 # Simulation
+#
+# Both simulators work on integer basis indices: qubit q is bit n-1-q of
+# the index over all n = data + ancilla qubits, so qubit 0 is the leftmost
+# character of a bit-string label and the ancillas are the low bits.
+# Labels are parsed on input and printed on output only.
 
-def _classical_step(bits: list[int], g: Gate) -> None:
-    if g.name == "x":
-        bits[g.qubits[0]] ^= 1
-    elif g.name == "cx":
-        if bits[g.qubits[0]]:
-            bits[g.qubits[1]] ^= 1
-    elif g.name == "ccx":
-        if bits[g.qubits[0]] and bits[g.qubits[1]]:
-            bits[g.qubits[2]] ^= 1
-    elif g.name == "mcx":
-        if all(bits[q] == pol for q, pol in zip(g.qubits[:-1], g.ctrl_state)):
-            bits[g.qubits[-1]] ^= 1
-    else:
-        raise ValueError(f"not a classical gate: {g.name}")
+def _label(i: int, width: int) -> str:
+    # The guard bit keeps leading zeros and gives "" for width 0.
+    return format(i | (1 << width), "b")[1:]
 
 
 def simulate(c: Circuit, input_bits: str, tol: float = 1e-9) -> str:
     """Run a circuit on one computational-basis input.
 
-    Classical circuits follow the permutation path; otherwise the
-    statevector is computed and must collapse to a single basis state.
-    Ancillas start at zero and must return to zero.
+    A classical circuit (x/cx/ccx/mcx only) folds its gate masks over one
+    integer basis index; any other circuit goes through ``simulate_state``
+    and must collapse to a single basis state.  Ancillas start at zero and
+    must return to zero.
     """
     if len(input_bits) != c.data_qubits or set(input_bits) - {"0", "1"}:
         raise ValueError(f"input must be {c.data_qubits} bits")
-    if c.is_classical():
-        bits = [int(b) for b in input_bits] + [0] * c.ancilla_qubits
-        for g in c.gates:
-            _classical_step(bits, g)
-        data = bits[: c.data_qubits]
-        if any(bits[c.data_qubits:]):
-            raise AncillaError(f"ancillas left dirty on input {input_bits}")
-        return "".join(str(b) for b in data)
-    out = simulate_state(c, AmpVec({input_bits: 1.0}), tol=tol)
-    states = [(lbl, a) for lbl, a in out.items() if abs(a) > tol]
-    if len(states) != 1 or abs(abs(states[0][1]) - 1.0) > tol:
-        raise ValueError("output is not a computational basis state")
-    return states[0][0]
+    if not c.is_classical():
+        out = simulate_state(c, AmpVec({input_bits: 1.0}), tol=tol)
+        states = [(lbl, a) for lbl, a in out.items() if abs(a) > tol]
+        if len(states) != 1 or abs(abs(states[0][1]) - 1.0) > tol:
+            raise ValueError("output is not a computational basis state")
+        return states[0][0]
+    anc = c.ancilla_qubits
+    s = int(input_bits or "0", 2) << anc
+    for _, cmask, cval, tmask in c.ops:
+        if s & cmask == cval:
+            s ^= tmask
+    if s & ((1 << anc) - 1):
+        raise AncillaError(f"ancillas left dirty on input {input_bits}")
+    return _label(s >> anc, c.data_qubits)
+
+
+def _view_index(op: Op, n: int) -> tuple[tuple[int | slice, ...], tuple[int | slice, ...]]:
+    """Two index tuples into the (2,)*n view of a state, selecting the
+    amplitudes whose controls match.  For a controlled X they take the
+    target axis forwards and reversed; for H and T they fix it at 0 and 1."""
+    kind, cmask, cval, tmask = op
+    idx: list[int | slice] = []
+    for q in range(n):
+        bit = 1 << (n - 1 - q)
+        idx.append(int(bool(cval & bit)) if cmask & bit else slice(None))
+    t = n - tmask.bit_length()
+    out = []
+    for end in (slice(None), slice(None, None, -1)) if kind == "x" else (0, 1):
+        idx[t] = end
+        out.append(tuple(idx))
+    return out[0], out[1]
 
 
 def simulate_state(c: Circuit, v: AmpVec, tol: float = 1e-9) -> AmpVec:
-    """Statevector action on a ket over data-qubit bit-strings."""
-    state: dict[str, complex] = {}
-    for label, a in v.items():
+    """Statevector action on a ket over data-qubit bit-strings.
+
+    The state is a dense complex128 vector over all 2^n basis indices of
+    the n data and ancilla qubits (qubit q at bit n-1-q), so circuits are
+    capped at ``MAX_STATE_QUBITS`` qubits.  Controlled X gates swap the
+    amplitudes their masks select, and H and T/Tdg act on one axis of a
+    (2,)*n view.  Amplitudes at or below ``tol`` are dropped from the
+    result; any other amplitude on a set ancilla raises ``AncillaError``.
+    """
+    n, anc = c.total_qubits, c.ancilla_qubits
+    if n > MAX_STATE_QUBITS:
+        raise SizeLimitError(
+            f"circuit has {n} qubits; the statevector is capped at {MAX_STATE_QUBITS}"
+        )
+    for label, _ in v.items():
         if len(label) != c.data_qubits or set(label) - {"0", "1"}:
             raise ValueError(f"state label {label!r} must be {c.data_qubits} bits")
-        state[label + "0" * c.ancilla_qubits] = a
-
-    def flipped(bits: str, q: int) -> str:
-        return bits[:q] + ("1" if bits[q] == "0" else "0") + bits[q + 1 :]
-
-    for g in c.gates:
-        nxt: dict[str, complex] = {}
-        if g.name in ("x", "cx", "ccx", "mcx"):
-            for bits, a in state.items():
-                vals = [int(b) for b in bits]
-                fire = (
-                    g.name == "x"
-                    or (g.name == "cx" and vals[g.qubits[0]])
-                    or (g.name == "ccx" and vals[g.qubits[0]] and vals[g.qubits[1]])
-                    or (
-                        g.name == "mcx"
-                        and all(vals[q] == p for q, p in zip(g.qubits[:-1], g.ctrl_state))
-                    )
-                )
-                key = flipped(bits, g.qubits[-1]) if fire else bits
-                nxt[key] = nxt.get(key, 0j) + a
-        elif g.name == "h":
-            q = g.qubits[0]
-            for bits, a in state.items():
-                sign = -1.0 if bits[q] == "1" else 1.0
-                for key, w in ((bits[:q] + "0" + bits[q + 1 :], _SQRT2_INV),
-                               (bits[:q] + "1" + bits[q + 1 :], sign * _SQRT2_INV)):
-                    nxt[key] = nxt.get(key, 0j) + a * w
-        elif g.name in ("t", "tdg"):
-            q = g.qubits[0]
-            phase = _T_PHASE if g.name == "t" else np.conj(_T_PHASE)
-            for bits, a in state.items():
-                nxt[bits] = nxt.get(bits, 0j) + (a * phase if bits[q] == "1" else a)
+    psi = np.zeros(1 << n, dtype=np.complex128)
+    for label, a in v.items():
+        psi[int(label or "0", 2) << anc] = a
+    view = psi.reshape((2,) * n)
+    for kind, first, second in c._view_ops:
+        if kind == "x":
+            view[first] = view[second]
+        elif kind == "h":
+            zero, one = view[first], view[second]
+            view[first], view[second] = (zero + one) * _SQRT2_INV, (zero - one) * _SQRT2_INV
         else:
-            raise ValueError(f"unknown gate kind {g.name!r}")
-        state = {k: a for k, a in nxt.items() if abs(a) >= PRUNE_EPS}
+            view[second] *= _PHASE[kind]
 
-    out: dict[str, complex] = {}
-    for bits, a in state.items():
-        if abs(a) <= tol:
-            continue
-        if any(b == "1" for b in bits[c.data_qubits :]):
-            raise AncillaError("synthesis bug: amplitude on a dirty ancilla")
-        data = bits[: c.data_qubits]
-        out[data] = out.get(data, 0j) + a
-    return AmpVec(out)
+    nonzero = np.flatnonzero(np.abs(psi) > tol)
+    if np.any(nonzero & ((1 << anc) - 1)):
+        raise AncillaError("synthesis bug: amplitude on a dirty ancilla")
+    d = c.data_qubits
+    return AmpVec(zip((_label(i >> anc, d) for i in nonzero.tolist()), psi[nonzero].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -416,40 +465,56 @@ def export_qasm(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+_QASM_QREG = re.compile(r"qreg\s+(q|anc)\[(\d+)\];")
 _QASM_GATE = re.compile(r"^(x|h|t|tdg|cx|ccx)\s+(.+);$")
 _QASM_REF = re.compile(r"^(q|anc)\[(\d+)\]$")
 
 
 def parse_qasm(text: str) -> Circuit:
-    """Parse the emitted OpenQASM 2.0 subset back into a circuit."""
-    data = ancilla = None
+    """Parse the emitted OpenQASM 2.0 subset back into a circuit.
+
+    Each register may be declared once, before any gate that uses it, and
+    every reference must lie inside its register.  So a gate line means
+    the same wherever it occurs: each distinct line is parsed and validated
+    once, and its repeats share the same (frozen) ``Gate``.
+    """
+    sizes: dict[str, int] = {}
+    seen: dict[str, Gate] = {}
     gates: list[Gate] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("//"):
-            continue
-        if line.startswith("OPENQASM") or line.startswith("include"):
-            continue
-        m = re.fullmatch(r"qreg\s+(q|anc)\[(\d+)\];", line)
-        if m:
-            if m.group(1) == "q":
-                data = int(m.group(2))
-            else:
-                ancilla = int(m.group(2))
-            continue
-        gm = _QASM_GATE.fullmatch(line)
-        if gm is None:
-            raise ValueError(f"unsupported QASM line: {raw!r}")
-        if data is None:
-            raise ValueError("gate before qreg declaration")
-        qubits = []
-        for ref in gm.group(2).split(","):
-            rm = _QASM_REF.fullmatch(ref.strip())
-            if rm is None:
-                raise ValueError(f"bad qubit reference {ref!r}")
-            offset = 0 if rm.group(1) == "q" else data
-            qubits.append(offset + int(rm.group(2)))
-        gates.append(Gate(gm.group(1), tuple(qubits)))
-    if data is None:
+        g = seen.get(line)
+        if g is None:
+            if not line or line.startswith(("//", "OPENQASM", "include")):
+                continue
+            m = _QASM_QREG.fullmatch(line)
+            if m:
+                if m.group(1) in sizes:
+                    raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
+                sizes[m.group(1)] = int(m.group(2))
+                continue
+            g = seen[line] = _parse_gate_line(line, raw, sizes)
+        gates.append(g)
+    if "q" not in sizes:
         raise ValueError("missing qreg declaration")
-    return Circuit(data, ancilla or 0, tuple(gates))
+    return Circuit(sizes["q"], sizes.get("anc", 0), tuple(gates))
+
+
+def _parse_gate_line(line: str, raw: str, sizes: dict[str, int]) -> Gate:
+    gm = _QASM_GATE.fullmatch(line)
+    if gm is None:
+        raise ValueError(f"unsupported QASM line: {raw!r}")
+    if "q" not in sizes:
+        raise ValueError("gate before qreg declaration")
+    qubits = []
+    for ref in gm.group(2).split(","):
+        rm = _QASM_REF.fullmatch(ref.strip())
+        if rm is None:
+            raise ValueError(f"bad qubit reference {ref!r}")
+        reg, i = rm.group(1), int(rm.group(2))
+        if reg not in sizes:
+            raise ValueError(f"qubit reference {reg}[{i}] to an undeclared register")
+        if i >= sizes[reg]:
+            raise ValueError(f"qubit reference {reg}[{i}] outside qreg {reg}[{sizes[reg]}]")
+        qubits.append(i if reg == "q" else sizes["q"] + i)
+    return Gate(gm.group(1), tuple(qubits))

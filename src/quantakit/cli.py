@@ -79,11 +79,22 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_in(label: str, basis: relalg.FinBasis, role: str, step: str) -> None:
+    if label not in basis:
+        raise ValueError(
+            f"{role} {label!r} is not in the {role} basis of step {step!r}"
+            f" (have: {', '.join(basis)})"
+        )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         op, item, payload = _step_op(args.step, args.tol)
-        lst, _payload_in = relalg.split_pair(args.input)
+        lst, b = relalg.split_pair(args.input)
         items = relalg.split_list(lst)
+        for x in items:
+            _check_in(x, item, "item", args.step)
+        _check_in(b, payload, "payload", args.step)
         state = quanta.run_quanta(op, args.input)
     except (KeyError, ValueError) as exc:
         return _fail(str(exc))

@@ -77,7 +77,8 @@ class BasisMismatchError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """Raised when a brute-force search is asked for a domain beyond its cap."""
+    """Raised when an input is beyond a named size cap (a brute-force search
+    domain, a statevector's qubit count)."""
 
 
 class ComplementError(ValueError):
