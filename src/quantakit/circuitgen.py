@@ -316,26 +316,19 @@ def synth_permutation(m: CMatrix, enc: Encoding) -> Circuit:
 
 
 def peephole(c: Circuit) -> Circuit:
-    """Cancel adjacent identical self-inverse gates until a fixed point."""
-    gates = list(c.gates)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        out: list[Gate] = []
-        while i < len(gates):
-            if (
-                i + 1 < len(gates)
-                and gates[i] == gates[i + 1]
-                and gates[i].name in ("x", "cx", "ccx", "h")
-            ):
-                i += 2
-                changed = True
-            else:
-                out.append(gates[i])
-                i += 1
-        gates = out
-    return Circuit(c.data_qubits, c.ancilla_qubits, tuple(gates))
+    """Cancel adjacent identical self-inverse gates, in one pass on a stack.
+
+    A gate cancels the top of the stack when the two are equal, so pairs
+    that meet only after an inner pair cancels go too: the result is the
+    fixed point of repeated adjacent cancellation.
+    """
+    out: list[Gate] = []
+    for g in c.gates:
+        if out and out[-1] == g and g.name in ("x", "cx", "ccx", "h"):
+            out.pop()
+        else:
+            out.append(g)
+    return Circuit(c.data_qubits, c.ancilla_qubits, tuple(out))
 
 
 # ---------------------------------------------------------------------------

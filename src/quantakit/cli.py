@@ -47,6 +47,8 @@ def _step_op(name: str, tol: float) -> tuple[vecmonad.KleisliOp, relalg.FinBasis
 
 
 def _fold_matrix(step_name: str, maxlen: int, tol: float) -> vecmonad.CMatrix:
+    if maxlen > MAXLEN_CAP:
+        raise relalg.SizeLimitError(f"maxlen {maxlen} exceeds cap {MAXLEN_CAP}")
     op, item, payload = _step_op(step_name, tol)
     lb = quanta.ListBasis(maxlen, item, payload)
     if len(lb.basis) > DIM_CAP:
@@ -68,8 +70,6 @@ def _matrix_json(m: vecmonad.CMatrix) -> str:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    if args.maxlen > MAXLEN_CAP:
-        return _fail(f"maxlen {args.maxlen} exceeds cap {MAXLEN_CAP}")
     try:
         m = _fold_matrix(args.step, args.maxlen, args.tol)
     except (KeyError, ValueError) as exc:
@@ -141,20 +141,30 @@ def cmd_complement(args: argparse.Namespace) -> int:
     return 0
 
 
+def _synth_matrix(args: argparse.Namespace) -> vecmonad.CMatrix:
+    if args.matrix_file is not None:
+        return vecmonad.parse_matrix(Path(args.matrix_file).read_text())
+    if args.step is None:
+        raise ValueError("synth needs --step or --matrix-file")
+    if args.maxlen != "pinned16":
+        if args.maxlen is None or not args.maxlen.isdecimal():
+            raise ValueError(f"synth --step needs --maxlen, a non-negative integer or 'pinned16' (got {args.maxlen!r})")
+        return _fold_matrix(args.step, int(args.maxlen), args.tol)
+    op, item, payload = _step_op(args.step, args.tol)
+    if item != relalg.BIT or payload != relalg.BIT:
+        raise ValueError(f"pinned16 needs a step on (bit,bit) pairs; step {args.step!r} has items"
+                         f" {', '.join(item)} and payloads {', '.join(payload)}")
+    basis = quanta.pinned16_basis()
+    fold = quanta.quantamorphism(op, 3, validate=False)
+    try:
+        return vecmonad.materialize(vecmonad.KleisliOp(basis, fold.apply), basis)
+    except KeyError as exc:
+        raise ValueError(f"the fold of step {args.step!r} leaves the pinned16 basis: {exc.args[0]}") from None
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     try:
-        if args.matrix_file is not None:
-            m = vecmonad.parse_matrix(Path(args.matrix_file).read_text())
-        elif args.step is not None:
-            if args.maxlen == "pinned16":
-                basis = quanta.pinned16_basis()
-                op, _, _ = _step_op(args.step, args.tol)
-                fold = quanta.quantamorphism_over(op, basis, validate=False)
-                m = vecmonad.materialize(fold, basis)
-            else:
-                m = _fold_matrix(args.step, int(args.maxlen), args.tol)
-        else:
-            return _fail("synth needs --step or --matrix-file")
+        m = _synth_matrix(args)
         enc = circuitgen.Encoding(m.src)
         circ = circuitgen.synth_permutation(m, enc)
     except (OSError, KeyError, ValueError, circuitgen.NonPermutationError) as exc:

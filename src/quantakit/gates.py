@@ -1,11 +1,14 @@
 """Gate zoo and control combinators over the vector-space monad.
 
 Classical tables are lifted with ``ret``; Hadamard and T are the only
-strictly quantum primitives.  The quantum choice combinator routes the
-payload through a branch selected by the control bit without measuring
-it (control 0 takes the first branch, control 1 the second), and the
-McCarthy conditional preprocesses the control and then applies its
-if-branch on control 1.
+strictly quantum primitives.  Composite gates are Kleisli compositions of
+these: ``bell`` is the lifted CNOT after Hadamard on the first bit,
+``unbell`` the same two arrows in the other order, and ``alice`` wires
+them together with the associators of ``vecmonad``.  The quantum choice
+combinator routes the payload through a branch selected by the control
+bit without measuring it (control 0 takes the first branch, control 1 the
+second), and the McCarthy conditional preprocesses the control and then
+applies its if-branch on control 1.
 """
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ from .vecmonad import (
     AmpVec,
     CMatrix,
     KleisliOp,
-    bind,
+    assoc_inv_op,
+    assoc_op,
     is_unitary,
     kleisli,
     materialize,
@@ -78,11 +82,8 @@ def tgate() -> KleisliOp:
 
 def cnot_table() -> dict[str, str]:
     """(a,b) -> (a, a xor b) over the 2-bit pair basis."""
-    out = {}
-    for a in BIT:
-        for b in BIT:
-            out[pair_label(a, b)] = pair_label(a, xor_table()[pair_label(a, b)])
-    return out
+    xor = xor_table()
+    return {pair_label(a, b): pair_label(a, xor[pair_label(a, b)]) for a in BIT for b in BIT}
 
 
 def xor_table() -> dict[str, str]:
@@ -105,46 +106,19 @@ def ccnot_table() -> dict[str, str]:
 
 def bell() -> KleisliOp:
     """Hadamard on the first bit, then the controlled negation."""
-    src = product_basis(BIT, BIT)
-    cnot = cnot_table()
-
-    def apply(label: str) -> AmpVec:
-        a, b = split_pair(label)
-        return bind(had().apply(a), KleisliOp(BIT, lambda x: ret(cnot[pair_label(x, b)])))
-
-    return KleisliOp(src, apply)
+    return kleisli(lift(cnot_table(), product_basis(BIT, BIT)), tensor(had(), ret_op(BIT)))
 
 
 def unbell() -> KleisliOp:
     """Inverse block: controlled negation first, then Hadamard on the control."""
-    src = product_basis(BIT, BIT)
-    cnot = cnot_table()
-
-    def apply(label: str) -> AmpVec:
-        c, a = split_pair(label)
-        _, a2 = split_pair(cnot[pair_label(c, a)])
-        return bind(had().apply(c), KleisliOp(BIT, lambda b: ret(pair_label(b, a2))))
-
-    return KleisliOp(src, apply)
+    return kleisli(tensor(had(), ret_op(BIT)), lift(cnot_table(), product_basis(BIT, BIT)))
 
 
 def alice() -> KleisliOp:
-    """Entangle the last two bits, then un-entangle the first two."""
-    src = product_basis(BIT, product_basis(BIT, BIT))
-    mk_bell, mk_unbell = bell(), unbell()
-
-    def apply(label: str) -> AmpVec:
-        c, ab = split_pair(label)
-        acc: dict[str, complex] = {}
-        for ab2, w1 in mk_bell.apply(ab).items():
-            a2, b2 = split_pair(ab2)
-            for ca, w2 in mk_unbell.apply(pair_label(c, a2)).items():
-                c2, a3 = split_pair(ca)
-                out = pair_label(c2, pair_label(a3, b2))
-                acc[out] = acc.get(out, 0j) + w1 * w2
-        return AmpVec(acc)
-
-    return KleisliOp(src, apply)
+    """Entangle the last two bits, then un-entangle the first two:
+    assoc_inv . (unbell x id) . assoc . (id x bell) on (c,(a,b))."""
+    first = kleisli(assoc_op(BIT, BIT, BIT), tensor(ret_op(BIT), bell()))
+    return kleisli(assoc_inv_op(BIT, BIT, BIT), kleisli(tensor(unbell(), ret_op(BIT)), first))
 
 
 def choice(f: KleisliOp, g: KleisliOp) -> KleisliOp:

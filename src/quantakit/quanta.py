@@ -5,7 +5,11 @@ output while the payload accumulates a step function; its quantum
 counterpart takes a unitary step on an (item, payload) pair basis and
 recurses structurally over lists, producing an operation whose
 materialization over a truncated list basis is unitary and block-diagonal
-by list length.
+by list length.  The fold tabulates its step once over the step's
+(item, payload) source basis, memoises each sub-fold on its (item-index
+tuple, payload) input, keeps the states it reaches as ints and formats
+labels only in the ket it returns.  The structural isomorphisms that its
+one-layer unfolding ``psi`` composes live in ``vecmonad``.
 
 Truncated list bases are enumerated in a pinned cons-preorder: emit a
 list, then recursively the lists obtained by prepending each item in
@@ -37,6 +41,7 @@ from .relalg import (
     untag,
 )
 from .vecmonad import (
+    PRUNE_EPS,
     AmpVec,
     KleisliOp,
     direct_sum,
@@ -46,27 +51,24 @@ from .vecmonad import (
     ret,
     ret_op,
     tensor,
+    xl_op,
 )
 
 __all__ = [
     "ListBasis",
     "alpha",
     "alpha_inv",
-    "assoc_inv_op",
-    "assoc_op",
     "cata",
     "check_fst_complement",
     "mapaccum",
     "pinned16_basis",
     "psi",
     "quantamorphism",
-    "quantamorphism_over",
     "quantamorphism_via_psi",
     "rfold",
     "rfold_rel",
     "run_quanta",
     "step_shape",
-    "xl_op",
 ]
 
 
@@ -241,97 +243,72 @@ def cata(
 # ---------------------------------------------------------------------------
 # The quantum fold
 
-def _quanta_apply(step: KleisliOp) -> Callable[[str], AmpVec]:
-    item, payload = step_shape(step)
-    memo: dict[tuple[tuple[str, ...], str], AmpVec] = {}
+def _quanta_apply(step: KleisliOp, item: FinBasis, payload: FinBasis) -> Callable[[str], AmpVec]:
+    # Inside the fold a (list, payload) state of list length k is one int,
+    # code * p + payload index, where code holds the k item indices in base m,
+    # head in the lowest digit: consing item c onto state s = code * p + b
+    # with new payload d gives (code * m + c) * p + d.
+    m, p = len(item), len(payload)
+    # The step, tabulated once: row a * p + b lists (c, d, amplitude).
+    table = []
+    for a in item:
+        for b in payload:
+            image = [(split_pair(out), w) for out, w in step.apply(pair_label(a, b)).items()]
+            table.append([(item.index(c), payload.index(d), w) for (c, d), w in image])
+    memo: dict[tuple[tuple[int, ...], int], dict[int, complex]] = {}
 
-    def fold(t: tuple[str, ...], b: str) -> AmpVec:
+    def fold(t: tuple[int, ...], b: int) -> dict[int, complex]:
         key = (t, b)
-        if key in memo:
-            return memo[key]
-        if not t:
-            out = ret(pair_label(list_label(()), b))
-        else:
-            head, tail = t[0], t[1:]
-            acc: dict[str, complex] = {}
-            for sub, w1 in fold(tail, b).items():
-                t2, b2 = split_pair(sub)
-                for hb, w2 in step.apply(pair_label(head, b2)).items():
-                    h2, b3 = split_pair(hb)
-                    out_label = pair_label(
-                        list_label((h2,) + split_list(t2)), b3
-                    )
-                    acc[out_label] = acc.get(out_label, 0j) + w1 * w2
-            out = AmpVec(acc)
-        memo[key] = out
-        return out
+        if key not in memo:
+            if not t:
+                memo[key] = {b: 1.0 + 0j}
+            else:
+                acc: dict[int, complex] = {}
+                head = t[0] * p
+                for s, w1 in fold(t[1:], b).items():
+                    code, b2 = divmod(s, p)
+                    for c, d, w2 in table[head + b2]:
+                        out = (code * m + c) * p + d
+                        acc[out] = acc.get(out, 0j) + w1 * w2
+                memo[key] = {s: a for s, a in acc.items() if abs(a) >= PRUNE_EPS}
+        return memo[key]
 
     def apply(label: str) -> AmpVec:
         l, b = split_pair(label)
-        return fold(split_list(l), b)
+        t = tuple(item.index(x) for x in split_list(l))
+        out: dict[str, complex] = {}
+        for s, a in fold(t, payload.index(b)).items():
+            code, d = divmod(s, p)
+            xs = []
+            for _ in t:
+                code, c = divmod(code, m)
+                xs.append(item.labels[c])
+            out[pair_label(list_label(xs), payload.labels[d])] = a
+        return AmpVec(out)
 
     return apply
 
 
 def quantamorphism(step: KleisliOp, maxlen: int, validate: bool = True) -> KleisliOp:
-    """Structural quantum fold of a unitary step over a truncated list basis."""
+    """Structural quantum fold of a unitary step over a truncated list basis.
+
+    To fold over another set of (list, payload) states, such as
+    ``pinned16_basis()``, re-type the result: ``KleisliOp(basis, fold.apply)``.
+    """
     item, payload = step_shape(step)
     if validate and not is_unitary(materialize(step, step.src)):
         raise ValueError("quantamorphism step must materialize to a unitary matrix")
     lb = ListBasis(maxlen, item, payload)
-    return KleisliOp(lb.basis, _quanta_apply(step))
-
-
-def quantamorphism_over(step: KleisliOp, basis: FinBasis, validate: bool = True) -> KleisliOp:
-    """Same fold, restricted to an explicitly pinned (list, payload) basis."""
-    if validate and not is_unitary(materialize(step, step.src)):
-        raise ValueError("quantamorphism step must materialize to a unitary matrix")
-    return KleisliOp(basis, _quanta_apply(step))
+    return KleisliOp(lb.basis, _quanta_apply(step, item, payload))
 
 
 def run_quanta(step: KleisliOp, input_label: str) -> AmpVec:
     """Apply the quantum fold to one (list, payload) basis state."""
-    return _quanta_apply(step)(input_label)
+    return _quanta_apply(step, *step_shape(step))(input_label)
 
 
 # ---------------------------------------------------------------------------
-# Structural isomorphisms
-
-def xl_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
-    """Permutation (x,(y,z)) -> (y,(x,z)) swapping the first two of three."""
-    src = product_basis(a, product_basis(b, c))
-
-    def act(label: str) -> str:
-        x, yz = split_pair(label)
-        y, z = split_pair(yz)
-        return pair_label(y, pair_label(x, z))
-
-    return KleisliOp(src, lambda l: ret(act(l)))
-
-
-def assoc_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
-    """Associator (x,(y,z)) -> ((x,y),z)."""
-    src = product_basis(a, product_basis(b, c))
-
-    def act(label: str) -> str:
-        x, yz = split_pair(label)
-        y, z = split_pair(yz)
-        return pair_label(pair_label(x, y), z)
-
-    return KleisliOp(src, lambda l: ret(act(l)))
-
-
-def assoc_inv_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
-    """Inverse associator ((x,y),z) -> (x,(y,z))."""
-    src = product_basis(product_basis(a, b), c)
-
-    def act(label: str) -> str:
-        xy, z = split_pair(label)
-        x, y = split_pair(xy)
-        return pair_label(x, pair_label(y, z))
-
-    return KleisliOp(src, lambda l: ret(act(l)))
-
+# The list algebra and its one-layer unfolding
 
 def _alpha_act(label: str, maxlen: int) -> str:
     side, body = untag(label)

@@ -4,13 +4,16 @@ A ket is a sparse mapping from basis labels to complex amplitudes; an
 operation is a function from basis labels to kets (a Kleisli arrow),
 which materializes column by column into a typed complex matrix.  Monadic
 bind is linear extension, Kleisli composition is matrix product, and the
-tensor of two arrows materializes to the Kronecker product.
+tensor of two arrows materializes to the Kronecker product.  The
+structural isomorphisms of product bases (``xl_op``, ``assoc_op`` and
+``assoc_inv_op``) live here too, as classical Kleisli arrows that gates
+and folds compose with.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -23,6 +26,8 @@ __all__ = [
     "CMatrix",
     "KleisliOp",
     "add",
+    "assoc_inv_op",
+    "assoc_op",
     "bind",
     "dagger",
     "direct_sum",
@@ -42,6 +47,7 @@ __all__ = [
     "scale",
     "tensor",
     "vec_equal",
+    "xl_op",
     "zero_vec",
 ]
 
@@ -172,6 +178,42 @@ def direct_sum(f: KleisliOp, g: KleisliOp) -> KleisliOp:
         return AmpVec({tag_right(k): a for k, a in g.apply(x).items()})
 
     return KleisliOp(src, apply)
+
+
+# ---------------------------------------------------------------------------
+# Structural isomorphisms of product bases
+
+def xl_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
+    """Permutation (x,(y,z)) -> (y,(x,z)) swapping the first two of three."""
+
+    def apply(label: str) -> AmpVec:
+        x, yz = split_pair(label)
+        y, z = split_pair(yz)
+        return ret(pair_label(y, pair_label(x, z)))
+
+    return KleisliOp(product_basis(a, product_basis(b, c)), apply)
+
+
+def assoc_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
+    """Associator (x,(y,z)) -> ((x,y),z)."""
+
+    def apply(label: str) -> AmpVec:
+        x, yz = split_pair(label)
+        y, z = split_pair(yz)
+        return ret(pair_label(pair_label(x, y), z))
+
+    return KleisliOp(product_basis(a, product_basis(b, c)), apply)
+
+
+def assoc_inv_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
+    """Inverse associator ((x,y),z) -> (x,(y,z))."""
+
+    def apply(label: str) -> AmpVec:
+        xy, z = split_pair(label)
+        x, y = split_pair(xy)
+        return ret(pair_label(x, pair_label(y, z)))
+
+    return KleisliOp(product_basis(product_basis(a, b), c), apply)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from quantakit.circuitgen import (
     decompose_mcx,
     export_qasm,
     parse_qasm,
+    peephole,
     simulate,
     simulate_state,
     synth_permutation,
@@ -297,6 +298,67 @@ class TestPinnedReferences:
         for inp, want, _label in rt.IO_TABLE_16:
             assert main(["simulate", str(qasm), inp]) == 0
             assert capsys.readouterr().out == want + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Peephole cancellation against the reference: the fixed-point rescan that
+# circuitgen used before it cancelled on a stack, kept verbatim apart from
+# the function name.
+
+def ref_peephole(c: Circuit) -> Circuit:
+    """Cancel adjacent identical self-inverse gates until a fixed point."""
+    gates = list(c.gates)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        out: list[Gate] = []
+        while i < len(gates):
+            if (
+                i + 1 < len(gates)
+                and gates[i] == gates[i + 1]
+                and gates[i].name in ("x", "cx", "ccx", "h")
+            ):
+                i += 2
+                changed = True
+            else:
+                out.append(gates[i])
+                i += 1
+        gates = out
+    return Circuit(c.data_qubits, c.ancilla_qubits, tuple(gates))
+
+
+_WORD_POOL = (
+    Gate("x", (0,)), Gate("x", (1,)), Gate("h", (0,)), Gate("h", (2,)),
+    Gate("cx", (0, 1)), Gate("cx", (1, 0)), Gate("ccx", (0, 1, 2)),
+    Gate("t", (0,)), Gate("tdg", (0,)), Gate("mcx", (0, 1, 2), (0, 1)),
+)
+_SELF_INVERSE = tuple(g for g in _WORD_POOL if g.name in ("x", "cx", "ccx", "h"))
+
+
+@st.composite
+def words(draw):
+    """Gate words over three qubits with nested cancelling pairs planted
+    into them, and t, tdg and mcx gates that block some of the pairs."""
+    word = draw(st.lists(st.sampled_from(_WORD_POOL), max_size=20))
+    for _ in range(draw(st.integers(0, 4))):
+        inner = draw(st.lists(st.sampled_from(_SELF_INVERSE), min_size=1, max_size=4))
+        at = draw(st.integers(0, len(word)))
+        word[at:at] = inner + inner[::-1]
+    return Circuit(3, 0, tuple(word))
+
+
+class TestPeephole:
+    @settings(max_examples=300, deadline=None)
+    @given(words())
+    def test_matches_the_fixed_point_reference(self, c):
+        assert peephole(c) == ref_peephole(c)
+
+    def test_nested_pairs_cancel_and_blockers_stay(self):
+        x0, cx, t = Gate("x", (0,)), Gate("cx", (0, 1)), Gate("t", (0,))
+        mcx = Gate("mcx", (0, 1), (0,))
+        c = Circuit(2, 0, (x0, cx, cx, x0, t, t, mcx, mcx, x0, t, x0))
+        assert peephole(c).gates == (t, t, mcx, mcx, x0, t, x0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,3 +22,37 @@ def test_run_names_a_label_outside_the_step_basis(capsys, step, label, named):
 def test_run_accepts_labels_inside_the_step_basis(capsys):
     assert main(["run", "--step", "cnot", "--input", "([1,0,0],1)"]) == 0
     assert capsys.readouterr().out == "([1,0,0],0): 1+0i\n"
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--step", "cnot"], "synth --step needs --maxlen, a non-negative integer or 'pinned16' (got None)"),
+        (["--maxlen", "abc", "--step", "cnot"], "synth --step needs --maxlen, a non-negative integer or 'pinned16' (got 'abc')"),
+        (["--maxlen", "-1", "--step", "cnot"], "synth --step needs --maxlen, a non-negative integer or 'pinned16' (got '-1')"),
+        (["--maxlen", "40", "--step", "cnot"], "maxlen 40 exceeds cap 4"),
+        (["--maxlen", "1"], "synth needs --step or --matrix-file"),
+        (
+            ["--maxlen", "pinned16", "--step", "ccnot"],
+            "pinned16 needs a step on (bit,bit) pairs; step 'ccnot' has items (0,0), (0,1), (1,0), (1,1) and payloads 0, 1",
+        ),
+        (
+            ["--maxlen", "pinned16", "--step", "alice"],
+            "pinned16 needs a step on (bit,bit) pairs; step 'alice' has items 0, 1 and payloads (0,0), (0,1), (1,0), (1,1)",
+        ),
+        (
+            ["--maxlen", "pinned16", "--step", "bell"],
+            "the fold of step 'bell' leaves the pinned16 basis: output label '([1,0,0],1)' outside target basis",
+        ),
+    ],
+)
+def test_synth_names_a_bad_argument(capsys, args, named):
+    assert main(["synth", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
+
+
+def test_synth_pinned16_accepts_a_bit_pair_step(capsys):
+    assert main(["synth", "--maxlen", "pinned16", "--step", "id"]) == 0
+    assert capsys.readouterr().out.startswith("{")

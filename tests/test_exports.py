@@ -1,0 +1,17 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import quantakit
+
+MODULES = ["quantakit"] + [
+    f"quantakit.{m.name}" for m in pkgutil.iter_modules(quantakit.__path__)
+]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

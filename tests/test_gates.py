@@ -23,6 +23,8 @@ from quantakit.gates import (
 from quantakit.relalg import BIT, product_basis
 from quantakit.vecmonad import (
     CMatrix,
+    assoc_inv_op,
+    assoc_op,
     dagger,
     from_matrix,
     identity_matrix,
@@ -93,8 +95,6 @@ class TestBellBlocks:
         )
 
     def test_alice_unitary_and_factored(self):
-        from quantakit.quanta import assoc_inv_op, assoc_op
-
         m = materialize(alice(), B8)
         assert is_unitary(m, tol=1e-9)
         a = materialize(assoc_op(BIT, BIT, BIT), product_basis(BB, BIT))

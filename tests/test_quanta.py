@@ -1,0 +1,148 @@
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_tables as rt
+from quantakit.cli import main
+from quantakit.gates import bell, default_library
+from quantakit.quanta import ListBasis, pinned16_basis, quantamorphism, run_quanta, step_shape
+from quantakit.relalg import FinBasis, list_label, pair_label, product_basis, split_list, split_pair
+from quantakit.vecmonad import AmpVec, CMatrix, KleisliOp, bind, from_matrix, materialize, ret, vec_equal
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+# ---------------------------------------------------------------------------
+# Reference: the label-level fold that quanta used before it tabulated the
+# step, kept verbatim apart from the function name.
+
+def ref_quanta_apply(step: KleisliOp) -> Callable[[str], AmpVec]:
+    item, payload = step_shape(step)
+    memo: dict[tuple[tuple[str, ...], str], AmpVec] = {}
+
+    def fold(t: tuple[str, ...], b: str) -> AmpVec:
+        key = (t, b)
+        if key in memo:
+            return memo[key]
+        if not t:
+            out = ret(pair_label(list_label(()), b))
+        else:
+            head, tail = t[0], t[1:]
+            acc: dict[str, complex] = {}
+            for sub, w1 in fold(tail, b).items():
+                t2, b2 = split_pair(sub)
+                for hb, w2 in step.apply(pair_label(head, b2)).items():
+                    h2, b3 = split_pair(hb)
+                    out_label = pair_label(
+                        list_label((h2,) + split_list(t2)), b3
+                    )
+                    acc[out_label] = acc.get(out_label, 0j) + w1 * w2
+            out = AmpVec(acc)
+        memo[key] = out
+        return out
+
+    def apply(label: str) -> AmpVec:
+        l, b = split_pair(label)
+        return fold(split_list(l), b)
+
+    return apply
+
+
+def random_unitary_op(seed: int, basis: FinBasis) -> KleisliOp:
+    rng = np.random.default_rng(seed)
+    n = len(basis)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return from_matrix(CMatrix(basis, basis, q))
+
+
+class TestPinnedReferences:
+    def test_list_basis_order(self):
+        assert ListBasis(2).labels == rt.FOLD_LABELS_14
+
+    def test_pinned16_order(self):
+        assert pinned16_basis().labels == rt.PINNED16_LABELS
+
+    def test_bell_fold_matrix(self):
+        basis = ListBasis(2).basis
+        m = materialize(quantamorphism(bell(), 2), basis)
+        want = CMatrix(basis, basis, np.array(rt.BELL_FOLD_14, dtype=complex))
+        assert m.close_to(want, tol=1e-12)
+
+    def test_cnot_fold_permutation(self):
+        basis = ListBasis(2).basis
+        m = materialize(quantamorphism(default_library().op("cnot"), 2), basis)
+        want = np.zeros((14, 14))
+        for col, row in enumerate(rt.CNOT_FOLD_14_PERM):
+            want[row, col] = 1.0
+        assert np.array_equal(m.entries, want)
+
+    def test_run_gives_x_state_and_one_more_fold_gives_y_state(self):
+        x = run_quanta(bell(), "([1,0,0],1)")
+        assert vec_equal(x, AmpVec(rt.X_STATE), tol=1e-12) and len(x) == len(rt.X_STATE)
+        y = bind(x, quantamorphism(bell(), 3))
+        assert vec_equal(y, AmpVec(rt.Y_STATE), tol=1e-12) and len(y) == len(rt.Y_STATE)
+
+    @pytest.mark.parametrize("step", ["bell", "cnot"])
+    def test_matrix_golden(self, capsys, step):
+        assert main(["matrix", "--step", step, "--maxlen", "2"]) == 0
+        golden = (GOLDENS / f"fold_{step}_maxlen2.txt").read_text()
+        assert capsys.readouterr().out == golden
+
+
+@st.composite
+def fold_cases(draw):
+    item = FinBasis(tuple(f"a{i}" for i in range(draw(st.integers(1, 3)))))
+    payload = FinBasis(tuple(f"p{i}" for i in range(draw(st.integers(1, 3)))))
+    step = random_unitary_op(draw(st.integers(0, 2**32 - 1)), product_basis(item, payload))
+    xs = draw(st.lists(st.sampled_from(item.labels), max_size=5))
+    b = draw(st.sampled_from(payload.labels))
+    return step, pair_label(list_label(xs), b)
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(fold_cases())
+    def test_run_quanta_matches_reference(self, case):
+        step, label = case
+        got = run_quanta(step, label)
+        want = ref_quanta_apply(step)(label)
+        assert vec_equal(got, want, tol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(fold_cases())
+    def test_fold_matrix_matches_reference(self, case):
+        step, _ = case
+        basis = ListBasis(3, *step_shape(step)).basis
+        got = materialize(quantamorphism(step, 3), basis)
+        want = materialize(KleisliOp(basis, ref_quanta_apply(step)), basis)
+        assert got.close_to(want, tol=1e-12)
+
+    def test_residue_below_prune_eps_is_dropped_at_every_level(self):
+        # Item a turns the payload by +1e-3, item b by 5e-13 less, so each
+        # (b, a) pair leaves a residue below PRUNE_EPS on p1.  Kept across
+        # four pairs, the residues would add up above it.
+        def turn(x):
+            return np.array([[np.cos(x), -np.sin(x)], [np.sin(x), np.cos(x)]])
+
+        m = np.zeros((4, 4))
+        m[:2, :2], m[2:, 2:] = turn(1e-3), turn(-(1e-3 - 5e-13))
+        src = product_basis(FinBasis(("a", "b")), FinBasis(("p0", "p1")))
+        step = from_matrix(CMatrix(src, src, m))
+        label = pair_label(list_label(["a", "b"] * 4), "p0")
+        got = run_quanta(step, label)
+        assert got.support == {"([a,b,a,b,a,b,a,b],p0)"}
+        assert dict(got.items()) == dict(ref_quanta_apply(step)(label).items())
+
+    @pytest.mark.parametrize("name", ["id", "cnot", "ccnot", "bell", "unbell", "alice", "cond"])
+    def test_library_steps_match_reference_exactly(self, name):
+        step = default_library().op(name)
+        basis = ListBasis(3, *step_shape(step)).basis
+        got = materialize(quantamorphism(step, 3), basis)
+        want = materialize(KleisliOp(basis, ref_quanta_apply(step)), basis)
+        assert got == want
