@@ -81,11 +81,6 @@ class Encoding:
     def bits_of(self, label: str) -> str:
         return format(self.basis.index(label), f"0{self.width}b")
 
-    def label_of(self, bits: str) -> str:
-        if len(bits) != self.width or set(bits) - {"0", "1"}:
-            raise ValueError(f"bad bit-string {bits!r} for width {self.width}")
-        return self.basis.labels[int(bits, 2)]
-
 
 @dataclass(frozen=True)
 class Gate:

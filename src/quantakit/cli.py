@@ -41,7 +41,7 @@ def _step_op(name: str, tol: float) -> tuple[vecmonad.KleisliOp, relalg.FinBasis
         raise ValueError(
             f"gate {name!r} does not act on an (item,payload) pair basis"
         ) from None
-    if not vecmonad.is_unitary(vecmonad.materialize(op, op.src), tol):
+    if not vecmonad.is_unitary(lib.matrix(name), tol):
         raise ValueError(f"gate {name!r} is not unitary at tolerance {tol}")
     return op, item, payload
 
@@ -95,10 +95,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         for x in items:
             _check_in(x, item, "item", args.step)
         _check_in(b, payload, "payload", args.step)
+        order = quanta.ListBasis(len(items), item, payload).basis
         state = quanta.run_quanta(op, args.input)
     except (KeyError, ValueError) as exc:
         return _fail(str(exc))
-    order = quanta.ListBasis(len(items), item, payload).basis
     if args.format == "json":
         payload_obj = {
             lbl: [state[lbl].real, state[lbl].imag]

@@ -148,17 +148,17 @@ def cond() -> KleisliOp:
 
 
 class GateLibrary:
-    """Named registry of operations; registration checks unitarity."""
+    """Named registry of operations; registration checks unitarity and
+    keeps the matrix it checked."""
 
     def __init__(self) -> None:
-        self._ops: dict[str, tuple[KleisliOp, FinBasis]] = {}
+        self._ops: dict[str, tuple[KleisliOp, CMatrix]] = {}
 
-    def register(self, name: str, op: KleisliOp, tgt: FinBasis | None = None,
-                 tol: float = 1e-9) -> None:
-        tgt = tgt if tgt is not None else op.src
-        if not is_unitary(materialize(op, tgt), tol):
+    def register(self, name: str, op: KleisliOp) -> None:
+        m = materialize(op, op.src)
+        if not is_unitary(m):
             raise ValueError(f"gate {name!r} does not materialize to a unitary matrix")
-        self._ops[name] = (op, tgt)
+        self._ops[name] = (op, m)
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._ops)
@@ -169,14 +169,10 @@ class GateLibrary:
     def op(self, name: str) -> KleisliOp:
         return self._get(name)[0]
 
-    def tgt(self, name: str) -> FinBasis:
+    def matrix(self, name: str) -> CMatrix:
         return self._get(name)[1]
 
-    def matrix(self, name: str) -> CMatrix:
-        op, tgt = self._get(name)
-        return materialize(op, tgt)
-
-    def _get(self, name: str) -> tuple[KleisliOp, FinBasis]:
+    def _get(self, name: str) -> tuple[KleisliOp, CMatrix]:
         try:
             return self._ops[name]
         except KeyError:

@@ -26,6 +26,7 @@ from .relalg import (
     ComplementError,
     FinBasis,
     Rel,
+    SizeLimitError,
     coproduct_basis,
     from_function,
     is_injective,
@@ -55,12 +56,12 @@ from .vecmonad import (
 )
 
 __all__ = [
+    "MAX_LIST_STATES",
     "ListBasis",
     "alpha",
     "alpha_inv",
     "cata",
     "check_fst_complement",
-    "mapaccum",
     "pinned16_basis",
     "psi",
     "quantamorphism",
@@ -74,6 +75,9 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Truncated list bases
+
+MAX_LIST_STATES = 2**18
+
 
 def _enumerate_lists(items: tuple[str, ...], maxlen: int) -> tuple[tuple[str, ...], ...]:
     out: list[tuple[str, ...]] = []
@@ -90,7 +94,9 @@ def _enumerate_lists(items: tuple[str, ...], maxlen: int) -> tuple[tuple[str, ..
 
 @dataclass(frozen=True)
 class ListBasis:
-    """Basis of (list, payload) pairs for lists up to a maximum length."""
+    """Basis of (list, payload) pairs for lists up to a maximum length,
+    refused before it is enumerated when it would exceed
+    ``MAX_LIST_STATES`` states."""
 
     maxlen: int
     item: FinBasis = BIT
@@ -102,6 +108,9 @@ class ListBasis:
     def __post_init__(self) -> None:
         if self.maxlen < 0:
             raise ValueError("maxlen must be non-negative")
+        size = len(self.payload) * sum(len(self.item) ** k for k in range(self.maxlen + 1))
+        if size > MAX_LIST_STATES:
+            raise SizeLimitError(f"list basis has {size} states; capped at {MAX_LIST_STATES}")
         lists = _enumerate_lists(self.item.labels, self.maxlen)
         object.__setattr__(self, "lists", lists)
         list_basis = FinBasis(tuple(list_label(t) for t in lists))
@@ -178,17 +187,6 @@ def _rfold_run(table: Mapping[str, str], xs: tuple[str, ...], b: str) -> tuple[t
         return (), b
     y, b2 = _rfold_run(table, xs[1:], b)
     return (xs[0],) + y, table[pair_label(xs[0], b2)]
-
-
-def mapaccum(
-    table: Mapping[str, str], xs: tuple[str, ...], b: str
-) -> tuple[tuple[str, ...], str]:
-    """Generalized fold for steps (a,b) -> (c,b): items may be rewritten."""
-    if not xs:
-        return (), b
-    y, b2 = mapaccum(table, xs[1:], b)
-    c, b3 = split_pair(table[pair_label(xs[0], b2)])
-    return (c,) + y, b3
 
 
 def rfold_rel(

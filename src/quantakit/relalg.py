@@ -10,7 +10,9 @@ Besides the pointfree operators (composition, converse, kernel, pairing,
 junc, direct sum) the module provides the injectivity preorder, the
 relation taxonomy predicates, difunctionality, and the exact search for
 minimal complements: the coarsest partitions of the source that restore
-injectivity when paired with a given function.
+injectivity when paired with a given function, found by one pruned walk
+that tests maximality on each partition alone: every two blocks must share
+a kernel class.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ __all__ = [
     "BasisMismatchError",
     "ComplementError",
     "FinBasis",
+    "MAX_COMPLEMENT_DOMAIN",
     "MonoidSpec",
     "Rel",
     "SizeLimitError",
@@ -439,76 +442,76 @@ def u_construct(f: Rel, m: MonoidSpec) -> Rel:
 # ---------------------------------------------------------------------------
 # Minimal complements
 
-def _partitions_avoiding(n: int, forbidden: np.ndarray) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All set partitions of range(n) with no forbidden pair sharing a block.
+MAX_COMPLEMENT_DOMAIN = 12
 
-    Restricted-growth enumeration; a branch is pruned as soon as an element
-    would join a block containing a partner it must stay apart from.
-    """
+
+def _maximal_partitions(cls: list[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Partitions of range(n) into blocks of distinct classes ``cls[i]`` that
+    pairwise share a class; blocks by least element, members ascending."""
+    n = len(cls)
+    # one[i] / two[i]: the classes with at least one / two elements in i..n-1.
+    one, two = [0] * (n + 1), [0] * (n + 1)
+    for i in reversed(range(n)):
+        bit = 1 << cls[i]
+        one[i] = one[i + 1] | bit
+        two[i] = two[i + 1] | (one[i + 1] & bit)
     blocks: list[list[int]] = []
+    masks: list[int] = []  # the classes of each block, one bit each
 
     def walk(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        # Two blocks with disjoint classes can come to share one only through
+        # an unplaced element of a class of either, or two unplaced elements
+        # of a class of neither.  At the leaf this is the maximality test.
+        for k, mk in enumerate(masks):
+            for mj in masks[:k]:
+                both = mj | mk
+                if not mj & mk and not (both & one[i] or two[i] & ~both):
+                    return
         if i == n:
             yield tuple(tuple(b) for b in blocks)
             return
-        for b in blocks:
-            if not any(forbidden[i, j] for j in b):
+        bit = 1 << cls[i]
+        for k, b in enumerate(blocks):
+            if not masks[k] & bit:
                 b.append(i)
+                masks[k] |= bit
                 yield from walk(i + 1)
+                masks[k] ^= bit
                 b.pop()
         blocks.append([i])
+        masks.append(bit)
         yield from walk(i + 1)
+        masks.pop()
         blocks.pop()
 
     yield from walk(0)
 
 
-def _refines(p: tuple[tuple[int, ...], ...], q: tuple[tuple[int, ...], ...]) -> bool:
-    owner = {}
-    for k, b in enumerate(q):
-        for x in b:
-            owner[x] = k
-    return all(len({owner[x] for x in b}) == 1 for b in p)
-
-
-def minimal_complements(f: Rel, max_domain: int = 12) -> tuple[Rel, ...]:
+def minimal_complements(f: Rel) -> tuple[Rel, ...]:
     """Coarsest partitions of f's source whose quotient restores injectivity.
 
-    Each result is returned as the canonical quotient function sending every
-    element to the least-index member of its block.  Exact brute force over
-    set partitions, capped at ``max_domain`` source elements.
+    These partitions keep each kernel class of f in distinct blocks, and
+    every two of their blocks share a kernel class, or they could merge.  The
+    search drops a branch once two blocks can no longer come to share one, so
+    it finishes on every source up to ``MAX_COMPLEMENT_DOMAIN`` elements.
+    Each result is the quotient function sending every element to the least
+    member of its block, in order of the sorted blocks.
     """
     if not is_function(f):
         raise ValueError("minimal_complements requires a function")
     n = len(f.src)
-    if n > max_domain:
+    if n > MAX_COMPLEMENT_DOMAIN:
         raise SizeLimitError(
-            f"domain has {n} elements; brute-force search capped at {max_domain}"
+            f"domain has {n} elements; brute-force search capped at {MAX_COMPLEMENT_DOMAIN}"
         )
-    ker = kernel(f).entries
-    forbidden = ker & ~np.eye(n, dtype=bool)
-
-    maximal: list[tuple[tuple[int, ...], ...]] = []
-    for p in _partitions_avoiding(n, forbidden):
-        if any(_refines(p, q) for q in maximal):
-            continue
-        maximal = [q for q in maximal if not _refines(q, p)]
-        maximal.append(p)
-
-    def signature(p: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(tuple(sorted(b)) for b in p))
-
+    # f is a function, so column j holds one 1, in the row of j's class.
+    cls = np.nonzero(f.entries.T)[1].tolist()
     out = []
-    for p in sorted(maximal, key=signature):
-        rep = {}
+    for p in sorted(_maximal_partitions(cls)):
+        m = np.zeros((n, n), dtype=bool)
         for b in p:
-            least = min(b)
-            for x in b:
-                rep[x] = least
-        q = from_function(
-            lambda lbl: f.src.labels[rep[f.src.index(lbl)]], f.src, f.src
-        )
-        out.append(q)
+            m[b[0], list(b)] = True
+        out.append(Rel(f.src, f.src, m))
     return tuple(out)
 
 

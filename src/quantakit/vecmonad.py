@@ -48,7 +48,6 @@ __all__ = [
     "tensor",
     "vec_equal",
     "xl_op",
-    "zero_vec",
 ]
 
 PRUNE_EPS = 1e-12
@@ -91,10 +90,6 @@ class AmpVec:
     def __repr__(self) -> str:
         body = ", ".join(f"{k!r}: {v:.6g}" for k, v in sorted(self._amps.items()))
         return f"AmpVec({{{body}}})"
-
-
-def zero_vec() -> AmpVec:
-    return AmpVec()
 
 
 def ret(label: str) -> AmpVec:

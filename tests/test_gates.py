@@ -173,6 +173,13 @@ class TestLibrary:
         for name in lib.names():
             assert is_unitary(lib.matrix(name), tol=1e-9)
 
+    def test_matrix_is_the_one_registration_checked(self):
+        lib = default_library()
+        for name in lib.names():
+            op = lib.op(name)
+            assert lib.matrix(name) is lib.matrix(name)
+            assert lib.matrix(name) == materialize(op, op.src)
+
     def test_registration_rejects_non_unitary(self):
         lib = GateLibrary()
         squash = lift({"0": "0", "1": "0"}, BIT)

@@ -288,6 +288,88 @@ def all_partitions(n):
         yield rest + ((x,),)
 
 
+# The search minimal_complements replaced, kept verbatim as the reference:
+# enumerate every valid partition, then keep those no other one coarsens.
+
+def _partitions_avoiding(n: int, forbidden: np.ndarray):
+    """All set partitions of range(n) with no forbidden pair sharing a block.
+
+    Restricted-growth enumeration; a branch is pruned as soon as an element
+    would join a block containing a partner it must stay apart from.
+    """
+    blocks: list[list[int]] = []
+
+    def walk(i: int):
+        if i == n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            if not any(forbidden[i, j] for j in b):
+                b.append(i)
+                yield from walk(i + 1)
+                b.pop()
+        blocks.append([i])
+        yield from walk(i + 1)
+        blocks.pop()
+
+    yield from walk(0)
+
+
+def _refines(p, q) -> bool:
+    owner = {}
+    for k, b in enumerate(q):
+        for x in b:
+            owner[x] = k
+    return all(len({owner[x] for x in b}) == 1 for b in p)
+
+
+def ref_minimal_complements(f: Rel) -> tuple[Rel, ...]:
+    n = len(f.src)
+    ker = kernel(f).entries
+    forbidden = ker & ~np.eye(n, dtype=bool)
+
+    maximal = []
+    for p in _partitions_avoiding(n, forbidden):
+        if any(_refines(p, q) for q in maximal):
+            continue
+        maximal = [q for q in maximal if not _refines(q, p)]
+        maximal.append(p)
+
+    def signature(p):
+        return tuple(sorted(tuple(sorted(b)) for b in p))
+
+    out = []
+    for p in sorted(maximal, key=signature):
+        rep = {}
+        for b in p:
+            least = min(b)
+            for x in b:
+                rep[x] = least
+        q = from_function(
+            lambda lbl: f.src.labels[rep[f.src.index(lbl)]], f.src, f.src
+        )
+        out.append(q)
+    return tuple(out)
+
+
+def class_layouts(n):
+    """Every assignment of range(n) to classes, up to renaming the classes."""
+    if n == 0:
+        yield ()
+        return
+    for rest in class_layouts(n - 1):
+        for c in range(max(rest, default=-1) + 2):
+            yield rest + (c,)
+
+
+def function_of_layout(cls):
+    """The function sending element i to class cls[i]; a class no element
+    takes still has its row, so class indices need not be contiguous."""
+    src = FinBasis(tuple(f"a{i}" for i in range(len(cls))))
+    tgt = FinBasis(tuple(f"c{c}" for c in range(max(cls, default=-1) + 1)))
+    return from_function({x: f"c{c}" for x, c in zip(src, cls)}, src, tgt)
+
+
 class TestMinimalComplements:
     def test_xor_has_the_two_projection_partitions(self):
         got = {partition_blocks(q) for q in minimal_complements(XOR)}
@@ -350,6 +432,30 @@ class TestMinimalComplements:
         big = FinBasis(tuple(str(i) for i in range(13)))
         with pytest.raises(SizeLimitError):
             minimal_complements(identity(big))
+
+    def test_matches_the_reference_on_every_layout_up_to_six(self):
+        layouts = [cls for n in range(7) for cls in class_layouts(n)]
+        assert len(layouts) == 1 + 278
+        for cls in layouts:
+            f = function_of_layout(cls)
+            assert minimal_complements(f) == ref_minimal_complements(f), cls
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(0, 7), min_size=7, max_size=8))
+    def test_matches_the_reference_on_random_layouts(self, cls):
+        f = function_of_layout(cls)
+        assert minimal_complements(f) == ref_minimal_complements(f)
+
+    def test_injective_twelve_elements_need_one_block(self):
+        (q,) = minimal_complements(function_of_layout(range(12)))
+        assert partition_blocks(q) == (q.src.labels,)
+
+    def test_four_classes_of_three_at_the_cap(self):
+        f = function_of_layout([c for c in range(4) for _ in range(3)])
+        comps = minimal_complements(f)
+        assert len(comps) == 11880
+        for q in comps[:: len(comps) // 50]:
+            assert is_injective(pair(f, q))
 
     def test_requires_function(self):
         with pytest.raises(ValueError):
@@ -430,6 +536,16 @@ class TestTextFormats:
         back = relalg.parse_truth_table(text)
         assert back.src.labels == BB.labels
         assert relalg.format_truth_table(back) == text
+
+    # Labels as the other formats print them: no blanks, no "->", no
+    # leading "#" (a comment line).
+    safe_labels = st.text("01ab(),[]_", min_size=1, max_size=6)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.dictionaries(safe_labels, safe_labels, min_size=1, max_size=8))
+    def test_truth_table_text_round_trip(self, table):
+        text = "".join(f"{x} -> {y}\n" for x, y in table.items())
+        assert relalg.format_truth_table(relalg.parse_truth_table(text)) == text
 
     def test_truth_table_rejects_duplicates(self):
         with pytest.raises(ValueError):
