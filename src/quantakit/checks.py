@@ -94,15 +94,14 @@ def relalg_suite() -> list[CheckResult]:
 
     rels23 = [Rel(b3, b2, np.array(bits, dtype=bool).reshape(2, 3))
               for bits in itertools.product([0, 1], repeat=6)]
-    kers = [relalg.kernel(r).entries for r in rels23]
-    ok = True
-    for kr, ks in itertools.product(kers, kers):
-        cap = kr & ks
-        for kx in kers:
-            lhs = bool(np.all(~kx | cap))
-            rhs = bool(np.all(~kx | kr)) and bool(np.all(~kx | ks))
-            if lhs != rhs:
-                ok = False
+    # Each 3x3 kernel as a 9-bit mask; kernel inclusion x <= y is x & ~y == 0,
+    # tested over every (r, s, x) triple at once.
+    kers = np.array([relalg.kernel(r).entries.ravel() for r in rels23], dtype=np.uint16)
+    masks = (kers << np.arange(9, dtype=np.uint16)).sum(axis=1, dtype=np.uint16)
+    r, s, x = masks[:, None, None], masks[None, :, None], masks[None, None, :]
+    lhs = (x & ~(r & s)) == 0
+    rhs = ((x & ~r) == 0) & ((x & ~s) == 0)
+    ok = bool(np.array_equal(lhs, rhs))
     out.append(_result("relalg", "pairing is the least upper bound (3-element source)", ok))
 
     ok = True

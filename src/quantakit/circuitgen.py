@@ -289,12 +289,12 @@ def _gray_chain(u: int, v: int, width: int) -> list[Gate]:
     return ups + ups[:-1][::-1]
 
 
-def synth_permutation(m: CMatrix, enc: Encoding) -> Circuit:
-    """Circuit over data qubits (plus ancillas) realizing a permutation matrix
-    on the encoded computational basis."""
+def synth_permutation(m: CMatrix, enc: Encoding, tol: float = 1e-9) -> Circuit:
+    """Circuit over data qubits (plus ancillas) realizing a permutation matrix,
+    to within ``tol``, on the encoded computational basis."""
     if m.src != enc.basis or m.tgt != enc.basis:
         raise ValueError("matrix bases must match the encoding basis")
-    perm = _permutation_of(m)
+    perm = _permutation_of(m, tol)
     width = enc.width
 
     mcx_gates: list[Gate] = []

@@ -166,7 +166,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     try:
         m = _synth_matrix(args)
         enc = circuitgen.Encoding(m.src)
-        circ = circuitgen.synth_permutation(m, enc)
+        circ = circuitgen.synth_permutation(m, enc, args.tol)
     except (OSError, KeyError, ValueError, circuitgen.NonPermutationError) as exc:
         return _fail(str(exc))
     qasm = circuitgen.export_qasm(circ)
@@ -222,28 +222,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="quantakit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser) -> None:
+    def common(sp: argparse.ArgumentParser, *names: str) -> None:
+        """--out, and those of --format and --tol that the command reads."""
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--tol", type=float, default=1e-9)
+        if "format" in names:
+            sp.add_argument("--format", choices=("text", "json"), default="text")
+        if "tol" in names:
+            sp.add_argument("--tol", type=float, default=1e-9)
 
     sp = sub.add_parser("matrix", help="materialize the fold of a gate over a truncated list basis")
     sp.add_argument("--step", required=True)
     sp.add_argument("--maxlen", type=int, required=True)
-    common(sp)
+    common(sp, "format", "tol")
     sp.set_defaults(fn=cmd_matrix)
 
     sp = sub.add_parser("run", help="apply the fold of a gate to one basis state")
     sp.add_argument("--step", required=True)
     sp.add_argument("--input", required=True, help='state label, e.g. "([1,0,0],1)"')
-    common(sp)
+    common(sp, "format", "tol")
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("complement", help="minimal complements of a truth-table function")
     sp.add_argument("table", help="truth-table file, one 'input -> output' line per label")
     sp.add_argument("--matrices", action="store_true", help="print partition matrices")
     sp.add_argument("--labels", action="store_true", help="label matrix rows")
-    common(sp)
+    common(sp, "format")
     sp.set_defaults(fn=cmd_complement)
 
     sp = sub.add_parser("synth", help="compile a permutation matrix to a circuit")
@@ -251,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--maxlen", default=None, help="integer, or 'pinned16' for the 16-state basis")
     sp.add_argument("--matrix-file", default=None, help="matrix dump to compile instead of a gate")
     sp.add_argument("--qasm", default=None, help="write OpenQASM 2.0 here ('-' for stdout)")
-    common(sp)
+    common(sp, "tol")
     sp.set_defaults(fn=cmd_synth)
 
     sp = sub.add_parser("simulate", help="run a QASM file on a computational-basis input")
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="run invariant suites")
     sp.add_argument("suite", nargs="?", default="all")
-    common(sp)
+    common(sp, "format")
     sp.set_defaults(fn=cmd_check)
 
     return p

@@ -1,22 +1,25 @@
 """Gate zoo and control combinators over the vector-space monad.
 
-Classical tables are lifted with ``ret``; Hadamard and T are the only
-strictly quantum primitives.  Composite gates are Kleisli compositions of
-these: ``bell`` is the lifted CNOT after Hadamard on the first bit,
-``unbell`` the same two arrows in the other order, and ``alice`` wires
-them together with the associators of ``vecmonad``.  The quantum choice
-combinator routes the payload through a branch selected by the control
-bit without measuring it (control 0 takes the first branch, control 1 the
-second), and the McCarthy conditional preprocesses the control and then
-applies its if-branch on control 1.
+Classical tables are lifted with ``vecmonad.lift``; Hadamard and T are
+the only strictly quantum primitives.  Composite gates are Kleisli
+compositions of these: ``bell`` is the lifted CNOT after Hadamard on the
+first bit, ``unbell`` the same two arrows in the other order, and
+``alice`` wires them together with the associators of ``vecmonad``.  The
+quantum choice combinator routes the payload through a branch selected by
+the control bit without measuring it (control 0 takes the first branch,
+control 1 the second), and the McCarthy conditional preprocesses the
+control and then applies its if-branch on control 1.  A ``GateLibrary``
+checks its gates when it is built and never changes, so
+``default_library()`` is built once per process.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from typing import Mapping
+from collections.abc import Mapping
 
-from .relalg import BIT, FinBasis, pair_label, product_basis, split_pair
+from .relalg import BIT, pair_label, product_basis, split_pair
 from .vecmonad import (
     AmpVec,
     CMatrix,
@@ -25,6 +28,7 @@ from .vecmonad import (
     assoc_op,
     is_unitary,
     kleisli,
+    lift,
     materialize,
     ret,
     ret_op,
@@ -52,15 +56,6 @@ __all__ = [
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 NOT_TABLE = {"0": "1", "1": "0"}
-
-
-def lift(table: Mapping[str, str], src: FinBasis) -> KleisliOp:
-    """Classical function as a Kleisli arrow: a -> ret(f(a))."""
-    missing = [x for x in src if x not in table]
-    if missing:
-        raise ValueError(f"partial table, missing {missing[0]!r}")
-    frozen = dict(table)
-    return KleisliOp(src, lambda a: ret(frozen[a]))
 
 
 def had() -> KleisliOp:
@@ -148,17 +143,16 @@ def cond() -> KleisliOp:
 
 
 class GateLibrary:
-    """Named registry of operations; registration checks unitarity and
-    keeps the matrix it checked."""
+    """Named operations, each checked to be unitary when the library is
+    built; the library keeps the matrix it checked and cannot change."""
 
-    def __init__(self) -> None:
+    def __init__(self, ops: Mapping[str, KleisliOp]) -> None:
         self._ops: dict[str, tuple[KleisliOp, CMatrix]] = {}
-
-    def register(self, name: str, op: KleisliOp) -> None:
-        m = materialize(op, op.src)
-        if not is_unitary(m):
-            raise ValueError(f"gate {name!r} does not materialize to a unitary matrix")
-        self._ops[name] = (op, m)
+        for name, op in ops.items():
+            m = materialize(op, op.src)
+            if not is_unitary(m):
+                raise ValueError(f"gate {name!r} does not materialize to a unitary matrix")
+            self._ops[name] = (op, m)
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._ops)
@@ -179,17 +173,18 @@ class GateLibrary:
             raise KeyError(f"unknown gate {name!r}") from None
 
 
+@functools.cache
 def default_library() -> GateLibrary:
-    lib = GateLibrary()
     bb = product_basis(BIT, BIT)
-    lib.register("x", lift(NOT_TABLE, BIT))
-    lib.register("h", had())
-    lib.register("t", tgate())
-    lib.register("id", ret_op(bb))
-    lib.register("cnot", lift(cnot_table(), bb))
-    lib.register("ccnot", lift(ccnot_table(), product_basis(bb, BIT)))
-    lib.register("bell", bell())
-    lib.register("unbell", unbell())
-    lib.register("alice", alice())
-    lib.register("cond", cond())
-    return lib
+    return GateLibrary({
+        "x": lift(NOT_TABLE, BIT),
+        "h": had(),
+        "t": tgate(),
+        "id": ret_op(bb),
+        "cnot": lift(cnot_table(), bb),
+        "ccnot": lift(ccnot_table(), product_basis(bb, BIT)),
+        "bell": bell(),
+        "unbell": unbell(),
+        "alice": alice(),
+        "cond": cond(),
+    })

@@ -1,11 +1,12 @@
-"""Recursion combinators: reversible folds and their quantum lifting.
+"""Recursion combinators: the quantum fold and its one-layer unfolding.
 
-The classical reversible fold carries the input list unchanged to the
-output while the payload accumulates a step function; its quantum
-counterpart takes a unitary step on an (item, payload) pair basis and
-recurses structurally over lists, producing an operation whose
+The quantamorphism takes a unitary step on an (item, payload) pair basis
+and recurses structurally over lists, producing an operation whose
 materialization over a truncated list basis is unitary and block-diagonal
-by list length.  The fold tabulates its step once over the step's
+by list length.  It is the one fold: the classical reversible fold, in
+which the list passes through while the payload accumulates a step
+table, is the quantamorphism of that table lifted by ``ret``
+(``rfold_rel``).  The fold tabulates its step once over the step's
 (item, payload) source basis, memoises each sub-fold on its (item-index
 tuple, payload) input, keeps the states it reaches as ints and formats
 labels only in the ket it returns.  The structural isomorphisms that its
@@ -18,8 +19,8 @@ varying fastest.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
 
 from .relalg import (
     BIT,
@@ -48,8 +49,8 @@ from .vecmonad import (
     direct_sum,
     is_unitary,
     kleisli,
+    lift,
     materialize,
-    ret,
     ret_op,
     tensor,
     xl_op,
@@ -66,7 +67,6 @@ __all__ = [
     "psi",
     "quantamorphism",
     "quantamorphism_via_psi",
-    "rfold",
     "rfold_rel",
     "run_quanta",
     "step_shape",
@@ -170,41 +170,18 @@ def check_fst_complement(
                 )
 
 
-def rfold(
-    table: Mapping[str, str],
-    xs: tuple[str, ...],
-    b: str,
-    item: FinBasis = BIT,
-    payload: FinBasis = BIT,
-) -> tuple[tuple[str, ...], str]:
-    """Reversible fold: list passes through, payload accumulates the step."""
-    check_fst_complement(table, item, payload)
-    return _rfold_run(table, xs, b)
-
-
-def _rfold_run(table: Mapping[str, str], xs: tuple[str, ...], b: str) -> tuple[tuple[str, ...], str]:
-    if not xs:
-        return (), b
-    y, b2 = _rfold_run(table, xs[1:], b)
-    return (xs[0],) + y, table[pair_label(xs[0], b2)]
-
-
 def rfold_rel(
     table: Mapping[str, str],
     maxlen: int,
     item: FinBasis = BIT,
     payload: FinBasis = BIT,
 ) -> Rel:
-    """The reversible fold tabulated as a relation on a truncated basis."""
+    """The reversible fold tabulated as a relation on a truncated basis:
+    the quantamorphism of the lifted step (a,b) -> (a, table[(a,b)])."""
     check_fst_complement(table, item, payload)
-    lb = ListBasis(maxlen, item, payload)
-
-    def act(label: str) -> str:
-        l, b = split_pair(label)
-        ys, b2 = _rfold_run(table, split_list(l), b)
-        return pair_label(list_label(ys), b2)
-
-    return from_function(act, lb.basis, lb.basis)
+    step = lift(lambda l: pair_label(split_pair(l)[0], table[l]), product_basis(item, payload))
+    fold = quantamorphism(step, maxlen, validate=False)
+    return Rel(fold.src, fold.src, materialize(fold, fold.src).entries != 0)
 
 
 def cata(
@@ -326,7 +303,7 @@ def alpha(maxlen: int, item: FinBasis = BIT, payload: FinBasis = BIT) -> Kleisli
         raise ValueError("alpha needs maxlen >= 1")
     inner = ListBasis(maxlen - 1, item, payload)
     src = coproduct_basis(payload, product_basis(item, inner.basis))
-    return KleisliOp(src, lambda l: ret(_alpha_act(l, maxlen)))
+    return lift(lambda l: _alpha_act(l, maxlen), src)
 
 
 def alpha_inv(maxlen: int, item: FinBasis = BIT, payload: FinBasis = BIT) -> KleisliOp:
@@ -343,7 +320,7 @@ def alpha_inv(maxlen: int, item: FinBasis = BIT, payload: FinBasis = BIT) -> Kle
         rest = pair_label(list_label(items[1:]), b)
         return tag_right(pair_label(items[0], rest))
 
-    return KleisliOp(outer.basis, lambda l: ret(act(l)))
+    return lift(act, outer.basis)
 
 
 def psi(x: KleisliOp, maxlen: int) -> KleisliOp:

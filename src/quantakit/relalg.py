@@ -6,6 +6,11 @@ source basis: ``entries[i, j]`` holds exactly when ``tgt[i]`` is related
 to ``src[j]``.  Functions are the relations with exactly one 1 per
 column; bijections additionally have exactly one 1 per row.
 
+Product bases are row-major and coproducts list their left tags first,
+so ``gamma``, ``inj1``, ``inj2`` and ``bang`` are built from basis
+indices alone.  Labels read from files must be well formed
+(``check_label``).
+
 Besides the pointfree operators (composition, converse, kernel, pairing,
 junc, direct sum) the module provides the injectivity preorder, the
 relation taxonomy predicates, difunctionality, and the exact search for
@@ -33,6 +38,7 @@ __all__ = [
     "Rel",
     "SizeLimitError",
     "bang",
+    "check_label",
     "compose",
     "converse",
     "coproduct_basis",
@@ -156,6 +162,24 @@ def _split_top(body: str) -> list[str]:
     return parts
 
 
+def check_label(label: str) -> str:
+    """Return a label read from a file, or raise ``ValueError`` if its
+    brackets do not balance or it has a comma outside them."""
+    closers: list[str] = []
+    for ch in label:
+        if ch in "([":
+            closers.append(")" if ch == "(" else "]")
+        elif ch in ")]":
+            if not closers or closers.pop() != ch:
+                break
+        elif ch == "," and not closers:
+            break
+    else:
+        if not closers:
+            return label
+    raise ValueError(f"malformed label {label!r}: brackets must balance and commas sit inside them")
+
+
 def split_pair(label: str) -> tuple[str, str]:
     if not (label.startswith("(") and label.endswith(")")):
         raise ValueError(f"not a pair label: {label!r}")
@@ -252,7 +276,7 @@ def from_function(
 
 def bang(src: FinBasis) -> Rel:
     """The unique function into the singleton basis."""
-    return from_function(lambda _x: "*", src, POINT)
+    return Rel(src, POINT, np.ones((1, len(src)), dtype=bool))
 
 
 def compose(r: Rel, s: Rel) -> Rel:
@@ -304,13 +328,11 @@ def either(r: Rel, s: Rel) -> Rel:
 
 
 def inj1(a: FinBasis, b: FinBasis) -> Rel:
-    cop = coproduct_basis(a, b)
-    return from_function(lambda x: tag_left(x), a, cop)
+    return Rel(a, coproduct_basis(a, b), np.eye(len(a) + len(b), len(a), dtype=bool))
 
 
 def inj2(a: FinBasis, b: FinBasis) -> Rel:
-    cop = coproduct_basis(a, b)
-    return from_function(lambda x: tag_right(x), b, cop)
+    return Rel(b, coproduct_basis(a, b), np.eye(len(a) + len(b), len(b), -len(a), dtype=bool))
 
 
 def direct_sum(r: Rel, s: Rel) -> Rel:
@@ -320,13 +342,7 @@ def direct_sum(r: Rel, s: Rel) -> Rel:
 
 def gamma(a: FinBasis) -> Rel:
     """The bijection A+A -> BIT x A tagging with a leading bit."""
-    cop = coproduct_basis(a, a)
-
-    def route(label: str) -> str:
-        side, x = untag(label)
-        return pair_label("1" if side else "0", x)
-
-    return from_function(route, cop, product_basis(BIT, a))
+    return Rel(coproduct_basis(a, a), product_basis(BIT, a), np.eye(2 * len(a), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +558,7 @@ def parse_truth_table(text: str) -> Rel:
             continue
         if "->" not in line:
             raise ValueError(f"malformed truth-table line: {raw!r}")
-        lhs, rhs = (part.strip() for part in line.split("->", 1))
+        lhs, rhs = (check_label(part.strip()) for part in line.split("->", 1))
         if lhs in table:
             raise ValueError(f"duplicate source label: {lhs!r}")
         table[lhs] = rhs

@@ -4,20 +4,21 @@ A ket is a sparse mapping from basis labels to complex amplitudes; an
 operation is a function from basis labels to kets (a Kleisli arrow),
 which materializes column by column into a typed complex matrix.  Monadic
 bind is linear extension, Kleisli composition is matrix product, and the
-tensor of two arrows materializes to the Kronecker product.  The
-structural isomorphisms of product bases (``xl_op``, ``assoc_op`` and
-``assoc_inv_op``) live here too, as classical Kleisli arrows that gates
-and folds compose with.
+tensor of two arrows materializes to the Kronecker product.  Every
+classical step is a function followed by ``ret`` (``lift``), including
+the structural isomorphisms of product bases: these are row-major, so
+``assoc_op`` and ``assoc_inv_op`` keep each basis index and ``xl_op``
+transposes the first two axes of the index grid.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .relalg import FinBasis, coproduct_basis, pair_label, product_basis, split_pair, tag_left, tag_right, untag
+from .relalg import FinBasis, check_label, coproduct_basis, pair_label, product_basis, split_pair, tag_left, tag_right, untag
 
 __all__ = [
     "DEFAULT_TOL",
@@ -38,6 +39,7 @@ __all__ = [
     "is_unitary",
     "kleisli",
     "kron",
+    "lift",
     "materialize",
     "matmul",
     "norm",
@@ -95,6 +97,17 @@ class AmpVec:
 def ret(label: str) -> AmpVec:
     """Unit of the monad: the classical basis state |label>."""
     return AmpVec({label: 1.0 + 0j})
+
+
+def lift(f: Mapping[str, str] | Callable[[str], str], src: FinBasis) -> KleisliOp:
+    """Classical function as a Kleisli arrow: a -> ret(f(a)).  A table
+    must cover every label of ``src``."""
+    if isinstance(f, Mapping):
+        missing = [x for x in src if x not in f]
+        if missing:
+            raise ValueError(f"partial table, missing {missing[0]!r}")
+        f = dict(f).__getitem__
+    return KleisliOp(src, lambda a: ret(f(a)))
 
 
 def add(u: AmpVec, v: AmpVec) -> AmpVec:
@@ -178,37 +191,29 @@ def direct_sum(f: KleisliOp, g: KleisliOp) -> KleisliOp:
 # ---------------------------------------------------------------------------
 # Structural isomorphisms of product bases
 
+def _relabel(src: FinBasis, tgt: FinBasis, to: Sequence[int]) -> KleisliOp:
+    """The classical arrow sending src[i] to tgt[to[i]]."""
+    return lift(lambda label: tgt.labels[to[src.index(label)]], src)
+
+
 def xl_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
     """Permutation (x,(y,z)) -> (y,(x,z)) swapping the first two of three."""
-
-    def apply(label: str) -> AmpVec:
-        x, yz = split_pair(label)
-        y, z = split_pair(yz)
-        return ret(pair_label(y, pair_label(x, z)))
-
-    return KleisliOp(product_basis(a, product_basis(b, c)), apply)
+    src, tgt = product_basis(a, product_basis(b, c)), product_basis(b, product_basis(a, c))
+    # Target indices on their (y,x,z) grid, read back in (x,y,z) order.
+    grid = np.arange(len(tgt)).reshape(len(b), len(a), len(c))
+    return _relabel(src, tgt, grid.transpose(1, 0, 2).ravel().tolist())
 
 
 def assoc_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
     """Associator (x,(y,z)) -> ((x,y),z)."""
-
-    def apply(label: str) -> AmpVec:
-        x, yz = split_pair(label)
-        y, z = split_pair(yz)
-        return ret(pair_label(pair_label(x, y), z))
-
-    return KleisliOp(product_basis(a, product_basis(b, c)), apply)
+    src = product_basis(a, product_basis(b, c))
+    return _relabel(src, product_basis(product_basis(a, b), c), range(len(src)))
 
 
 def assoc_inv_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
     """Inverse associator ((x,y),z) -> (x,(y,z))."""
-
-    def apply(label: str) -> AmpVec:
-        xy, z = split_pair(label)
-        x, y = split_pair(xy)
-        return ret(pair_label(x, pair_label(y, z)))
-
-    return KleisliOp(product_basis(product_basis(a, b), c), apply)
+    src = product_basis(product_basis(a, b), c)
+    return _relabel(src, product_basis(a, product_basis(b, c)), range(len(src)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +341,7 @@ def parse_matrix(text: str) -> CMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix dump")
-    src = FinBasis(tuple(lines[0].split()))
+    src = FinBasis(tuple(check_label(x) for x in lines[0].split()))
     tgt_labels: list[str] = []
     rows = []
     for ln in lines[1:]:
@@ -344,7 +349,7 @@ def parse_matrix(text: str) -> CMatrix:
         cells = rest.split()
         if len(cells) != len(src):
             raise ValueError(f"row {label!r} has {len(cells)} cells, expected {len(src)}")
-        tgt_labels.append(label)
+        tgt_labels.append(check_label(label))
         rows.append([_parse_amp(c) for c in cells])
     return CMatrix(src, FinBasis(tuple(tgt_labels)), np.array(rows, dtype=np.complex128))
 

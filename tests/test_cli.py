@@ -91,3 +91,53 @@ def test_synth_pinned16_accepts_a_bit_pair_step(capsys):
 def test_complement_xor_golden(capsys, flags, golden):
     assert main(["complement", str(DATA / "xor.tbl"), *flags]) == 0
     assert capsys.readouterr().out == (GOLDENS / golden).read_text()
+
+
+NEAR_IDENTITY = "s0 s1\ns0: 1.0000001+0i 0+0i\ns1: 0+0i 1+0i\n"
+
+
+def test_synth_tol_reaches_the_permutation_reader(tmp_path, capsys):
+    dump = tmp_path / "near.txt"
+    dump.write_text(NEAR_IDENTITY)
+    assert main(["synth", "--matrix-file", str(dump)]) == 1
+    assert capsys.readouterr().err.startswith("error: matrix is not a 0/1 permutation")
+    assert main(["synth", "--matrix-file", str(dump), "--tol", "1e-6"]) == 0
+    assert capsys.readouterr().out == '{"size": 0, "cx": 0, "depth": 0}\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complement", str(DATA / "xor.tbl"), "--tol", "1e-6"],
+        ["check", "gates", "--tol", "1e-6"],
+        ["synth", "--maxlen", "pinned16", "--step", "cnot", "--format", "json"],
+    ],
+    ids=["complement-tol", "check-tol", "synth-format"],
+)
+def test_options_a_command_would_ignore_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_complement_names_a_label_with_a_top_level_comma(tmp_path, capsys):
+    table = tmp_path / "bad.tbl"
+    table.write_text("(0,0) -> 0\na,b -> 1\n")
+    assert main(["complement", str(table)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: malformed label 'a,b': brackets must balance and commas sit inside them\n"
+    )
+
+
+def test_synth_names_a_label_with_an_open_bracket(tmp_path, capsys):
+    dump = tmp_path / "bad.txt"
+    dump.write_text(NEAR_IDENTITY.replace("s1", "(s1"))
+    assert main(["synth", "--matrix-file", str(dump), "--tol", "1e-6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: malformed label '(s1': brackets must balance and commas sit inside them\n"
+    )

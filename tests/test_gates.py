@@ -181,10 +181,12 @@ class TestLibrary:
             assert lib.matrix(name) == materialize(op, op.src)
 
     def test_registration_rejects_non_unitary(self):
-        lib = GateLibrary()
         squash = lift({"0": "0", "1": "0"}, BIT)
         with pytest.raises(ValueError):
-            lib.register("squash", squash)
+            GateLibrary({"squash": squash})
+
+    def test_default_library_is_built_once(self):
+        assert default_library() is default_library()
 
     def test_unknown_gate(self):
         with pytest.raises(KeyError):

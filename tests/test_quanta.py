@@ -1,5 +1,6 @@
 from pathlib import Path
-from typing import Callable
+import itertools
+from typing import Callable, Mapping
 
 import numpy as np
 import pytest
@@ -9,8 +10,26 @@ from hypothesis import strategies as st
 import reference_tables as rt
 from quantakit.cli import main
 from quantakit.gates import bell, default_library
-from quantakit.quanta import ListBasis, pinned16_basis, quantamorphism, run_quanta, step_shape
-from quantakit.relalg import FinBasis, list_label, pair_label, product_basis, split_list, split_pair
+from quantakit.quanta import (
+    ListBasis,
+    check_fst_complement,
+    pinned16_basis,
+    quantamorphism,
+    rfold_rel,
+    run_quanta,
+    step_shape,
+)
+from quantakit.relalg import (
+    BIT,
+    FinBasis,
+    Rel,
+    from_function,
+    list_label,
+    pair_label,
+    product_basis,
+    split_list,
+    split_pair,
+)
 from quantakit.vecmonad import AmpVec, CMatrix, KleisliOp, bind, from_matrix, materialize, ret, vec_equal
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -146,3 +165,55 @@ class TestAgainstReference:
         got = materialize(quantamorphism(step, 3), basis)
         want = materialize(KleisliOp(basis, ref_quanta_apply(step)), basis)
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Reference: the label-level classical reversible fold that quanta had
+# before rfold_rel became the quantamorphism of the lifted step, kept
+# verbatim apart from the names.
+
+def ref__rfold_run(table: Mapping[str, str], xs: tuple[str, ...], b: str) -> tuple[tuple[str, ...], str]:
+    if not xs:
+        return (), b
+    y, b2 = ref__rfold_run(table, xs[1:], b)
+    return (xs[0],) + y, table[pair_label(xs[0], b2)]
+
+
+def ref_rfold_rel(
+    table: Mapping[str, str],
+    maxlen: int,
+    item: FinBasis = BIT,
+    payload: FinBasis = BIT,
+) -> Rel:
+    """The reversible fold tabulated as a relation on a truncated basis."""
+    check_fst_complement(table, item, payload)
+    lb = ListBasis(maxlen, item, payload)
+
+    def act(label: str) -> str:
+        l, b = split_pair(label)
+        ys, b2 = ref__rfold_run(table, split_list(l), b)
+        return pair_label(list_label(ys), b2)
+
+    return from_function(act, lb.basis, lb.basis)
+
+
+def rfold_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("payload", [BIT, FinBasis(("p", "q", "r"))], ids=["bit", "pqr"])
+def test_rfold_rel_matches_reference_on_every_table(payload):
+    src = product_basis(BIT, payload)
+    folds = 0
+    for outs in itertools.product(payload.labels, repeat=len(src)):
+        table = dict(zip(src.labels, outs))
+        for maxlen in range(4):
+            got = rfold_outcome(rfold_rel, table, maxlen, BIT, payload)
+            want = rfold_outcome(ref_rfold_rel, table, maxlen, BIT, payload)
+            assert type(got) is type(want) and got == want
+            folds += isinstance(got, Rel)
+    # Tables injective in the payload for each item: 2! * 2! and 3! * 3!.
+    assert folds == 4 * (4 if len(payload) == 2 else 36)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tables as rt
+from label_strategies import bases, labels
 from quantakit import relalg
 from quantakit.gates import xor_table
 from quantakit.relalg import (
@@ -41,7 +42,10 @@ from quantakit.relalg import (
     partition_blocks,
     product_basis,
     subset,
+    tag_left,
+    tag_right,
     u_construct,
+    untag,
     xor_monoid,
 )
 
@@ -537,15 +541,25 @@ class TestTextFormats:
         assert back.src.labels == BB.labels
         assert relalg.format_truth_table(back) == text
 
-    # Labels as the other formats print them: no blanks, no "->", no
-    # leading "#" (a comment line).
-    safe_labels = st.text("01ab(),[]_", min_size=1, max_size=6)
-
     @settings(max_examples=50, deadline=None)
-    @given(st.dictionaries(safe_labels, safe_labels, min_size=1, max_size=8))
+    @given(st.dictionaries(labels, labels, min_size=1, max_size=8))
     def test_truth_table_text_round_trip(self, table):
         text = "".join(f"{x} -> {y}\n" for x, y in table.items())
         assert relalg.format_truth_table(relalg.parse_truth_table(text)) == text
+
+    @pytest.mark.parametrize("label", ["a,b", "(s1", "s1)", "[a)", "(a]", ")(", "x,(y)"])
+    @pytest.mark.parametrize("line", ["{} -> 0", "0 -> {}"])
+    def test_truth_table_names_a_malformed_label(self, label, line):
+        with pytest.raises(ValueError) as exc:
+            relalg.parse_truth_table(line.format(label) + "\n")
+        assert str(exc.value) == (
+            f"malformed label {label!r}: brackets must balance and commas sit inside them"
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels)
+    def test_built_labels_are_accepted(self, label):
+        assert relalg.check_label(label) == label
 
     def test_truth_table_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -555,3 +569,47 @@ class TestTextFormats:
         assert relalg.format_bool_matrix(FST) == "1 1 0 0\n0 0 1 1\n"
         labeled = relalg.format_bool_matrix(FST, labels=True)
         assert labeled.splitlines()[0] == "0: 1 1 0 0"
+
+
+# ---------------------------------------------------------------------------
+# References: the label-level structural relations that relalg had before
+# it built them from basis indices, kept verbatim apart from the names.
+
+def ref_bang(src: FinBasis) -> Rel:
+    """The unique function into the singleton basis."""
+    return from_function(lambda _x: "*", src, relalg.POINT)
+
+
+def ref_inj1(a: FinBasis, b: FinBasis) -> Rel:
+    cop = coproduct_basis(a, b)
+    return from_function(lambda x: tag_left(x), a, cop)
+
+
+def ref_inj2(a: FinBasis, b: FinBasis) -> Rel:
+    cop = coproduct_basis(a, b)
+    return from_function(lambda x: tag_right(x), b, cop)
+
+
+def ref_gamma(a: FinBasis) -> Rel:
+    """The bijection A+A -> BIT x A tagging with a leading bit."""
+    cop = coproduct_basis(a, a)
+
+    def route(label: str) -> str:
+        side, x = untag(label)
+        return pair_label("1" if side else "0", x)
+
+    return from_function(route, cop, product_basis(BIT, a))
+
+
+class TestStructuralRelationsAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(bases(1, 3))
+    def test_gamma_and_bang(self, a):
+        assert gamma(a) == ref_gamma(a)
+        assert bang(a) == ref_bang(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bases(1, 3), bases(1, 3))
+    def test_injections(self, a, b):
+        assert inj1(a, b) == ref_inj1(a, b)
+        assert inj2(a, b) == ref_inj2(a, b)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tables as rt
-from quantakit import vecmonad
+from label_strategies import bases
+from quantakit import gates, vecmonad
 from quantakit.gates import NOT_TABLE, cnot_table, had, lift, tgate
-from quantakit.relalg import BIT, FinBasis, product_basis
+from quantakit.relalg import BIT, FinBasis, pair_label, product_basis, split_pair
 from quantakit.vecmonad import (
     AmpVec,
     CMatrix,
     KleisliOp,
     add,
+    assoc_inv_op,
+    assoc_op,
     bind,
     dagger,
     direct_sum,
@@ -33,6 +37,7 @@ from quantakit.vecmonad import (
     scale,
     tensor,
     vec_equal,
+    xl_op,
 )
 
 BB = product_basis(BIT, BIT)
@@ -222,3 +227,87 @@ class TestFormats:
         v = AmpVec({"(1,1)": -0.5, "(0,0)": 0.5})
         text = format_state(v, BB)
         assert text == "(0,0): 0.5+0i\n(1,1): -0.5+0i\n"
+
+    @settings(max_examples=50, deadline=None)
+    @given(bases(1, 4))
+    def test_matrix_dump_round_trip_on_built_labels(self, basis):
+        m = identity_matrix(basis)
+        assert parse_matrix(format_matrix(m)) == m
+
+    @pytest.mark.parametrize(
+        "text, label",
+        [
+            ("a,b c\na,b: 1+0i 0+0i\nc: 0+0i 1+0i\n", "a,b"),
+            ("s0 (s1\ns0: 1+0i 0+0i\n(s1: 0+0i 1+0i\n", "(s1"),
+            ("s0 s1\ns0: 1+0i 0+0i\n[s1): 0+0i 1+0i\n", "[s1)"),
+        ],
+    )
+    def test_malformed_labels_are_named(self, text, label):
+        with pytest.raises(ValueError, match=re.escape(f"malformed label {label!r}")):
+            parse_matrix(text)
+
+
+class TestLift:
+    def test_gates_uses_the_one_lift(self):
+        assert gates.lift is lift is vecmonad.lift
+
+    def test_function_and_table_lift_alike(self):
+        by_table = materialize(lift(cnot_table(), BB), BB)
+        by_function = materialize(lift(lambda l: cnot_table()[l], BB), BB)
+        assert by_table == by_function == cm(rt.CNOT_4, BB, BB)
+
+    def test_partial_table_names_the_missing_label(self):
+        with pytest.raises(ValueError, match="partial table, missing '1'"):
+            lift({"0": "1"}, BIT)
+
+
+# ---------------------------------------------------------------------------
+# References: the label-level structural maps that vecmonad had before it
+# built them from basis indices, kept verbatim apart from the names.
+
+def ref_xl_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
+    """Permutation (x,(y,z)) -> (y,(x,z)) swapping the first two of three."""
+
+    def apply(label: str) -> AmpVec:
+        x, yz = split_pair(label)
+        y, z = split_pair(yz)
+        return ret(pair_label(y, pair_label(x, z)))
+
+    return KleisliOp(product_basis(a, product_basis(b, c)), apply)
+
+
+def ref_assoc_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
+    """Associator (x,(y,z)) -> ((x,y),z)."""
+
+    def apply(label: str) -> AmpVec:
+        x, yz = split_pair(label)
+        y, z = split_pair(yz)
+        return ret(pair_label(pair_label(x, y), z))
+
+    return KleisliOp(product_basis(a, product_basis(b, c)), apply)
+
+
+def ref_assoc_inv_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
+    """Inverse associator ((x,y),z) -> (x,(y,z))."""
+
+    def apply(label: str) -> AmpVec:
+        xy, z = split_pair(label)
+        x, y = split_pair(xy)
+        return ret(pair_label(x, pair_label(y, z)))
+
+    return KleisliOp(product_basis(product_basis(a, b), c), apply)
+
+
+class TestStructuralMapsAgainstReference:
+    @pytest.mark.parametrize(
+        "new, ref",
+        [(xl_op, ref_xl_op), (assoc_op, ref_assoc_op), (assoc_inv_op, ref_assoc_inv_op)],
+        ids=["xl", "assoc", "assoc_inv"],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(a=bases(), b=bases(), c=bases())
+    def test_same_image_of_every_label(self, new, ref, a, b, c):
+        got, want = new(a, b, c), ref(a, b, c)
+        assert got.src == want.src
+        for label in want.src:
+            assert dict(got.apply(label).items()) == dict(want.apply(label).items())
