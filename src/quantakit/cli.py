@@ -50,13 +50,10 @@ def _fold_matrix(step_name: str, maxlen: int, tol: float) -> vecmonad.CMatrix:
     if maxlen > MAXLEN_CAP:
         raise relalg.SizeLimitError(f"maxlen {maxlen} exceeds cap {MAXLEN_CAP}")
     op, item, payload = _step_op(step_name, tol)
-    lb = quanta.ListBasis(maxlen, item, payload)
-    if len(lb.basis) > DIM_CAP:
-        raise relalg.SizeLimitError(
-            f"matrix dimension {len(lb.basis)} exceeds cap {DIM_CAP}"
-        )
-    fold = quanta.quantamorphism(op, maxlen, validate=False)
-    return vecmonad.materialize(fold, lb.basis)
+    dim = len(quanta.ListBasis(maxlen, item, payload))
+    if dim > DIM_CAP:
+        raise relalg.SizeLimitError(f"matrix dimension {dim} exceeds cap {DIM_CAP}")
+    return quanta.fold_matrix(op, maxlen)
 
 
 def _matrix_json(m: vecmonad.CMatrix) -> str:
@@ -95,19 +92,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         for x in items:
             _check_in(x, item, "item", args.step)
         _check_in(b, payload, "payload", args.step)
-        order = quanta.ListBasis(len(items), item, payload).basis
+        quanta.ListBasis(len(items), item, payload)  # refuses an oversized run before any fold work
         state = quanta.run_quanta(op, args.input)
     except (KeyError, ValueError) as exc:
         return _fail(str(exc))
     if args.format == "json":
-        payload_obj = {
-            lbl: [state[lbl].real, state[lbl].imag]
-            for lbl in order
-            if abs(state[lbl]) >= vecmonad.PRUNE_EPS
-        }
-        _write(json.dumps(payload_obj) + "\n", args.out)
+        _write(json.dumps({lbl: [a.real, a.imag] for lbl, a in state.items()}) + "\n", args.out)
     else:
-        _write(vecmonad.format_state(state, order), args.out)
+        _write(vecmonad.format_state(state, [lbl for lbl, _ in state.items()]), args.out)
     return 0
 
 
@@ -155,7 +147,7 @@ def _synth_matrix(args: argparse.Namespace) -> vecmonad.CMatrix:
         raise ValueError(f"pinned16 needs a step on (bit,bit) pairs; step {args.step!r} has items"
                          f" {', '.join(item)} and payloads {', '.join(payload)}")
     basis = quanta.pinned16_basis()
-    fold = quanta.quantamorphism(op, 3, validate=False)
+    fold = quanta.quantamorphism(op, 3)
     try:
         return vecmonad.materialize(vecmonad.KleisliOp(basis, fold.apply), basis)
     except KeyError as exc:

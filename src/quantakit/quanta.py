@@ -1,26 +1,31 @@
 """Recursion combinators: the quantum fold and its one-layer unfolding.
 
 The quantamorphism takes a unitary step on an (item, payload) pair basis
-and recurses structurally over lists, producing an operation whose
-materialization over a truncated list basis is unitary and block-diagonal
-by list length.  It is the one fold: the classical reversible fold, in
-which the list passes through while the payload accumulates a step
-table, is the quantamorphism of that table lifted by ``ret``
-(``rfold_rel``).  The fold tabulates its step once over the step's
-(item, payload) source basis, memoises each sub-fold on its (item-index
-tuple, payload) input, keeps the states it reaches as ints and formats
-labels only in the ket it returns.  The structural isomorphisms that its
+and recurses structurally over lists; materialized over a truncated list
+basis it is unitary and block-diagonal by list length.  It is the one
+fold: the classical reversible fold is the quantamorphism of a lifted
+step table (``rfold_rel``).  The structural isomorphisms that its
 one-layer unfolding ``psi`` composes live in ``vecmonad``.
 
 Truncated list bases are enumerated in a pinned cons-preorder: emit a
 list, then recursively the lists obtained by prepending each item in
 item-basis order, bounded by the maximum length, with the payload label
-varying fastest.
+varying fastest.  The states of one list length n form a dense
+``(|item|,)*n + (|payload|,)`` block, the last item on axis 0 and the
+head on axis n-1, whose C order is their cons-preorder.  The fold is a
+cascade of one step instance per list cell: ``_slots`` applies the step
+matrix to (slot n, payload), then (slot n-1, payload), down to slot 1,
+dropping amplitudes below ``PRUNE_EPS`` after each.  Labels are parsed
+and printed only at the edges: ``step_shape``, ``ListBasis`` and the
+three entry points ``run_quanta``, ``quantamorphism`` and ``fold_matrix``.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache, cached_property
+
+import numpy as np
 
 from .relalg import (
     BIT,
@@ -30,7 +35,6 @@ from .relalg import (
     SizeLimitError,
     coproduct_basis,
     from_function,
-    is_injective,
     kernel,
     list_label,
     pair,
@@ -45,6 +49,7 @@ from .relalg import (
 from .vecmonad import (
     PRUNE_EPS,
     AmpVec,
+    CMatrix,
     KleisliOp,
     direct_sum,
     is_unitary,
@@ -63,6 +68,7 @@ __all__ = [
     "alpha_inv",
     "cata",
     "check_fst_complement",
+    "fold_matrix",
     "pinned16_basis",
     "psi",
     "quantamorphism",
@@ -79,43 +85,58 @@ __all__ = [
 MAX_LIST_STATES = 2**18
 
 
-def _enumerate_lists(items: tuple[str, ...], maxlen: int) -> tuple[tuple[str, ...], ...]:
-    out: list[tuple[str, ...]] = []
+def _cons_preorder(m: int, maxlen: int) -> list[tuple[int, int]]:
+    """(length, code) of each list up to maxlen in cons-preorder; a code
+    holds the item indices in base m, head in the lowest digit."""
+    out: list[tuple[int, int]] = []
 
-    def walk(t: tuple[str, ...]) -> None:
-        out.append(t)
-        if len(t) < maxlen:
-            for a in items:
-                walk((a,) + t)
+    def walk(n: int, code: int) -> None:
+        out.append((n, code))
+        if n < maxlen:
+            for a in range(m):
+                walk(n + 1, code * m + a)
 
-    walk(())
-    return tuple(out)
+    walk(0, 0)
+    return out
+
+
+def _list_label(n: int, code: int, labels: tuple[str, ...]) -> str:
+    xs = []
+    for _ in range(n):
+        code, c = divmod(code, len(labels))
+        xs.append(labels[c])
+    return list_label(xs)
 
 
 @dataclass(frozen=True)
 class ListBasis:
     """Basis of (list, payload) pairs for lists up to a maximum length,
-    refused before it is enumerated when it would exceed
-    ``MAX_LIST_STATES`` states."""
+    in cons-preorder with the payload fastest.  The states of one length
+    n keep the C order of their ``(|item|,)*n + (|payload|,)`` block.  A
+    basis over ``MAX_LIST_STATES`` states is refused when it is built;
+    its labels are derived from the integer walk on first use."""
 
     maxlen: int
     item: FinBasis = BIT
     payload: FinBasis = BIT
-    lists: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
-    list_basis: FinBasis = field(init=False, repr=False, compare=False)
-    basis: FinBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.maxlen < 0:
             raise ValueError("maxlen must be non-negative")
-        size = len(self.payload) * sum(len(self.item) ** k for k in range(self.maxlen + 1))
-        if size > MAX_LIST_STATES:
-            raise SizeLimitError(f"list basis has {size} states; capped at {MAX_LIST_STATES}")
-        lists = _enumerate_lists(self.item.labels, self.maxlen)
-        object.__setattr__(self, "lists", lists)
-        list_basis = FinBasis(tuple(list_label(t) for t in lists))
-        object.__setattr__(self, "list_basis", list_basis)
-        object.__setattr__(self, "basis", product_basis(list_basis, self.payload))
+        if len(self) > MAX_LIST_STATES:
+            raise SizeLimitError(f"list basis has {len(self)} states; capped at {MAX_LIST_STATES}")
+
+    def __len__(self) -> int:
+        return len(self.payload) * sum(len(self.item) ** k for k in range(self.maxlen + 1))
+
+    @cached_property
+    def list_basis(self) -> FinBasis:
+        walk = _cons_preorder(len(self.item), self.maxlen)
+        return FinBasis(tuple(_list_label(n, code, self.item.labels) for n, code in walk))
+
+    @cached_property
+    def basis(self) -> FinBasis:
+        return product_basis(self.list_basis, self.payload)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -125,25 +146,16 @@ class ListBasis:
 def pinned16_basis() -> FinBasis:
     """The 16-state basis: all lists up to length 2, then the two states
     on the all-zero length-3 list, matching a 4-bit binary encoding."""
-    upto2 = ListBasis(2).basis.labels
-    extra = (
-        pair_label(list_label(("0", "0", "0")), "0"),
-        pair_label(list_label(("0", "0", "0")), "1"),
-    )
-    return FinBasis(upto2 + extra)
+    zeros = list_label(("0", "0", "0"))
+    return FinBasis(ListBasis(2).labels + (pair_label(zeros, "0"), pair_label(zeros, "1")))
 
 
 def step_shape(step: KleisliOp) -> tuple[FinBasis, FinBasis]:
-    """Recover (item, payload) bases from a step's pair-product source."""
-    firsts: list[str] = []
-    seconds: list[str] = []
-    for label in step.src:
-        a, b = split_pair(label)
-        if a not in firsts:
-            firsts.append(a)
-        if b not in seconds:
-            seconds.append(b)
-    item, payload = FinBasis(tuple(firsts)), FinBasis(tuple(seconds))
+    """Recover (item, payload) bases from a step's pair-product source:
+    the edge where a step's labels are parsed."""
+    pairs = [split_pair(label) for label in step.src]
+    item = FinBasis(tuple(dict.fromkeys(a for a, _ in pairs)))
+    payload = FinBasis(tuple(dict.fromkeys(b for _, b in pairs)))
     if product_basis(item, payload) != step.src:
         raise ValueError("step source is not an (item, payload) product basis")
     return item, payload
@@ -157,17 +169,12 @@ def check_fst_complement(
 ) -> None:
     """Reject step tables not injective in the payload once the item is fixed."""
     src = product_basis(item, payload)
-    f = from_function(lambda l: table[l], src, payload)
     fst = from_function(lambda l: split_pair(l)[0], src, item)
-    if is_injective(pair(fst, f)):
-        return
-    k = kernel(pair(fst, f)).entries
-    for i, x in enumerate(src):
-        for j, y in enumerate(src):
-            if i < j and k[i, j]:
-                raise ComplementError(
-                    f"step not first-projection complemented: inputs {x} and {y} collide"
-                )
+    f = from_function(table.__getitem__, src, payload)
+    collisions = np.argwhere(np.triu(kernel(pair(fst, f)).entries, 1))
+    if len(collisions):
+        x, y = (src.labels[i] for i in collisions[0])
+        raise ComplementError(f"step not first-projection complemented: inputs {x} and {y} collide")
 
 
 def rfold_rel(
@@ -179,9 +186,13 @@ def rfold_rel(
     """The reversible fold tabulated as a relation on a truncated basis:
     the quantamorphism of the lifted step (a,b) -> (a, table[(a,b)])."""
     check_fst_complement(table, item, payload)
-    step = lift(lambda l: pair_label(split_pair(l)[0], table[l]), product_basis(item, payload))
-    fold = quantamorphism(step, maxlen, validate=False)
-    return Rel(fold.src, fold.src, materialize(fold, fold.src).entries != 0)
+    m, p = len(item), len(payload)
+    u = np.zeros((m * p, m * p))
+    for a, x in enumerate(item):
+        for b, y in enumerate(payload):
+            u[a * p + payload.index(table[pair_label(x, y)]), a * p + b] = 1
+    basis = ListBasis(maxlen, item, payload).basis
+    return Rel(basis, basis, _fold_blocks(u, m, p, maxlen) != 0)
 
 
 def cata(
@@ -197,16 +208,10 @@ def cata(
     combines a head item with the value folded from the tail.
     """
     lb = ListBasis(maxlen, item, payload)
-    memo: dict[tuple[tuple[str, ...], str], str] = {}
 
+    @cache
     def fold(t: tuple[str, ...], b: str) -> str:
-        key = (t, b)
-        if key not in memo:
-            if not t:
-                memo[key] = algebra(0, b)
-            else:
-                memo[key] = algebra(1, pair_label(t[0], fold(t[1:], b)))
-        return memo[key]
+        return algebra(1, pair_label(t[0], fold(t[1:], b))) if t else algebra(0, b)
 
     def act(label: str) -> str:
         l, b = split_pair(label)
@@ -218,68 +223,84 @@ def cata(
 # ---------------------------------------------------------------------------
 # The quantum fold
 
-def _quanta_apply(step: KleisliOp, item: FinBasis, payload: FinBasis) -> Callable[[str], AmpVec]:
-    # Inside the fold a (list, payload) state of list length k is one int,
-    # code * p + payload index, where code holds the k item indices in base m,
-    # head in the lowest digit: consing item c onto state s = code * p + b
-    # with new payload d gives (code * m + c) * p + d.
-    m, p = len(item), len(payload)
-    # The step, tabulated once: row a * p + b lists (c, d, amplitude).
-    table = []
-    for a in item:
-        for b in payload:
-            image = [(split_pair(out), w) for out, w in step.apply(pair_label(a, b)).items()]
-            table.append([(item.index(c), payload.index(d), w) for (c, d), w in image])
-    memo: dict[tuple[tuple[int, ...], int], dict[int, complex]] = {}
+def _slots(u: np.ndarray, m: int, p: int, n: int, x: np.ndarray) -> np.ndarray:
+    """Push each column of x, a length-n block, through the step matrix u
+    (index item * p + payload): slot n on axis 0 first, slot 1 on axis
+    n-1 last, dropping amplitudes below ``PRUNE_EPS`` after each slot."""
+    k = x.shape[1]
+    for axis in range(n):
+        left, right = m**axis, m ** (n - 1 - axis)
+        # Move (slot, payload) last, apply the step, move them back.
+        y = x.reshape(left, m, right, p, k).transpose(0, 2, 4, 1, 3).reshape(-1, m * p) @ u.T
+        x = y.reshape(left, right, k, m, p).transpose(0, 3, 1, 4, 2).reshape(-1, k)
+        x[np.abs(x) < PRUNE_EPS] = 0
+    return x
 
-    def fold(t: tuple[int, ...], b: int) -> dict[int, complex]:
-        key = (t, b)
-        if key not in memo:
-            if not t:
-                memo[key] = {b: 1.0 + 0j}
-            else:
-                acc: dict[int, complex] = {}
-                head = t[0] * p
-                for s, w1 in fold(t[1:], b).items():
-                    code, b2 = divmod(s, p)
-                    for c, d, w2 in table[head + b2]:
-                        out = (code * m + c) * p + d
-                        acc[out] = acc.get(out, 0j) + w1 * w2
-                memo[key] = {s: a for s, a in acc.items() if abs(a) >= PRUNE_EPS}
-        return memo[key]
+
+def _fold_blocks(u: np.ndarray, m: int, p: int, maxlen: int) -> np.ndarray:
+    """The fold over ``ListBasis(maxlen)`` as a matrix: the identity of each
+    length block through the slots, placed by the cons-preorder walk."""
+    lengths = np.array([n for n, _ in _cons_preorder(m, maxlen)])
+    out = np.zeros((len(lengths) * p,) * 2, dtype=np.complex128)
+    for n in range(lengths.max() + 1):
+        rows = (np.flatnonzero(lengths == n)[:, None] * p + np.arange(p)).ravel()
+        out[np.ix_(rows, rows)] = _slots(u, m, p, n, np.eye(len(rows)))
+    return out
+
+
+def _fold_column(u: np.ndarray, item: FinBasis, payload: FinBasis) -> Callable[[str], AmpVec]:
+    """The fold on one (list, payload) label: a one-hot column through the
+    slots, read back in index order."""
+    m, p = len(item), len(payload)
 
     def apply(label: str) -> AmpVec:
         l, b = split_pair(label)
-        t = tuple(item.index(x) for x in split_list(l))
-        out: dict[str, complex] = {}
-        for s, a in fold(t, payload.index(b)).items():
-            code, d = divmod(s, p)
-            xs = []
-            for _ in t:
-                code, c = divmod(code, m)
-                xs.append(item.labels[c])
-            out[pair_label(list_label(xs), payload.labels[d])] = a
-        return AmpVec(out)
+        xs = split_list(l)
+        n, size = len(xs), m ** len(xs) * p
+        if size > MAX_LIST_STATES:
+            raise SizeLimitError(f"lists of length {n} have {size} states; capped at {MAX_LIST_STATES}")
+        code = sum(item.index(x) * m**k for k, x in enumerate(xs))
+        col = np.zeros((size, 1), dtype=np.complex128)
+        col[code * p + payload.index(b)] = 1
+        out = _slots(u, m, p, n, col)[:, 0]
+        return AmpVec({
+            pair_label(_list_label(n, i // p, item.labels), payload.labels[i % p]): out[i]
+            for i in np.flatnonzero(out).tolist()
+        })
 
     return apply
 
 
-def quantamorphism(step: KleisliOp, maxlen: int, validate: bool = True) -> KleisliOp:
-    """Structural quantum fold of a unitary step over a truncated list basis.
+def quantamorphism(step: KleisliOp, maxlen: int) -> KleisliOp:
+    """Structural quantum fold of a unitary step over ``ListBasis(maxlen)``.
 
-    To fold over another set of (list, payload) states, such as
+    The result is lazy: applied to a label of list length n, it pushes
+    that basis state, as a one-hot length-n block, through slots n down
+    to 1.  To fold over another set of (list, payload) states, such as
     ``pinned16_basis()``, re-type the result: ``KleisliOp(basis, fold.apply)``.
     """
     item, payload = step_shape(step)
-    if validate and not is_unitary(materialize(step, step.src)):
+    u = materialize(step, step.src)
+    if not is_unitary(u):
         raise ValueError("quantamorphism step must materialize to a unitary matrix")
-    lb = ListBasis(maxlen, item, payload)
-    return KleisliOp(lb.basis, _quanta_apply(step, item, payload))
+    return KleisliOp(ListBasis(maxlen, item, payload).basis, _fold_column(u.entries, item, payload))
 
 
 def run_quanta(step: KleisliOp, input_label: str) -> AmpVec:
-    """Apply the quantum fold to one (list, payload) basis state."""
-    return _quanta_apply(step, *step_shape(step))(input_label)
+    """Apply the quantum fold to one (list, payload) basis state.  The ket
+    lists its states in block index order, which is ``ListBasis`` order."""
+    item, payload = step_shape(step)
+    return _fold_column(materialize(step, step.src).entries, item, payload)(input_label)
+
+
+def fold_matrix(step: KleisliOp, maxlen: int) -> CMatrix:
+    """``materialize(quantamorphism(step, maxlen), ListBasis(maxlen).basis)``
+    by blocks, with no label per column: each length block's identity goes
+    through the slots at once and lands at its cons-preorder rows and columns."""
+    item, payload = step_shape(step)
+    basis = ListBasis(maxlen, item, payload).basis
+    u = materialize(step, step.src).entries
+    return CMatrix(basis, basis, _fold_blocks(u, len(item), len(payload), maxlen))
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +331,15 @@ def alpha_inv(maxlen: int, item: FinBasis = BIT, payload: FinBasis = BIT) -> Kle
     """Inverse of alpha: uncons non-empty lists, tag empty ones left."""
     if maxlen < 1:
         raise ValueError("alpha_inv needs maxlen >= 1")
-    outer = ListBasis(maxlen, item, payload)
 
     def act(label: str) -> str:
         l, b = split_pair(label)
         items = split_list(l)
         if not items:
             return tag_left(b)
-        rest = pair_label(list_label(items[1:]), b)
-        return tag_right(pair_label(items[0], rest))
+        return tag_right(pair_label(items[0], pair_label(list_label(items[1:]), b)))
 
-    return lift(act, outer.basis)
+    return lift(act, ListBasis(maxlen, item, payload).basis)
 
 
 def psi(x: KleisliOp, maxlen: int) -> KleisliOp:

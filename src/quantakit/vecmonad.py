@@ -12,6 +12,7 @@ transposes the first two axes of the index grid.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -319,12 +320,13 @@ def _fmt_amp(a: complex) -> str:
 
 
 def _parse_amp(text: str) -> complex:
-    if not text.endswith("i"):
-        raise ValueError(f"malformed amplitude: {text!r}")
-    body = text[:-1]
+    body = text[:-1] if text.endswith("i") else ""
     for i in range(len(body) - 1, 0, -1):
         if body[i] in "+-" and body[i - 1] not in "eE":
-            return complex(float(body[:i]), float(body[i:]))
+            try:
+                return complex(float(body[:i]), float(body[i:]))
+            except ValueError:
+                break
     raise ValueError(f"malformed amplitude: {text!r}")
 
 
@@ -342,6 +344,7 @@ def parse_matrix(text: str) -> CMatrix:
     if not lines:
         raise ValueError("empty matrix dump")
     src = FinBasis(tuple(check_label(x) for x in lines[0].split()))
+    amp = functools.cache(_parse_amp)  # a dump repeats few distinct cells
     tgt_labels: list[str] = []
     rows = []
     for ln in lines[1:]:
@@ -350,11 +353,11 @@ def parse_matrix(text: str) -> CMatrix:
         if len(cells) != len(src):
             raise ValueError(f"row {label!r} has {len(cells)} cells, expected {len(src)}")
         tgt_labels.append(check_label(label))
-        rows.append([_parse_amp(c) for c in cells])
+        rows.append([amp(c) for c in cells])
     return CMatrix(src, FinBasis(tuple(tgt_labels)), np.array(rows, dtype=np.complex128))
 
 
-def format_state(v: AmpVec, basis: FinBasis | None = None) -> str:
+def format_state(v: AmpVec, basis: Iterable[str] | None = None) -> str:
     """Nonzero amplitudes, one ``label: amp`` line, in basis (or sorted) order."""
     if basis is not None:
         labels = [x for x in basis if abs(v[x]) >= PRUNE_EPS]

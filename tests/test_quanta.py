@@ -1,5 +1,7 @@
 from pathlib import Path
 import itertools
+import json
+import random
 from typing import Callable, Mapping
 
 import numpy as np
@@ -11,8 +13,10 @@ import reference_tables as rt
 from quantakit.cli import main
 from quantakit.gates import bell, default_library
 from quantakit.quanta import (
+    MAX_LIST_STATES,
     ListBasis,
     check_fst_complement,
+    fold_matrix,
     pinned16_basis,
     quantamorphism,
     rfold_rel,
@@ -21,8 +25,10 @@ from quantakit.quanta import (
 )
 from quantakit.relalg import (
     BIT,
+    ComplementError,
     FinBasis,
     Rel,
+    SizeLimitError,
     from_function,
     list_label,
     pair_label,
@@ -30,9 +36,37 @@ from quantakit.relalg import (
     split_list,
     split_pair,
 )
-from quantakit.vecmonad import AmpVec, CMatrix, KleisliOp, bind, from_matrix, materialize, ret, vec_equal
+from quantakit.vecmonad import (
+    PRUNE_EPS,
+    AmpVec,
+    CMatrix,
+    KleisliOp,
+    bind,
+    format_state,
+    from_matrix,
+    materialize,
+    ret,
+    vec_equal,
+)
 
 GOLDENS = Path(__file__).parent / "goldens"
+
+
+# ---------------------------------------------------------------------------
+# Reference: the list enumeration that ListBasis used before it derived its
+# labels from an integer walk, kept verbatim apart from the function name.
+
+def ref_enumerate_lists(items: tuple[str, ...], maxlen: int) -> tuple[tuple[str, ...], ...]:
+    out: list[tuple[str, ...]] = []
+
+    def walk(t: tuple[str, ...]) -> None:
+        out.append(t)
+        if len(t) < maxlen:
+            for a in items:
+                walk((a,) + t)
+
+    walk(())
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +114,24 @@ def random_unitary_op(seed: int, basis: FinBasis) -> KleisliOp:
     return from_matrix(CMatrix(basis, basis, q))
 
 
+FOLDABLE = ["id", "cnot", "ccnot", "bell", "unbell", "alice", "cond"]
+
+
 class TestPinnedReferences:
     def test_list_basis_order(self):
         assert ListBasis(2).labels == rt.FOLD_LABELS_14
+
+    @pytest.mark.parametrize("item", [
+        FinBasis(()), FinBasis(("a",)), BIT, FinBasis(("x", "y", "z")),
+        product_basis(BIT, BIT),
+    ], ids=["0", "1", "2", "3", "ccnot"])
+    @pytest.mark.parametrize("maxlen", range(5))
+    def test_list_basis_matches_reference_enumeration(self, item, maxlen):
+        lists = FinBasis(tuple(list_label(t) for t in ref_enumerate_lists(item.labels, maxlen)))
+        for payload in (BIT, FinBasis(("p",))):
+            lb = ListBasis(maxlen, item, payload)
+            assert lb.list_basis == lists
+            assert lb.labels == product_basis(lists, payload).labels and len(lb) == len(lb.labels)
 
     def test_pinned16_order(self):
         assert pinned16_basis().labels == rt.PINNED16_LABELS
@@ -141,6 +190,7 @@ class TestAgainstReference:
         got = materialize(quantamorphism(step, 3), basis)
         want = materialize(KleisliOp(basis, ref_quanta_apply(step)), basis)
         assert got.close_to(want, tol=1e-12)
+        assert fold_matrix(step, 3).close_to(want, tol=1e-12)
 
     def test_residue_below_prune_eps_is_dropped_at_every_level(self):
         # Item a turns the payload by +1e-3, item b by 5e-13 less, so each
@@ -165,6 +215,42 @@ class TestAgainstReference:
         got = materialize(quantamorphism(step, 3), basis)
         want = materialize(KleisliOp(basis, ref_quanta_apply(step)), basis)
         assert got == want
+
+    @pytest.mark.parametrize("name", FOLDABLE)
+    def test_library_fold_matrices_match_reference_exactly(self, name):
+        step = default_library().op(name)
+        basis = ListBasis(3, *step_shape(step)).basis
+        want = materialize(KleisliOp(basis, ref_quanta_apply(step)), basis)
+        assert fold_matrix(step, 3) == want
+
+    def test_run_refuses_a_block_above_the_cap(self):
+        n = 18  # 2**18 lists of 18 bits, times two payloads
+        with pytest.raises(SizeLimitError, match=f"lists of length {n} have {2 * MAX_LIST_STATES} states"):
+            run_quanta(bell(), pair_label(list_label(["1"] * n), "0"))
+
+
+def _run_inputs(item: FinBasis, payload: FinBasis, n: int) -> list[str]:
+    rng = random.Random(f"{n}:{item.labels}:{payload.labels}")
+    return [
+        pair_label(list_label(rng.choices(item.labels, k=n)), rng.choice(payload.labels))
+        for _ in range(2)
+    ]
+
+
+@pytest.mark.parametrize("name", FOLDABLE)
+def test_cli_run_prints_the_reference_fold_in_list_basis_order(capsys, name):
+    step = default_library().op(name)
+    item, payload = step_shape(step)
+    fold = ref_quanta_apply(step)
+    for n in range(9):
+        order = ListBasis(n, item, payload).basis
+        for label in _run_inputs(item, payload, n):
+            want = fold(label)
+            assert main(["run", "--step", name, "--input", label]) == 0
+            assert capsys.readouterr().out == format_state(want, order)
+            assert main(["run", "--step", name, "--input", label, "--format", "json"]) == 0
+            doc = {x: [want[x].real, want[x].imag] for x in order if abs(want[x]) >= PRUNE_EPS}
+            assert capsys.readouterr().out == json.dumps(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -217,3 +303,18 @@ def test_rfold_rel_matches_reference_on_every_table(payload):
             folds += isinstance(got, Rel)
     # Tables injective in the payload for each item: 2! * 2! and 3! * 3!.
     assert folds == 4 * (4 if len(payload) == 2 else 36)
+
+
+def test_rfold_rel_names_the_first_colliding_inputs():
+    table = {"(0,0)": "1", "(0,1)": "0", "(1,0)": "0", "(1,1)": "0"}
+    with pytest.raises(ComplementError, match=r"inputs \(1,0\) and \(1,1\) collide$"):
+        rfold_rel(table, 2)
+
+
+@pytest.mark.parametrize("payload", [BIT, FinBasis(("p", "q", "r"))], ids=["bit", "pqr"])
+def test_rfold_rel_over_no_items_is_the_identity_on_empty_lists(payload):
+    for maxlen in range(4):
+        got = rfold_rel({}, maxlen, FinBasis(()), payload)
+        assert got == ref_rfold_rel({}, maxlen, FinBasis(()), payload)
+        assert got.src.labels == tuple(pair_label("[]", b) for b in payload)
+        assert np.array_equal(got.entries, np.eye(len(payload), dtype=bool))

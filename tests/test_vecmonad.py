@@ -246,6 +246,16 @@ class TestFormats:
         with pytest.raises(ValueError, match=re.escape(f"malformed label {label!r}")):
             parse_matrix(text)
 
+    @pytest.mark.parametrize("cell", ["1i", "1+0", "x+0i", "1+xi"])
+    def test_malformed_amplitudes_are_named(self, cell):
+        text = f"s0 s1\ns0: 1+0i 0+0i\ns1: {cell} {cell}\n"
+        with pytest.raises(ValueError, match=re.escape(f"malformed amplitude: {cell!r}")):
+            parse_matrix(text)
+
+    def test_repeated_cells_parse_alike(self):
+        m = CMatrix(BB, BB, np.full((4, 4), 0.5 - 0.25j))
+        assert parse_matrix(format_matrix(m)) == m
+
 
 class TestLift:
     def test_gates_uses_the_one_lift(self):
