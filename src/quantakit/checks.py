@@ -161,8 +161,8 @@ def relalg_suite() -> list[CheckResult]:
     xor = relalg.from_function(gates.xor_table(), bb, BIT)
     comps = relalg.minimal_complements(xor)
     ok = len(comps) == 2
-    for q in comps:
-        ok &= relalg.is_injective(relalg.pair(xor, q))
+    for p in comps:
+        ok &= relalg.is_injective(relalg.pair(xor, relalg.quotient(bb, p)))
     out.append(_result("relalg", "xor has exactly the two projection complements", ok))
 
     return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -104,32 +105,31 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_complement(args: argparse.Namespace) -> int:
+    if args.format == "json" and (args.matrices or args.labels):
+        return _fail(f"{'--matrices' if args.matrices else '--labels'} does not apply to --format json")
+    if args.labels and not args.matrices:
+        return _fail("--labels needs --matrices")
     try:
         rel = relalg.parse_truth_table(Path(args.table).read_text())
         comps = relalg.minimal_complements(rel)
     except (OSError, ValueError, relalg.SizeLimitError) as exc:
         return _fail(str(exc))
-    if args.format == "json":
-        doc = [
-            {
-                "blocks": [list(b) for b in relalg.partition_blocks(q)],
-                "quotient": {x: y for y, x in sorted(q.pairs(), key=lambda p: q.src.index(p[1]))},
-            }
-            for q in comps
-        ]
-        _write(json.dumps(doc, indent=2) + "\n", args.out)
-        return 0
-    lines = [f"{len(comps)} minimal complement(s)"]
-    for k, q in enumerate(comps, start=1):
-        blocks = " ".join("{" + ",".join(b) + "}" for b in relalg.partition_blocks(q))
-        lines.append(f"complement {k}: blocks {blocks}")
-        for y, x in sorted(q.pairs(), key=lambda p: q.src.index(p[1])):
-            lines.append(f"  {x} -> {y}")
+    names = rel.src.labels
+    doc, lines = [], [f"{len(comps)} minimal complement(s)"]
+    for k, p in enumerate(comps, start=1):
+        least = {i: b[0] for b in p for i in b}
+        blocks = [[names[i] for i in b] for b in p]
+        quot = {x: names[least[i]] for i, x in enumerate(names)}
+        if args.format == "json":
+            doc.append({"blocks": blocks, "quotient": quot})
+            continue
+        lines.append(f"complement {k}: blocks " + " ".join("{" + ",".join(b) + "}" for b in blocks))
+        lines += [f"  {x} -> {y}" for x, y in quot.items()]
         if args.matrices:
             lines.append("  partition matrix:")
-            for row in relalg.format_bool_matrix(relalg.kernel(q), labels=args.labels).splitlines():
-                lines.append(f"    {row}")
-    _write("\n".join(lines) + "\n", args.out)
+            kern = relalg.kernel(relalg.quotient(rel.src, p))
+            lines += [f"    {row}" for row in relalg.format_bool_matrix(kern, labels=args.labels).splitlines()]
+    _write((json.dumps(doc, indent=2) if args.format == "json" else "\n".join(lines)) + "\n", args.out)
     return 0
 
 
@@ -267,8 +267,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "matrix" and args.maxlen < 0:
         return _fail("maxlen must be non-negative")
-    if getattr(args, "tol", 1.0) <= 0:
-        return _fail("tolerance must be positive")
+    if not 0 < getattr(args, "tol", 1.0) < math.inf:
+        return _fail("tolerance must be positive and finite")
     return args.fn(args)
 
 

@@ -17,7 +17,8 @@ relation taxonomy predicates, difunctionality, and the exact search for
 minimal complements: the coarsest partitions of the source that restore
 injectivity when paired with a given function, found by one pruned walk
 that tests maximality on each partition alone: every two blocks must share
-a kernel class.
+a kernel class.  The search returns each partition as blocks of source
+indices; ``quotient`` turns one into a relation for a caller that needs it.
 """
 from __future__ import annotations
 
@@ -68,8 +69,8 @@ __all__ = [
     "pair",
     "pair_label",
     "parse_truth_table",
-    "partition_blocks",
     "product_basis",
+    "quotient",
     "split_list",
     "split_pair",
     "subset",
@@ -503,15 +504,15 @@ def _maximal_partitions(cls: list[int]) -> Iterator[tuple[tuple[int, ...], ...]]
     yield from walk(0)
 
 
-def minimal_complements(f: Rel) -> tuple[Rel, ...]:
+def minimal_complements(f: Rel) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Coarsest partitions of f's source whose quotient restores injectivity.
 
     These partitions keep each kernel class of f in distinct blocks, and
     every two of their blocks share a kernel class, or they could merge.  The
     search drops a branch once two blocks can no longer come to share one, so
     it finishes on every source up to ``MAX_COMPLEMENT_DOMAIN`` elements.
-    Each result is the quotient function sending every element to the least
-    member of its block, in order of the sorted blocks.
+    Each partition is a tuple of blocks of source indices, blocks by least
+    element and members ascending; the partitions come sorted.
     """
     if not is_function(f):
         raise ValueError("minimal_complements requires a function")
@@ -521,23 +522,19 @@ def minimal_complements(f: Rel) -> tuple[Rel, ...]:
             f"domain has {n} elements; brute-force search capped at {MAX_COMPLEMENT_DOMAIN}"
         )
     # f is a function, so column j holds one 1, in the row of j's class.
-    cls = np.nonzero(f.entries.T)[1].tolist()
-    out = []
-    for p in sorted(_maximal_partitions(cls)):
-        m = np.zeros((n, n), dtype=bool)
-        for b in p:
-            m[b[0], list(b)] = True
-        out.append(Rel(f.src, f.src, m))
-    return tuple(out)
+    return tuple(sorted(_maximal_partitions(np.nonzero(f.entries.T)[1].tolist())))
 
 
-def partition_blocks(quotient: Rel) -> tuple[tuple[str, ...], ...]:
-    """Blocks of a quotient function, grouped by shared representative."""
-    groups: dict[str, list[str]] = {}
-    for out_label, in_label in quotient.pairs():
-        groups.setdefault(out_label, []).append(in_label)
-    blocks = [tuple(sorted(g, key=quotient.src.index)) for g in groups.values()]
-    return tuple(sorted(blocks, key=lambda b: quotient.src.index(b[0])))
+def quotient(src: FinBasis, blocks: Iterable[Iterable[int]]) -> Rel:
+    """The function on src sending each element to the least member of its
+    block; the blocks must partition the indices of src."""
+    blocks = [sorted(b) for b in blocks]
+    if not all(blocks) or sorted(i for b in blocks for i in b) != list(range(len(src))):
+        raise ValueError(f"blocks {blocks} do not partition range({len(src)})")
+    m = np.zeros((len(src), len(src)), dtype=bool)
+    for b in blocks:
+        m[b[0], b] = True
+    return Rel(src, src, m)
 
 
 # ---------------------------------------------------------------------------

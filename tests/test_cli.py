@@ -1,7 +1,14 @@
+import argparse
+import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from label_strategies import labels
+from quantakit import relalg
 from quantakit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -91,6 +98,105 @@ def test_synth_pinned16_accepts_a_bit_pair_step(capsys):
 def test_complement_xor_golden(capsys, flags, golden):
     assert main(["complement", str(DATA / "xor.tbl"), *flags]) == 0
     assert capsys.readouterr().out == (GOLDENS / golden).read_text()
+
+
+# The label-level formatting that ``complement`` replaced, kept verbatim as
+# the reference: blocks and quotient maps read back from each quotient Rel.
+
+def ref_partition_blocks(quotient: relalg.Rel) -> tuple[tuple[str, ...], ...]:
+    """Blocks of a quotient function, grouped by shared representative."""
+    groups: dict[str, list[str]] = {}
+    for out_label, in_label in quotient.pairs():
+        groups.setdefault(out_label, []).append(in_label)
+    blocks = [tuple(sorted(g, key=quotient.src.index)) for g in groups.values()]
+    return tuple(sorted(blocks, key=lambda b: quotient.src.index(b[0])))
+
+
+def ref_complement_output(comps: tuple[relalg.Rel, ...], args: argparse.Namespace) -> str:
+    if args.format == "json":
+        doc = [
+            {
+                "blocks": [list(b) for b in ref_partition_blocks(q)],
+                "quotient": {x: y for y, x in sorted(q.pairs(), key=lambda p: q.src.index(p[1]))},
+            }
+            for q in comps
+        ]
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [f"{len(comps)} minimal complement(s)"]
+    for k, q in enumerate(comps, start=1):
+        blocks = " ".join("{" + ",".join(b) + "}" for b in ref_partition_blocks(q))
+        lines.append(f"complement {k}: blocks {blocks}")
+        for y, x in sorted(q.pairs(), key=lambda p: q.src.index(p[1])):
+            lines.append(f"  {x} -> {y}")
+        if args.matrices:
+            lines.append("  partition matrix:")
+            for row in relalg.format_bool_matrix(relalg.kernel(q), labels=args.labels).splitlines():
+                lines.append(f"    {row}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def class_tables(draw):
+    """A truth table of 1-8 distinct labels onto classes, and its text."""
+    cls = draw(st.lists(st.integers(0, 7), min_size=1, max_size=8))
+    src = draw(st.lists(labels, min_size=len(cls), max_size=len(cls), unique=True))
+    return "".join(f"{x} -> c{c}\n" for x, c in zip(src, cls))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--format", "json"], ["--matrices"], ["--matrices", "--labels"]],
+    ids=["text", "json", "matrices", "matrices-labels"],
+)
+@settings(max_examples=40, deadline=None)
+@given(table=class_tables())
+def test_complement_prints_what_the_label_level_formatting_printed(flags, table):
+    rel = relalg.parse_truth_table(table)
+    comps = tuple(relalg.quotient(rel.src, p) for p in relalg.minimal_complements(rel))
+    ref_args = argparse.Namespace(
+        format="json" if "json" in flags else "text",
+        matrices="--matrices" in flags,
+        labels="--labels" in flags,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "f.tbl", Path(tmp) / "out.txt"
+        path.write_text(table)
+        assert main(["complement", str(path), "--out", str(out), *flags]) == 0
+        assert out.read_text() == ref_complement_output(comps, ref_args)
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--labels"], "--labels needs --matrices"),
+        (["--matrices", "--format", "json"], "--matrices does not apply to --format json"),
+        (["--labels", "--format", "json"], "--labels does not apply to --format json"),
+        (["--matrices", "--labels", "--format", "json"], "--matrices does not apply to --format json"),
+    ],
+    ids=["labels-alone", "matrices-json", "labels-json", "both-json"],
+)
+def test_complement_refuses_flags_it_would_ignore(capsys, flags, named):
+    assert main(["complement", str(DATA / "xor.tbl"), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--step", "cnot", "--maxlen", "2"],
+        ["run", "--step", "cnot", "--input", "([1],0)"],
+        ["synth", "--maxlen", "pinned16", "--step", "cnot"],
+    ],
+    ids=["matrix", "run", "synth"],
+)
+def test_tolerance_must_be_positive_and_finite(capsys, argv, tol):
+    assert main([*argv, "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tolerance must be positive and finite\n"
 
 
 NEAR_IDENTITY = "s0 s1\ns0: 1.0000001+0i 0+0i\ns1: 0+0i 1+0i\n"

@@ -39,8 +39,8 @@ from quantakit.relalg import (
     minimal_complements,
     pair,
     pair_label,
-    partition_blocks,
     product_basis,
+    quotient,
     subset,
     tag_left,
     tag_right,
@@ -374,9 +374,14 @@ def function_of_layout(cls):
     return from_function({x: f"c{c}" for x, c in zip(src, cls)}, src, tgt)
 
 
+def label_blocks(src, p):
+    """The blocks of an index partition, in labels."""
+    return tuple(tuple(src.labels[i] for i in b) for b in p)
+
+
 class TestMinimalComplements:
     def test_xor_has_the_two_projection_partitions(self):
-        got = {partition_blocks(q) for q in minimal_complements(XOR)}
+        got = {label_blocks(BB, p) for p in minimal_complements(XOR)}
         fst_blocks = (("(0,0)", "(0,1)"), ("(1,0)", "(1,1)"))
         snd_blocks = (("(0,0)", "(1,0)"), ("(0,1)", "(1,1)"))
         assert got == {fst_blocks, snd_blocks}
@@ -384,7 +389,7 @@ class TestMinimalComplements:
     def test_identity_needs_only_one_block(self):
         comps = minimal_complements(identity(B3))
         assert len(comps) == 1
-        assert partition_blocks(comps[0]) == (("a", "b", "c"),)
+        assert label_blocks(B3, comps[0]) == (("a", "b", "c"),)
 
     def test_and_gate_against_unpruned_oracle(self):
         and_fn = from_function(
@@ -413,16 +418,17 @@ class TestMinimalComplements:
             if not any(refines(p, q) and p != q for q in kept)
         }
         got = set()
-        for q in minimal_complements(and_fn):
-            blocks = partition_blocks(q)
+        for p in minimal_complements(and_fn):
+            blocks = label_blocks(BB, p)
             got.add(tuple(sorted(tuple(sorted(BB.index(x) for x in b)) for b in blocks)))
         assert got == want
 
     def test_outputs_restore_injectivity_and_are_maximal(self):
-        for q in minimal_complements(XOR):
+        for part in minimal_complements(XOR):
+            q = quotient(BB, part)
             assert is_function(q)
             assert is_injective(pair(XOR, q))
-            blocks = partition_blocks(q)
+            blocks = label_blocks(BB, part)
             for p in all_partitions(4):
                 named = tuple(tuple(BB.labels[i] for i in b) for b in p)
                 strictly_coarser = _refines_named(blocks, named) and set(
@@ -442,28 +448,54 @@ class TestMinimalComplements:
         assert len(layouts) == 1 + 278
         for cls in layouts:
             f = function_of_layout(cls)
-            assert minimal_complements(f) == ref_minimal_complements(f), cls
+            got = minimal_complements(f)
+            assert isinstance(got, tuple)
+            assert tuple(quotient(f.src, p) for p in got) == ref_minimal_complements(f), cls
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.integers(0, 7), min_size=7, max_size=8))
     def test_matches_the_reference_on_random_layouts(self, cls):
         f = function_of_layout(cls)
-        assert minimal_complements(f) == ref_minimal_complements(f)
+        got = tuple(quotient(f.src, p) for p in minimal_complements(f))
+        assert got == ref_minimal_complements(f)
 
     def test_injective_twelve_elements_need_one_block(self):
-        (q,) = minimal_complements(function_of_layout(range(12)))
-        assert partition_blocks(q) == (q.src.labels,)
+        f = function_of_layout(range(12))
+        (p,) = minimal_complements(f)
+        assert label_blocks(f.src, p) == (f.src.labels,)
 
     def test_four_classes_of_three_at_the_cap(self):
         f = function_of_layout([c for c in range(4) for _ in range(3)])
         comps = minimal_complements(f)
         assert len(comps) == 11880
-        for q in comps[:: len(comps) // 50]:
-            assert is_injective(pair(f, q))
+        for p in comps[:: len(comps) // 50]:
+            assert is_injective(pair(f, quotient(f.src, p)))
 
     def test_requires_function(self):
         with pytest.raises(ValueError):
             minimal_complements(kernel(XOR))
+
+
+class TestQuotient:
+    def test_sends_each_element_to_the_least_member_of_its_block(self):
+        q = quotient(B5, [(4, 1), (3,), (2, 0)])
+        assert sorted(q.pairs(), key=lambda p: B5.index(p[1])) == [
+            ("p", "p"), ("q", "q"), ("p", "r"), ("s", "s"), ("q", "t"),
+        ]
+
+    def test_its_kernel_is_the_partition_as_an_equivalence(self):
+        blocks = ((0, 2, 3), (1, 4))
+        e = kernel(quotient(B5, blocks))
+        assert is_equivalence(e)
+        for i, j in itertools.product(range(5), repeat=2):
+            assert e.entries[i, j] == any(i in b and j in b for b in blocks)
+
+    @pytest.mark.parametrize(
+        "blocks", [[(0, 1)], [(0, 1, 2), ()], [(0, 1), (1, 2)], [(0, 1, 2, 3)]]
+    )
+    def test_refuses_blocks_that_do_not_partition_the_source(self, blocks):
+        with pytest.raises(ValueError, match=r"do not partition range\(3\)"):
+            quotient(B3, blocks)
 
 
 def _refines_named(p, q):
