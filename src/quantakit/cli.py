@@ -31,30 +31,24 @@ def _fail(msg: str) -> int:
     return 1
 
 
-def _step_op(name: str, tol: float) -> tuple[vecmonad.KleisliOp, relalg.FinBasis, relalg.FinBasis]:
+def _gate_step(name: str, tol: float) -> quanta.Step:
     lib = gates.default_library()
     if name not in lib:
         raise KeyError(f"unknown gate {name!r} (have: {', '.join(lib.names())})")
-    op = lib.op(name)
-    try:
-        item, payload = quanta.step_shape(op)
-    except ValueError:
-        raise ValueError(
-            f"gate {name!r} does not act on an (item,payload) pair basis"
-        ) from None
-    if not vecmonad.is_unitary(lib.matrix(name), tol):
+    step = lib.step(name)
+    if not vecmonad.is_unitary(step.u, tol):
         raise ValueError(f"gate {name!r} is not unitary at tolerance {tol}")
-    return op, item, payload
+    return step
 
 
 def _fold_matrix(step_name: str, maxlen: int, tol: float) -> vecmonad.CMatrix:
     if maxlen > MAXLEN_CAP:
         raise relalg.SizeLimitError(f"maxlen {maxlen} exceeds cap {MAXLEN_CAP}")
-    op, item, payload = _step_op(step_name, tol)
-    dim = len(quanta.ListBasis(maxlen, item, payload))
+    step = _gate_step(step_name, tol)
+    dim = len(quanta.ListBasis(maxlen, step.item, step.payload))
     if dim > DIM_CAP:
         raise relalg.SizeLimitError(f"matrix dimension {dim} exceeds cap {DIM_CAP}")
-    return quanta.fold_matrix(op, maxlen)
+    return quanta.fold_matrix(step, maxlen)
 
 
 def _matrix_json(m: vecmonad.CMatrix) -> str:
@@ -68,10 +62,7 @@ def _matrix_json(m: vecmonad.CMatrix) -> str:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    try:
-        m = _fold_matrix(args.step, args.maxlen, args.tol)
-    except (KeyError, ValueError) as exc:
-        return _fail(str(exc))
+    m = _fold_matrix(args.step, args.maxlen, args.tol)
     text = _matrix_json(m) + "\n" if args.format == "json" else vecmonad.format_matrix(m)
     _write(text, args.out)
     return 0
@@ -86,17 +77,14 @@ def _check_in(label: str, basis: relalg.FinBasis, role: str, step: str) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        op, item, payload = _step_op(args.step, args.tol)
-        lst, b = relalg.split_pair(args.input)
-        items = relalg.split_list(lst)
-        for x in items:
-            _check_in(x, item, "item", args.step)
-        _check_in(b, payload, "payload", args.step)
-        quanta.ListBasis(len(items), item, payload)  # refuses an oversized run before any fold work
-        state = quanta.run_quanta(op, args.input)
-    except (KeyError, ValueError) as exc:
-        return _fail(str(exc))
+    step = _gate_step(args.step, args.tol)
+    lst, b = relalg.split_pair(args.input)
+    items = relalg.split_list(lst)
+    for x in items:
+        _check_in(x, step.item, "item", args.step)
+    _check_in(b, step.payload, "payload", args.step)
+    quanta.ListBasis(len(items), step.item, step.payload)  # refuses an oversized run before any fold work
+    state = quanta.run_quanta(step, args.input)
     if args.format == "json":
         _write(json.dumps({lbl: [a.real, a.imag] for lbl, a in state.items()}) + "\n", args.out)
     else:
@@ -109,11 +97,8 @@ def cmd_complement(args: argparse.Namespace) -> int:
         return _fail(f"{'--matrices' if args.matrices else '--labels'} does not apply to --format json")
     if args.labels and not args.matrices:
         return _fail("--labels needs --matrices")
-    try:
-        rel = relalg.parse_truth_table(Path(args.table).read_text())
-        comps = relalg.minimal_complements(rel)
-    except (OSError, ValueError, relalg.SizeLimitError) as exc:
-        return _fail(str(exc))
+    rel = relalg.parse_truth_table(Path(args.table).read_text())
+    comps = relalg.minimal_complements(rel)
     names = rel.src.labels
     doc, lines = [], [f"{len(comps)} minimal complement(s)"]
     for k, p in enumerate(comps, start=1):
@@ -142,40 +127,32 @@ def _synth_matrix(args: argparse.Namespace) -> vecmonad.CMatrix:
         if args.maxlen is None or not args.maxlen.isdecimal():
             raise ValueError(f"synth --step needs --maxlen, a non-negative integer or 'pinned16' (got {args.maxlen!r})")
         return _fold_matrix(args.step, int(args.maxlen), args.tol)
-    op, item, payload = _step_op(args.step, args.tol)
-    if item != relalg.BIT or payload != relalg.BIT:
+    step = _gate_step(args.step, args.tol)
+    if step.item != relalg.BIT or step.payload != relalg.BIT:
         raise ValueError(f"pinned16 needs a step on (bit,bit) pairs; step {args.step!r} has items"
-                         f" {', '.join(item)} and payloads {', '.join(payload)}")
+                         f" {', '.join(step.item)} and payloads {', '.join(step.payload)}")
     basis = quanta.pinned16_basis()
-    fold = quanta.quantamorphism(op, 3)
-    try:
-        return vecmonad.materialize(vecmonad.KleisliOp(basis, fold.apply), basis)
-    except KeyError as exc:
-        raise ValueError(f"the fold of step {args.step!r} leaves the pinned16 basis: {exc.args[0]}") from None
+    fold = quanta.fold_matrix(step, 3)
+    keep = [fold.src.index(x) for x in basis]
+    leaks = [i for j in keep for i in fold.entries[:, j].nonzero()[0] if i not in keep]
+    if leaks:
+        raise ValueError(f"the fold of step {args.step!r} leaves the pinned16 basis:"
+                         f" output label {fold.tgt.labels[leaks[0]]!r} outside target basis")
+    return vecmonad.CMatrix(basis, basis, fold.entries[keep][:, keep])
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    try:
-        m = _synth_matrix(args)
-        enc = circuitgen.Encoding(m.src)
-        circ = circuitgen.synth_permutation(m, enc, args.tol)
-    except (OSError, KeyError, ValueError, circuitgen.NonPermutationError) as exc:
-        return _fail(str(exc))
-    qasm = circuitgen.export_qasm(circ)
+    m = _synth_matrix(args)
+    circ = circuitgen.synth_permutation(m, circuitgen.Encoding(m.src), args.tol)
     if args.qasm is not None:
-        _write(qasm, args.qasm)
-    stats = circuitgen.metrics(circ)
-    _write(stats.to_json() + "\n", args.out)
+        _write(circuitgen.export_qasm(circ), args.qasm)
+    _write(circuitgen.metrics(circ).to_json() + "\n", args.out)
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        circ = circuitgen.parse_qasm(Path(args.qasm_file).read_text())
-        out_bits = circuitgen.simulate(circ, args.input)
-    except (OSError, ValueError, circuitgen.AncillaError) as exc:
-        return _fail(str(exc))
-    _write(out_bits + "\n", args.out)
+    circ = circuitgen.parse_qasm(Path(args.qasm_file).read_text())
+    _write(circuitgen.simulate(circ, args.input) + "\n", args.out)
     return 0
 
 
@@ -269,7 +246,10 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("maxlen must be non-negative")
     if not 0 < getattr(args, "tol", 1.0) < math.inf:
         return _fail("tolerance must be positive and finite")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, KeyError, ValueError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ quantum choice combinator routes the payload through a branch selected by
 the control bit without measuring it (control 0 takes the first branch,
 control 1 the second), and the McCarthy conditional preprocesses the
 control and then applies its if-branch on control 1.  A ``GateLibrary``
-checks its gates when it is built and never changes, so
-``default_library()`` is built once per process.
+checks its gates and records their fold steps when it is built and never
+changes, so ``default_library()`` is built once per process.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import functools
 import math
 from collections.abc import Mapping
 
+from .quanta import Step, step_shape
 from .relalg import BIT, pair_label, product_basis, split_pair
 from .vecmonad import (
     AmpVec,
@@ -144,15 +145,21 @@ def cond() -> KleisliOp:
 
 class GateLibrary:
     """Named operations, each checked to be unitary when the library is
-    built; the library keeps the matrix it checked and cannot change."""
+    built; it records the matrix it checked and, for a gate on an (item,
+    payload) pair basis, the ``quanta.Step`` that the fold takes by index,
+    and cannot change."""
 
     def __init__(self, ops: Mapping[str, KleisliOp]) -> None:
-        self._ops: dict[str, tuple[KleisliOp, CMatrix]] = {}
+        self._ops: dict[str, tuple[KleisliOp, CMatrix, Step | None]] = {}
         for name, op in ops.items():
             m = materialize(op, op.src)
             if not is_unitary(m):
                 raise ValueError(f"gate {name!r} does not materialize to a unitary matrix")
-            self._ops[name] = (op, m)
+            try:
+                step = Step(m, *step_shape(op))
+            except ValueError:
+                step = None
+            self._ops[name] = (op, m, step)
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._ops)
@@ -166,7 +173,12 @@ class GateLibrary:
     def matrix(self, name: str) -> CMatrix:
         return self._get(name)[1]
 
-    def _get(self, name: str) -> tuple[KleisliOp, CMatrix]:
+    def step(self, name: str) -> Step:
+        if (step := self._get(name)[2]) is None:
+            raise ValueError(f"gate {name!r} does not act on an (item,payload) pair basis")
+        return step
+
+    def _get(self, name: str) -> tuple[KleisliOp, CMatrix, Step | None]:
         try:
             return self._ops[name]
         except KeyError:

@@ -15,15 +15,18 @@ varying fastest.  The states of one list length n form a dense
 head on axis n-1, whose C order is their cons-preorder.  The fold is a
 cascade of one step instance per list cell: ``_slots`` applies the step
 matrix to (slot n, payload), then (slot n-1, payload), down to slot 1,
-dropping amplitudes below ``PRUNE_EPS`` after each.  Labels are parsed
-and printed only at the edges: ``step_shape``, ``ListBasis`` and the
-three entry points ``run_quanta``, ``quantamorphism`` and ``fold_matrix``.
+dropping amplitudes below ``PRUNE_EPS`` after each.  A step enters as a
+``Step``, its matrix and (item, payload) bases held by index, as
+``GateLibrary`` records it; ``_step`` is the one prologue, and parses an
+ad-hoc ``KleisliOp`` with ``step_shape``.  Other labels are parsed and
+printed only at the edges: ``ListBasis``, the state label of
+``run_quanta`` and the kets and matrices that the entry points return.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -52,6 +55,7 @@ from .vecmonad import (
     CMatrix,
     KleisliOp,
     direct_sum,
+    from_matrix,
     is_unitary,
     kleisli,
     lift,
@@ -64,6 +68,7 @@ from .vecmonad import (
 __all__ = [
     "MAX_LIST_STATES",
     "ListBasis",
+    "Step",
     "alpha",
     "alpha_inv",
     "cata",
@@ -248,59 +253,65 @@ def _fold_blocks(u: np.ndarray, m: int, p: int, maxlen: int) -> np.ndarray:
     return out
 
 
-def _fold_column(u: np.ndarray, item: FinBasis, payload: FinBasis) -> Callable[[str], AmpVec]:
-    """The fold on one (list, payload) label: a one-hot column through the
-    slots, read back in index order."""
-    m, p = len(item), len(payload)
+@dataclass(frozen=True, eq=False)
+class Step:
+    """A step as the fold takes it: its matrix u over the (item, payload)
+    pair basis, index ``item * |payload| + payload``, and the two bases."""
 
-    def apply(label: str) -> AmpVec:
-        l, b = split_pair(label)
-        xs = split_list(l)
-        n, size = len(xs), m ** len(xs) * p
-        if size > MAX_LIST_STATES:
-            raise SizeLimitError(f"lists of length {n} have {size} states; capped at {MAX_LIST_STATES}")
-        code = sum(item.index(x) * m**k for k, x in enumerate(xs))
-        col = np.zeros((size, 1), dtype=np.complex128)
-        col[code * p + payload.index(b)] = 1
-        out = _slots(u, m, p, n, col)[:, 0]
-        return AmpVec({
-            pair_label(_list_label(n, i // p, item.labels), payload.labels[i % p]): out[i]
-            for i in np.flatnonzero(out).tolist()
-        })
-
-    return apply
+    u: CMatrix
+    item: FinBasis
+    payload: FinBasis
 
 
-def quantamorphism(step: KleisliOp, maxlen: int) -> KleisliOp:
+def _step(step: KleisliOp | Step) -> Step:
+    """The entry points' one prologue: a ``Step`` passes as it is, and an
+    ad-hoc ``KleisliOp`` is parsed by ``step_shape`` and materialized."""
+    if isinstance(step, Step):
+        return step
+    return Step(materialize(step, step.src), *step_shape(step))
+
+
+def run_quanta(step: KleisliOp | Step, input_label: str) -> AmpVec:
+    """Apply the quantum fold to one (list, payload) basis state: a one-hot
+    length-n block through the slots.  The ket lists its states in block
+    index order, which is ``ListBasis`` order."""
+    s = _step(step)
+    l, b = split_pair(input_label)
+    xs = split_list(l)
+    m, p = len(s.item), len(s.payload)
+    n, size = len(xs), m ** len(xs) * p
+    if size > MAX_LIST_STATES:
+        raise SizeLimitError(f"lists of length {n} have {size} states; capped at {MAX_LIST_STATES}")
+    code = sum(s.item.index(x) * m**k for k, x in enumerate(xs))
+    col = np.zeros((size, 1), dtype=np.complex128)
+    col[code * p + s.payload.index(b)] = 1
+    out = _slots(s.u.entries, m, p, n, col)[:, 0]
+    return AmpVec({
+        pair_label(_list_label(n, i // p, s.item.labels), s.payload.labels[i % p]): out[i]
+        for i in np.flatnonzero(out).tolist()
+    })
+
+
+def quantamorphism(step: KleisliOp | Step, maxlen: int) -> KleisliOp:
     """Structural quantum fold of a unitary step over ``ListBasis(maxlen)``.
 
     The result is lazy: applied to a label of list length n, it pushes
     that basis state, as a one-hot length-n block, through slots n down
-    to 1.  To fold over another set of (list, payload) states, such as
-    ``pinned16_basis()``, re-type the result: ``KleisliOp(basis, fold.apply)``.
+    to 1.  ``fold_matrix`` gives the fold as a matrix, by blocks.
     """
-    item, payload = step_shape(step)
-    u = materialize(step, step.src)
-    if not is_unitary(u):
+    s = _step(step)
+    if not is_unitary(s.u):
         raise ValueError("quantamorphism step must materialize to a unitary matrix")
-    return KleisliOp(ListBasis(maxlen, item, payload).basis, _fold_column(u.entries, item, payload))
+    return KleisliOp(ListBasis(maxlen, s.item, s.payload).basis, partial(run_quanta, s))
 
 
-def run_quanta(step: KleisliOp, input_label: str) -> AmpVec:
-    """Apply the quantum fold to one (list, payload) basis state.  The ket
-    lists its states in block index order, which is ``ListBasis`` order."""
-    item, payload = step_shape(step)
-    return _fold_column(materialize(step, step.src).entries, item, payload)(input_label)
-
-
-def fold_matrix(step: KleisliOp, maxlen: int) -> CMatrix:
+def fold_matrix(step: KleisliOp | Step, maxlen: int) -> CMatrix:
     """``materialize(quantamorphism(step, maxlen), ListBasis(maxlen).basis)``
     by blocks, with no label per column: each length block's identity goes
     through the slots at once and lands at its cons-preorder rows and columns."""
-    item, payload = step_shape(step)
-    basis = ListBasis(maxlen, item, payload).basis
-    u = materialize(step, step.src).entries
-    return CMatrix(basis, basis, _fold_blocks(u, len(item), len(payload), maxlen))
+    s = _step(step)
+    basis = ListBasis(maxlen, s.item, s.payload).basis
+    return CMatrix(basis, basis, _fold_blocks(s.u.entries, len(s.item), len(s.payload), maxlen))
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +353,22 @@ def alpha_inv(maxlen: int, item: FinBasis = BIT, payload: FinBasis = BIT) -> Kle
     return lift(act, ListBasis(maxlen, item, payload).basis)
 
 
-def psi(x: KleisliOp, maxlen: int) -> KleisliOp:
+def psi(x: KleisliOp | Step, maxlen: int) -> KleisliOp:
     """One unfolding layer: alpha after (id + xl . (id x x) . xl)."""
-    item, payload = step_shape(x)
-    inner = ListBasis(maxlen - 1, item, payload)
-    first = xl_op(item, inner.list_basis, payload)
-    middle = tensor(ret_op(inner.list_basis), x)
-    back = xl_op(inner.list_basis, item, payload)
+    s = _step(x)
+    inner = ListBasis(maxlen - 1, s.item, s.payload)
+    first = xl_op(s.item, inner.list_basis, s.payload)
+    middle = tensor(ret_op(inner.list_basis), from_matrix(s.u))
+    back = xl_op(inner.list_basis, s.item, s.payload)
     branch = kleisli(back, kleisli(middle, first))
-    return kleisli(alpha(maxlen, item, payload), direct_sum(ret_op(payload), branch))
+    return kleisli(alpha(maxlen, s.item, s.payload), direct_sum(ret_op(s.payload), branch))
 
 
-def quantamorphism_via_psi(step: KleisliOp, maxlen: int) -> KleisliOp:
+def quantamorphism_via_psi(step: KleisliOp | Step, maxlen: int) -> KleisliOp:
     """The fold recomposed from its one-layer unfolding, for cross-checking."""
-    item, payload = step_shape(step)
+    s = _step(step)
     if maxlen == 0:
-        return ret_op(ListBasis(0, item, payload).basis)
-    smaller = quantamorphism_via_psi(step, maxlen - 1)
-    wired = direct_sum(ret_op(payload), tensor(ret_op(item), smaller))
-    return kleisli(psi(step, maxlen), kleisli(wired, alpha_inv(maxlen, item, payload)))
+        return ret_op(ListBasis(0, s.item, s.payload).basis)
+    smaller = quantamorphism_via_psi(s, maxlen - 1)
+    wired = direct_sum(ret_op(s.payload), tensor(ret_op(s.item), smaller))
+    return kleisli(psi(s, maxlen), kleisli(wired, alpha_inv(maxlen, s.item, s.payload)))

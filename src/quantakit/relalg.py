@@ -22,6 +22,7 @@ indices; ``quotient`` turns one into a relation for a caller that needs it.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
@@ -207,11 +208,14 @@ def untag(label: str) -> tuple[int, str]:
     return int(m.group(1)) - 1, m.group(2)
 
 
+@functools.cache
 def product_basis(a: FinBasis, b: FinBasis) -> FinBasis:
-    """Pair basis in row-major order: the left factor varies slowest."""
+    """Pair basis in row-major order: the left factor varies slowest.  Built
+    once per pair of bases and shared, as is a coproduct (``FinBasis`` is frozen)."""
     return FinBasis(tuple(pair_label(x, y) for x in a for y in b))
 
 
+@functools.cache
 def coproduct_basis(a: FinBasis, b: FinBasis) -> FinBasis:
     """Tagged disjoint union: all left tags, then all right tags."""
     return FinBasis(

@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from label_strategies import labels
-from quantakit import relalg
+from quantakit import circuitgen, quanta, relalg, vecmonad
 from quantakit.cli import main
+from quantakit.gates import default_library
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -247,3 +249,108 @@ def test_synth_names_a_label_with_an_open_bracket(tmp_path, capsys):
     assert captured.err == (
         "error: malformed label '(s1': brackets must balance and commas sit inside them\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--step", "cnot", "--maxlen", "2", "--out"],
+        ["run", "--step", "cnot", "--input", "([1],0)", "--out"],
+        ["complement", str(DATA / "xor.tbl"), "--out"],
+        ["synth", "--maxlen", "pinned16", "--step", "cnot", "--out"],
+        ["synth", "--maxlen", "pinned16", "--step", "cnot", "--qasm"],
+        ["simulate", str(GOLDENS / "single_cx.qasm"), "10", "--out"],
+        ["check", "gates", "--out"],
+    ],
+    ids=["matrix", "run", "complement", "synth-out", "synth-qasm", "simulate", "check"],
+)
+def test_an_unwritable_output_path_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.txt"
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+
+
+# Reference: the pinned16 route of ``synth`` before it folded by blocks, kept
+# verbatim apart from the names and the ``args`` namespace: the lazy maxlen-3
+# fold re-typed over the pinned basis and materialized one label at a time.
+
+def ref_step_op(name: str, tol: float) -> tuple[vecmonad.KleisliOp, relalg.FinBasis, relalg.FinBasis]:
+    lib = default_library()
+    if name not in lib:
+        raise KeyError(f"unknown gate {name!r} (have: {', '.join(lib.names())})")
+    op = lib.op(name)
+    try:
+        item, payload = quanta.step_shape(op)
+    except ValueError:
+        raise ValueError(
+            f"gate {name!r} does not act on an (item,payload) pair basis"
+        ) from None
+    if not vecmonad.is_unitary(lib.matrix(name), tol):
+        raise ValueError(f"gate {name!r} is not unitary at tolerance {tol}")
+    return op, item, payload
+
+
+def ref_pinned16_matrix(step: str, tol: float) -> vecmonad.CMatrix:
+    op, item, payload = ref_step_op(step, tol)
+    if item != relalg.BIT or payload != relalg.BIT:
+        raise ValueError(f"pinned16 needs a step on (bit,bit) pairs; step {step!r} has items"
+                         f" {', '.join(item)} and payloads {', '.join(payload)}")
+    basis = quanta.pinned16_basis()
+    fold = quanta.quantamorphism(op, 3)
+    try:
+        return vecmonad.materialize(vecmonad.KleisliOp(basis, fold.apply), basis)
+    except KeyError as exc:
+        raise ValueError(f"the fold of step {step!r} leaves the pinned16 basis: {exc.args[0]}") from None
+
+
+def ref_synth_pinned16(step: str, qasm_out: bool, tol: float = 1e-9) -> tuple[str, str]:
+    """stdout and stderr of ``synth --maxlen pinned16 --step <step>``, with
+    ``--qasm -`` when ``qasm_out``."""
+    try:
+        m = ref_pinned16_matrix(step, tol)
+        enc = circuitgen.Encoding(m.src)
+        circ = circuitgen.synth_permutation(m, enc, tol)
+    except (OSError, KeyError, ValueError, circuitgen.NonPermutationError) as exc:
+        return "", f"error: {exc}\n"
+    qasm = circuitgen.export_qasm(circ)
+    stats = circuitgen.metrics(circ)
+    return (qasm if qasm_out else "") + stats.to_json() + "\n", ""
+
+
+@pytest.mark.parametrize("qasm_out", [False, True], ids=["metrics", "qasm"])
+@pytest.mark.parametrize("step", [*default_library().names(), "nope"])
+def test_synth_pinned16_prints_what_the_label_level_route_printed(capsys, step, qasm_out):
+    out, err = ref_synth_pinned16(step, qasm_out)
+    argv = ["synth", "--maxlen", "pinned16", "--step", step] + (["--qasm", "-"] if qasm_out else [])
+    assert main(argv) == (1 if err else 0)
+    assert capsys.readouterr() == (out, err)
+
+
+def test_library_steps_reach_the_fold_without_a_parse_or_a_materialize(monkeypatch, capsys):
+    """Every binding of ``step_shape`` and ``materialize`` in a ``quantakit``
+    module is wrapped, as perfbench's tracer wraps them."""
+    lib = default_library()
+    calls: list[str] = []
+    for orig in (quanta.step_shape, vecmonad.materialize):
+        def counted(*args, orig=orig):
+            calls.append(orig.__name__)
+            return orig(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "quantakit" or name.startswith("quantakit."):
+                for key, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, key, counted)
+    pair_gates = [n for n in lib.names() if n not in ("x", "h", "t")]
+    for name in pair_gates:
+        step = lib.step(name)
+        label = f"([{step.item.labels[-1]},{step.item.labels[0]}],{step.payload.labels[-1]})"
+        assert main(["run", "--step", name, "--input", label]) == 0
+        assert main(["matrix", "--step", name, "--maxlen", "2"]) == 0
+        main(["synth", "--maxlen", "pinned16", "--step", name])
+    capsys.readouterr()
+    assert pair_gates == ["id", "cnot", "ccnot", "bell", "unbell", "alice", "cond"] and calls == []
+    quanta.run_quanta(lib.op("cnot"), "([1],0)")  # an ad-hoc step is parsed and materialized once
+    assert calls == ["materialize", "step_shape"]

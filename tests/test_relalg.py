@@ -91,6 +91,13 @@ class TestBasics:
     def test_coproduct_basis_orders_tags(self):
         assert coproduct_basis(BIT, BIT).labels == ("i1(0)", "i1(1)", "i2(0)", "i2(1)")
 
+    def test_product_and_coproduct_bases_are_built_once_per_pair(self):
+        a, b = FinBasis(("x", "y")), FinBasis(("p", "q", "r"))
+        assert product_basis(a, b) is product_basis(a, b)
+        assert product_basis(a, b) is product_basis(FinBasis(("x", "y")), FinBasis(("p", "q", "r")))
+        assert coproduct_basis(a, b) is coproduct_basis(a, b)
+        assert product_basis(b, a) is not product_basis(a, b)
+
     def test_label_split_nesting(self):
         assert relalg.split_pair("([0,1],1)") == ("[0,1]", "1")
         assert relalg.split_list("[(0,0),(1,1)]") == ("(0,0)", "(1,1)")
