@@ -5,10 +5,13 @@ of encoded bit-strings; each transposition is realized as a Gray-code
 chain of multi-controlled X gates (with positive and negative controls),
 and every multi-controlled X is lowered to Toffoli gates through a
 compute/uncompute ladder over ancilla qubits, which are always returned
-to zero.  Circuits export to OpenQASM 2.0 and simulate on integer basis
-indices: classical circuits (X/CX/CCX/MCX only) on one basis input by
-bitmask, any circuit on a ket by a dense statevector of at most
-``MAX_STATE_QUBITS`` qubits.
+to zero.  Each distinct MCX is lowered once per synthesis, and a
+synthesized circuit shares one ``Gate`` instance per distinct gate: QASM
+export formats and ``Circuit.ops`` decodes each distinct gate once, and
+the depth sweep builds nothing per position.  Circuits export to
+OpenQASM 2.0 and simulate on integer basis indices: classical circuits
+(X/CX/CCX/MCX only) on one basis input by bitmask, any circuit on a ket
+by a dense statevector of at most ``MAX_STATE_QUBITS`` qubits.
 """
 from __future__ import annotations
 
@@ -226,21 +229,21 @@ def _permutation_of(m: CMatrix, tol: float = 1e-9) -> list[int]:
     rows, cols = m.entries.shape
     if rows != cols:
         raise NonPermutationError("matrix is not square")
-    perm = []
-    for j in range(cols):
-        col = m.entries[:, j]
-        ones = np.nonzero(np.abs(col - 1.0) <= tol)[0]
-        if len(ones) != 1 or np.max(np.abs(col), initial=0.0) > 1.0 + tol:
-            raise NonPermutationError(
-                "matrix is not a 0/1 permutation; general unitary synthesis is out of scope"
-            )
-        others = np.abs(col) > tol
-        if int(np.count_nonzero(others)) != 1:
-            raise NonPermutationError(
-                "matrix is not a 0/1 permutation; general unitary synthesis is out of scope"
-            )
-        perm.append(int(ones[0]))
-    if sorted(perm) != list(range(rows)):
+    a = np.abs(m.entries)
+    ones = np.abs(m.entries - 1.0) <= tol
+    # Per column: one entry near 1, nothing above 1 + tol, and nothing
+    # else above tol.
+    bad = (
+        (np.count_nonzero(ones, axis=0) != 1)
+        | (a.max(axis=0, initial=0.0) > 1.0 + tol)
+        | (np.count_nonzero(a > tol, axis=0) != 1)
+    )
+    if bad.any():
+        raise NonPermutationError(
+            "matrix is not a 0/1 permutation; general unitary synthesis is out of scope"
+        )
+    perm = ones.argmax(axis=0).tolist()
+    if len(set(perm)) != rows:
         raise NonPermutationError("columns do not form a permutation")
     return perm
 
@@ -263,50 +266,54 @@ def _transpositions(perm: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _adjacent_swap_mcx(u: int, v: int, width: int) -> Gate:
-    """MCX swapping two states at Hamming distance one (bit 0 = leftmost)."""
-    diff = u ^ v
-    target = width - diff.bit_length()
-    controls = []
-    state = []
-    for q in range(width):
-        if q == target:
-            continue
-        controls.append(q)
-        state.append((u >> (width - 1 - q)) & 1)
-    return Gate("mcx", tuple(controls) + (target,), tuple(state))
+def _gray_chain(u: int, v: int, width: int) -> list[tuple[int, int]]:
+    """Transposition (u v) as a Gray-code chain of adjacent-state swaps.
 
-
-def _gray_chain(u: int, v: int, width: int) -> list[Gate]:
-    """Transposition (u v) as a Gray-code chain of adjacent-state swaps."""
-    diffs = [q for q in range(width) if ((u ^ v) >> (width - 1 - q)) & 1]
-    path = [u]
+    Each swap is an MCX named by (state with the target bit cleared, target
+    qubit): the target flips when every other qubit matches that state
+    (bit 0 = leftmost).
+    """
+    ups = []
     cur = u
-    for q in diffs:
-        cur ^= 1 << (width - 1 - q)
-        path.append(cur)
-    ups = [_adjacent_swap_mcx(path[i], path[i + 1], width) for i in range(len(path) - 1)]
+    for q in range(width):
+        bit = 1 << (width - 1 - q)
+        if (u ^ v) & bit:
+            ups.append((cur & ~bit, q))
+            cur ^= bit
     return ups + ups[:-1][::-1]
 
 
 def synth_permutation(m: CMatrix, enc: Encoding, tol: float = 1e-9) -> Circuit:
     """Circuit over data qubits (plus ancillas) realizing a permutation matrix,
-    to within ``tol``, on the encoded computational basis."""
+    to within ``tol``, on the encoded computational basis.
+
+    Each distinct Gray-chain MCX is lowered once per call, and the circuit
+    holds one shared ``Gate`` per distinct gate: ``export_qasm`` formats
+    and ``Circuit.ops`` decodes each distinct gate once, and the depth
+    sweep of ``metrics`` builds nothing per position.
+    """
     if m.src != enc.basis or m.tgt != enc.basis:
         raise ValueError("matrix bases must match the encoding basis")
     perm = _permutation_of(m, tol)
     width = enc.width
 
-    mcx_gates: list[Gate] = []
-    for u, v in _transpositions(perm):
-        mcx_gates.extend(_gray_chain(u, v, width))
-
-    need = max((max(0, len(g.qubits) - 3) for g in mcx_gates), default=0)
+    swaps = [s for u, v in _transpositions(perm) for s in _gray_chain(u, v, width)]
+    need = max(0, width - 3) if swaps else 0
     ancillas = tuple(range(width, width + need))
+    shared: dict[Gate, Gate] = {}
+    lowered_of: dict[tuple[int, int], tuple[Gate, ...]] = {}
     lowered: list[Gate] = []
-    for g in mcx_gates:
-        controls = tuple(zip(g.qubits[:-1], g.ctrl_state))
-        lowered.extend(decompose_mcx(controls, g.qubits[-1], ancillas))
+    for swap in swaps:
+        seq = lowered_of.get(swap)
+        if seq is None:
+            state, target = swap
+            controls = tuple(
+                (q, (state >> (width - 1 - q)) & 1) for q in range(width) if q != target
+            )
+            seq = lowered_of[swap] = tuple(
+                shared.setdefault(g, g) for g in decompose_mcx(controls, target, ancillas)
+            )
+        lowered.extend(seq)
     return peephole(Circuit(width, need, tuple(lowered)))
 
 
@@ -315,14 +322,22 @@ def peephole(c: Circuit) -> Circuit:
 
     A gate cancels the top of the stack when the two are equal, so pairs
     that meet only after an inner pair cancels go too: the result is the
-    fixed point of repeated adjacent cancellation.
+    fixed point of repeated adjacent cancellation.  Each distinct ``Gate``
+    instance is mapped once to one shared instance per distinct gate, so
+    equality on the stack is an identity test; the result holds those
+    shared instances.
     """
+    shared_of: dict[int, Gate] = {}
+    shared: dict[Gate, Gate] = {}
     out: list[Gate] = []
     for g in c.gates:
-        if out and out[-1] == g and g.name in ("x", "cx", "ccx", "h"):
+        s = shared_of.get(id(g))
+        if s is None:
+            s = shared_of[id(g)] = shared.setdefault(g, g)
+        if out and out[-1] is s and s.name in ("x", "cx", "ccx", "h"):
             out.pop()
         else:
-            out.append(g)
+            out.append(s)
     return Circuit(c.data_qubits, c.ancilla_qubits, tuple(out))
 
 
@@ -425,12 +440,19 @@ def simulate_state(c: Circuit, v: AmpVec, tol: float = 1e-9) -> AmpVec:
 
 def metrics(c: Circuit) -> Metrics:
     front = [0] * max(1, c.total_qubits)
+    cx = 0
     for g in c.gates:
-        level = 1 + max(front[q] for q in g.qubits)
-        for q in g.qubits:
+        qs = g.qubits
+        level = 0
+        for q in qs:
+            if front[q] > level:
+                level = front[q]
+        level += 1
+        for q in qs:
             front[q] = level
+        if g.name == "cx":
+            cx += 1
     depth = max(front) if c.gates else 0
-    cx = sum(1 for g in c.gates if g.name == "cx")
     return Metrics(size=len(c.gates), cx=cx, depth=depth)
 
 
@@ -445,11 +467,15 @@ def export_qasm(c: Circuit) -> str:
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.data_qubits}];"]
     if c.ancilla_qubits:
         lines.append(f"qreg anc[{c.ancilla_qubits}];")
+    line_of: dict[int, str] = {}  # one line per distinct Gate instance
     for g in c.gates:
-        if g.name == "mcx":
-            raise ValueError("lower mcx gates with decompose_mcx before export")
-        refs = ",".join(_qref(c, q) for q in g.qubits)
-        lines.append(f"{g.name} {refs};")
+        line = line_of.get(id(g))
+        if line is None:
+            if g.name == "mcx":
+                raise ValueError("lower mcx gates with decompose_mcx before export")
+            refs = ",".join(_qref(c, q) for q in g.qubits)
+            line = line_of[id(g)] = f"{g.name} {refs};"
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

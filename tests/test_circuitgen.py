@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tables as rt
-from quantakit import gates
+from quantakit import circuitgen, gates
 from quantakit.circuitgen import (
     MAX_STATE_QUBITS,
     AncillaError,
     Circuit,
     Encoding,
     Gate,
+    Metrics,
+    NonPermutationError,
+    _permutation_of,
     decompose_mcx,
     export_qasm,
+    metrics,
     parse_qasm,
     peephole,
     simulate,
@@ -22,9 +26,10 @@ from quantakit.circuitgen import (
     synth_permutation,
 )
 from quantakit.cli import main
-from quantakit.relalg import SizeLimitError
-from quantakit.vecmonad import PRUNE_EPS, AmpVec, vec_equal
+from quantakit.relalg import FinBasis, SizeLimitError
+from quantakit.vecmonad import PRUNE_EPS, AmpVec, CMatrix, vec_equal
 
+DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parent / "goldens"
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -288,6 +293,14 @@ class TestPinnedReferences:
             assert main(["simulate", str(GOLDENS / "single_cx.qasm"), bits]) == 0
             assert capsys.readouterr().out == want + "\n"
 
+    def test_matrix_file_synthesis_golden(self, capsys):
+        argv = ["synth", "--matrix-file", str(DATA / "perm4.mat"), "--qasm", "-"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (GOLDENS / "synth_perm4.txt").read_text()
+        assert "qreg anc[1];" in captured.out
+
     def test_pinned16_synthesis_and_io_table(self, tmp_path, capsys):
         qasm, out = tmp_path / "cnot16.qasm", tmp_path / "metrics.json"
         argv = ["synth", "--maxlen", "pinned16", "--step", "cnot", "--qasm", str(qasm)]
@@ -339,12 +352,18 @@ _SELF_INVERSE = tuple(g for g in _WORD_POOL if g.name in ("x", "cx", "ccx", "h")
 @st.composite
 def words(draw):
     """Gate words over three qubits with nested cancelling pairs planted
-    into them, and t, tdg and mcx gates that block some of the pairs."""
-    word = draw(st.lists(st.sampled_from(_WORD_POOL), max_size=20))
+    into them, and t, tdg and mcx gates that block some of the pairs.
+    Each gate is either a pool instance or a fresh equal copy, so some
+    cancelling pairs are one shared object and some are two."""
+
+    def planted(g: Gate) -> Gate:
+        return Gate(g.name, g.qubits, g.ctrl_state) if draw(st.booleans()) else g
+
+    word = [planted(g) for g in draw(st.lists(st.sampled_from(_WORD_POOL), max_size=20))]
     for _ in range(draw(st.integers(0, 4))):
         inner = draw(st.lists(st.sampled_from(_SELF_INVERSE), min_size=1, max_size=4))
         at = draw(st.integers(0, len(word)))
-        word[at:at] = inner + inner[::-1]
+        word[at:at] = [planted(g) for g in inner + inner[::-1]]
     return Circuit(3, 0, tuple(word))
 
 
@@ -359,6 +378,239 @@ class TestPeephole:
         mcx = Gate("mcx", (0, 1), (0,))
         c = Circuit(2, 0, (x0, cx, cx, x0, t, t, mcx, mcx, x0, t, x0))
         assert peephole(c).gates == (t, t, mcx, mcx, x0, t, x0)
+
+
+# ---------------------------------------------------------------------------
+# Permutation synthesis against the route it replaced: the per-position
+# lowering, stack peephole, depth sweep and QASM export that circuitgen
+# used before it shared one Gate per distinct gate, kept verbatim apart
+# from the function names.
+
+def ref_permutation_of(m: CMatrix, tol: float = 1e-9) -> list[int]:
+    rows, cols = m.entries.shape
+    if rows != cols:
+        raise NonPermutationError("matrix is not square")
+    perm = []
+    for j in range(cols):
+        col = m.entries[:, j]
+        ones = np.nonzero(np.abs(col - 1.0) <= tol)[0]
+        if len(ones) != 1 or np.max(np.abs(col), initial=0.0) > 1.0 + tol:
+            raise NonPermutationError(
+                "matrix is not a 0/1 permutation; general unitary synthesis is out of scope"
+            )
+        others = np.abs(col) > tol
+        if int(np.count_nonzero(others)) != 1:
+            raise NonPermutationError(
+                "matrix is not a 0/1 permutation; general unitary synthesis is out of scope"
+            )
+        perm.append(int(ones[0]))
+    if sorted(perm) != list(range(rows)):
+        raise NonPermutationError("columns do not form a permutation")
+    return perm
+
+
+def ref_transpositions(perm: list[int]) -> list[tuple[int, int]]:
+    seen = [False] * len(perm)
+    out: list[tuple[int, int]] = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        nxt = perm[start]
+        while nxt != start:
+            cycle.append(nxt)
+            seen[nxt] = True
+            nxt = perm[nxt]
+        for other in cycle[1:]:
+            out.append((cycle[0], other))
+    return out
+
+
+def ref_adjacent_swap_mcx(u: int, v: int, width: int) -> Gate:
+    """MCX swapping two states at Hamming distance one (bit 0 = leftmost)."""
+    diff = u ^ v
+    target = width - diff.bit_length()
+    controls = []
+    state = []
+    for q in range(width):
+        if q == target:
+            continue
+        controls.append(q)
+        state.append((u >> (width - 1 - q)) & 1)
+    return Gate("mcx", tuple(controls) + (target,), tuple(state))
+
+
+def ref_gray_chain(u: int, v: int, width: int) -> list[Gate]:
+    """Transposition (u v) as a Gray-code chain of adjacent-state swaps."""
+    diffs = [q for q in range(width) if ((u ^ v) >> (width - 1 - q)) & 1]
+    path = [u]
+    cur = u
+    for q in diffs:
+        cur ^= 1 << (width - 1 - q)
+        path.append(cur)
+    ups = [ref_adjacent_swap_mcx(path[i], path[i + 1], width) for i in range(len(path) - 1)]
+    return ups + ups[:-1][::-1]
+
+
+def ref_synth_permutation(m: CMatrix, enc: Encoding, tol: float = 1e-9) -> Circuit:
+    """Circuit over data qubits (plus ancillas) realizing a permutation matrix,
+    to within ``tol``, on the encoded computational basis."""
+    if m.src != enc.basis or m.tgt != enc.basis:
+        raise ValueError("matrix bases must match the encoding basis")
+    perm = ref_permutation_of(m, tol)
+    width = enc.width
+
+    mcx_gates: list[Gate] = []
+    for u, v in ref_transpositions(perm):
+        mcx_gates.extend(ref_gray_chain(u, v, width))
+
+    need = max((max(0, len(g.qubits) - 3) for g in mcx_gates), default=0)
+    ancillas = tuple(range(width, width + need))
+    lowered: list[Gate] = []
+    for g in mcx_gates:
+        controls = tuple(zip(g.qubits[:-1], g.ctrl_state))
+        lowered.extend(decompose_mcx(controls, g.qubits[-1], ancillas))
+    return ref_stack_peephole(Circuit(width, need, tuple(lowered)))
+
+
+def ref_stack_peephole(c: Circuit) -> Circuit:
+    """Cancel adjacent identical self-inverse gates, in one pass on a stack.
+
+    A gate cancels the top of the stack when the two are equal, so pairs
+    that meet only after an inner pair cancels go too: the result is the
+    fixed point of repeated adjacent cancellation.
+    """
+    out: list[Gate] = []
+    for g in c.gates:
+        if out and out[-1] == g and g.name in ("x", "cx", "ccx", "h"):
+            out.pop()
+        else:
+            out.append(g)
+    return Circuit(c.data_qubits, c.ancilla_qubits, tuple(out))
+
+
+def ref_metrics(c: Circuit) -> Metrics:
+    front = [0] * max(1, c.total_qubits)
+    for g in c.gates:
+        level = 1 + max(front[q] for q in g.qubits)
+        for q in g.qubits:
+            front[q] = level
+    depth = max(front) if c.gates else 0
+    cx = sum(1 for g in c.gates if g.name == "cx")
+    return Metrics(size=len(c.gates), cx=cx, depth=depth)
+
+
+def ref_qref(c: Circuit, q: int) -> str:
+    if q < c.data_qubits:
+        return f"q[{q}]"
+    return f"anc[{q - c.data_qubits}]"
+
+
+def ref_export_qasm(c: Circuit) -> str:
+    """OpenQASM 2.0 text; multi-controlled gates must be lowered first."""
+    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.data_qubits}];"]
+    if c.ancilla_qubits:
+        lines.append(f"qreg anc[{c.ancilla_qubits}];")
+    for g in c.gates:
+        if g.name == "mcx":
+            raise ValueError("lower mcx gates with decompose_mcx before export")
+        refs = ",".join(ref_qref(c, q) for q in g.qubits)
+        lines.append(f"{g.name} {refs};")
+    return "\n".join(lines) + "\n"
+
+
+def perm_matrix(perm: list[int]) -> CMatrix:
+    """The 0/1 matrix whose column j has its 1 in row perm[j]."""
+    basis = FinBasis(tuple(f"s{j}" for j in range(len(perm))))
+    entries = np.zeros((len(perm), len(perm)), dtype=np.complex128)
+    entries[perm, np.arange(len(perm))] = 1.0
+    return CMatrix(basis, basis, entries)
+
+
+@st.composite
+def power_of_two_permutations(draw, max_width=7):
+    k = draw(st.integers(0, max_width))
+    return draw(st.permutations(range(1 << k)))
+
+
+def outcome_of(fn, *args):
+    """The result of a call, or the type and text of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestSynthesisAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(power_of_two_permutations())
+    def test_same_circuit_qasm_and_metrics_on_shared_gates(self, perm):
+        m = perm_matrix(perm)
+        got = synth_permutation(m, Encoding(m.src))
+        assert len({id(g) for g in got.gates}) == len(set(got.gates))
+        if len(perm) == 2 and perm[0] == 1:
+            # The reference named a one-qubit swap as an MCX without
+            # controls, which Gate refuses; it is one x gate.
+            with pytest.raises(ValueError, match="at least one control"):
+                ref_synth_permutation(m, Encoding(m.src))
+            assert got == Circuit(1, 0, (Gate("x", (0,)),))
+            return
+        want = ref_synth_permutation(m, Encoding(m.src))
+        assert got == want
+        assert export_qasm(got) == ref_export_qasm(want)
+        assert metrics(got) == ref_metrics(want)
+
+    def test_each_distinct_mcx_is_lowered_once(self, monkeypatch):
+        calls = []
+
+        def counted(controls, target, ancillas):
+            calls.append((controls, target))
+            return decompose_mcx(controls, target, ancillas)
+
+        monkeypatch.setattr(circuitgen, "decompose_mcx", counted)
+        perm = np.random.default_rng(9).permutation(64).tolist()
+        m = perm_matrix(perm)
+        width = 6
+        distinct = {
+            (g.qubits, g.ctrl_state)
+            for u, v in ref_transpositions(perm)
+            for g in ref_gray_chain(u, v, width)
+        }
+        synth_permutation(m, Encoding(m.src))
+        assert len(calls) == len(set(calls)) == len(distinct)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_permutation_reader_matches_reference(self, data):
+        n = data.draw(st.sampled_from((1, 2, 3, 4)))
+        cells = (0, 1, 0.5, 2, -1, 1 + 1e-10j, 1e-10, 1 + 1e-6j, float("nan"))
+        if data.draw(st.booleans()):
+            entries = np.zeros((n, n), dtype=np.complex128)
+            entries[data.draw(st.permutations(range(n))), np.arange(n)] = 1.0
+            for _ in range(data.draw(st.integers(0, 2))):
+                i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+                entries[i, j] = data.draw(st.sampled_from(cells))
+        else:
+            flat = data.draw(st.lists(st.sampled_from(cells), min_size=n * n, max_size=n * n))
+            entries = np.array(flat, dtype=np.complex128).reshape(n, n)
+        basis = FinBasis(tuple(f"s{j}" for j in range(n)))
+        m = CMatrix(basis, basis, entries)
+        tol = data.draw(st.sampled_from((1e-9, 1e-6, 0.6)))
+        assert outcome_of(_permutation_of, m, tol) == outcome_of(ref_permutation_of, m, tol)
+
+    def test_permutation_reader_refuses_a_non_square_matrix(self):
+        m = CMatrix(FinBasis(("a",)), FinBasis(("a", "b")), np.ones((2, 1), dtype=np.complex128))
+        with pytest.raises(NonPermutationError, match="not square"):
+            _permutation_of(m)
+
+
+def test_metrics_of_a_small_circuit():
+    c = Circuit(3, 0, (
+        Gate("cx", (0, 1)), Gate("x", (2,)), Gate("ccx", (0, 1, 2)), Gate("cx", (0, 1)),
+    ))
+    assert metrics(c) == Metrics(size=4, cx=2, depth=3)
+    assert metrics(Circuit(0, 0, ())) == Metrics(size=0, cx=0, depth=0)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +646,12 @@ class TestQasm:
         c = parse_qasm(text.replace("cx q[0],q[1];", "  cx q[0],q[1];  ", 1))
         assert c.gates[0] is c.gates[2] is c.gates[4]
         assert c.gates[1] is c.gates[3] is c.gates[5]
+
+    def test_export_refuses_mcx(self):
+        x0 = Gate("x", (0,))
+        c = Circuit(2, 0, (x0, x0, Gate("mcx", (0, 1), (0,)), x0))
+        with pytest.raises(ValueError, match="lower mcx gates with decompose_mcx before export"):
+            export_qasm(c)
 
     def test_comments_and_blank_lines_are_skipped(self):
         c = parse_qasm('OPENQASM 2.0;\n// note\n\ninclude "qelib1.inc";\nqreg q[1];\nx q[0];\n')

@@ -214,6 +214,43 @@ def test_synth_tol_reaches_the_permutation_reader(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "dump, named",
+    [
+        ("s0 s1\ns0: 1+0i 1+0i\ns1: 0+0i 0+0i\n", "columns do not form a permutation"),
+        (
+            "s0 s1\ns0: 0.5+0i 0+0i\ns1: 0+0i 1+0i\n",
+            "matrix is not a 0/1 permutation; general unitary synthesis is out of scope",
+        ),
+    ],
+    ids=["two-columns-one-row", "half-entry"],
+)
+def test_synth_refuses_a_matrix_that_is_no_permutation(tmp_path, capsys, dump, named):
+    path = tmp_path / "bad.txt"
+    path.write_text(dump)
+    assert main(["synth", "--matrix-file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
+
+
+def test_synth_accepts_entries_within_the_default_tol(tmp_path, capsys):
+    dump = tmp_path / "near.txt"
+    dump.write_text("s0 s1\ns0: 1+1e-10i 0+0i\ns1: 0+0i 1+0i\n")
+    assert main(["synth", "--matrix-file", str(dump)]) == 0
+    assert capsys.readouterr().out == '{"size": 0, "cx": 0, "depth": 0}\n'
+
+
+def test_synth_swaps_two_states_with_one_x(tmp_path, capsys):
+    dump = tmp_path / "swap.txt"
+    dump.write_text("s0 s1\ns0: 0+0i 1+0i\ns1: 1+0i 0+0i\n")
+    assert main(["synth", "--matrix-file", str(dump), "--qasm", "-"]) == 0
+    assert capsys.readouterr().out == (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nx q[0];\n'
+        '{"size": 1, "cx": 0, "depth": 1}\n'
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["complement", str(DATA / "xor.tbl"), "--tol", "1e-6"],
