@@ -3,6 +3,11 @@
 Each suite exercises one module's algebraic contracts with seeded
 randomness, so repeated runs are byte-identical.  The suites return
 plain (name, ok, detail) records; the CLI renders counts and failures.
+
+The exhaustive relation-algebra laws call the library operators once on
+every distinct operand (each split, junc and kernel they need), stack the
+results, and compare both sides of the law over all operand tuples in one
+array operation; a failure names its first counterexample tuple.
 """
 from __future__ import annotations
 
@@ -28,6 +33,28 @@ class CheckResult:
 
 def _result(suite: str, name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(suite, name, bool(ok), "" if ok else detail)
+
+
+def _masks(rels: list[Rel]) -> np.ndarray:
+    """Each relation's entries as one bit mask: r <= s is r & ~s == 0."""
+    bits = np.array([r.entries.ravel() for r in rels], dtype=np.uint16)
+    return (bits << np.arange(bits.shape[1], dtype=np.uint16)).sum(axis=1, dtype=np.uint16)
+
+
+def _law(suite: str, name: str, lhs: np.ndarray, rhs: np.ndarray, **operands: list[Rel]) -> CheckResult:
+    """A law tested over all operand tuples at once: the leading axes of
+    ``lhs`` and ``rhs`` index the operand lists, in order.  A failure names
+    the first tuple where the two sides differ, each relation by its rows."""
+    if np.array_equal(lhs, rhs):
+        return _result(suite, name, True)
+    first = np.argwhere(lhs != rhs)[0]
+    named = (f"{n}={_rows(rels[i])}" for (n, rels), i in zip(operands.items(), first))
+    return _result(suite, name, False, "first counterexample " + ", ".join(named))
+
+
+def _rows(r: Rel) -> str:
+    """A relation's entries row by row, as in 01/10."""
+    return "/".join("".join("1" if b else "0" for b in row) for row in r.entries)
 
 
 def _random_rel(rng: np.random.Generator, src: FinBasis, tgt: FinBasis) -> Rel:
@@ -83,26 +110,25 @@ def relalg_suite() -> list[CheckResult]:
 
     rels2 = [Rel(b2, b2, np.array(bits, dtype=bool).reshape(2, 2))
              for bits in itertools.product([0, 1], repeat=4)]
-    ok = True
-    for r, s, x in itertools.product(rels2, rels2, rels2):
-        lhs = relalg.leq_injectivity(relalg.pair(r, s), x)
-        rhs = relalg.leq_injectivity(r, x) and relalg.leq_injectivity(s, x)
-        if lhs != rhs:
-            ok = False
-            break
-    out.append(_result("relalg", "pairing is the least upper bound (2-element bases)", ok))
+    # <r,s> <= x (ker x inside ker <r,s>) against r <= x and s <= x, for
+    # every (r, s, x) at once, on library kernels as bit masks.
+    ker = _masks([relalg.kernel(r) for r in rels2])
+    ker_pair = _masks([relalg.kernel(relalg.pair(r, s)) for r in rels2 for s in rels2]).reshape(16, 16)
+    r, s, x = ker[:, None, None], ker[None, :, None], ker[None, None, :]
+    lhs = (x & ~ker_pair[:, :, None]) == 0
+    rhs = ((x & ~r) == 0) & ((x & ~s) == 0)
+    out.append(_law("relalg", "pairing is the least upper bound (2-element bases)",
+                    lhs, rhs, r=rels2, s=rels2, x=rels2))
 
     rels23 = [Rel(b3, b2, np.array(bits, dtype=bool).reshape(2, 3))
               for bits in itertools.product([0, 1], repeat=6)]
-    # Each 3x3 kernel as a 9-bit mask; kernel inclusion x <= y is x & ~y == 0,
-    # tested over every (r, s, x) triple at once.
-    kers = np.array([relalg.kernel(r).entries.ravel() for r in rels23], dtype=np.uint16)
-    masks = (kers << np.arange(9, dtype=np.uint16)).sum(axis=1, dtype=np.uint16)
-    r, s, x = masks[:, None, None], masks[None, :, None], masks[None, None, :]
+    # The same law with each 3x3 kernel of <r,s> taken as ker r & ker s.
+    ker = _masks([relalg.kernel(r) for r in rels23])
+    r, s, x = ker[:, None, None], ker[None, :, None], ker[None, None, :]
     lhs = (x & ~(r & s)) == 0
     rhs = ((x & ~r) == 0) & ((x & ~s) == 0)
-    ok = bool(np.array_equal(lhs, rhs))
-    out.append(_result("relalg", "pairing is the least upper bound (3-element source)", ok))
+    out.append(_law("relalg", "pairing is the least upper bound (3-element source)",
+                    lhs, rhs, r=rels23, s=rels23, x=rels23))
 
     ok = True
     for _ in range(200):
@@ -114,14 +140,16 @@ def relalg_suite() -> list[CheckResult]:
         ok &= lhs == rhs
     out.append(_result("relalg", "injectivity shunting law", ok))
 
-    ok = True
-    for r, s in itertools.product(rels2, rels2):
-        for t, v in itertools.product(rels2[:8], rels2[8:]):
-            lhs = relalg.either(relalg.pair(r, s), relalg.pair(t, v))
-            rhs = relalg.pair(relalg.either(r, t), relalg.either(s, v))
-            if lhs != rhs:
-                ok = False
-    out.append(_result("relalg", "exchange law (exhaustive 2-element bases)", ok))
+    # Library splits and juncs on every distinct operand; the outer junc
+    # (columns side by side) and split (rowwise meet) for every (r, s, t, v).
+    ts, vs = rels2[:8], rels2[8:]
+    p = np.array([relalg.pair(r, s).entries for r in rels2 for s in rels2]).reshape(16, 16, 4, 2)
+    rt = np.array([relalg.either(r, t).entries for r in rels2 for t in ts]).reshape(16, 1, 8, 1, 2, 4)
+    sv = np.array([relalg.either(s, v).entries for s in rels2 for v in vs]).reshape(1, 16, 1, 8, 2, 4)
+    lhs = np.concatenate(np.broadcast_arrays(p[:, :, None, None], p[None, None, :8, 8:]), axis=-1)
+    rhs = (rt[..., :, None, :] & sv[..., None, :, :]).reshape(lhs.shape)
+    out.append(_law("relalg", "exchange law (exhaustive 2-element bases)",
+                    lhs, rhs, r=rels2, s=rels2, t=ts, v=vs))
 
     ok = True
     for _ in range(100):

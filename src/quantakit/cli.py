@@ -8,6 +8,7 @@ labels printed by one command parse back as inputs to another.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -187,7 +188,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(prog="quantakit")
     sub = p.add_subparsers(dest="command", required=True)
 

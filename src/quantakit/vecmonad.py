@@ -12,6 +12,7 @@ transposes the first two axes of the index grid.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -69,13 +70,19 @@ class AmpVec:
     def __init__(self, amps: Mapping[str, complex] | Iterable[tuple[str, complex]] = ()):
         items = amps.items() if isinstance(amps, Mapping) else amps
         store: dict[str, complex] = {}
+        repeated = False
         for label, a in items:
             a = complex(a)
-            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+            if not cmath.isfinite(a):
                 raise ValueError(f"non-finite amplitude at {label!r}")
             if abs(a) >= PRUNE_EPS:
-                store[label] = store.get(label, 0j) + a
-        self._amps = {k: v for k, v in store.items() if abs(v) >= PRUNE_EPS}
+                if label in store:
+                    store[label] += a
+                    repeated = True
+                else:
+                    store[label] = 0j + a  # turns a -0.0 part into the +0.0 that JSON output prints
+        # Only a sum over a repeated label can fall below the epsilon.
+        self._amps = {k: v for k, v in store.items() if abs(v) >= PRUNE_EPS} if repeated else store
 
     def __getitem__(self, label: str) -> complex:
         return self._amps.get(label, 0j)
@@ -271,9 +278,10 @@ def materialize(f: KleisliOp, tgt: FinBasis) -> CMatrix:
 def from_matrix(m: CMatrix) -> KleisliOp:
     """Columns of a matrix re-read as a vector-valued function."""
 
+    cols = m.entries.T.tolist()
+
     def apply(label: str) -> AmpVec:
-        j = m.src.index(label)
-        return AmpVec({m.tgt.labels[i]: m.entries[i, j] for i in range(len(m.tgt))})
+        return AmpVec(zip(m.tgt.labels, cols[m.src.index(label)]))
 
     return KleisliOp(m.src, apply)
 

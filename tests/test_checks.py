@@ -1,6 +1,10 @@
+import itertools
+
+import numpy as np
 import pytest
 
-from quantakit import checks
+from quantakit import checks, relalg
+from quantakit.relalg import FinBasis, Rel, coproduct_basis, product_basis
 
 
 @pytest.mark.parametrize("suite", list(checks.SUITES))
@@ -9,3 +13,103 @@ def test_every_check_in_the_suite_passes(suite):
     assert results and all(r.suite == suite for r in results)
     failed = [f"{r.name} -- {r.detail}" if r.detail else r.name for r in results if not r.ok]
     assert failed == []
+
+
+# Reference: the relalg suite's two loop checks before they were tested over
+# all tuples at once, kept verbatim: the same 16 relations on a 2-element
+# basis, and the library's operators on every tuple.
+
+b2 = FinBasis(("p", "q"))
+rels2 = [Rel(b2, b2, np.array(bits, dtype=bool).reshape(2, 2))
+         for bits in itertools.product([0, 1], repeat=4)]
+
+
+def ref_lub_2x2() -> bool:
+    ok = True
+    for r, s, x in itertools.product(rels2, rels2, rels2):
+        lhs = relalg.leq_injectivity(relalg.pair(r, s), x)
+        rhs = relalg.leq_injectivity(r, x) and relalg.leq_injectivity(s, x)
+        if lhs != rhs:
+            ok = False
+            break
+    return ok
+
+
+def ref_exchange_law() -> bool:
+    ok = True
+    for r, s in itertools.product(rels2, rels2):
+        for t, v in itertools.product(rels2[:8], rels2[8:]):
+            lhs = relalg.either(relalg.pair(r, s), relalg.pair(t, v))
+            rhs = relalg.pair(relalg.either(r, t), relalg.either(s, v))
+            if lhs != rhs:
+                ok = False
+    return ok
+
+
+LUB = "pairing is the least upper bound (2-element bases)"
+EXCHANGE = "exchange law (exhaustive 2-element bases)"
+_pair, _either, _kernel = relalg.pair, relalg.either, relalg.kernel
+
+
+def _pair_tgt(r: Rel, s: Rel) -> FinBasis:
+    return product_basis(r.tgt, s.tgt)
+
+
+# Broken operators that keep their types, so that every check still runs.
+BROKEN = {
+    "pair": {
+        "swapped factors": lambda r, s: Rel(r.src, _pair_tgt(r, s), _pair(s, r).entries),
+        "union instead of meet": lambda r, s: Rel(
+            r.src, _pair_tgt(r, s),
+            (r.entries[:, None, :] | s.entries[None, :, :]).reshape(len(r.tgt) * len(s.tgt), -1)),
+        "second factor ignored": lambda r, s: _pair(r, Rel(s.src, s.tgt, np.ones_like(s.entries))),
+    },
+    "either": {
+        "swapped junc blocks": lambda r, s: Rel(coproduct_basis(r.src, s.src), r.tgt, _either(s, r).entries),
+        "dropped junc block": lambda r, s: Rel(
+            coproduct_basis(r.src, s.src), r.tgt,
+            np.concatenate([r.entries, np.zeros_like(s.entries)], axis=1)),
+    },
+    "kernel": {
+        "identity": lambda r: relalg.identity(r.src),
+        "upper triangle": lambda r: Rel(r.src, r.src, np.triu(_kernel(r).entries)),
+        "off-diagonal needs two witnesses": lambda r: Rel(r.src, r.src, np.where(
+            np.eye(len(r.src), dtype=bool), _kernel(r).entries,
+            r.entries.T.astype(int) @ r.entries.astype(int) > 1)),
+    },
+}
+MUTATIONS = [(op, name) for op, named in BROKEN.items() for name in named]
+
+
+def _relalg_results() -> dict[str, checks.CheckResult]:
+    return {r.name: r for r in checks.relalg_suite()}
+
+
+def test_the_reference_loops_pass_on_the_library():
+    assert ref_lub_2x2() and ref_exchange_law()
+
+
+@pytest.mark.parametrize("op, mutation", MUTATIONS, ids=[f"{op}-{m}" for op, m in MUTATIONS])
+def test_a_law_over_all_tuples_fails_whenever_its_loop_reference_fails(monkeypatch, op, mutation):
+    """The least upper bound reads the same library kernels as its loop, so
+    the two agree; the exchange law may catch what its loop misses."""
+    monkeypatch.setattr(relalg, op, BROKEN[op][mutation])
+    results = _relalg_results()
+    assert results[LUB].ok == ref_lub_2x2()
+    assert results[EXCHANGE].ok <= ref_exchange_law()
+
+
+SPLITS_AND_JUNCS = [m for m in MUTATIONS if m[0] != "kernel"]
+
+
+@pytest.mark.parametrize("op, mutation", SPLITS_AND_JUNCS, ids=[f"{op}-{m}" for op, m in SPLITS_AND_JUNCS])
+def test_the_exchange_law_catches_every_broken_split_and_junc(monkeypatch, op, mutation):
+    monkeypatch.setattr(relalg, op, BROKEN[op][mutation])
+    assert not _relalg_results()[EXCHANGE].ok
+
+
+def test_a_failed_law_names_its_first_counterexample(monkeypatch):
+    monkeypatch.setattr(relalg, "pair", BROKEN["pair"]["union instead of meet"])
+    results = _relalg_results()
+    assert results[EXCHANGE].detail == "first counterexample r=00/00, s=00/00, t=00/00, v=10/00"
+    assert results[LUB].detail == "first counterexample r=00/00, s=00/01, x=00/01"

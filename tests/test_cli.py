@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from label_strategies import labels
-from quantakit import circuitgen, quanta, relalg, vecmonad
+from quantakit import circuitgen, cli, quanta, relalg, vecmonad
 from quantakit.cli import main
 from quantakit.gates import default_library
 
@@ -308,6 +308,33 @@ def test_an_unwritable_output_path_is_an_error_not_a_traceback(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
 
+
+
+def _outcome(argv: list[str], capsys) -> tuple[int, str, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_the_one_parser_answers_repeated_calls_as_a_fresh_parser_would(monkeypatch, capsys):
+    calls = [
+        ["run", "--step", "cnot", "--input", "([1,0],1)"],
+        ["matrix", "--step", "cnot"],  # argparse: --maxlen is required
+        ["run", "--step", "cnot", "--input", "([1,0],1)", "--format", "json"],
+        ["check", "gates", "--tol", "1"],  # argparse: check reads no --tol
+        ["run", "--step", "nope", "--input", "([],0)"],
+        ["synth", "-h"],
+        ["run", "--step", "cnot", "--input", "([1,0],1)"],
+    ]
+    cached = [_outcome(argv, capsys) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [_outcome(argv, capsys) for argv in calls] == cached
+    assert [code for code, _, _ in cached] == [0, 2, 0, 2, 1, 0, 0]
+    assert cached[0] == cached[-1]
 
 # Reference: the pinned16 route of ``synth`` before it folded by blocks, kept
 # verbatim apart from the names and the ``args`` namespace: the lazy maxlen-3

@@ -1,5 +1,6 @@
 import math
 import re
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from quantakit import gates, vecmonad
 from quantakit.gates import NOT_TABLE, cnot_table, had, lift, tgate
 from quantakit.relalg import BIT, FinBasis, pair_label, product_basis, split_pair
 from quantakit.vecmonad import (
+    PRUNE_EPS,
     AmpVec,
     CMatrix,
     KleisliOp,
@@ -321,3 +323,83 @@ class TestStructuralMapsAgainstReference:
         assert got.src == want.src
         for label in want.src:
             assert dict(got.apply(label).items()) == dict(want.apply(label).items())
+
+
+# ---------------------------------------------------------------------------
+# References: ``AmpVec.__init__`` and ``from_matrix`` before the one-pass
+# constructor and the column lists, kept verbatim apart from the names.
+
+class RefAmpVec:
+    __slots__ = ("_amps",)
+
+    def __init__(self, amps: Mapping[str, complex] | Iterable[tuple[str, complex]] = ()):
+        items = amps.items() if isinstance(amps, Mapping) else amps
+        store: dict[str, complex] = {}
+        for label, a in items:
+            a = complex(a)
+            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+                raise ValueError(f"non-finite amplitude at {label!r}")
+            if abs(a) >= PRUNE_EPS:
+                store[label] = store.get(label, 0j) + a
+        self._amps = {k: v for k, v in store.items() if abs(v) >= PRUNE_EPS}
+
+    def items(self) -> Iterable[tuple[str, complex]]:
+        return self._amps.items()
+
+
+def ref_from_matrix(m: CMatrix) -> KleisliOp:
+    """Columns of a matrix re-read as a vector-valued function."""
+
+    def apply(label: str) -> RefAmpVec:
+        j = m.src.index(label)
+        return RefAmpVec({m.tgt.labels[i]: m.entries[i, j] for i in range(len(m.tgt))})
+
+    return KleisliOp(m.src, apply)
+
+
+def _built(make, *args) -> list[tuple[str, str, str]] | str:
+    """Items in order with the exact bits of each part, or the error text."""
+    try:
+        v = make(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return [(k, a.real.hex(), a.imag.hex()) for k, a in v.items()]
+
+
+_EDGE = [0.0, -0.0, PRUNE_EPS, -PRUNE_EPS, PRUNE_EPS / 3, -PRUNE_EPS / 3, 1.0, -2.5, math.nan, math.inf, -math.inf]
+_parts = st.one_of(st.sampled_from(_EDGE), st.floats(-4, 4))
+edge_amplitudes = st.one_of(
+    st.builds(complex, _parts, _parts),
+    _parts,
+    st.integers(-2, 2),
+    st.builds(np.complex128, st.builds(complex, _parts, _parts)),
+)
+_near_zero = st.sampled_from([0.0, PRUNE_EPS / 4, -PRUNE_EPS / 2, 1j * PRUNE_EPS / 2, 2 * PRUNE_EPS])
+
+
+@st.composite
+def amplitude_pairs(draw) -> list[tuple[str, complex]]:
+    """(label, amplitude) pairs over three labels, so that labels repeat,
+    with near-cancelling partners for some of them."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from("abc"), edge_amplitudes), max_size=8))
+    if pairs:
+        for label, a in draw(st.lists(st.sampled_from(pairs), max_size=3)):
+            pairs.append((label, -complex(a) + draw(_near_zero)))
+    return draw(st.permutations(pairs))
+
+
+class TestAgainstReferenceConstructors:
+    @settings(max_examples=400, deadline=None)
+    @given(pairs=amplitude_pairs(), form=st.sampled_from([dict, list, iter]))
+    def test_ampvec_keeps_items_order_sign_bits_and_errors(self, pairs, form):
+        assert _built(AmpVec, form(pairs)) == _built(RefAmpVec, form(pairs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), src=bases(), tgt=bases())
+    def test_from_matrix_columns_match(self, data, src, tgt):
+        cells = st.lists(st.builds(complex, _parts, _parts), min_size=len(tgt), max_size=len(tgt))
+        cols = data.draw(st.lists(cells, min_size=len(src), max_size=len(src)))
+        m = CMatrix(src, tgt, np.array(cols, dtype=complex).T)
+        got, want = from_matrix(m), ref_from_matrix(m)
+        for label in src:
+            assert _built(got.apply, label) == _built(want.apply, label)
