@@ -476,8 +476,7 @@ def circuitgen_suite() -> list[CheckResult]:
     lib = gates.default_library()
 
     cnot4 = lib.matrix("cnot")
-    enc4 = circuitgen.Encoding(cnot4.src)
-    circ4 = circuitgen.synth_permutation(cnot4, enc4)
+    circ4 = circuitgen.synth_permutation(cnot4)
     ok = circ4.gates == (circuitgen.Gate("cx", (0, 1)),)
     out.append(_result("circuitgen", "the 2-bit controlled-not compiles to one cx", ok))
 
@@ -492,7 +491,7 @@ def circuitgen_suite() -> list[CheckResult]:
         cases.append(vecmonad.CMatrix(basis, basis, m))
     for m in cases:
         enc = circuitgen.Encoding(m.src)
-        circ = circuitgen.synth_permutation(m, enc)
+        circ = circuitgen.synth_permutation(m)
         for j, label in enumerate(m.src):
             got = circuitgen.simulate(circ, enc.bits_of(label))
             expect = enc.bits_of(m.tgt.labels[int(np.argmax(np.abs(m.entries[:, j])))])
@@ -524,7 +523,7 @@ def circuitgen_suite() -> list[CheckResult]:
         gs = []
         for _ in range(12):
             kind = ["x", "cx", "ccx", "h"][int(rng.integers(4))]
-            qubits = tuple(int(q) for q in rng.choice(n, size={"x": 1, "h": 1, "cx": 2, "ccx": 3}[kind], replace=False))
+            qubits = tuple(int(q) for q in rng.choice(n, size=circuitgen.GATES[kind][1], replace=False))
             gs.append(circuitgen.Gate(kind, qubits))
         gs = gs + gs[::-1]
         circ = circuitgen.Circuit(n, 0, tuple(gs))
@@ -536,7 +535,7 @@ def circuitgen_suite() -> list[CheckResult]:
             ok &= vecmonad.vec_equal(a, b, tol=1e-9)
     out.append(_result("circuitgen", "peephole cancellation preserves semantics", ok))
 
-    circ = circuitgen.synth_permutation(cnot4, enc4)
+    circ = circuitgen.synth_permutation(cnot4)
     text = circuitgen.export_qasm(circ)
     ok = circuitgen.parse_qasm(text).gates == circ.gates
     out.append(_result("circuitgen", "exported QASM parses back to the same gates", ok))
@@ -547,7 +546,7 @@ def circuitgen_suite() -> list[CheckResult]:
         gs = []
         for _ in range(6):
             kind = ["x", "cx", "h", "t"][int(rng.integers(4))]
-            qubits = tuple(int(q) for q in rng.choice(2, size={"x": 1, "h": 1, "t": 1, "cx": 2}[kind], replace=False))
+            qubits = tuple(int(q) for q in rng.choice(2, size=circuitgen.GATES[kind][1], replace=False))
             gs.append(circuitgen.Gate(kind, qubits))
         circ = circuitgen.Circuit(2, 0, tuple(gs))
         v = _random_vec(rng, basis)
@@ -581,12 +580,10 @@ def _dense_circuit_matrix(c: "circuitgen.Circuit") -> np.ndarray:
             mat = np.zeros((dim, dim), dtype=np.complex128)
             for i in range(dim):
                 bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
-                fire = all(bits[q] for q in g.qubits[:-1]) if g.name in ("cx", "ccx") else all(
-                    bits[q] == p for q, p in zip(g.qubits[:-1], g.ctrl_state)
-                )
+                fire = all(bits[q] for q in g.qubits[:-1])
                 j = i ^ (1 << (n - 1 - g.qubits[-1])) if fire else i
                 mat[j, i] = 1.0
-            if g.name not in ("cx", "ccx", "mcx"):
+            if g.name not in ("cx", "ccx"):
                 raise ValueError(g.name)
         total = mat @ total
     return total

@@ -3,15 +3,16 @@
 A permutation matrix over a 2^k basis is decomposed into transpositions
 of encoded bit-strings; each transposition is realized as a Gray-code
 chain of multi-controlled X gates (with positive and negative controls),
-and every multi-controlled X is lowered to Toffoli gates through a
-compute/uncompute ladder over ancilla qubits, which are always returned
-to zero.  Each distinct MCX is lowered once per synthesis, and a
-synthesized circuit shares one ``Gate`` instance per distinct gate: QASM
-export formats and ``Circuit.ops`` decodes each distinct gate once, and
-the depth sweep builds nothing per position.  Circuits export to
-OpenQASM 2.0 and simulate on integer basis indices: classical circuits
-(X/CX/CCX/MCX only) on one basis input by bitmask, any circuit on a ket
-by a dense statevector of at most ``MAX_STATE_QUBITS`` qubits.
+and every multi-controlled X is lowered at synthesis time to x/cx/ccx
+through a compute/uncompute ladder over ancillas, which are always
+returned to zero.  So the circuit IR holds only the ``qelib1.inc`` gates
+of ``GATES``, every control positive.  Each distinct MCX is lowered once
+per synthesis, and a circuit shares one ``Gate`` instance per distinct
+gate: QASM export and ``Circuit.ops`` handle each distinct gate once.
+Circuits export to OpenQASM 2.0 and simulate on integer basis indices:
+classical circuits (x/cx/ccx only) on one basis input by bitmask, any
+circuit on a ket by a dense statevector of at most ``MAX_STATE_QUBITS``
+qubits.
 """
 from __future__ import annotations
 
@@ -23,9 +24,10 @@ from functools import cached_property
 import numpy as np
 
 from .relalg import FinBasis, SizeLimitError
-from .vecmonad import AmpVec, CMatrix
+from .vecmonad import DEFAULT_TOL, AmpVec, CMatrix
 
 __all__ = [
+    "GATES",
     "MAX_STATE_QUBITS",
     "AncillaError",
     "Circuit",
@@ -51,9 +53,16 @@ MAX_STATE_QUBITS = 20
 """Largest data plus ancilla qubit count ``simulate_state`` accepts: its
 dense statevector takes 16 * 2^n bytes (16 MiB at the cap)."""
 
-Op = tuple[str, int, int, int]
-"""A decoded gate: (kind, control mask, control value, target mask), where
-kind is "x" for every controlled X (x/cx/ccx/mcx) or "h", "t", "tdg"."""
+GATES: dict[str, tuple[str, int]] = {
+    "x": ("x", 1), "cx": ("x", 2), "ccx": ("x", 3), "h": ("h", 1), "t": ("t", 1), "tdg": ("tdg", 1),
+}
+"""The gate set: each IR kind, as named in ``qelib1.inc``, maps to its
+action on the target qubit and its qubit count.  Every qubit but the last
+is a control that fires on 1."""
+
+Op = tuple[str, int, int]
+"""A decoded gate: (action, control mask, target mask), the action being
+that of ``GATES``; the target is acted on where every control bit is set."""
 
 
 class NonPermutationError(ValueError):
@@ -87,30 +96,17 @@ class Encoding:
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate; qubits list controls first, target last.
-
-    ``ctrl_state`` gives one polarity bit per control for ``mcx`` (1 fires
-    on a set control); plain cx/ccx controls are implicitly positive.
-    """
+    """One gate of ``GATES``; qubits list controls first, target last."""
 
     name: str
     qubits: tuple[int, ...]
-    ctrl_state: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        arity = {"x": 1, "h": 1, "t": 1, "tdg": 1, "cx": 2, "ccx": 3}
-        if self.name in arity:
-            if len(self.qubits) != arity[self.name]:
-                raise ValueError(f"{self.name} takes {arity[self.name]} qubits")
-            if self.ctrl_state:
-                raise ValueError(f"{self.name} does not carry a polarity list")
-        elif self.name == "mcx":
-            if len(self.qubits) < 2:
-                raise ValueError("mcx needs at least one control and a target")
-            if len(self.ctrl_state) != len(self.qubits) - 1:
-                raise ValueError("mcx polarity list must match control count")
-        else:
+        if self.name not in GATES:
             raise ValueError(f"unknown gate kind {self.name!r}")
+        arity = GATES[self.name][1]
+        if len(self.qubits) != arity:
+            raise ValueError(f"{self.name} takes {arity} qubits")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
 
@@ -153,7 +149,7 @@ class Circuit:
 
     @cached_property
     def _view_ops(self) -> tuple[tuple[str, tuple, tuple], ...]:
-        """``ops`` as (kind, first, second), the index tuples of ``_view_index``
+        """``ops`` as (action, first, second), the index tuples of ``_view_index``
         into the (2,)*n view of a statevector; built once per distinct op."""
         n = self.total_qubits
         built: dict[Op, tuple[str, tuple, tuple]] = {}
@@ -168,13 +164,8 @@ class Circuit:
 
 def _decode(g: Gate, n: int) -> Op:
     *controls, target = g.qubits
-    polarity = g.ctrl_state or (1,) * len(controls)
-    cmask = cval = 0
-    for q, pol in zip(controls, polarity):
-        cmask |= 1 << (n - 1 - q)
-        cval |= pol << (n - 1 - q)
-    kind = "x" if g.name in ("x", "cx", "ccx", "mcx") else g.name
-    return kind, cmask, cval, 1 << (n - 1 - target)
+    cmask = sum(1 << (n - 1 - q) for q in controls)  # the qubits are distinct
+    return GATES[g.name][0], cmask, 1 << (n - 1 - target)
 
 
 @dataclass(frozen=True)
@@ -225,7 +216,7 @@ def decompose_mcx(
 # ---------------------------------------------------------------------------
 # Permutation synthesis
 
-def _permutation_of(m: CMatrix, tol: float = 1e-9) -> list[int]:
+def _permutation_of(m: CMatrix, tol: float = DEFAULT_TOL) -> list[int]:
     rows, cols = m.entries.shape
     if rows != cols:
         raise NonPermutationError("matrix is not square")
@@ -283,24 +274,24 @@ def _gray_chain(u: int, v: int, width: int) -> list[tuple[int, int]]:
     return ups + ups[:-1][::-1]
 
 
-def synth_permutation(m: CMatrix, enc: Encoding, tol: float = 1e-9) -> Circuit:
+def synth_permutation(m: CMatrix, tol: float = DEFAULT_TOL) -> Circuit:
     """Circuit over data qubits (plus ancillas) realizing a permutation matrix,
-    to within ``tol``, on the encoded computational basis.
+    to within ``tol``, on the computational basis of ``Encoding(m.src)``;
+    the matrix must map that basis to itself.
 
-    Each distinct Gray-chain MCX is lowered once per call, and the circuit
-    holds one shared ``Gate`` per distinct gate: ``export_qasm`` formats
+    Each distinct Gray-chain MCX is lowered once per call, and ``peephole``
+    leaves one shared ``Gate`` per distinct gate: ``export_qasm`` formats
     and ``Circuit.ops`` decodes each distinct gate once, and the depth
     sweep of ``metrics`` builds nothing per position.
     """
-    if m.src != enc.basis or m.tgt != enc.basis:
+    width = Encoding(m.src).width
+    if m.tgt != m.src:
         raise ValueError("matrix bases must match the encoding basis")
     perm = _permutation_of(m, tol)
-    width = enc.width
 
     swaps = [s for u, v in _transpositions(perm) for s in _gray_chain(u, v, width)]
     need = max(0, width - 3) if swaps else 0
     ancillas = tuple(range(width, width + need))
-    shared: dict[Gate, Gate] = {}
     lowered_of: dict[tuple[int, int], tuple[Gate, ...]] = {}
     lowered: list[Gate] = []
     for swap in swaps:
@@ -310,15 +301,14 @@ def synth_permutation(m: CMatrix, enc: Encoding, tol: float = 1e-9) -> Circuit:
             controls = tuple(
                 (q, (state >> (width - 1 - q)) & 1) for q in range(width) if q != target
             )
-            seq = lowered_of[swap] = tuple(
-                shared.setdefault(g, g) for g in decompose_mcx(controls, target, ancillas)
-            )
+            seq = lowered_of[swap] = decompose_mcx(controls, target, ancillas)
         lowered.extend(seq)
     return peephole(Circuit(width, need, tuple(lowered)))
 
 
 def peephole(c: Circuit) -> Circuit:
-    """Cancel adjacent identical self-inverse gates, in one pass on a stack.
+    """Cancel adjacent identical self-inverse gates (action x or h), in one
+    pass on a stack.
 
     A gate cancels the top of the stack when the two are equal, so pairs
     that meet only after an inner pair cancels go too: the result is the
@@ -334,7 +324,7 @@ def peephole(c: Circuit) -> Circuit:
         s = shared_of.get(id(g))
         if s is None:
             s = shared_of[id(g)] = shared.setdefault(g, g)
-        if out and out[-1] is s and s.name in ("x", "cx", "ccx", "h"):
+        if out and out[-1] is s and GATES[s.name][0] in ("x", "h"):
             out.pop()
         else:
             out.append(s)
@@ -354,26 +344,26 @@ def _label(i: int, width: int) -> str:
     return format(i | (1 << width), "b")[1:]
 
 
-def simulate(c: Circuit, input_bits: str, tol: float = 1e-9) -> str:
+def simulate(c: Circuit, input_bits: str) -> str:
     """Run a circuit on one computational-basis input.
 
-    A classical circuit (x/cx/ccx/mcx only) folds its gate masks over one
+    A classical circuit (x/cx/ccx only) folds its gate masks over one
     integer basis index; any other circuit goes through ``simulate_state``
-    and must collapse to a single basis state.  Ancillas start at zero and
-    must return to zero.
+    and must collapse to a single basis state, to within ``DEFAULT_TOL``.
+    Ancillas start at zero and must return to zero.
     """
     if len(input_bits) != c.data_qubits or set(input_bits) - {"0", "1"}:
         raise ValueError(f"input must be {c.data_qubits} bits")
     if not c.is_classical():
-        out = simulate_state(c, AmpVec({input_bits: 1.0}), tol=tol)
-        states = [(lbl, a) for lbl, a in out.items() if abs(a) > tol]
-        if len(states) != 1 or abs(abs(states[0][1]) - 1.0) > tol:
+        out = simulate_state(c, AmpVec({input_bits: 1.0}))
+        states = [(lbl, a) for lbl, a in out.items() if abs(a) > DEFAULT_TOL]
+        if len(states) != 1 or abs(abs(states[0][1]) - 1.0) > DEFAULT_TOL:
             raise ValueError("output is not a computational basis state")
         return states[0][0]
     anc = c.ancilla_qubits
     s = int(input_bits or "0", 2) << anc
-    for _, cmask, cval, tmask in c.ops:
-        if s & cmask == cval:
+    for _, cmask, tmask in c.ops:
+        if s & cmask == cmask:
             s ^= tmask
     if s & ((1 << anc) - 1):
         raise AncillaError(f"ancillas left dirty on input {input_bits}")
@@ -382,30 +372,28 @@ def simulate(c: Circuit, input_bits: str, tol: float = 1e-9) -> str:
 
 def _view_index(op: Op, n: int) -> tuple[tuple[int | slice, ...], tuple[int | slice, ...]]:
     """Two index tuples into the (2,)*n view of a state, selecting the
-    amplitudes whose controls match.  For a controlled X they take the
-    target axis forwards and reversed; for H and T they fix it at 0 and 1."""
-    kind, cmask, cval, tmask = op
-    idx: list[int | slice] = []
-    for q in range(n):
-        bit = 1 << (n - 1 - q)
-        idx.append(int(bool(cval & bit)) if cmask & bit else slice(None))
+    amplitudes whose controls are all 1.  For action x they take the
+    target axis forwards and reversed; for any other action they fix it at
+    0 and 1."""
+    action, cmask, tmask = op
+    idx: list[int | slice] = [1 if cmask >> (n - 1 - q) & 1 else slice(None) for q in range(n)]
     t = n - tmask.bit_length()
     out = []
-    for end in (slice(None), slice(None, None, -1)) if kind == "x" else (0, 1):
+    for end in (slice(None), slice(None, None, -1)) if action == "x" else (0, 1):
         idx[t] = end
         out.append(tuple(idx))
     return out[0], out[1]
 
 
-def simulate_state(c: Circuit, v: AmpVec, tol: float = 1e-9) -> AmpVec:
+def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     """Statevector action on a ket over data-qubit bit-strings.
 
     The state is a dense complex128 vector over all 2^n basis indices of
     the n data and ancilla qubits (qubit q at bit n-1-q), so circuits are
     capped at ``MAX_STATE_QUBITS`` qubits.  Controlled X gates swap the
     amplitudes their masks select, and H and T/Tdg act on one axis of a
-    (2,)*n view.  Amplitudes at or below ``tol`` are dropped from the
-    result; any other amplitude on a set ancilla raises ``AncillaError``.
+    (2,)*n view.  Amplitudes at or below ``DEFAULT_TOL`` are dropped from
+    the result; any other amplitude on a set ancilla raises ``AncillaError``.
     """
     n, anc = c.total_qubits, c.ancilla_qubits
     if n > MAX_STATE_QUBITS:
@@ -419,16 +407,16 @@ def simulate_state(c: Circuit, v: AmpVec, tol: float = 1e-9) -> AmpVec:
     for label, a in v.items():
         psi[int(label or "0", 2) << anc] = a
     view = psi.reshape((2,) * n)
-    for kind, first, second in c._view_ops:
-        if kind == "x":
+    for action, first, second in c._view_ops:
+        if action == "x":
             view[first] = view[second]
-        elif kind == "h":
+        elif action == "h":
             zero, one = view[first], view[second]
             view[first], view[second] = (zero + one) * _SQRT2_INV, (zero - one) * _SQRT2_INV
         else:
-            view[second] *= _PHASE[kind]
+            view[second] *= _PHASE[action]
 
-    nonzero = np.flatnonzero(np.abs(psi) > tol)
+    nonzero = np.flatnonzero(np.abs(psi) > DEFAULT_TOL)
     if np.any(nonzero & ((1 << anc) - 1)):
         raise AncillaError("synthesis bug: amplitude on a dirty ancilla")
     d = c.data_qubits
@@ -463,7 +451,7 @@ def _qref(c: Circuit, q: int) -> str:
 
 
 def export_qasm(c: Circuit) -> str:
-    """OpenQASM 2.0 text; multi-controlled gates must be lowered first."""
+    """OpenQASM 2.0 text over ``qelib1.inc`` gates."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.data_qubits}];"]
     if c.ancilla_qubits:
         lines.append(f"qreg anc[{c.ancilla_qubits}];")
@@ -471,8 +459,6 @@ def export_qasm(c: Circuit) -> str:
     for g in c.gates:
         line = line_of.get(id(g))
         if line is None:
-            if g.name == "mcx":
-                raise ValueError("lower mcx gates with decompose_mcx before export")
             refs = ",".join(_qref(c, q) for q in g.qubits)
             line = line_of[id(g)] = f"{g.name} {refs};"
         lines.append(line)
@@ -480,7 +466,7 @@ def export_qasm(c: Circuit) -> str:
 
 
 _QASM_QREG = re.compile(r"qreg\s+(q|anc)\[(\d+)\];")
-_QASM_GATE = re.compile(r"^(x|h|t|tdg|cx|ccx)\s+(.+);$")
+_QASM_GATE = re.compile(rf"^({'|'.join(GATES)})\s+(.+);$")
 _QASM_REF = re.compile(r"^(q|anc)\[(\d+)\]$")
 
 

@@ -144,7 +144,7 @@ def _synth_matrix(args: argparse.Namespace) -> vecmonad.CMatrix:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     m = _synth_matrix(args)
-    circ = circuitgen.synth_permutation(m, circuitgen.Encoding(m.src), args.tol)
+    circ = circuitgen.synth_permutation(m, args.tol)
     if args.qasm is not None:
         _write(circuitgen.export_qasm(circ), args.qasm)
     _write(circuitgen.metrics(circ).to_json() + "\n", args.out)
@@ -168,14 +168,16 @@ def cmd_check(args: argparse.Namespace) -> int:
         by_suite.setdefault(r.suite, []).append(r)
     failed = [r for r in results if not r.ok]
     if args.format == "json":
-        doc = {
-            suite: {
+        doc = {}
+        for suite, rs in by_suite.items():
+            doc[suite] = {
                 "passed": sum(r.ok for r in rs),
                 "total": len(rs),
                 "failures": [r.name for r in rs if not r.ok],
             }
-            for suite, rs in by_suite.items()
-        }
+            details = {r.name: r.detail for r in rs if r.detail}  # only failures carry one
+            if details:
+                doc[suite]["details"] = details
         _write(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = []
@@ -200,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "format" in names:
             sp.add_argument("--format", choices=("text", "json"), default="text")
         if "tol" in names:
-            sp.add_argument("--tol", type=float, default=1e-9)
+            sp.add_argument("--tol", type=float, default=vecmonad.DEFAULT_TOL)
 
     sp = sub.add_parser("matrix", help="materialize the fold of a gate over a truncated list basis")
     sp.add_argument("--step", required=True)

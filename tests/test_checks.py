@@ -1,9 +1,11 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from quantakit import checks, relalg
+from quantakit.cli import main
 from quantakit.relalg import FinBasis, Rel, coproduct_basis, product_basis
 
 
@@ -113,3 +115,17 @@ def test_a_failed_law_names_its_first_counterexample(monkeypatch):
     results = _relalg_results()
     assert results[EXCHANGE].detail == "first counterexample r=00/00, s=00/00, t=00/00, v=10/00"
     assert results[LUB].detail == "first counterexample r=00/00, s=00/01, x=00/01"
+
+
+def test_json_keeps_the_counterexamples_the_text_prints(monkeypatch, capsys):
+    assert main(["check", "gates", "--format", "json"]) == 0
+    assert "details" not in json.loads(capsys.readouterr().out)["gates"]
+    monkeypatch.setattr(relalg, "pair", BROKEN["pair"]["union instead of meet"])
+    assert main(["check", "relalg"]) == 1
+    text = capsys.readouterr().out
+    assert main(["check", "relalg", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)["relalg"]
+    named = [line for line in text.splitlines() if " -- " in line]
+    assert [f"  [FAIL] {n} -- {d}" for n, d in doc["details"].items()] == named
+    assert set(doc["details"]) <= set(doc["failures"])
+    assert doc["details"][EXCHANGE] == "first counterexample r=00/00, s=00/00, t=00/00, v=10/00"

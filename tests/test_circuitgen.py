@@ -1,4 +1,5 @@
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -138,16 +139,16 @@ def ref_simulate_state(c: Circuit, v: AmpVec, tol: float = 1e-9) -> AmpVec:
 # Strategies
 
 ARITY = {"x": 1, "h": 1, "t": 1, "tdg": 1, "cx": 2, "ccx": 3}
-CLASSICAL = ("x", "cx", "ccx", "mcx", "lowered-mcx")
+CLASSICAL = ("x", "cx", "ccx", "lowered-mcx")
 QUANTUM = CLASSICAL + ("h", "t", "tdg")
 
 
 @st.composite
 def circuits(draw, kinds=QUANTUM, max_gates=12):
     """Circuits of at most 6 qubits.  MCX gates have mixed polarities and
-    are kept whole or lowered onto the ancillas; the other gates act on
-    the data qubits only, or in half the circuits on any qubit, which can
-    leave an ancilla dirty."""
+    are lowered onto the ancillas; the other gates act on the data qubits
+    only, or in half the circuits on any qubit, which can leave an ancilla
+    dirty."""
     total = draw(st.integers(1, 6))
     data = draw(st.integers(1, total))
     ancillas = tuple(range(data, total))
@@ -155,15 +156,12 @@ def circuits(draw, kinds=QUANTUM, max_gates=12):
     out: list[Gate] = []
     for _ in range(draw(st.integers(0, max_gates))):
         kind = draw(st.sampled_from(kinds))
-        if kind in ("mcx", "lowered-mcx"):
-            width = pool if kind == "mcx" else data
-            if width < 2:
+        if kind == "lowered-mcx":
+            if data < 2:
                 continue
-            qs = draw(st.permutations(range(width)))[: draw(st.integers(2, width))]
+            qs = draw(st.permutations(range(data)))[: draw(st.integers(2, data))]
             pols = tuple(draw(st.integers(0, 1)) for _ in qs[:-1])
-            if kind == "mcx":
-                out.append(Gate("mcx", tuple(qs), pols))
-            elif len(qs) - 3 <= len(ancillas):
+            if len(qs) - 3 <= len(ancillas):
                 out.extend(decompose_mcx(tuple(zip(qs[:-1], pols)), qs[-1], ancillas))
         elif ARITY[kind] <= pool:
             qs = draw(st.permutations(range(pool)))[: ARITY[kind]]
@@ -285,7 +283,7 @@ class TestQubitCap:
 class TestPinnedReferences:
     def test_single_cx_golden(self, capsys):
         cnot = gates.default_library().matrix("cnot")
-        circ = synth_permutation(cnot, Encoding(cnot.src))
+        circ = synth_permutation(cnot)
         golden = (GOLDENS / "single_cx.qasm").read_text()
         assert export_qasm(circ) == golden
         assert parse_qasm(golden).gates == circ.gates
@@ -344,7 +342,7 @@ def ref_peephole(c: Circuit) -> Circuit:
 _WORD_POOL = (
     Gate("x", (0,)), Gate("x", (1,)), Gate("h", (0,)), Gate("h", (2,)),
     Gate("cx", (0, 1)), Gate("cx", (1, 0)), Gate("ccx", (0, 1, 2)),
-    Gate("t", (0,)), Gate("tdg", (0,)), Gate("mcx", (0, 1, 2), (0, 1)),
+    Gate("t", (0,)), Gate("tdg", (0,)),
 )
 _SELF_INVERSE = tuple(g for g in _WORD_POOL if g.name in ("x", "cx", "ccx", "h"))
 
@@ -352,12 +350,12 @@ _SELF_INVERSE = tuple(g for g in _WORD_POOL if g.name in ("x", "cx", "ccx", "h")
 @st.composite
 def words(draw):
     """Gate words over three qubits with nested cancelling pairs planted
-    into them, and t, tdg and mcx gates that block some of the pairs.
+    into them, and t and tdg gates that block some of the pairs.
     Each gate is either a pool instance or a fresh equal copy, so some
     cancelling pairs are one shared object and some are two."""
 
     def planted(g: Gate) -> Gate:
-        return Gate(g.name, g.qubits, g.ctrl_state) if draw(st.booleans()) else g
+        return Gate(g.name, g.qubits) if draw(st.booleans()) else g
 
     word = [planted(g) for g in draw(st.lists(st.sampled_from(_WORD_POOL), max_size=20))]
     for _ in range(draw(st.integers(0, 4))):
@@ -375,9 +373,8 @@ class TestPeephole:
 
     def test_nested_pairs_cancel_and_blockers_stay(self):
         x0, cx, t = Gate("x", (0,)), Gate("cx", (0, 1)), Gate("t", (0,))
-        mcx = Gate("mcx", (0, 1), (0,))
-        c = Circuit(2, 0, (x0, cx, cx, x0, t, t, mcx, mcx, x0, t, x0))
-        assert peephole(c).gates == (t, t, mcx, mcx, x0, t, x0)
+        c = Circuit(2, 0, (x0, cx, cx, x0, t, t, x0, t, x0))
+        assert peephole(c).gates == (t, t, x0, t, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +424,16 @@ def ref_transpositions(perm: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def ref_adjacent_swap_mcx(u: int, v: int, width: int) -> Gate:
+class RefMcx(NamedTuple):
+    """An MCX as the reference route named it: qubits list controls first,
+    target last, with one polarity bit per control (1 fires on a set
+    control).  The circuit IR has no such gate, so it lives here."""
+
+    qubits: tuple[int, ...]
+    ctrl_state: tuple[int, ...]
+
+
+def ref_adjacent_swap_mcx(u: int, v: int, width: int) -> RefMcx:
     """MCX swapping two states at Hamming distance one (bit 0 = leftmost)."""
     diff = u ^ v
     target = width - diff.bit_length()
@@ -438,7 +444,7 @@ def ref_adjacent_swap_mcx(u: int, v: int, width: int) -> Gate:
             continue
         controls.append(q)
         state.append((u >> (width - 1 - q)) & 1)
-    return Gate("mcx", tuple(controls) + (target,), tuple(state))
+    return RefMcx(tuple(controls) + (target,), tuple(state))
 
 
 def ref_gray_chain(u: int, v: int, width: int) -> list[Gate]:
@@ -547,15 +553,8 @@ class TestSynthesisAgainstReference:
     @given(power_of_two_permutations())
     def test_same_circuit_qasm_and_metrics_on_shared_gates(self, perm):
         m = perm_matrix(perm)
-        got = synth_permutation(m, Encoding(m.src))
+        got = synth_permutation(m)
         assert len({id(g) for g in got.gates}) == len(set(got.gates))
-        if len(perm) == 2 and perm[0] == 1:
-            # The reference named a one-qubit swap as an MCX without
-            # controls, which Gate refuses; it is one x gate.
-            with pytest.raises(ValueError, match="at least one control"):
-                ref_synth_permutation(m, Encoding(m.src))
-            assert got == Circuit(1, 0, (Gate("x", (0,)),))
-            return
         want = ref_synth_permutation(m, Encoding(m.src))
         assert got == want
         assert export_qasm(got) == ref_export_qasm(want)
@@ -577,7 +576,7 @@ class TestSynthesisAgainstReference:
             for u, v in ref_transpositions(perm)
             for g in ref_gray_chain(u, v, width)
         }
-        synth_permutation(m, Encoding(m.src))
+        synth_permutation(m)
         assert len(calls) == len(set(calls)) == len(distinct)
 
     @settings(max_examples=300, deadline=None)
@@ -647,11 +646,12 @@ class TestQasm:
         assert c.gates[0] is c.gates[2] is c.gates[4]
         assert c.gates[1] is c.gates[3] is c.gates[5]
 
-    def test_export_refuses_mcx(self):
-        x0 = Gate("x", (0,))
-        c = Circuit(2, 0, (x0, x0, Gate("mcx", (0, 1), (0,)), x0))
-        with pytest.raises(ValueError, match="lower mcx gates with decompose_mcx before export"):
-            export_qasm(c)
+    @pytest.mark.parametrize("kind", list(ARITY))
+    def test_every_gate_kind_round_trips(self, kind):
+        c = Circuit(2, 1, (Gate(kind, tuple(range(ARITY[kind]))[::-1]),))
+        text = export_qasm(c)
+        assert parse_qasm(text) == c
+        assert export_qasm(parse_qasm(text)) == text
 
     def test_comments_and_blank_lines_are_skipped(self):
         c = parse_qasm('OPENQASM 2.0;\n// note\n\ninclude "qelib1.inc";\nqreg q[1];\nx q[0];\n')
@@ -667,6 +667,8 @@ class TestQasm:
             ("qreg q[2];\nqreg anc[1];\nqreg anc[1];", "register anc declared twice"),
             ("x q[0];\nqreg q[1];", "gate before qreg"),
             ("qreg q[1];\ny q[0];", "unsupported QASM line"),
+            ("qreg q[2];\nch q[0],q[1];", "unsupported QASM line"),
+            ("qreg q[2];\nmcx q[0],q[1];", "unsupported QASM line"),
         ],
     )
     def test_bad_registers_fail_with_a_named_error(self, tmp_path, capsys, body, named):
@@ -683,6 +685,14 @@ class TestQasm:
         assert capsys.readouterr().out == "11\n"
 
 
+def test_the_gate_table_names_every_kind_and_nothing_else():
+    assert {kind: arity for kind, (_, arity) in circuitgen.GATES.items()} == ARITY
+    with pytest.raises(ValueError, match="unknown gate kind 'mcx'"):
+        Gate("mcx", (0, 1))
+    with pytest.raises(ValueError, match="ccx takes 3 qubits"):
+        Gate("ccx", (0, 1))
+
+
 def test_circuit_rejects_out_of_range_qubits_on_every_gate():
     g = Gate("x", (0,))
     with pytest.raises(ValueError, match="out of range"):
@@ -693,14 +703,12 @@ def test_ops_are_bitmasks_with_qubit_zero_leftmost():
     c = Circuit(3, 1, (
         Gate("x", (0,)),
         Gate("ccx", (0, 2, 3)),
-        Gate("mcx", (3, 1, 0), (0, 1)),
         Gate("h", (2,)),
         Gate("tdg", (1,)),
     ))
     assert c.ops == (
-        ("x", 0, 0, 0b1000),
-        ("x", 0b1010, 0b1010, 0b0001),
-        ("x", 0b0101, 0b0100, 0b1000),
-        ("h", 0, 0, 0b0010),
-        ("tdg", 0, 0, 0b0100),
+        ("x", 0, 0b1000),
+        ("x", 0b1010, 0b0001),
+        ("h", 0, 0b0010),
+        ("tdg", 0, 0b0100),
     )

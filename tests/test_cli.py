@@ -250,6 +250,28 @@ def test_synth_swaps_two_states_with_one_x(tmp_path, capsys):
     )
 
 
+def test_synth_refuses_a_dump_whose_rows_reorder_its_header(tmp_path, capsys):
+    dump = tmp_path / "reordered.txt"
+    dump.write_text("s0 s1\ns1: 0+0i 1+0i\ns0: 1+0i 0+0i\n")
+    assert main(["synth", "--matrix-file", str(dump)]) == 1
+    assert capsys.readouterr() == ("", "error: matrix bases must match the encoding basis\n")
+
+
+@pytest.mark.parametrize(
+    "body, bits, out, err",
+    [
+        ("h q[0];\n", "0", "", "error: output is not a computational basis state\n"),
+        ("h q[0];\nh q[0];\n", "1", "1\n", ""),
+    ],
+    ids=["superposition", "h-twice"],
+)
+def test_simulate_collapses_a_quantum_circuit_to_one_basis_state(tmp_path, capsys, body, bits, out, err):
+    path = tmp_path / "h.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n' + body)
+    assert main(["simulate", str(path), bits]) == (1 if err else 0)
+    assert capsys.readouterr() == (out, err)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -374,8 +396,7 @@ def ref_synth_pinned16(step: str, qasm_out: bool, tol: float = 1e-9) -> tuple[st
     ``--qasm -`` when ``qasm_out``."""
     try:
         m = ref_pinned16_matrix(step, tol)
-        enc = circuitgen.Encoding(m.src)
-        circ = circuitgen.synth_permutation(m, enc, tol)
+        circ = circuitgen.synth_permutation(m, tol)
     except (OSError, KeyError, ValueError, circuitgen.NonPermutationError) as exc:
         return "", f"error: {exc}\n"
     qasm = circuitgen.export_qasm(circ)
