@@ -393,7 +393,8 @@ def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     capped at ``MAX_STATE_QUBITS`` qubits.  Controlled X gates swap the
     amplitudes their masks select, and H and T/Tdg act on one axis of a
     (2,)*n view.  Amplitudes at or below ``DEFAULT_TOL`` are dropped from
-    the result; any other amplitude on a set ancilla raises ``AncillaError``.
+    the result; any other amplitude on a set ancilla raises ``AncillaError``,
+    which names the first such basis state.
     """
     n, anc = c.total_qubits, c.ancilla_qubits
     if n > MAX_STATE_QUBITS:
@@ -417,9 +418,12 @@ def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
             view[second] *= _PHASE[action]
 
     nonzero = np.flatnonzero(np.abs(psi) > DEFAULT_TOL)
-    if np.any(nonzero & ((1 << anc) - 1)):
-        raise AncillaError("synthesis bug: amplitude on a dirty ancilla")
-    d = c.data_qubits
+    d, mask = c.data_qubits, (1 << anc) - 1
+    dirty = nonzero[(nonzero & mask) != 0]
+    if len(dirty):
+        i = int(dirty[0])
+        data, ancillas = _label(i >> anc, d), _label(i & mask, anc)
+        raise AncillaError(f"ancillas left dirty: amplitude on data {data}, ancillas {ancillas}")
     return AmpVec(zip((_label(i >> anc, d) for i in nonzero.tolist()), psi[nonzero].tolist()))
 
 

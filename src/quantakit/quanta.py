@@ -21,6 +21,10 @@ dropping amplitudes below ``PRUNE_EPS`` after each.  A step enters as a
 ad-hoc ``KleisliOp`` with ``step_shape``.  Other labels are parsed and
 printed only at the edges: ``ListBasis``, the state label of
 ``run_quanta`` and the kets and matrices that the entry points return.
+Both print a list label from two half tables, the first n//2 items and
+the rest, each filled from the half codes that occur: each distinct half
+is printed once, and each label is one join, so printing a ket costs in
+proportion to its support, not to its states times their items.
 """
 from __future__ import annotations
 
@@ -113,6 +117,22 @@ def _list_label(n: int, code: int, labels: tuple[str, ...]) -> str:
     return list_label(xs)
 
 
+def _half_tables(
+    n: int, codes: np.ndarray, labels: tuple[str, ...]
+) -> tuple[list[int], list[int], dict[int, str], dict[int, str]]:
+    """Split the codes of length-n lists into (low, high) half codes, the
+    first n//2 items and the rest, with each distinct half that occurs
+    printed once: a low half as ``[a,b,`` (``[`` when empty) and a high
+    half as ``c,d]``.  Low text then high text is the list label."""
+    h = n // 2
+    high, low = np.divmod(codes, len(labels) ** h)
+    high, low = high.tolist(), low.tolist()
+    sep = "," if h else ""
+    low_text = {c: _list_label(h, c, labels)[:-1] + sep for c in set(low)}
+    high_text = {c: _list_label(n - h, c, labels)[1:] for c in set(high)}
+    return low, high, low_text, high_text
+
+
 @dataclass(frozen=True)
 class ListBasis:
     """Basis of (list, payload) pairs for lists up to a maximum length,
@@ -136,8 +156,12 @@ class ListBasis:
 
     @cached_property
     def list_basis(self) -> FinBasis:
-        walk = _cons_preorder(len(self.item), self.maxlen)
-        return FinBasis(tuple(_list_label(n, code, self.item.labels) for n, code in walk))
+        m, labels = len(self.item), self.item.labels
+        by_length = []
+        for n in range(self.maxlen + 1):
+            low, high, low_text, high_text = _half_tables(n, np.arange(m**n), labels)
+            by_length.append([low_text[a] + high_text[b] for a, b in zip(low, high)])
+        return FinBasis(tuple(by_length[n][code] for n, code in _cons_preorder(m, self.maxlen)))
 
     @cached_property
     def basis(self) -> FinBasis:
@@ -274,7 +298,9 @@ def _step(step: KleisliOp | Step) -> Step:
 def run_quanta(step: KleisliOp | Step, input_label: str) -> AmpVec:
     """Apply the quantum fold to one (list, payload) basis state: a one-hot
     length-n block through the slots.  The ket lists its states in block
-    index order, which is ``ListBasis`` order."""
+    index order, which is ``ListBasis`` order.  Its labels are printed from
+    two half tables, filled from the support: each distinct half of the
+    items is printed once, then each state joins two halves and a payload."""
     s = _step(step)
     l, b = split_pair(input_label)
     xs = split_list(l)
@@ -286,10 +312,14 @@ def run_quanta(step: KleisliOp | Step, input_label: str) -> AmpVec:
     col = np.zeros((size, 1), dtype=np.complex128)
     col[code * p + s.payload.index(b)] = 1
     out = _slots(s.u.entries, m, p, n, col)[:, 0]
-    return AmpVec({
-        pair_label(_list_label(n, i // p, s.item.labels), s.payload.labels[i % p]): out[i]
-        for i in np.flatnonzero(out).tolist()
-    })
+    support = (out != 0).nonzero()[0]
+    codes, pay = np.divmod(support, p)
+    low, high, low_text, high_text = _half_tables(n, codes, s.item.labels)
+    pays = s.payload.labels
+    return AmpVec(zip(
+        [f"({low_text[x]}{high_text[y]},{pays[z]})" for x, y, z in zip(low, high, pay.tolist())],
+        out[support].tolist(),
+    ))
 
 
 def quantamorphism(step: KleisliOp | Step, maxlen: int) -> KleisliOp:

@@ -339,11 +339,12 @@ def _parse_amp(text: str) -> complex:
 
 
 def format_matrix(m: CMatrix) -> str:
-    """Header of column labels, then one ``label: amps...`` line per row."""
+    """Header of column labels, then one ``label: amps...`` line per row.
+    Each distinct amplitude is formatted once per call."""
+    amp = functools.cache(_fmt_amp)  # a fold matrix repeats few distinct cells
     lines = [" ".join(m.src.labels)]
-    for i, row_label in enumerate(m.tgt):
-        cells = " ".join(_fmt_amp(m.entries[i, j]) for j in range(len(m.src)))
-        lines.append(f"{row_label}: {cells}")
+    for label, row in zip(m.tgt.labels, m.entries.tolist()):
+        lines.append(f"{label}: {' '.join(map(amp, row))}")
     return "\n".join(lines) + "\n"
 
 
@@ -366,10 +367,9 @@ def parse_matrix(text: str) -> CMatrix:
 
 
 def format_state(v: AmpVec, basis: Iterable[str] | None = None) -> str:
-    """Nonzero amplitudes, one ``label: amp`` line, in basis (or sorted) order."""
-    if basis is not None:
-        labels = [x for x in basis if abs(v[x]) >= PRUNE_EPS]
-    else:
-        labels = sorted(v.support)
-    lines = [f"{x}: {_fmt_amp(v[x])}" for x in labels]
+    """Nonzero amplitudes, one ``label: amp`` line, in basis (or sorted) order.
+    Each amplitude is read once, and each distinct one formatted once per call."""
+    labels = sorted(v.support) if basis is None else basis
+    amp = functools.cache(_fmt_amp)
+    lines = [f"{x}: {amp(a)}" for x in labels if abs(a := v[x]) >= PRUNE_EPS]
     return "\n".join(lines) + ("\n" if lines else "")

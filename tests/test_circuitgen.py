@@ -239,9 +239,9 @@ class TestAncillas:
 
     def test_dirty_ancilla_on_the_statevector_path(self):
         c = Circuit(2, 1, (Gate("ccx", (0, 1, 2)),))
-        with pytest.raises(AncillaError):
+        with pytest.raises(AncillaError, match="^ancillas left dirty: amplitude on data 11, ancillas 1$"):
             simulate_state(c, AmpVec({"00": 0.6, "11": 0.8}))
-        with pytest.raises(AncillaError):
+        with pytest.raises(AncillaError, match="^ancillas left dirty: amplitude on data 0, ancillas 1$"):
             simulate(Circuit(1, 1, (Gate("h", (1,)),)), "0")
 
     def test_amplitudes_at_tolerance_are_dropped_before_the_ancilla_check(self):

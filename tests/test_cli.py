@@ -262,8 +262,9 @@ def test_synth_refuses_a_dump_whose_rows_reorder_its_header(tmp_path, capsys):
     [
         ("h q[0];\n", "0", "", "error: output is not a computational basis state\n"),
         ("h q[0];\nh q[0];\n", "1", "1\n", ""),
+        ("qreg anc[1];\nh anc[0];\n", "0", "", "error: ancillas left dirty: amplitude on data 0, ancillas 1\n"),
     ],
-    ids=["superposition", "h-twice"],
+    ids=["superposition", "h-twice", "dirty-ancilla"],
 )
 def test_simulate_collapses_a_quantum_circuit_to_one_basis_state(tmp_path, capsys, body, bits, out, err):
     path = tmp_path / "h.qasm"

@@ -162,6 +162,15 @@ class TestPinnedReferences:
         golden = (GOLDENS / f"fold_{step}_maxlen2.txt").read_text()
         assert capsys.readouterr().out == golden
 
+    @pytest.mark.parametrize("step, label, golden", [
+        ("alice", "([0,1,1,0,1],(0,1))", "run_alice.txt"),
+        ("ccnot", "([(0,1),(1,1),(1,0)],1)", "run_ccnot.txt"),
+        ("bell", "([],0)", "run_bell_empty.txt"),
+    ], ids=["alice", "ccnot", "bell-empty"])
+    def test_run_golden(self, capsys, step, label, golden):
+        assert main(["run", "--step", step, "--input", label]) == 0
+        assert capsys.readouterr().out == (GOLDENS / golden).read_text()
+
 
 @st.composite
 def fold_cases(draw):
@@ -251,6 +260,26 @@ def test_cli_run_prints_the_reference_fold_in_list_basis_order(capsys, name):
             assert main(["run", "--step", name, "--input", label, "--format", "json"]) == 0
             doc = {x: [want[x].real, want[x].imag] for x in order if abs(want[x]) >= PRUNE_EPS}
             assert capsys.readouterr().out == json.dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize("item", [
+    FinBasis(("a",)), BIT, FinBasis(("x", "y", "z")), product_basis(BIT, BIT),
+], ids=["1", "2", "3", "ccnot"])
+@pytest.mark.parametrize("n", range(8))
+def test_run_quanta_labels_follow_list_basis_order_and_parse_back(item, n):
+    # A random unitary step reaches every (item, payload) pair, so the ket
+    # holds many distinct low and high halves; n = 0 and 1 leave the low
+    # half empty, and odd n splits the items unevenly.
+    step = random_unitary_op(n, product_basis(item, BIT))
+    label = _run_inputs(item, BIT, n)[0]
+    got = run_quanta(step, label)
+    assert vec_equal(got, ref_quanta_apply(step)(label), tol=1e-12)
+    labels, support = [x for x, _ in got.items()], got.support
+    assert labels == [x for x in ListBasis(n, item, BIT).labels if x in support]
+    for x in labels:
+        lst, b = split_pair(x)
+        xs = split_list(lst)
+        assert len(xs) == n and all(a in item for a in xs) and b in BIT
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from collections.abc import Iterable, Mapping
@@ -209,6 +210,11 @@ class TestUnitarity:
         assert m.entries[1, 1] == pytest.approx(complex(math.cos(math.pi / 4), math.sin(math.pi / 4)))
 
 
+# Cells that twelve significant digits print exactly, signed zeros among
+# them, drawn with repeats so that the formatter's per-call cache is hit.
+_CELL_POOL = [0j, -0j, complex(0.0, -0.0), 1, -1, 0.5 - 0.25j, 1e-3j, complex(-0.0, 0.125), 0.707106781187]
+
+
 class TestFormats:
     def test_matrix_dump_round_trip(self):
         m = materialize(tgate(), BIT)
@@ -224,6 +230,18 @@ class TestFormats:
     def test_negative_zero_normalized(self):
         m = CMatrix(BIT, BIT, np.array([[1.0, 0.0], [0.0, -0.0]]))
         assert "-0" not in format_matrix(m)
+        # Signed zeros compare equal, so the per-call cache meets them as
+        # one key: each must print 0+0i whichever of them comes first.
+        zeros = [0j, -0j, complex(-0.0, 0.0), complex(0.0, -0.0)]
+        for row in itertools.permutations(zeros):
+            m = CMatrix(BB, FinBasis(("r",)), np.array([row]))
+            assert format_matrix(m) == "(0,0) (0,1) (1,0) (1,1)\nr: 0+0i 0+0i 0+0i 0+0i\n"
+        # A ket holds no zero amplitude, so its signed zeros sit beside a
+        # nonzero part, and a zero amplitude in the basis prints no line.
+        v = AmpVec({"(0,0)": complex(0.5, -0.0), "(0,1)": complex(0.5, 0.0),
+                    "(1,0)": complex(-0.0, 0.5), "(1,1)": complex(0.0, 0.5)})
+        assert format_state(v, BB) == "(0,0): 0.5+0i\n(0,1): 0.5+0i\n(1,0): 0+0.5i\n(1,1): 0+0.5i\n"
+        assert format_state(AmpVec({"(1,1)": -1.0}), BB) == "(1,1): -1+0i\n"
 
     def test_state_format_in_basis_order(self):
         v = AmpVec({"(1,1)": -0.5, "(0,0)": 0.5})
@@ -256,6 +274,16 @@ class TestFormats:
 
     def test_repeated_cells_parse_alike(self):
         m = CMatrix(BB, BB, np.full((4, 4), 0.5 - 0.25j))
+        assert parse_matrix(format_matrix(m)) == m
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.lists(st.sampled_from(_CELL_POOL), min_size=k, max_size=k), min_size=1, max_size=5)
+    ))
+    def test_matrix_dump_round_trip_on_repeated_cells(self, rows):
+        src = FinBasis(tuple(f"s{j}" for j in range(len(rows[0]))))
+        tgt = FinBasis(tuple(f"r{i}" for i in range(len(rows))))
+        m = CMatrix(src, tgt, np.array(rows, dtype=np.complex128))
         assert parse_matrix(format_matrix(m)) == m
 
 
