@@ -122,10 +122,11 @@ def relalg_suite() -> list[CheckResult]:
 
     rels23 = [Rel(b3, b2, np.array(bits, dtype=bool).reshape(2, 3))
               for bits in itertools.product([0, 1], repeat=6)]
-    # The same law with each 3x3 kernel of <r,s> taken as ker r & ker s.
+    # The same law on a 3-element source, over its 4,096 splits.
     ker = _masks([relalg.kernel(r) for r in rels23])
+    ker_pair = _masks([relalg.kernel(relalg.pair(r, s)) for r in rels23 for s in rels23]).reshape(64, 64)
     r, s, x = ker[:, None, None], ker[None, :, None], ker[None, None, :]
-    lhs = (x & ~(r & s)) == 0
+    lhs = (x & ~ker_pair[:, :, None]) == 0
     rhs = ((x & ~r) == 0) & ((x & ~s) == 0)
     out.append(_law("relalg", "pairing is the least upper bound (3-element source)",
                     lhs, rhs, r=rels23, s=rels23, x=rels23))

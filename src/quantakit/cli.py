@@ -11,6 +11,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -18,13 +20,32 @@ from . import checks, circuitgen, gates, quanta, relalg, vecmonad
 
 MAXLEN_CAP = 4
 DIM_CAP = 62
+OVERWRITE_NOTE = "; an existing file is overwritten in place, keeping its inode and mode"
 
 
 def _write(text: str, out: str | None) -> None:
+    """Print ``text``, or write it to the path ``out`` in place.
+
+    Truncating to zero first, as ``Path.write_text`` does, makes ext4 flush
+    the file's blocks on close (its replace-via-truncate heuristic): 50-65 ms
+    per overwrite on an ext4 root mounted with ``discard``, against under
+    0.02 ms for this write.  So the file is cut only after the write, to the
+    written length.  It keeps its inode, links and mode; a new file gets the
+    mode ``write_text`` would give it.
+    """
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+        return
+    fd = os.open(Path(out), os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        f = open(fd, "w")
+    except BaseException:
+        os.close(fd)
+        raise
+    with f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null, FIFOs and terminals cannot be cut
+            f.truncate()
 
 
 def _fail(msg: str) -> int:
@@ -198,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp: argparse.ArgumentParser, *names: str) -> None:
         """--out, and those of --format and --tol that the command reads."""
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
+        sp.add_argument("--out", default=None, help=f"output path (default stdout){OVERWRITE_NOTE}")
         if "format" in names:
             sp.add_argument("--format", choices=("text", "json"), default="text")
         if "tol" in names:
@@ -227,14 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--step", default=None)
     sp.add_argument("--maxlen", default=None, help="integer, or 'pinned16' for the 16-state basis")
     sp.add_argument("--matrix-file", default=None, help="matrix dump to compile instead of a gate")
-    sp.add_argument("--qasm", default=None, help="write OpenQASM 2.0 here ('-' for stdout)")
+    sp.add_argument("--qasm", default=None, help=f"write OpenQASM 2.0 here ('-' for stdout){OVERWRITE_NOTE}")
     common(sp, "tol")
     sp.set_defaults(fn=cmd_synth)
 
     sp = sub.add_parser("simulate", help="run a QASM file on a computational-basis input")
     sp.add_argument("qasm_file")
     sp.add_argument("input", help="bit-string over the data qubits")
-    sp.add_argument("--out", default=None)
+    common(sp)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("check", help="run invariant suites")

@@ -49,6 +49,7 @@ def ref_exchange_law() -> bool:
 
 
 LUB = "pairing is the least upper bound (2-element bases)"
+LUB3 = "pairing is the least upper bound (3-element source)"
 EXCHANGE = "exchange law (exhaustive 2-element bases)"
 _pair, _either, _kernel = relalg.pair, relalg.either, relalg.kernel
 
@@ -101,6 +102,21 @@ def test_a_law_over_all_tuples_fails_whenever_its_loop_reference_fails(monkeypat
     assert results[EXCHANGE].ok <= ref_exchange_law()
 
 
+# The mutations under which the kernel of a split is not the meet of its
+# factors' kernels.  The identity and upper-triangle kernels still take
+# splits to meets, swapped factors keep the meet and no junc takes part, so
+# no least-upper-bound law can see the others.
+NOT_A_MEET = [("pair", "union instead of meet"), ("pair", "second factor ignored"),
+              ("kernel", "off-diagonal needs two witnesses")]
+
+
+@pytest.mark.parametrize("op, mutation", MUTATIONS, ids=[f"{op}-{m}" for op, m in MUTATIONS])
+def test_the_3_element_least_upper_bound_reads_the_library_split(monkeypatch, op, mutation):
+    monkeypatch.setattr(relalg, op, BROKEN[op][mutation])
+    results = _relalg_results()
+    assert results[LUB3].ok == results[LUB].ok == ((op, mutation) not in NOT_A_MEET)
+
+
 SPLITS_AND_JUNCS = [m for m in MUTATIONS if m[0] != "kernel"]
 
 
@@ -115,6 +131,7 @@ def test_a_failed_law_names_its_first_counterexample(monkeypatch):
     results = _relalg_results()
     assert results[EXCHANGE].detail == "first counterexample r=00/00, s=00/00, t=00/00, v=10/00"
     assert results[LUB].detail == "first counterexample r=00/00, s=00/01, x=00/01"
+    assert results[LUB3].detail == "first counterexample r=000/000, s=000/001, x=000/001"
 
 
 def test_json_keeps_the_counterexamples_the_text_prints(monkeypatch, capsys):

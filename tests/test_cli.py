@@ -1,5 +1,9 @@
 import argparse
+import builtins
+import io
 import json
+import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -311,25 +315,117 @@ def test_synth_names_a_label_with_an_open_bracket(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["matrix", "--step", "cnot", "--maxlen", "2", "--out"],
-        ["run", "--step", "cnot", "--input", "([1],0)", "--out"],
-        ["complement", str(DATA / "xor.tbl"), "--out"],
-        ["synth", "--maxlen", "pinned16", "--step", "cnot", "--out"],
-        ["synth", "--maxlen", "pinned16", "--step", "cnot", "--qasm"],
-        ["simulate", str(GOLDENS / "single_cx.qasm"), "10", "--out"],
-        ["check", "gates", "--out"],
-    ],
-    ids=["matrix", "run", "complement", "synth-out", "synth-qasm", "simulate", "check"],
-)
+# Every command that writes a file, with each of its output options.
+WRITERS = [
+    ["matrix", "--step", "bell", "--maxlen", "2", "--out"],
+    ["run", "--step", "alice", "--input", "([0,1,1,0,1],(0,1))", "--out"],
+    ["complement", str(DATA / "xor.tbl"), "--out"],
+    ["synth", "--maxlen", "pinned16", "--step", "cnot", "--out"],
+    ["synth", "--maxlen", "pinned16", "--step", "cnot", "--qasm"],
+    ["simulate", str(GOLDENS / "single_cx.qasm"), "10", "--out"],
+    ["check", "gates", "--out"],
+]
+WRITER_IDS = ["matrix", "run", "complement", "synth-out", "synth-qasm", "simulate", "check"]
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
 def test_an_unwritable_output_path_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     path = tmp_path / "missing" / "out.txt"
     assert main([*argv, str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    assert main([*argv, f"{tmp_path}/"]) == 1  # named as pathlib normalizes it
+    assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+
+
+def _expected(argv: list[str], capsys) -> tuple[str, str]:
+    """What ``argv`` writes to the path given after it, and what it prints."""
+    assert main([*argv, "-"]) == 0
+    out = capsys.readouterr().out
+    if argv[-1] == "--qasm":  # the metrics still go to stdout
+        return out[:out.index('{"size"')], out[out.index('{"size"'):]
+    return out, ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(texts=st.lists(st.tuples(st.text(st.characters(codec="utf-8"), max_size=40), st.integers(0, 400)),
+                      min_size=1, max_size=6))
+def test_overwrites_read_back_exactly_the_last_text(texts):
+    """Growing, shrinking and empty texts, up to 16,000 characters, leave no
+    stale tail: the file holds what ``Path.write_text`` writes afresh."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, ref = Path(tmp) / "out.txt", Path(tmp) / "ref.txt"
+        for chunk, repeat in texts:
+            cli._write(chunk * repeat, str(out))
+        ref.write_text(texts[-1][0] * texts[-1][1])
+        assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
+def test_an_output_is_overwritten_in_place(tmp_path, capsys, argv):
+    """Over a longer file, through a hard link, and keeping the file's mode."""
+    text, printed = _expected(argv, capsys)
+    path, link = tmp_path / "out.txt", tmp_path / "link.txt"
+    path.write_text("stale\n" * 2000)
+    path.chmod(0o640)
+    os.link(path, link)
+    assert main([*argv, str(path)]) == 0
+    assert capsys.readouterr().out == printed
+    assert path.read_text() == link.read_text() == text
+    assert path.stat().st_ino == link.stat().st_ino and stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_output_gets_the_mode_write_text_gives(tmp_path, capsys, umask):
+    old = os.umask(umask)
+    try:
+        assert main(["check", "gates", "--out", str(tmp_path / "out.txt")]) == 0
+        (tmp_path / "ref.txt").write_text("")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.txt").stat().st_mode == (tmp_path / "ref.txt").stat().st_mode
+
+
+def test_synth_with_one_path_for_qasm_and_metrics_leaves_the_metrics(tmp_path, capsys):
+    argv = ["synth", "--maxlen", "pinned16", "--step", "cnot"]
+    path = str(tmp_path / "both.txt")
+    assert main([*argv, "--qasm", path, "--out", path]) == 0
+    assert capsys.readouterr().out == ""
+    assert Path(path).read_text() == (GOLDENS / "synth_cnot16_metrics.json").read_text()
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
+def test_an_output_to_dev_null_is_written_and_dropped(capsys, argv):
+    _, printed = _expected(argv, capsys)
+    assert main([*argv, os.devnull]) == 0
+    assert capsys.readouterr() == (printed, "")
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
+def test_no_output_is_opened_to_be_truncated(monkeypatch, tmp_path, capsys, argv):
+    """Truncating an output to zero before writing it costs a forced flush
+    of its old blocks on some file systems (see ``cli._write``), so outputs
+    are opened without ``O_TRUNC``, and never by path in a "w" mode."""
+    path = tmp_path / "out.txt"
+    opened: list[tuple[str, str, object]] = []
+
+    def spy(orig, kind, key, default):
+        def opener(file, *args, **kwargs):
+            if not isinstance(file, int):
+                opened.append((kind, os.fspath(file), args[0] if args else kwargs.get(key, default)))
+            return orig(file, *args, **kwargs)
+        return opener
+
+    monkeypatch.setattr(os, "open", spy(os.open, "os.open", "flags", None))
+    monkeypatch.setattr(builtins, "open", spy(builtins.open, "open", "mode", "r"))
+    monkeypatch.setattr(io, "open", spy(io.open, "open", "mode", "r"))
+    for _ in range(3):
+        assert main([*argv, str(path)]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    ours = [(kind, how) for kind, name, how in opened if name == str(path)]
+    assert len(ours) == 3 and all(kind == "os.open" and not how & os.O_TRUNC for kind, how in ours)
 
 
 
