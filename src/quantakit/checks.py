@@ -7,11 +7,13 @@ plain (name, ok, detail) records; the CLI renders counts and failures.
 The exhaustive relation-algebra laws call the library operators once on
 every distinct operand (each split, junc and kernel they need), stack the
 results, and compare both sides of the law over all operand tuples in one
-array operation; a failure names its first counterexample tuple.
+array operation; a failure names its first counterexample tuple.  The
+randomized loops run every case and name the first one that fails.
 """
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +59,32 @@ def _rows(r: Rel) -> str:
     return "/".join("".join("1" if b else "0" for b in row) for row in r.entries)
 
 
+class _Cases:
+    """The verdict of a loop over cases, and a description of its first
+    failing case; ``describe`` is called for that case only."""
+
+    def __init__(self) -> None:
+        self.ok, self.detail = True, ""
+
+    def check(self, ok: object, describe: Callable[[], str]) -> None:
+        if not ok and self.ok:
+            self.ok, self.detail = False, "first counterexample " + describe()
+
+    def result(self, suite: str, name: str) -> CheckResult:
+        return _result(suite, name, self.ok, self.detail)
+
+
+def _gap(u: AmpVec | vecmonad.CMatrix, v: AmpVec | vecmonad.CMatrix) -> str:
+    """How far apart two kets, or two typed matrices, are."""
+    if isinstance(u, AmpVec):
+        gap = max((abs(u[k] - v[k]) for k in u.support | v.support), default=0.0)
+    elif u.src != v.src or u.tgt != v.tgt:
+        return "bases differ"
+    else:
+        gap = np.max(np.abs(u.entries - v.entries), initial=0.0)
+    return f"sup-norm gap {gap:.3g}"
+
+
 def _random_rel(rng: np.random.Generator, src: FinBasis, tgt: FinBasis) -> Rel:
     return Rel(src, tgt, rng.random((len(tgt), len(src))) < 0.5)
 
@@ -94,19 +122,19 @@ def relalg_suite() -> list[CheckResult]:
     b3 = FinBasis(("a", "b", "c"))
     b2 = FinBasis(("p", "q"))
 
-    ok = all(
-        relalg.is_equivalence(relalg.kernel(_random_function(rng, b3, b2)))
-        for _ in range(50)
-    )
-    out.append(_result("relalg", "kernel of a function is an equivalence", ok))
+    cases = _Cases()
+    for _ in range(50):
+        f = _random_function(rng, b3, b2)
+        cases.check(relalg.is_equivalence(relalg.kernel(f)), lambda: f"f={_rows(f)}")
+    out.append(cases.result("relalg", "kernel of a function is an equivalence"))
 
-    ok = True
+    cases = _Cases()
     for _ in range(50):
         f = _random_function(rng, b3, b3)
         bij = relalg.is_bijection(f)
         chr_ = relalg.kernel(f) == relalg.identity(b3) and relalg.image(f) == relalg.identity(b3)
-        ok &= bij == chr_
-    out.append(_result("relalg", "bijection iff kernel and image are identities", ok))
+        cases.check(bij == chr_, lambda: f"f={_rows(f)}: bijection {bij}, identity kernel and image {chr_}")
+    out.append(cases.result("relalg", "bijection iff kernel and image are identities"))
 
     rels2 = [Rel(b2, b2, np.array(bits, dtype=bool).reshape(2, 2))
              for bits in itertools.product([0, 1], repeat=4)]
@@ -131,15 +159,15 @@ def relalg_suite() -> list[CheckResult]:
     out.append(_law("relalg", "pairing is the least upper bound (3-element source)",
                     lhs, rhs, r=rels23, s=rels23, x=rels23))
 
-    ok = True
+    cases = _Cases()
     for _ in range(200):
         g = _random_function(rng, b2, b3)
         r = _random_rel(rng, b3, b2)
         s = _random_rel(rng, b2, b2)
         lhs = relalg.leq_injectivity(relalg.compose(r, g), s)
         rhs = relalg.leq_injectivity(r, relalg.compose(s, relalg.converse(g)))
-        ok &= lhs == rhs
-    out.append(_result("relalg", "injectivity shunting law", ok))
+        cases.check(lhs == rhs, lambda: f"g={_rows(g)}, r={_rows(r)}, s={_rows(s)}")
+    out.append(cases.result("relalg", "injectivity shunting law"))
 
     # Library splits and juncs on every distinct operand; the outer junc
     # (columns side by side) and split (rowwise meet) for every (r, s, t, v).
@@ -152,15 +180,17 @@ def relalg_suite() -> list[CheckResult]:
     out.append(_law("relalg", "exchange law (exhaustive 2-element bases)",
                     lhs, rhs, r=rels2, s=rels2, t=ts, v=vs))
 
-    ok = True
+    cases = _Cases()
     for _ in range(100):
         r = _random_rel(rng, b3, b2)
         s = _random_rel(rng, b3, b2)
-        ok &= relalg.kernel(relalg.pair(r, s)) == relalg.meet(relalg.kernel(r), relalg.kernel(s))
-        ok &= relalg.leq_injectivity(r, relalg.pair(r, s))
-    out.append(_result("relalg", "kernel of a split meets the kernels", ok))
+        cases.check(relalg.kernel(relalg.pair(r, s)) == relalg.meet(relalg.kernel(r), relalg.kernel(s)),
+                    lambda: f"r={_rows(r)}, s={_rows(s)}: the kernel of <r,s> is not the meet of theirs")
+        cases.check(relalg.leq_injectivity(r, relalg.pair(r, s)),
+                    lambda: f"r={_rows(r)}, s={_rows(s)}: r is more injective than <r,s>")
+    out.append(cases.result("relalg", "kernel of a split meets the kernels"))
 
-    ok = True
+    cases = _Cases()
     for _ in range(100):
         r = _random_rel(rng, b3, b3)
         cols = [r.entries[:, j] for j in range(3)]
@@ -168,31 +198,36 @@ def relalg_suite() -> list[CheckResult]:
             not (c1 & c2).any() or (c1 == c2).all()
             for c1, c2 in itertools.combinations(cols, 2)
         )
-        ok &= relalg.is_difunctional(r) == by_columns
-    out.append(_result("relalg", "difunctionality equals the column criterion", ok))
+        cases.check(relalg.is_difunctional(r) == by_columns,
+                    lambda: f"r={_rows(r)}: column criterion {by_columns}")
+    out.append(cases.result("relalg", "difunctionality equals the column criterion"))
 
     bb = product_basis(BIT, BIT)
     mono = relalg.xor_monoid()
-    ok = True
+    cases = _Cases()
     for table_bits in itertools.product("01", repeat=4):
         table = {x: table_bits[j] for j, x in enumerate(bb)}
         f = relalg.from_function(table, bb, BIT)
         u = relalg.u_construct(f, mono)
-        ok &= relalg.is_bijection(u)
-        ok &= relalg.compose(u, u) == relalg.identity(u.src)
+        cases.check(relalg.is_bijection(u), lambda: f"f={_rows(f)}: the envelope is no bijection")
+        cases.check(relalg.compose(u, u) == relalg.identity(u.src),
+                    lambda: f"f={_rows(f)}: the envelope is not self-inverse")
         for x in bb:
             _, out_b = relalg.split_pair(
                 next(o for o, i in u.pairs() if i == pair_label(x, "0"))
             )
-            ok &= out_b == table[x]
-    out.append(_result("relalg", "envelope is a self-inverse bijection refining f", ok))
+            cases.check(out_b == table[x], lambda: f"f={_rows(f)}: the envelope sends {pair_label(x, '0')}"
+                                                   f" to payload {out_b}, f gives {table[x]}")
+    out.append(cases.result("relalg", "envelope is a self-inverse bijection refining f"))
 
     xor = relalg.from_function(gates.xor_table(), bb, BIT)
     comps = relalg.minimal_complements(xor)
-    ok = len(comps) == 2
+    cases = _Cases()
+    cases.check(len(comps) == 2, lambda: f"{len(comps)} minimal complements")
     for p in comps:
-        ok &= relalg.is_injective(relalg.pair(xor, relalg.quotient(bb, p)))
-    out.append(_result("relalg", "xor has exactly the two projection complements", ok))
+        cases.check(relalg.is_injective(relalg.pair(xor, relalg.quotient(bb, p))),
+                    lambda: f"blocks {p}: the split with xor is not injective")
+    out.append(cases.result("relalg", "xor has exactly the two projection complements"))
 
     return out
 
@@ -205,54 +240,60 @@ def vecmonad_suite() -> list[CheckResult]:
     out: list[CheckResult] = []
     b4 = product_basis(BIT, BIT)
 
-    ok = True
-    for _ in range(1000):
+    cases = _Cases()
+    for i in range(1000):
         f = _random_kleisli(rng, b4, b4)
         g = _random_kleisli(rng, b4, b4)
         a = b4.labels[int(rng.integers(4))]
         v = _random_vec(rng, b4)
-        ok &= vecmonad.vec_equal(vecmonad.bind(vecmonad.ret(a), f), f.apply(a), tol=1e-12)
-        ok &= vecmonad.vec_equal(vecmonad.bind(v, vecmonad.ret_op(b4)), v, tol=1e-12)
+        lhs, rhs = vecmonad.bind(vecmonad.ret(a), f), f.apply(a)
+        cases.check(vecmonad.vec_equal(lhs, rhs, tol=1e-12),
+                    lambda: f"case {i}: left unit at a={a}, {_gap(lhs, rhs)}")
+        lhs = vecmonad.bind(v, vecmonad.ret_op(b4))
+        cases.check(vecmonad.vec_equal(lhs, v, tol=1e-12), lambda: f"case {i}: right unit, {_gap(lhs, v)}")
         lhs = vecmonad.bind(vecmonad.bind(v, f), g)
         rhs = vecmonad.bind(v, KleisliOp(b4, lambda x: vecmonad.bind(f.apply(x), g)))
-        ok &= vecmonad.vec_equal(lhs, rhs, tol=1e-12)
-    out.append(_result("vecmonad", "monad laws (1000 randomized cases)", ok))
+        cases.check(vecmonad.vec_equal(lhs, rhs, tol=1e-12), lambda: f"case {i}: associativity, {_gap(lhs, rhs)}")
+    out.append(cases.result("vecmonad", "monad laws (1000 randomized cases)"))
 
-    ok = True
-    for _ in range(50):
+    cases = _Cases()
+    for i in range(50):
         f = _random_kleisli(rng, b4, b4)
         g = _random_kleisli(rng, b4, b4)
         lhs = vecmonad.materialize(vecmonad.kleisli(g, f), b4)
         rhs = vecmonad.matmul(vecmonad.materialize(g, b4), vecmonad.materialize(f, b4))
-        ok &= lhs.close_to(rhs, tol=1e-9)
-    ok &= vecmonad.materialize(vecmonad.ret_op(b4), b4) == vecmonad.identity_matrix(b4)
-    out.append(_result("vecmonad", "materialize is functorial", ok))
+        cases.check(lhs.close_to(rhs, tol=1e-9), lambda: f"case {i}: Kleisli composite, {_gap(lhs, rhs)}")
+    lhs, rhs = vecmonad.materialize(vecmonad.ret_op(b4), b4), vecmonad.identity_matrix(b4)
+    cases.check(lhs == rhs, lambda: f"the unit is not the identity matrix, {_gap(lhs, rhs)}")
+    out.append(cases.result("vecmonad", "materialize is functorial"))
 
-    ok = True
-    for _ in range(50):
+    cases = _Cases()
+    for i in range(50):
         f = _random_kleisli(rng, BIT, BIT)
         g = _random_kleisli(rng, b4, b4)
         lhs = vecmonad.materialize(vecmonad.tensor(f, g), product_basis(BIT, b4))
         rhs = vecmonad.kron(vecmonad.materialize(f, BIT), vecmonad.materialize(g, b4))
-        ok &= lhs.close_to(rhs, tol=1e-9)
-    out.append(_result("vecmonad", "tensor materializes to the Kronecker product", ok))
+        cases.check(lhs.close_to(rhs, tol=1e-9), lambda: f"case {i}: {_gap(lhs, rhs)}")
+    out.append(cases.result("vecmonad", "tensor materializes to the Kronecker product"))
 
-    ok = True
-    for _ in range(20):
+    cases = _Cases()
+    for i in range(20):
         u1 = _random_unitary_op(rng, b4)
         u2 = _random_unitary_op(rng, b4)
-        ok &= vecmonad.is_unitary(vecmonad.materialize(vecmonad.kleisli(u1, u2), b4), tol=1e-9)
-        ok &= vecmonad.is_unitary(
+        cases.check(vecmonad.is_unitary(vecmonad.materialize(vecmonad.kleisli(u1, u2), b4), tol=1e-9),
+                    lambda: f"case {i}: the composite is not unitary")
+        cases.check(vecmonad.is_unitary(
             vecmonad.materialize(vecmonad.tensor(u1, u2), product_basis(b4, b4)), tol=1e-9
-        )
-    out.append(_result("vecmonad", "unitary ops close under composition and tensor", ok))
+        ), lambda: f"case {i}: the tensor is not unitary")
+    out.append(cases.result("vecmonad", "unitary ops close under composition and tensor"))
 
-    ok = True
-    for _ in range(100):
+    cases = _Cases()
+    for i in range(100):
         v = _random_vec(rng, b4)
         noisy = vecmonad.add(v, AmpVec({b4.labels[0]: vecmonad.PRUNE_EPS / 10}))
-        ok &= vecmonad.vec_equal(v, noisy, tol=10 * vecmonad.PRUNE_EPS)
-    out.append(_result("vecmonad", "pruning is invisible above 10x the prune epsilon", ok))
+        cases.check(vecmonad.vec_equal(v, noisy, tol=10 * vecmonad.PRUNE_EPS),
+                    lambda: f"case {i}: {_gap(v, noisy)}")
+    out.append(cases.result("vecmonad", "pruning is invisible above 10x the prune epsilon"))
 
     return out
 

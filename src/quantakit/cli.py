@@ -272,6 +272,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("maxlen must be non-negative")
     if not 0 < getattr(args, "tol", 1.0) < math.inf:
         return _fail("tolerance must be positive and finite")
+    for option in ("out", "qasm"):
+        if getattr(args, option, None) == "":  # pathlib would read it as the directory "."
+            return _fail(f"empty output path for --{option}")
     try:
         return args.fn(args)
     except (OSError, KeyError, ValueError) as exc:

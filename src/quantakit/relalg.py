@@ -11,6 +11,14 @@ so ``gamma``, ``inj1``, ``inj2`` and ``bang`` are built from basis
 indices alone.  Labels read from files must be well formed
 (``check_label``).
 
+The public ``Rel(...)`` constructor copies its matrix and checks its shape.
+The operators (composition, converse, kernel, meet, pairing, junc) skip
+that: each builds a fresh bool matrix whose shape follows from operands
+that were checked when they were built, so ``Rel._trusted`` only marks it
+read-only.  ``converse`` shares its operand's transposed read-only view.
+Composition and kernel are Boolean matrix products: a count of witnesses
+in a small integer type would wrap around on large bases.
+
 Besides the pointfree operators (composition, converse, kernel, pairing,
 junc, direct sum) the module provides the injectivity preorder, the
 relation taxonomy predicates, difunctionality, and the exact search for
@@ -244,6 +252,20 @@ class Rel:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
+    @classmethod
+    def _trusted(cls, src: FinBasis, tgt: FinBasis, m: np.ndarray) -> Rel:
+        """An operator's result: ``m`` is a bool matrix of shape
+        (len(tgt), len(src)) that no one else writes to.  Marked read-only,
+        neither copied nor checked.  The fields are set as the dataclass
+        ``__init__`` sets them; filling ``__dict__`` would give each
+        instance a dict of its own."""
+        m.setflags(write=False)
+        r = object.__new__(cls)
+        object.__setattr__(r, "src", src)
+        object.__setattr__(r, "tgt", tgt)
+        object.__setattr__(r, "entries", m)
+        return r
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Rel):
             return NotImplemented
@@ -288,15 +310,16 @@ def compose(r: Rel, s: Rel) -> Rel:
     """Relational composition r . s, typed s.src -> r.tgt."""
     if s.tgt != r.src:
         raise BasisMismatchError("compose: target of s must equal source of r")
-    return Rel(s.src, r.tgt, r.entries.astype(np.uint8) @ s.entries.astype(np.uint8) > 0)
+    return Rel._trusted(s.src, r.tgt, r.entries @ s.entries)
 
 
 def converse(r: Rel) -> Rel:
-    return Rel(r.tgt, r.src, r.entries.T)
+    return Rel._trusted(r.tgt, r.src, r.entries.T)
 
 
 def kernel(r: Rel) -> Rel:
-    return compose(converse(r), r)
+    """converse(r) . r, as the one product of r's entries with their transpose."""
+    return Rel._trusted(r.src, r.src, r.entries.T @ r.entries)
 
 
 def image(r: Rel) -> Rel:
@@ -306,7 +329,7 @@ def image(r: Rel) -> Rel:
 def meet(r: Rel, s: Rel) -> Rel:
     if r.src != s.src or r.tgt != s.tgt:
         raise BasisMismatchError("meet: relations must share both bases")
-    return Rel(r.src, r.tgt, r.entries & s.entries)
+    return Rel._trusted(r.src, r.tgt, r.entries & s.entries)
 
 
 def subset(r: Rel, s: Rel) -> bool:
@@ -319,9 +342,9 @@ def pair(r: Rel, s: Rel) -> Rel:
     """Split <r,s>: relates (b,c) to a iff b r a and c s a."""
     if r.src != s.src:
         raise BasisMismatchError("pair: relations must share their source")
-    tgt = product_basis(r.tgt, s.tgt)
-    m = (r.entries[:, None, :] & s.entries[None, :, :]).reshape(len(tgt), len(r.src))
-    return Rel(r.src, tgt, m)
+    m = r.entries[:, None, :] & s.entries[None, :, :]
+    b, c, a = m.shape
+    return Rel._trusted(r.src, product_basis(r.tgt, s.tgt), m.reshape(b * c, a))
 
 
 def either(r: Rel, s: Rel) -> Rel:
@@ -329,7 +352,7 @@ def either(r: Rel, s: Rel) -> Rel:
     if r.tgt != s.tgt:
         raise BasisMismatchError("either: relations must share their target")
     src = coproduct_basis(r.src, s.src)
-    return Rel(src, r.tgt, np.concatenate([r.entries, s.entries], axis=1))
+    return Rel._trusted(src, r.tgt, np.concatenate([r.entries, s.entries], axis=1))
 
 
 def inj1(a: FinBasis, b: FinBasis) -> Rel:

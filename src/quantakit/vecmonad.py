@@ -9,6 +9,18 @@ classical step is a function followed by ``ret`` (``lift``), including
 the structural isomorphisms of product bases: these are row-major, so
 ``assoc_op`` and ``assoc_inv_op`` keep each basis index and ``xl_op``
 transposes the first two axes of the index grid.
+
+The public ``AmpVec(...)`` and ``CMatrix(...)`` constructors check what
+they are given.  Operator results skip that re-validation where their
+construction already guarantees it.  ``bind`` sums ``0j + a*b`` over
+finite kets, which leaves no repeated label and no -0.0 part, so its
+result needs one pruning pass; one finiteness test on the total of the
+sums stands for all of them, because a NaN or infinite sum makes the
+total non-finite, and then the checked constructor raises its own
+error.  ``matmul``, ``kron`` and ``dagger`` build a fresh complex matrix
+whose shape follows from checked operands, so ``CMatrix._trusted`` only
+marks it read-only.  ``from_matrix`` builds each column's ket once, on
+first use, and returns that immutable ket on every later call.
 """
 from __future__ import annotations
 
@@ -84,6 +96,15 @@ class AmpVec:
         # Only a sum over a repeated label can fall below the epsilon.
         self._amps = {k: v for k, v in store.items() if abs(v) >= PRUNE_EPS} if repeated else store
 
+    @classmethod
+    def _from_sums(cls, acc: dict[str, complex]) -> AmpVec:
+        """``AmpVec(acc)`` for complex sums that each start from ``0j``."""
+        if not cmath.isfinite(sum(acc.values())):
+            return cls(acc)  # names the first non-finite amplitude
+        v = object.__new__(cls)
+        v._amps = {k: a for k, a in acc.items() if abs(a) >= PRUNE_EPS}
+        return v
+
     def __getitem__(self, label: str) -> complex:
         return self._amps.get(label, 0j)
 
@@ -135,7 +156,8 @@ def norm(v: AmpVec) -> float:
 
 def vec_equal(u: AmpVec, v: AmpVec, tol: float = DEFAULT_TOL) -> bool:
     """Sup-norm comparison of two kets."""
-    return all(abs(u[k] - v[k]) <= tol for k in u.support | v.support)
+    a, b = u._amps, v._amps
+    return all(abs(a.get(k, 0j) - b.get(k, 0j)) <= tol for k in a.keys() | b.keys())
 
 
 @dataclass(frozen=True)
@@ -157,7 +179,7 @@ def bind(v: AmpVec, f: KleisliOp) -> AmpVec:
             raise KeyError(f"label {label!r} outside operation source basis")
         for out, b in f.apply(label).items():
             acc[out] = acc.get(out, 0j) + a * b
-    return AmpVec(acc)
+    return AmpVec._from_sums(acc)
 
 
 def ret_op(basis: FinBasis) -> KleisliOp:
@@ -245,6 +267,20 @@ class CMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
+    @classmethod
+    def _trusted(cls, src: FinBasis, tgt: FinBasis, m: np.ndarray) -> CMatrix:
+        """An operator's result: ``m`` is a complex128 matrix of shape
+        (len(tgt), len(src)) that no one else writes to.  Marked read-only,
+        neither copied nor checked.  The fields are set as the dataclass
+        ``__init__`` sets them; filling ``__dict__`` would give each
+        instance a dict of its own."""
+        m.setflags(write=False)
+        c = object.__new__(cls)
+        object.__setattr__(c, "src", src)
+        object.__setattr__(c, "tgt", tgt)
+        object.__setattr__(c, "entries", m)
+        return c
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CMatrix):
             return NotImplemented
@@ -276,12 +312,17 @@ def materialize(f: KleisliOp, tgt: FinBasis) -> CMatrix:
 
 
 def from_matrix(m: CMatrix) -> KleisliOp:
-    """Columns of a matrix re-read as a vector-valued function."""
+    """Columns of a matrix re-read as a vector-valued function.  Each
+    column's ket is built on its first call and returned on every later one."""
 
     cols = m.entries.T.tolist()
+    kets: dict[str, AmpVec] = {}
 
     def apply(label: str) -> AmpVec:
-        return AmpVec(zip(m.tgt.labels, cols[m.src.index(label)]))
+        ket = kets.get(label)
+        if ket is None:
+            ket = kets[label] = AmpVec(zip(m.tgt.labels, cols[m.src.index(label)]))
+        return ket
 
     return KleisliOp(m.src, apply)
 
@@ -293,11 +334,11 @@ def identity_matrix(basis: FinBasis) -> CMatrix:
 def matmul(a: CMatrix, b: CMatrix) -> CMatrix:
     if b.tgt != a.src:
         raise ValueError("matmul: inner bases do not match")
-    return CMatrix(b.src, a.tgt, a.entries @ b.entries)
+    return CMatrix._trusted(b.src, a.tgt, a.entries @ b.entries)
 
 
 def kron(a: CMatrix, b: CMatrix) -> CMatrix:
-    return CMatrix(
+    return CMatrix._trusted(
         product_basis(a.src, b.src),
         product_basis(a.tgt, b.tgt),
         np.kron(a.entries, b.entries),
@@ -305,7 +346,7 @@ def kron(a: CMatrix, b: CMatrix) -> CMatrix:
 
 
 def dagger(m: CMatrix) -> CMatrix:
-    return CMatrix(m.tgt, m.src, m.entries.conj().T)
+    return CMatrix._trusted(m.tgt, m.src, m.entries.conj().T)
 
 
 def is_unitary(m: CMatrix, tol: float = DEFAULT_TOL) -> bool:

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from quantakit import checks, relalg
+from quantakit import checks, relalg, vecmonad
 from quantakit.cli import main
 from quantakit.relalg import FinBasis, Rel, coproduct_basis, product_basis
+from quantakit.vecmonad import AmpVec
 
 
 @pytest.mark.parametrize("suite", list(checks.SUITES))
@@ -146,3 +147,47 @@ def test_json_keeps_the_counterexamples_the_text_prints(monkeypatch, capsys):
     assert [f"  [FAIL] {n} -- {d}" for n, d in doc["details"].items()] == named
     assert set(doc["details"]) <= set(doc["failures"])
     assert doc["details"][EXCHANGE] == "first counterexample r=00/00, s=00/00, t=00/00, v=10/00"
+
+
+# The randomized loops of the relalg and vecmonad suites run every case and
+# name the first that fails.  Each broken operator below keeps its types;
+# the details name the cases the suites' seeds draw.
+_bind = vecmonad.bind
+LOOP_MUTATIONS = {
+    "kernel upper triangle": (relalg, "kernel", BROKEN["kernel"]["upper triangle"], {
+        "kernel of a function is an equivalence": "f=011/100",
+    }),
+    "meet as union": (relalg, "meet", lambda r, s: Rel(r.src, r.tgt, r.entries | s.entries), {
+        "kernel of a split meets the kernels":
+            "r=000/000, s=001/100: the kernel of <r,s> is not the meet of theirs",
+    }),
+    "compose to the empty relation": (
+        relalg, "compose", lambda r, s: Rel(s.src, r.tgt, np.zeros((len(r.tgt), len(s.src)), dtype=bool)), {
+            "bijection iff kernel and image are identities":
+                "f=001/100/010: bijection True, identity kernel and image False",
+            "injectivity shunting law": "g=10/00/01, r=111/110, s=11/11",
+            "difunctionality equals the column criterion": "r=110/111/011: column criterion False",
+            "envelope is a self-inverse bijection refining f": "f=1111/0000: the envelope is not self-inverse",
+        }),
+    "bind conjugates": (vecmonad, "bind", lambda v, f: AmpVec({k: a.conjugate() for k, a in _bind(v, f).items()}), {
+        "monad laws (1000 randomized cases)": "case 0: left unit at a=(1,1), sup-norm gap 4.5",
+        "materialize is functorial": "case 0: Kleisli composite, sup-norm gap 9.35",
+    }),
+    "kron transposes its right factor": (vecmonad, "kron", lambda a, b: vecmonad.CMatrix(
+        product_basis(a.src, b.src), product_basis(a.tgt, b.tgt), np.kron(a.entries, b.entries.T)), {
+            "tensor materializes to the Kronecker product": "case 0: sup-norm gap 6.94",
+        }),
+    "nothing is unitary": (vecmonad, "is_unitary", lambda m, tol=1e-9: False, {
+        "unitary ops close under composition and tensor": "case 0: the composite is not unitary",
+    }),
+}
+
+
+@pytest.mark.parametrize("mutation", list(LOOP_MUTATIONS))
+def test_a_failed_loop_names_its_first_failing_case(monkeypatch, mutation):
+    module, name, broken, details = LOOP_MUTATIONS[mutation]
+    monkeypatch.setattr(module, name, broken)
+    suite = module.__name__.rsplit(".", 1)[-1]
+    results = checks.run_suites([suite])
+    assert {r.name: r.detail for r in results if not r.ok} == {
+        check: "first counterexample " + detail for check, detail in details.items()}

@@ -93,6 +93,12 @@ def test_synth_pinned16_accepts_a_bit_pair_step(capsys):
     assert capsys.readouterr().out.startswith("{")
 
 
+@pytest.mark.parametrize("flags, golden", [([], "check_all.txt"), (["--format", "json"], "check_all.json")])
+def test_check_all_golden(capsys, flags, golden):
+    assert main(["check", "all", *flags]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDENS / golden).read_bytes()
+
+
 @pytest.mark.parametrize(
     "flags, golden",
     [
@@ -337,6 +343,14 @@ def test_an_unwritable_output_path_is_an_error_not_a_traceback(tmp_path, capsys,
     assert captured.err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
     assert main([*argv, f"{tmp_path}/"]) == 1  # named as pathlib normalizes it
     assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
+def test_an_empty_output_path_is_named_before_any_work(monkeypatch, capsys, argv):
+    """pathlib reads "" as ".", which would fail late as a directory."""
+    monkeypatch.setattr(cli, "_write", lambda text, out: pytest.fail("wrote output"))
+    assert main([*argv, ""]) == 1
+    assert capsys.readouterr() == ("", f"error: empty output path for {argv[-1]}\n")
 
 
 def _expected(argv: list[str], capsys) -> tuple[str, str]:

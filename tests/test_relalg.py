@@ -652,3 +652,80 @@ class TestStructuralRelationsAgainstReference:
     def test_injections(self, a, b):
         assert inj1(a, b) == ref_inj1(a, b)
         assert inj2(a, b) == ref_inj2(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Operator results skip the public constructor's copy and shape check.  Each
+# must equal the relation the public ``Rel(...)`` builds from the same
+# entries, and hold read-only entries.
+
+def _basis(prefix: str, n: int) -> FinBasis:
+    return FinBasis(tuple(f"{prefix}{i}" for i in range(n)))
+
+
+@st.composite
+def rels(draw, src: FinBasis | None = None, tgt: FinBasis | None = None) -> Rel:
+    """A relation with random entries between bases of 0 to 4 labels."""
+    src = src if src is not None else _basis("s", draw(st.integers(0, 4)))
+    tgt = tgt if tgt is not None else _basis("t", draw(st.integers(0, 4)))
+    bits = draw(st.lists(st.booleans(), min_size=len(src) * len(tgt), max_size=len(src) * len(tgt)))
+    return Rel(src, tgt, np.array(bits, dtype=bool).reshape(len(tgt), len(src)))
+
+
+def _public(r: Rel) -> Rel:
+    """The same relation through the checked constructor."""
+    return Rel(r.src, r.tgt, np.array(r.entries))
+
+
+def _read_only(r: Rel) -> bool:
+    return not r.entries.flags.writeable and r.entries.dtype == bool
+
+
+class TestOperatorsSkipRevalidation:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), r=rels())
+    def test_each_operator_equals_the_public_construction(self, data, r):
+        s = data.draw(rels(src=r.src, tgt=r.tgt))
+        t = data.draw(rels(tgt=r.src))
+        u = data.draw(rels(src=r.src))
+        w = data.draw(rels(tgt=r.tgt))
+        e, f = r.entries.astype(int), s.entries.astype(int)
+        want = {
+            "compose": Rel(t.src, r.tgt, e @ t.entries.astype(int) > 0),
+            "converse": Rel(r.tgt, r.src, e.T),
+            "kernel": Rel(r.src, r.src, e.T @ e > 0),
+            "meet": Rel(r.src, r.tgt, e * f > 0),
+            "pair": Rel(r.src, product_basis(r.tgt, u.tgt), np.array(
+                [[r.entries[i, j] and u.entries[k, j] for j in range(len(r.src))]
+                 for i in range(len(r.tgt)) for k in range(len(u.tgt))], dtype=bool
+            ).reshape(len(r.tgt) * len(u.tgt), len(r.src))),
+            "either": Rel(coproduct_basis(r.src, w.src), r.tgt, np.hstack([e, w.entries.astype(int)]) > 0),
+        }
+        got = {
+            "compose": compose(r, t),
+            "converse": converse(r),
+            "kernel": kernel(r),
+            "meet": meet(r, s),
+            "pair": pair(r, u),
+            "either": either(r, w),
+        }
+        for name, rel in got.items():
+            assert rel == want[name] == _public(rel), name
+            assert _read_only(rel), name
+        assert kernel(r) == compose(converse(r), r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=rels())
+    def test_results_are_read_only_and_leave_the_operand_alone(self, r):
+        before = r.entries.copy()
+        for rel in (converse(r), kernel(r), meet(r, r), pair(r, r), either(r, r), compose(converse(r), r)):
+            with pytest.raises(ValueError):
+                rel.entries[...] = True
+        assert np.array_equal(r.entries, before)
+
+    def test_a_product_counts_no_witnesses(self):
+        """256 common witnesses would wrap around to none as a uint8 count."""
+        wide = _basis("w", 256)
+        r = Rel(BIT, wide, np.ones((256, 2), dtype=bool))
+        assert kernel(r) == compose(converse(r), r) == Rel(BIT, BIT, np.ones((2, 2), dtype=bool))
+        assert relalg.is_entire(r)

@@ -431,3 +431,113 @@ class TestAgainstReferenceConstructors:
         got, want = from_matrix(m), ref_from_matrix(m)
         for label in src:
             assert _built(got.apply, label) == _built(want.apply, label)
+
+
+# ---------------------------------------------------------------------------
+# Operator results that skip re-validation.  Reference: ``bind`` before its
+# result took the summed-ket path, kept verbatim.
+
+def ref_bind(v: AmpVec, f: KleisliOp) -> AmpVec:
+    """Linear extension of f over the support of v."""
+    acc: dict[str, complex] = {}
+    for label, a in v.items():
+        if label not in f.src:
+            raise KeyError(f"label {label!r} outside operation source basis")
+        for out, b in f.apply(label).items():
+            acc[out] = acc.get(out, 0j) + a * b
+    return AmpVec(acc)
+
+
+# Finite parts up to overflow, so that finite terms can sum to infinity.
+_big_parts = st.one_of(st.sampled_from([x for x in _EDGE if math.isfinite(x)]), st.floats(-4, 4),
+                       st.sampled_from([1e308, -1e308, 1.5e308, PRUNE_EPS / 2, 0.9 * PRUNE_EPS]))
+
+
+@st.composite
+def sums(draw) -> dict[str, complex]:
+    """Label -> sum of terms, each sum started from ``0j`` as ``bind`` starts it."""
+    acc: dict[str, complex] = {}
+    terms = st.tuples(st.sampled_from("abcd"), st.builds(complex, _big_parts, _parts))  # NaN and inf too
+    for label, term in draw(st.lists(terms, max_size=10)):
+        acc[label] = acc.get(label, 0j) + term
+    return acc
+
+
+_EDGE_SUMS = {
+    "at the prune epsilon": {"a": 0j + PRUNE_EPS, "b": 0j - 1j * PRUNE_EPS},
+    "below the prune epsilon": {"a": 0j + PRUNE_EPS / 2, "b": 0j + 1, "c": 0j - 0.99 * PRUNE_EPS},
+    "cancelled to zero": {"a": 0j + 1 - 1, "b": 0j - 0.0},
+    "nan": {"a": 0j + 1, "b": 0j + complex(math.nan, 0)},
+    "inf": {"a": 0j + complex(0, math.inf)},
+    "inf and -inf": {"a": 0j + math.inf, "b": 0j - math.inf},
+    "finite terms whose sum overflows": {"a": 0j + 1e308 + 1e308},
+    "finite sums whose total overflows": {"a": 0j + 1e308, "b": 0j + 1e308},
+}
+_RAISES = {"nan": "b", "inf": "a", "inf and -inf": "a", "finite terms whose sum overflows": "a"}
+
+
+def _outcome(make, *args) -> list[tuple[str, str, str]] | str:
+    """``_built``, naming an OverflowError too: the magnitude of a finite
+    amplitude can overflow, in the checked constructor as in the summed path."""
+    try:
+        return _built(make, *args)
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+
+
+class TestSummedKets:
+    @settings(max_examples=400, deadline=None)
+    @given(acc=sums())
+    def test_same_items_order_sign_bits_and_errors_as_the_checked_constructor(self, acc):
+        assert _outcome(AmpVec._from_sums, dict(acc)) == _outcome(AmpVec, dict(acc))
+
+    @pytest.mark.parametrize("case", list(_EDGE_SUMS))
+    def test_edge_sums(self, case):
+        got = _outcome(AmpVec._from_sums, dict(_EDGE_SUMS[case]))
+        assert got == _outcome(AmpVec, dict(_EDGE_SUMS[case]))
+        if case in _RAISES:
+            assert got == f"ValueError: non-finite amplitude at {_RAISES[case]!r}"
+        else:
+            assert isinstance(got, list)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), src=bases(), tgt=bases())
+    def test_bind_matches_its_reference(self, data, src, tgt):
+        big = st.builds(complex, _big_parts, st.floats(-4, 4))
+        cells = data.draw(st.lists(big, min_size=len(src) * len(tgt), max_size=len(src) * len(tgt)))
+        f = from_matrix(CMatrix(src, tgt, np.array(cells, dtype=complex).reshape(len(tgt), len(src))))
+        v = AmpVec(zip(src.labels, data.draw(st.lists(big, min_size=len(src), max_size=len(src)))))
+        assert _outcome(bind, v, f) == _outcome(ref_bind, v, f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), src=bases(), tgt=bases())
+    def test_from_matrix_returns_the_same_ket_on_every_call(self, data, src, tgt):
+        cells = st.lists(st.builds(complex, _parts, _parts), min_size=len(tgt), max_size=len(tgt))
+        cols = data.draw(st.lists(cells, min_size=len(src), max_size=len(src)))
+        f = from_matrix(CMatrix(src, tgt, np.array(cols, dtype=complex).T))
+        for label in data.draw(st.permutations(src.labels * 2)):
+            first = _outcome(f.apply, label)
+            assert _outcome(f.apply, label) == first
+            if isinstance(first, list):
+                assert f.apply(label) is f.apply(label)
+
+
+class TestMatrixOperatorsSkipRevalidation:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), a=bases(), b=bases(), c=bases())
+    def test_each_operator_equals_the_public_construction(self, data, a, b, c):
+        def matrix(src, tgt):
+            cells = data.draw(st.lists(st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)),
+                                       min_size=len(src) * len(tgt), max_size=len(src) * len(tgt)))
+            return CMatrix(src, tgt, np.array(cells, dtype=complex).reshape(len(tgt), len(src)))
+
+        x, y = matrix(a, b), matrix(b, c)
+        got = {"matmul": matmul(y, x), "kron": kron(x, y), "dagger": dagger(x)}
+        want = {
+            "matmul": CMatrix(a, c, y.entries @ x.entries),
+            "kron": CMatrix(product_basis(a, b), product_basis(b, c), np.kron(x.entries, y.entries)),
+            "dagger": CMatrix(b, a, x.entries.conj().T),
+        }
+        for name, m in got.items():
+            assert m == want[name], name
+            assert m.entries.dtype == np.complex128 and not m.entries.flags.writeable, name
