@@ -6,9 +6,20 @@ chain of multi-controlled X gates (with positive and negative controls),
 and every multi-controlled X is lowered at synthesis time to x/cx/ccx
 through a compute/uncompute ladder over ancillas, which are always
 returned to zero.  So the circuit IR holds only the ``qelib1.inc`` gates
-of ``GATES``, every control positive.  Each distinct MCX is lowered once
-per synthesis, and a circuit shares one ``Gate`` instance per distinct
-gate: QASM export and ``Circuit.ops`` handle each distinct gate once.
+of ``GATES``, every control positive.
+
+A k=8 permutation compiles to tens of thousands of gate positions but a
+few dozen distinct gates, so every pass over a circuit does its work once
+per distinct ``Gate`` instance.  Each distinct MCX is lowered once per
+synthesis and its gates interned; ``parse_qasm`` parses each distinct line
+once; a ``Circuit`` keeps a table of its distinct instances, through which
+``is_classical``, ``Circuit.ops`` and QASM export map the positions.  Per
+position there remain only C-level ``map``/dict lookups and the passes that
+need order: the cancellation stack of ``peephole``, the simulators and the
+depth sweep of ``metrics``.  Synthesis and ``parse_qasm`` check each
+distinct gate as they build it, and ``peephole`` keeps gates of a checked
+circuit, so the circuits of all three skip the constructor's range check.
+
 Circuits export to OpenQASM 2.0 and simulate on integer basis indices:
 classical circuits (x/cx/ccx only) on one basis input by bitmask, any
 circuit on a ket by a dense statevector of at most ``MAX_STATE_QUBITS``
@@ -18,8 +29,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TypeVar
 
 import numpy as np
 
@@ -63,6 +76,8 @@ is a control that fires on 1."""
 Op = tuple[str, int, int]
 """A decoded gate: (action, control mask, target mask), the action being
 that of ``GATES``; the target is acted on where every control bit is set."""
+
+_T = TypeVar("_T")
 
 
 class NonPermutationError(ValueError):
@@ -113,7 +128,16 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over data qubits followed by ancilla qubits."""
+    """Ordered gate list over data qubits followed by ancilla qubits.
+
+    Positions may share one ``Gate`` instance.  ``_distinct`` holds each
+    distinct instance once, keyed by ``id``; the public constructor builds
+    it on first use and checks qubit ranges once per entry, so each shared
+    gate is checked once.  ``is_classical``, the decoding of ``ops`` and the
+    lines of ``export_qasm`` are computed once per entry and mapped onto the
+    positions through a dict.  ``_trusted`` takes the table from code that
+    built the gates and checked them against the same qubit count.
+    """
 
     data_qubits: int
     ancilla_qubits: int
@@ -121,45 +145,61 @@ class Circuit:
 
     def __post_init__(self) -> None:
         total = self.data_qubits + self.ancilla_qubits
-        # A Gate shared by many positions, as parse_qasm makes, is checked once.
-        for g in {id(g): g for g in self.gates}.values():
+        for g in self._distinct.values():
             if any(q < 0 or q >= total for q in g.qubits):
                 raise ValueError(f"gate {g} out of range for {total} qubits")
+
+    @classmethod
+    def _trusted(
+        cls, data_qubits: int, ancilla_qubits: int, gates: tuple[Gate, ...], distinct: dict[int, Gate]
+    ) -> Circuit:
+        """A circuit whose gates all lie in range, with ``distinct`` as its
+        table: every distinct instance of ``gates`` keyed by ``id``, and
+        nothing else.  Not checked."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "data_qubits", data_qubits)
+        object.__setattr__(c, "ancilla_qubits", ancilla_qubits)
+        object.__setattr__(c, "gates", gates)
+        object.__setattr__(c, "_distinct", distinct)
+        return c
+
+    def __reduce__(self):
+        # The table is keyed by id, so a copy or an unpickled circuit builds its own.
+        return type(self), (self.data_qubits, self.ancilla_qubits, self.gates)
+
+    @cached_property
+    def _distinct(self) -> dict[int, Gate]:
+        return dict(zip(map(id, self.gates), self.gates))
+
+    def _per_gate(self, f: Callable[[Gate], _T]) -> tuple[_T, ...]:
+        """``f`` of the gate at each position, called once per distinct instance."""
+        of = {i: f(g) for i, g in self._distinct.items()}
+        return tuple(map(of.__getitem__, map(id, self.gates)))
 
     @property
     def total_qubits(self) -> int:
         return self.data_qubits + self.ancilla_qubits
 
     def is_classical(self) -> bool:
-        return all(op[0] == "x" for op in self.ops)
+        return all(GATES[g.name][0] == "x" for g in self._distinct.values())
 
     @cached_property
     def ops(self) -> tuple[Op, ...]:
-        """The gates as bitmasks over basis indices, qubit q at bit n-1-q;
-        decoded once per circuit and once per distinct Gate instance."""
+        """The gates as bitmasks over basis indices, qubit q at bit n-1-q."""
         n = self.total_qubits
-        decoded: dict[int, Op] = {}
-        out = []
-        for g in self.gates:
-            op = decoded.get(id(g))
-            if op is None:
-                op = decoded[id(g)] = _decode(g, n)
-            out.append(op)
-        return tuple(out)
+        return self._per_gate(lambda g: _decode(g, n))
 
     @cached_property
     def _view_ops(self) -> tuple[tuple[str, tuple, tuple], ...]:
-        """``ops`` as (action, first, second), the index tuples of ``_view_index``
-        into the (2,)*n view of a statevector; built once per distinct op."""
+        """The gates as (action, first, second), the index tuples of
+        ``_view_index`` into the (2,)*n view of a statevector."""
         n = self.total_qubits
-        built: dict[Op, tuple[str, tuple, tuple]] = {}
-        out = []
-        for op in self.ops:
-            v = built.get(op)
-            if v is None:
-                v = built[op] = (op[0], *_view_index(op, n))
-            out.append(v)
-        return tuple(out)
+
+        def view(g: Gate) -> tuple[str, tuple, tuple]:
+            op = _decode(g, n)
+            return (op[0], *_view_index(op, n))
+
+        return self._per_gate(view)
 
 
 def _decode(g: Gate, n: int) -> Op:
@@ -279,10 +319,14 @@ def synth_permutation(m: CMatrix, tol: float = DEFAULT_TOL) -> Circuit:
     to within ``tol``, on the computational basis of ``Encoding(m.src)``;
     the matrix must map that basis to itself.
 
-    Each distinct Gray-chain MCX is lowered once per call, and ``peephole``
-    leaves one shared ``Gate`` per distinct gate: ``export_qasm`` formats
-    and ``Circuit.ops`` decodes each distinct gate once, and the depth
-    sweep of ``metrics`` builds nothing per position.
+    Each distinct Gray-chain MCX is lowered once per call, and its gates
+    are interned, so the raw circuit holds one ``Gate`` instance per
+    distinct gate.  Those gates act on the data qubits and the ancillas
+    that ``decompose_mcx`` was given, so the raw circuit is built trusted,
+    with the interned gates as its table.  ``peephole`` leaves one shared
+    instance per distinct gate: ``export_qasm`` formats and ``Circuit.ops``
+    decodes each distinct gate once, and the depth sweep of ``metrics``
+    builds nothing per position.
     """
     width = Encoding(m.src).width
     if m.tgt != m.src:
@@ -292,6 +336,7 @@ def synth_permutation(m: CMatrix, tol: float = DEFAULT_TOL) -> Circuit:
     swaps = [s for u, v in _transpositions(perm) for s in _gray_chain(u, v, width)]
     need = max(0, width - 3) if swaps else 0
     ancillas = tuple(range(width, width + need))
+    interned: dict[tuple[str, tuple[int, ...]], Gate] = {}
     lowered_of: dict[tuple[int, int], tuple[Gate, ...]] = {}
     lowered: list[Gate] = []
     for swap in swaps:
@@ -301,9 +346,10 @@ def synth_permutation(m: CMatrix, tol: float = DEFAULT_TOL) -> Circuit:
             controls = tuple(
                 (q, (state >> (width - 1 - q)) & 1) for q in range(width) if q != target
             )
-            seq = lowered_of[swap] = decompose_mcx(controls, target, ancillas)
+            gates = decompose_mcx(controls, target, ancillas)
+            seq = lowered_of[swap] = tuple(interned.setdefault((g.name, g.qubits), g) for g in gates)
         lowered.extend(seq)
-    return peephole(Circuit(width, need, tuple(lowered)))
+    return peephole(Circuit._trusted(width, need, tuple(lowered), {id(g): g for g in interned.values()}))
 
 
 def peephole(c: Circuit) -> Circuit:
@@ -312,23 +358,32 @@ def peephole(c: Circuit) -> Circuit:
 
     A gate cancels the top of the stack when the two are equal, so pairs
     that meet only after an inner pair cancels go too: the result is the
-    fixed point of repeated adjacent cancellation.  Each distinct ``Gate``
-    instance is mapped once to one shared instance per distinct gate, so
-    equality on the stack is an identity test; the result holds those
-    shared instances.
+    fixed point of repeated adjacent cancellation.  Each distinct instance
+    in ``c``'s table is mapped once to the first instance of its distinct
+    gate, so equality on the stack is an identity test; the stack is the
+    one pass over positions.  The result holds the shared instances that
+    remain.  They are gates of ``c``, already checked against the same
+    qubit count, so the result is built trusted.
     """
-    shared_of: dict[int, Gate] = {}
     shared: dict[Gate, Gate] = {}
-    out: list[Gate] = []
-    for g in c.gates:
-        s = shared_of.get(id(g))
-        if s is None:
-            s = shared_of[id(g)] = shared.setdefault(g, g)
-        if out and out[-1] is s and GATES[s.name][0] in ("x", "h"):
+    shared_of = {i: shared.setdefault(g, g) for i, g in c._distinct.items()}
+    cancels = {id(s) for s in shared.values() if GATES[s.name][0] in ("x", "h")}
+    # With no two instances equal, each instance is its own shared gate.
+    seq = c.gates if len(shared) == len(shared_of) else map(shared_of.__getitem__, map(id, c.gates))
+    out: list = [None]  # a bottom that is no gate
+    top = None
+    for s in seq:
+        if s is top and id(s) in cancels:
             out.pop()
+            top = out[-1]
         else:
             out.append(s)
-    return Circuit(c.data_qubits, c.ancilla_qubits, tuple(out))
+            top = s
+    gates = tuple(out[1:])
+    kept = set(map(id, gates))
+    return Circuit._trusted(
+        c.data_qubits, c.ancilla_qubits, gates, {id(s): s for s in shared.values() if id(s) in kept}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +510,12 @@ def _qref(c: Circuit, q: int) -> str:
 
 
 def export_qasm(c: Circuit) -> str:
-    """OpenQASM 2.0 text over ``qelib1.inc`` gates."""
+    """OpenQASM 2.0 text over ``qelib1.inc`` gates; each distinct ``Gate``
+    instance is formatted once."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.data_qubits}];"]
     if c.ancilla_qubits:
         lines.append(f"qreg anc[{c.ancilla_qubits}];")
-    line_of: dict[int, str] = {}  # one line per distinct Gate instance
-    for g in c.gates:
-        line = line_of.get(id(g))
-        if line is None:
-            refs = ",".join(_qref(c, q) for q in g.qubits)
-            line = line_of[id(g)] = f"{g.name} {refs};"
-        lines.append(line)
+    lines.extend(c._per_gate(lambda g: f"{g.name} {','.join(_qref(c, q) for q in g.qubits)};"))
     return "\n".join(lines) + "\n"
 
 
@@ -478,30 +528,48 @@ def parse_qasm(text: str) -> Circuit:
     """Parse the emitted OpenQASM 2.0 subset back into a circuit.
 
     Each register may be declared once, before any gate that uses it, and
-    every reference must lie inside its register.  So a gate line means
-    the same wherever it occurs: each distinct line is parsed and validated
-    once, and its repeats share the same (frozen) ``Gate``.
+    every reference must lie inside its register.  So a line means the
+    same wherever it occurs, and it fails, if at all, where it first
+    occurs; the one exception is a declaration repeated word for word,
+    which fails where it recurs.  Each distinct raw line is therefore read
+    once, in order of first occurrence, and the lines are then mapped
+    through a dict.  Lines equal once stripped share one (frozen) ``Gate``,
+    parsed and checked against its register once, so the circuit is built
+    trusted, with those gates as its table.
     """
+    lines = text.splitlines()
     sizes: dict[str, int] = {}
     seen: dict[str, Gate] = {}
-    gates: list[Gate] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        g = seen.get(line)
-        if g is None:
-            if not line or line.startswith(("//", "OPENQASM", "include")):
-                continue
-            m = _QASM_QREG.fullmatch(line)
-            if m:
-                if m.group(1) in sizes:
-                    raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
-                sizes[m.group(1)] = int(m.group(2))
-                continue
-            g = seen[line] = _parse_gate_line(line, raw, sizes)
-        gates.append(g)
+    meaning = _read_lines(lines, sizes, seen)
     if "q" not in sizes:
         raise ValueError("missing qreg declaration")
-    return Circuit(sizes["q"], sizes.get("anc", 0), tuple(gates))
+    gates = tuple(filter(None, map(meaning.__getitem__, lines)))
+    return Circuit._trusted(sizes["q"], sizes.get("anc", 0), gates, {id(g): g for g in seen.values()})
+
+
+def _read_lines(lines: list[str], sizes: dict[str, int], seen: dict[str, Gate]) -> dict[str, Gate | None]:
+    """Each distinct raw line of ``lines``, read in order of first
+    occurrence, mapped to its gate, or to None for a line without one.
+    Declarations fill ``sizes``, and each stripped gate line its entry of
+    ``seen``."""
+    meaning: dict[str, Gate | None] = dict.fromkeys(lines)  # in order of first occurrence
+    for raw in meaning:
+        line = raw.strip()
+        g = seen.get(line)
+        if g is None and line and not line.startswith(("//", "OPENQASM", "include")):
+            m = _QASM_QREG.fullmatch(line)
+            if m is None:
+                g = seen[line] = _parse_gate_line(line, raw, sizes)
+            elif m.group(1) in sizes:
+                raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
+            elif lines.count(raw) > 1:
+                # Fails where it recurs, unless a line before that fails first.
+                _read_lines(lines[: lines.index(raw, lines.index(raw) + 1)], {}, {})
+                raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
+            else:
+                sizes[m.group(1)] = int(m.group(2))
+        meaning[raw] = g
+    return meaning
 
 
 def _parse_gate_line(line: str, raw: str, sizes: dict[str, int]) -> Gate:

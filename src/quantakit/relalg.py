@@ -109,7 +109,10 @@ class ComplementError(ValueError):
 
 @dataclass(frozen=True)
 class FinBasis:
-    """Ordered finite basis of distinct opaque labels."""
+    """Ordered finite basis of distinct opaque labels, equal when their
+    label tuples are equal.  Operators compare and hash their bases on
+    every call, so equality tests identity first, and the hash of the
+    label tuple is computed once, on first use."""
 
     labels: tuple[str, ...]
 
@@ -120,6 +123,23 @@ class FinBasis:
         if len(index) != len(labels):
             raise ValueError("basis labels must be pairwise distinct")
         object.__setattr__(self, "_index", index)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash  # type: ignore[attr-defined]
+        except AttributeError:
+            # Set as the other fields are: writing to __dict__ itself would
+            # make every later attribute read on this instance slower.
+            h = hash((self.labels,))  # the hash the dataclass would give
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -83,18 +83,24 @@ class AmpVec:
         items = amps.items() if isinstance(amps, Mapping) else amps
         store: dict[str, complex] = {}
         repeated = False
-        for label, a in items:
-            a = complex(a)
-            if not cmath.isfinite(a):
-                raise ValueError(f"non-finite amplitude at {label!r}")
-            if abs(a) >= PRUNE_EPS:
-                if label in store:
-                    store[label] += a
-                    repeated = True
-                else:
-                    store[label] = 0j + a  # turns a -0.0 part into the +0.0 that JSON output prints
-        # Only a sum over a repeated label can fall below the epsilon.
-        self._amps = {k: v for k, v in store.items() if abs(v) >= PRUNE_EPS} if repeated else store
+        try:
+            for label, a in items:
+                a = complex(a)
+                if not cmath.isfinite(a):
+                    raise ValueError(f"non-finite amplitude at {label!r}")
+                if abs(a) >= PRUNE_EPS:
+                    if label in store:
+                        store[label] += a
+                        repeated = True
+                    else:
+                        store[label] = 0j + a  # turns a -0.0 part into the +0.0 that JSON output prints
+        except OverflowError as exc:  # abs() of a finite amplitude, or complex() of a huge int
+            if exc.__traceback__.tb_next is not None:  # raised in the caller's own iterator or number
+                raise
+            raise ValueError(f"amplitude magnitude overflows at {label!r}") from None
+        # Only a sum over a repeated label can fall below the epsilon or
+        # leave the finite range; one more pass over the sums checks both.
+        self._amps = AmpVec(store)._amps if repeated else store
 
     @classmethod
     def _from_sums(cls, acc: dict[str, complex]) -> AmpVec:
@@ -102,7 +108,10 @@ class AmpVec:
         if not cmath.isfinite(sum(acc.values())):
             return cls(acc)  # names the first non-finite amplitude
         v = object.__new__(cls)
-        v._amps = {k: a for k, a in acc.items() if abs(a) >= PRUNE_EPS}
+        try:
+            v._amps = {k: a for k, a in acc.items() if abs(a) >= PRUNE_EPS}
+        except OverflowError:
+            return cls(acc)  # names the first amplitude whose magnitude overflows
         return v
 
     def __getitem__(self, label: str) -> complex:
@@ -390,15 +399,28 @@ def format_matrix(m: CMatrix) -> str:
 
 
 def parse_matrix(text: str) -> CMatrix:
+    """Read what ``format_matrix`` prints.
+
+    A row whose cells are exactly ``0+0i`` or ``1+0i``, one space apart,
+    as every row of a permutation dump is, is read in one NumPy step from
+    the first character of each cell.  Every other row goes through the
+    cell parser, which parses each distinct cell once.  Rows are checked in
+    order, each for its cell count, its label and then its cells.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix dump")
     src = FinBasis(tuple(check_label(x) for x in lines[0].split()))
     amp = functools.cache(_parse_amp)  # a dump repeats few distinct cells
+    zeros = " ".join(["0+0i"] * len(src))
     tgt_labels: list[str] = []
     rows = []
     for ln in lines[1:]:
         label, _, rest = ln.partition(": ")
+        if rest.replace("1+0i", "0+0i") == zeros:  # then each cell starts at a multiple of 5
+            tgt_labels.append(check_label(label))
+            rows.append(np.frombuffer(rest[::5].encode(), dtype=np.uint8) == ord("1"))
+            continue
         cells = rest.split()
         if len(cells) != len(src):
             raise ValueError(f"row {label!r} has {len(cells)} cells, expected {len(src)}")

@@ -1,3 +1,7 @@
+import copy
+import hashlib
+import pickle
+import re
 from pathlib import Path
 from typing import NamedTuple
 
@@ -712,3 +716,212 @@ def test_ops_are_bitmasks_with_qubit_zero_leftmost():
         ("h", 0, 0b0010),
         ("tdg", 0, 0b0100),
     )
+
+
+# ---------------------------------------------------------------------------
+# Passes once per distinct gate.  References: ``parse_qasm`` and
+# ``Circuit.ops``/``is_classical`` before they read each distinct line and
+# gate once through a table, kept verbatim apart from the names.
+
+_REF_QASM_QREG = re.compile(r"qreg\s+(q|anc)\[(\d+)\];")
+_REF_QASM_GATE = re.compile(rf"^({'|'.join(circuitgen.GATES)})\s+(.+);$")
+_REF_QASM_REF = re.compile(r"^(q|anc)\[(\d+)\]$")
+
+
+def ref_parse_qasm(text: str) -> Circuit:
+    """Parse the emitted OpenQASM 2.0 subset back into a circuit.
+
+    Each register may be declared once, before any gate that uses it, and
+    every reference must lie inside its register.  So a gate line means
+    the same wherever it occurs: each distinct line is parsed and validated
+    once, and its repeats share the same (frozen) ``Gate``.
+    """
+    sizes: dict[str, int] = {}
+    seen: dict[str, Gate] = {}
+    gates: list[Gate] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        g = seen.get(line)
+        if g is None:
+            if not line or line.startswith(("//", "OPENQASM", "include")):
+                continue
+            m = _REF_QASM_QREG.fullmatch(line)
+            if m:
+                if m.group(1) in sizes:
+                    raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
+                sizes[m.group(1)] = int(m.group(2))
+                continue
+            g = seen[line] = ref_parse_gate_line(line, raw, sizes)
+        gates.append(g)
+    if "q" not in sizes:
+        raise ValueError("missing qreg declaration")
+    return Circuit(sizes["q"], sizes.get("anc", 0), tuple(gates))
+
+
+def ref_parse_gate_line(line: str, raw: str, sizes: dict[str, int]) -> Gate:
+    gm = _REF_QASM_GATE.fullmatch(line)
+    if gm is None:
+        raise ValueError(f"unsupported QASM line: {raw!r}")
+    if "q" not in sizes:
+        raise ValueError("gate before qreg declaration")
+    qubits = []
+    for ref in gm.group(2).split(","):
+        rm = _REF_QASM_REF.fullmatch(ref.strip())
+        if rm is None:
+            raise ValueError(f"bad qubit reference {ref!r}")
+        reg, i = rm.group(1), int(rm.group(2))
+        if reg not in sizes:
+            raise ValueError(f"qubit reference {reg}[{i}] to an undeclared register")
+        if i >= sizes[reg]:
+            raise ValueError(f"qubit reference {reg}[{i}] outside qreg {reg}[{sizes[reg]}]")
+        qubits.append(i if reg == "q" else sizes["q"] + i)
+    return Gate(gm.group(1), tuple(qubits))
+
+
+def ref_ops(c: Circuit) -> tuple:
+    """The gates as bitmasks over basis indices, qubit q at bit n-1-q;
+    decoded once per circuit and once per distinct Gate instance."""
+    n = c.total_qubits
+    decoded: dict[int, tuple] = {}
+    out = []
+    for g in c.gates:
+        op = decoded.get(id(g))
+        if op is None:
+            op = decoded[id(g)] = circuitgen._decode(g, n)
+        out.append(op)
+    return tuple(out)
+
+
+def ref_is_classical(c: Circuit) -> bool:
+    return all(op[0] == "x" for op in ref_ops(c))
+
+
+_QASM_OK = (
+    "OPENQASM 2.0;", 'include "qelib1.inc";', "// note", "", "   ",
+    "x q[0];", "x q[1];", " x q[0]; ", "x q[0];  ", "h anc[0];", "t q[2];", "tdg q[1];",
+    "cx q[0],q[1];", "cx q[1], q[0];", "ccx q[0],q[1],anc[0];", "ccx q[1],q[0],anc[1];",
+)
+_QASM_BAD = (
+    "qreg q[2];", "qreg q[3];", "qreg anc[1];", "qreg anc[2];", "  qreg q[3];", "qreg  anc[2];",
+    "x q[2];", "x anc[1];", "x q[9];", "cx q[0],q[0];", "y q[0];", "x q[a];", "mcx q[0],q[1];",
+    "x q[0]", "qreg r[1];", "x r[0];",
+)
+_QASM_HEADS = (
+    (), ("qreg q[3];",), ("qreg q[3];", "qreg anc[2];"), ("qreg anc[2];",),
+    ('OPENQASM 2.0;', 'include "qelib1.inc";', "qreg q[2];", "qreg anc[1];"),
+)
+
+
+@st.composite
+def qasm_texts(draw):
+    """Gate lines, repeated and whitespace-padded, after some declarations,
+    with up to three lines planted that can fail: declarations (repeated or
+    late), out-of-range and malformed lines.  In the declarations
+    ``q[2]``/``anc[1]``, lines of the first pool fail too."""
+    lines = list(draw(st.sampled_from(_QASM_HEADS)))
+    lines += draw(st.lists(st.sampled_from(_QASM_OK), max_size=30))
+    for bad in draw(st.lists(st.sampled_from((*_QASM_BAD, *lines[:2])), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return draw(st.sampled_from(("\n", "\r\n"))).join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+def sharing(c: Circuit) -> list[int]:
+    """For each position, the first position holding the same instance."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(g), i) for i, g in enumerate(c.gates)]
+
+
+def assert_as_public(c: Circuit) -> None:
+    """``c`` equals the public construction of its fields, with the same
+    table of distinct instances."""
+    public = Circuit(c.data_qubits, c.ancilla_qubits, c.gates)
+    assert c == public
+    assert c._distinct == public._distinct
+
+
+class TestParseQasmAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(qasm_texts())
+    def test_same_circuit_or_same_error(self, text):
+        got, want = outcome_of(parse_qasm, text), outcome_of(ref_parse_qasm, text)
+        assert got == want
+        if isinstance(got, Circuit):
+            assert sharing(got) == sharing(want)
+            assert_as_public(got)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "qreg q[2];\nx q[0];\nqreg q[2];\ny q[0];",
+            "qreg q[2];\ny q[0];\nqreg q[2];",
+            "qreg q[2];\nqreg anc[1];\nqreg anc[1];\nqreg q[2];",
+            "qreg q[2];\nqreg anc[1];\nx q[0];\nqreg q[2];\nqreg anc[1];",
+            "qreg anc[1];\nqreg anc[1];",
+            "qreg anc[1];\nx q[0];\nqreg anc[1];",
+            " qreg q[2];\nqreg q[2];",
+            "qreg q[2];\n qreg q[2];\nqreg q[2];",
+            "x q[0];\nqreg q[1];\nx q[0];",
+            "qreg q[1];\nx q[0];\nx anc[0];\nqreg anc[1];\nx anc[0];",
+            "qreg q[1];\nx q[0];\n x q[1];",
+            "qreg q[2];\nx q[0];\n  x q[0];  \nx q[0];\n\tx q[0];",
+            "",
+            "// only a comment",
+        ],
+    )
+    def test_declarations_repeats_and_order_of_errors(self, text):
+        got = outcome_of(parse_qasm, text)
+        assert got == outcome_of(ref_parse_qasm, text)
+        if isinstance(got, Circuit):
+            assert sharing(got) == sharing(ref_parse_qasm(text))
+
+
+class TestPassesPerDistinctGate:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(words(), circuits(), exportable_circuits()))
+    def test_ops_is_classical_and_export_match_the_references(self, c):
+        for d in (c, peephole(c)):
+            assert d.ops == ref_ops(d)
+            assert d.is_classical() == ref_is_classical(d)
+            assert export_qasm(d) == ref_export_qasm(d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(words(), circuits()))
+    def test_peephole_results_equal_their_public_construction(self, c):
+        assert_as_public(peephole(c))
+
+    @settings(max_examples=60, deadline=None)
+    @given(power_of_two_permutations(max_width=6))
+    def test_synthesized_circuits_equal_their_public_construction(self, perm):
+        assert_as_public(synth_permutation(perm_matrix(perm)))
+
+    def test_a_cancelled_hadamard_leaves_a_classical_circuit(self):
+        h, x = Gate("h", (0,)), Gate("x", (0,))
+        c = peephole(Circuit(1, 0, (x, h, Gate("h", (0,)), x, x)))
+        assert c.gates == (x,)
+        assert c.is_classical()
+        assert c._distinct == {id(x): x}
+
+    def test_copies_build_their_own_table(self):
+        c = synth_permutation(perm_matrix(np.random.default_rng(3).permutation(16).tolist()))
+        for d in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert d == c
+            assert_as_public(d)
+            assert d.ops == c.ops
+            assert export_qasm(d) == export_qasm(c)
+
+
+def test_the_large_circuit_is_pinned():
+    """The seed-8 random 8-bit permutation: gate count, depth, ancillas and
+    the exact QASM text of the circuit the synthesis emitted before it
+    worked once per distinct gate; a QASM round trip; 16 seeded inputs."""
+    perm = np.random.default_rng(8).permutation(256).tolist()
+    c = synth_permutation(perm_matrix(perm))
+    assert metrics(c) == Metrics(size=38122, cx=0, depth=22310)
+    assert c.ancilla_qubits == 5
+    text = export_qasm(c)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2f0a82a92606f94acdfdaeb44c6a8e42342f25530bf31e15ca9e27ca2e930c10"
+    )
+    assert parse_qasm(text) == c
+    for x in np.random.default_rng(18).choice(256, 16, replace=False).tolist():
+        assert simulate(c, format(x, "08b")) == format(perm[x], "08b")

@@ -409,6 +409,19 @@ def test_synth_with_one_path_for_qasm_and_metrics_leaves_the_metrics(tmp_path, c
     assert Path(path).read_text() == (GOLDENS / "synth_cnot16_metrics.json").read_text()
 
 
+def test_simulate_perm4_on_every_input_golden(tmp_path, capsys):
+    """What the CI entry-point step prints: the synthesized perm4 circuit
+    simulated on each of its 16 inputs, one ``input output`` line each."""
+    qasm = tmp_path / "perm4.qasm"
+    assert main(["synth", "--matrix-file", str(DATA / "perm4.mat"), "--qasm", str(qasm), "--out", os.devnull]) == 0
+    lines = []
+    for i in range(16):
+        x = format(i, "04b")
+        assert main(["simulate", str(qasm), x]) == 0
+        lines.append(f"{x} {capsys.readouterr().out}")
+    assert "".join(lines) == (GOLDENS / "simulate_perm4.txt").read_text()
+
+
 @pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
 def test_an_output_to_dev_null_is_written_and_dropped(capsys, argv):
     _, printed = _expected(argv, capsys)

@@ -81,6 +81,29 @@ class TestBasics:
         with pytest.raises(ValueError):
             FinBasis(("x", "x"))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_basis_equality_and_hash_follow_the_label_tuples(self, data):
+        xs = data.draw(st.lists(labels, max_size=4, unique=True))
+        ys = data.draw(st.one_of(st.just(list(xs)), st.permutations(xs), st.lists(labels, max_size=4, unique=True)))
+        a, b = FinBasis(tuple(xs)), FinBasis(ys)
+        same = tuple(xs) == tuple(ys)
+        assert (a == b) is same and (b == a) is same and (a != b) is not same
+        assert a == a and not a != a
+        assert hash(a) == hash(a) == hash((tuple(xs),))
+        if same:
+            assert hash(a) == hash(b)
+            assert {a: 1}[b] == 1
+        assert a != tuple(xs) and a.__eq__(tuple(xs)) is NotImplemented
+
+    def test_basis_hash_is_computed_on_first_use_and_kept(self):
+        a = FinBasis(("x", "y"))
+        assert "_hash" not in vars(a)
+        h = hash(a)
+        assert vars(a)["_hash"] == h == hash((("x", "y"),))
+        object.__setattr__(a, "_hash", 12345)  # later calls return the kept value
+        assert hash(a) == 12345
+
     def test_rel_shape_checked(self):
         with pytest.raises(ValueError):
             Rel(BIT, BIT, np.zeros((3, 2), dtype=bool))

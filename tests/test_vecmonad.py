@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -12,7 +13,7 @@ import reference_tables as rt
 from label_strategies import bases
 from quantakit import gates, vecmonad
 from quantakit.gates import NOT_TABLE, cnot_table, had, lift, tgate
-from quantakit.relalg import BIT, FinBasis, pair_label, product_basis, split_pair
+from quantakit.relalg import BIT, FinBasis, check_label, pair_label, product_basis, split_pair
 from quantakit.vecmonad import (
     PRUNE_EPS,
     AmpVec,
@@ -541,3 +542,144 @@ class TestMatrixOperatorsSkipRevalidation:
         for name, m in got.items():
             assert m == want[name], name
             assert m.entries.dtype == np.complex128 and not m.entries.flags.writeable, name
+
+
+
+# ---------------------------------------------------------------------------
+# Matrix dumps.  Reference: ``parse_matrix`` before its fast row, kept
+# verbatim apart from the name.
+
+def ref_parse_matrix(text: str) -> CMatrix:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty matrix dump")
+    src = FinBasis(tuple(check_label(x) for x in lines[0].split()))
+    amp = functools.cache(vecmonad._parse_amp)  # a dump repeats few distinct cells
+    tgt_labels: list[str] = []
+    rows = []
+    for ln in lines[1:]:
+        label, _, rest = ln.partition(": ")
+        cells = rest.split()
+        if len(cells) != len(src):
+            raise ValueError(f"row {label!r} has {len(cells)} cells, expected {len(src)}")
+        tgt_labels.append(check_label(label))
+        rows.append([amp(c) for c in cells])
+    return CMatrix(src, FinBasis(tuple(tgt_labels)), np.array(rows, dtype=np.complex128))
+
+
+_FAST_CELLS = ("0+0i", "1+0i")
+_NEAR_CELLS = ("0+1i", "1+1i", "1-0i", "-0+0i", "0+0e0i", "10+0i")
+_OTHER_CELLS = ("0.5-1i", "-0+0i", "0-0i", "1+0e0i", "1e400+0i", "nan+0i", "1", "x+0i", "0+0j", "01+0i", "1+0i1+0i")
+_ROW_LABELS = ("r0", "r1", "r2", "c0", "(r,3)", "a,b", "(r", "")
+
+
+@st.composite
+def matrix_dumps(draw) -> str:
+    """Dumps whose rows are mostly single-spaced ``0+0i``/``1+0i`` cells,
+    and otherwise hold cells a character or two away from those, other or
+    malformed cells, a wrong cell count, other
+    blanks between cells, a repeated or malformed label, or no ``: ``."""
+    n = draw(st.integers(1, 4))
+    header = " ".join(f"c{j}" for j in range(n))
+    if draw(st.integers(0, 5)) == 0:
+        header = draw(st.sampled_from(["c0 c0", "c0 (c1", " c0  c1 "]))
+    width = len(header.split())
+    lines = [header]
+    for i in range(draw(st.integers(0, 5))):
+        label = draw(st.sampled_from(_ROW_LABELS)) if draw(st.integers(0, 5)) == 0 else f"r{i}"
+        kind = draw(st.sampled_from(("fast", "fast", "fast", "near", "other", "count", "blanks", "no colon")))
+        count = width + draw(st.sampled_from((-1, 1))) if kind == "count" else width
+        pool = {"near": _FAST_CELLS + _NEAR_CELLS, "other": _FAST_CELLS + _OTHER_CELLS}.get(kind, _FAST_CELLS)
+        cells = draw(st.lists(st.sampled_from(pool), min_size=max(count, 0), max_size=max(count, 0)))
+        sep = draw(st.sampled_from(("  ", "\t", "  "))) if kind == "blanks" else " "
+        rest = sep.join(cells) + (draw(st.sampled_from(("", " ", "\t"))) if kind == "blanks" else "")
+        lines.append(f"{label} {rest}" if kind == "no colon" else f"{label}: {rest}")
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(("", "   "))))
+    return "\n".join(lines) + "\n"
+
+
+def _dump_outcome(parse, text):
+    """Bases and the exact bits of the entries, or the error type and text."""
+    try:
+        m = parse(text)
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+    return m.src, m.tgt, m.entries.shape, m.entries.dtype, m.entries.tobytes()
+
+
+class TestParseMatrixAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(matrix_dumps())
+    def test_same_matrix_or_same_error(self, text):
+        assert _dump_outcome(parse_matrix, text) == _dump_outcome(ref_parse_matrix, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "c0 c1\n",
+            "c0\nr0: 1+0i\nr1: 0+0i\n",
+            "c0 c1\nr0: 1+0i 0+0i \nr1: 0+0i  1+0i\n",
+            "c0 c1\nr0: 1+0i 1+0i 0+0i\n",
+            "c0 c1\n(r: 1+0i 0+0i\nr1: 1+0i\n",
+            "c0 c1\nr0: 1+0i x+0i\n(r: 1+0i 0+0i\n",
+            "c0 c1\nr0: 1+0i 0+0i\nr0: 0+0i 1+0i\n",
+            "c0 c1\nr0: -0+0i 0-0i\nr1: 0+0i 1+0i\n",
+            "c0 c1\nr0: 0+1i 1+0i\nr1: 1+1i 0+0i\n",
+            "c0 c1\nr0: 1-0i 0+0i\nr1: 0+0i 10+0i\n",
+        ],
+    )
+    def test_fast_rows_beside_every_error(self, text):
+        assert _dump_outcome(parse_matrix, text) == _dump_outcome(ref_parse_matrix, text)
+
+    def test_a_permutation_dump_reads_back(self):
+        perm = np.random.default_rng(5).permutation(32)
+        m = CMatrix(FinBasis(tuple(f"s{j}" for j in range(32))), FinBasis(tuple(f"s{j}" for j in range(32))),
+                    np.eye(32, dtype=np.complex128)[perm])
+        text = format_matrix(m)
+        assert parse_matrix(text) == m
+        assert _dump_outcome(parse_matrix, text) == _dump_outcome(ref_parse_matrix, text)
+
+
+# ---------------------------------------------------------------------------
+# Finite amplitudes whose magnitude overflows.
+
+_HUGE = complex(1.7e308, 1.7e308)  # finite, but abs() overflows
+
+
+class TestOverflowingAmplitudes:
+    def test_the_constructor_names_the_label(self):
+        with pytest.raises(ValueError, match=r"^amplitude magnitude overflows at 'b'$"):
+            AmpVec({"a": 1.0, "b": _HUGE})
+        with pytest.raises(ValueError, match=r"^amplitude magnitude overflows at 'c'$"):
+            AmpVec([("a", 1.0), ("c", 10 ** 400)])
+
+    def test_an_overflow_inside_the_callers_iterator_is_left_alone(self):
+        def items():
+            yield "a", 1.0
+            yield "b", float(10 ** 400)
+
+        with pytest.raises(OverflowError):
+            AmpVec(items())
+
+    def test_a_repeated_label_whose_sum_overflows_is_named(self):
+        with pytest.raises(ValueError, match=r"^non-finite amplitude at 'a'$"):
+            AmpVec([("a", 1e308), ("b", 1.0), ("a", 1e308)])
+        with pytest.raises(ValueError, match=r"^amplitude magnitude overflows at 'a'$"):
+            AmpVec([("a", complex(1e308, 1e308)), ("a", complex(5e307, 5e307))])
+
+    def test_summed_kets_name_the_label(self):
+        with pytest.raises(ValueError, match=r"^amplitude magnitude overflows at 'b'$"):
+            AmpVec._from_sums({"a": 0j + 1, "b": 0j + _HUGE})
+
+    def test_bind_names_the_label(self):
+        f = KleisliOp(BIT, lambda label: AmpVec({"o": 1 + 1.5j}))
+        with pytest.raises(ValueError, match=r"^amplitude magnitude overflows at 'o'$"):
+            bind(AmpVec({"0": 1e308}), f)
+
+    def test_nan_and_inf_keep_their_text(self):
+        for a in (complex(math.nan, 0), complex(0, math.inf)):
+            with pytest.raises(ValueError, match=r"^non-finite amplitude at 'a'$"):
+                AmpVec({"a": a})
+            with pytest.raises(ValueError, match=r"^non-finite amplitude at 'a'$"):
+                AmpVec._from_sums({"a": 0j + a})
