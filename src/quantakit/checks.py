@@ -522,31 +522,34 @@ def circuitgen_suite() -> list[CheckResult]:
     ok = circ4.gates == (circuitgen.Gate("cx", (0, 1)),)
     out.append(_result("circuitgen", "the 2-bit controlled-not compiles to one cx", ok))
 
-    ok = True
-    cases = [cnot4]
+    matrices = [cnot4]
     for _ in range(3):
         perm = rng.permutation(8)
         m = np.zeros((8, 8))
         for j, i in enumerate(perm):
             m[i, j] = 1.0
         basis = FinBasis(tuple(format(i, "03b") for i in range(8)))
-        cases.append(vecmonad.CMatrix(basis, basis, m))
-    for m in cases:
+        matrices.append(vecmonad.CMatrix(basis, basis, m))
+    cases = _Cases()
+    for i, m in enumerate(matrices):
         enc = circuitgen.Encoding(m.src)
         circ = circuitgen.synth_permutation(m)
         for j, label in enumerate(m.src):
-            got = circuitgen.simulate(circ, enc.bits_of(label))
+            bits = enc.bits_of(label)
+            got = circuitgen.simulate(circ, bits)
             expect = enc.bits_of(m.tgt.labels[int(np.argmax(np.abs(m.entries[:, j])))])
-            ok &= got == expect
-    out.append(_result("circuitgen", "synthesized circuits act as their matrices", ok))
+            cases.check(got == expect, lambda: f"case {i}: input {bits} gives {got}, want {expect}")
+    out.append(cases.result("circuitgen", "synthesized circuits act as their matrices"))
 
-    ok = True
+    cases = _Cases()
     for n_controls in range(1, 7):
         anc = tuple(range(n_controls + 1, n_controls + 1 + max(0, n_controls - 2)))
         for pols in ([1] * n_controls, [0] + [1] * (n_controls - 1)):
             controls = tuple((q, pols[q]) for q in range(n_controls))
+            case = f"control polarities {''.join(map(str, pols))}"
             gs = circuitgen.decompose_mcx(controls, n_controls, anc)
-            ok &= all(g.name in ("x", "cx", "ccx") for g in gs)
+            kinds = sorted({g.name for g in gs} - {"x", "cx", "ccx"})
+            cases.check(not kinds, lambda: f"{case}: lowered to {', '.join(kinds)}")
             width = n_controls + 1 + len(anc)
             circ = circuitgen.Circuit(width, 0, gs)
             for bits in itertools.product("01", repeat=n_controls + 1):
@@ -556,11 +559,11 @@ def circuitgen_suite() -> list[CheckResult]:
                 want = list(bits) + ["0"] * len(anc)
                 if fire:
                     want[n_controls] = "1" if bits[n_controls] == "0" else "0"
-                ok &= got == "".join(want)
-    out.append(_result("circuitgen", "mcx lowering has the mcx truth table (up to 6 controls)", ok))
+                cases.check(got == "".join(want), lambda: f"{case}: input {inp} gives {got}, want {''.join(want)}")
+    out.append(cases.result("circuitgen", "mcx lowering has the mcx truth table (up to 6 controls)"))
 
-    ok = True
-    for _ in range(10):
+    cases = _Cases()
+    for i in range(10):
         n = 3
         gs = []
         for _ in range(12):
@@ -570,21 +573,21 @@ def circuitgen_suite() -> list[CheckResult]:
         gs = gs + gs[::-1]
         circ = circuitgen.Circuit(n, 0, tuple(gs))
         slim = circuitgen.peephole(circ)
-        for i in range(2 ** n):
-            bits = format(i, f"0{n}b")
+        for x in range(2 ** n):
+            bits = format(x, f"0{n}b")
             a = circuitgen.simulate_state(circ, AmpVec({bits: 1.0}))
             b = circuitgen.simulate_state(slim, AmpVec({bits: 1.0}))
-            ok &= vecmonad.vec_equal(a, b, tol=1e-9)
-    out.append(_result("circuitgen", "peephole cancellation preserves semantics", ok))
+            cases.check(vecmonad.vec_equal(a, b, tol=1e-9), lambda: f"case {i}: input {bits}, {_gap(a, b)}")
+    out.append(cases.result("circuitgen", "peephole cancellation preserves semantics"))
 
     circ = circuitgen.synth_permutation(cnot4)
     text = circuitgen.export_qasm(circ)
     ok = circuitgen.parse_qasm(text).gates == circ.gates
     out.append(_result("circuitgen", "exported QASM parses back to the same gates", ok))
 
-    ok = True
+    cases = _Cases()
     basis = FinBasis(("00", "01", "10", "11"))
-    for _ in range(10):
+    for i in range(10):
         gs = []
         for _ in range(6):
             kind = ["x", "cx", "h", "t"][int(rng.integers(4))]
@@ -593,11 +596,11 @@ def circuitgen_suite() -> list[CheckResult]:
         circ = circuitgen.Circuit(2, 0, tuple(gs))
         v = _random_vec(rng, basis)
         got = circuitgen.simulate_state(circ, v)
-        m = _dense_circuit_matrix(circ)
-        arr = np.array([v[b] for b in basis.labels])
-        want = m @ arr
-        ok &= all(abs(got[b] - want[i]) <= 1e-9 for i, b in enumerate(basis.labels))
-    out.append(_result("circuitgen", "statevector path matches dense matrix action", ok))
+        want = (_dense_circuit_matrix(circ) @ np.array([v[b] for b in basis.labels])).tolist()
+        wrong = [b for b, w in zip(basis.labels, want) if abs(got[b] - w) > 1e-9]
+        cases.check(not wrong, lambda: f"case {i}: amplitude at {wrong[0]},"
+                                       f" {_gap(got, AmpVec(zip(basis.labels, want)))}")
+    out.append(cases.result("circuitgen", "statevector path matches dense matrix action"))
 
     return out
 

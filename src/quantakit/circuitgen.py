@@ -20,10 +20,15 @@ depth sweep of ``metrics``.  Synthesis and ``parse_qasm`` check each
 distinct gate as they build it, and ``peephole`` keeps gates of a checked
 circuit, so the circuits of all three skip the constructor's range check.
 
-Circuits export to OpenQASM 2.0 and simulate on integer basis indices:
-classical circuits (x/cx/ccx only) on one basis input by bitmask, any
-circuit on a ket by a dense statevector of at most ``MAX_STATE_QUBITS``
-qubits.
+Circuits export to OpenQASM 2.0 and simulate on integers, with labels
+parsed and printed only at the edges.  A classical circuit (x/cx/ccx only)
+runs on one basis input by a fold of bitmasks over its index, and on a ket
+by a bit-sliced lane kernel: each qubit is one big int holding that bit of
+every support state, so each gate is one xor over all the states at once.
+Any other circuit runs on a ket as a dense statevector.  Both ket paths
+take at most ``MAX_STATE_QUBITS`` qubits and give the same ket, bit for
+bit.  ``simulate`` keeps its mask fold: on one input, a lane of one bit
+would only add the label round trip to the same gate loop.
 """
 from __future__ import annotations
 
@@ -181,6 +186,10 @@ class Circuit:
         return self.data_qubits + self.ancilla_qubits
 
     def is_classical(self) -> bool:
+        return self._classical
+
+    @cached_property
+    def _classical(self) -> bool:
         return all(GATES[g.name][0] == "x" for g in self._distinct.values())
 
     @cached_property
@@ -200,6 +209,14 @@ class Circuit:
             return (op[0], *_view_index(op, n))
 
         return self._per_gate(view)
+
+    @cached_property
+    def _lane_ops(self) -> tuple[tuple[int, int, int], ...]:
+        """The gates of a classical circuit as (first, second, target)
+        qubits for ``_lanes``: target ^= first & second, a missing control
+        being qubit n, whose lane is all ones."""
+        n = self.total_qubits
+        return self._per_gate(lambda g: ((n, n) + g.qubits)[-3:])
 
 
 def _decode(g: Gate, n: int) -> Op:
@@ -389,9 +406,10 @@ def peephole(c: Circuit) -> Circuit:
 # ---------------------------------------------------------------------------
 # Simulation
 #
-# Both simulators work on integer basis indices: qubit q is bit n-1-q of
+# The simulators work on integer basis indices: qubit q is bit n-1-q of
 # the index over all n = data + ancilla qubits, so qubit 0 is the leftmost
-# character of a bit-string label and the ancillas are the low bits.
+# character of a bit-string label and the ancillas are the low bits.  The
+# lane kernel keeps one int per qubit instead, across the states of a ket.
 # Labels are parsed on input and printed on output only.
 
 def _label(i: int, width: int) -> str:
@@ -443,22 +461,29 @@ def _view_index(op: Op, n: int) -> tuple[tuple[int | slice, ...], tuple[int | sl
 def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     """Statevector action on a ket over data-qubit bit-strings.
 
-    The state is a dense complex128 vector over all 2^n basis indices of
-    the n data and ancilla qubits (qubit q at bit n-1-q), so circuits are
-    capped at ``MAX_STATE_QUBITS`` qubits.  Controlled X gates swap the
-    amplitudes their masks select, and H and T/Tdg act on one axis of a
-    (2,)*n view.  Amplitudes at or below ``DEFAULT_TOL`` are dropped from
-    the result; any other amplitude on a set ancilla raises ``AncillaError``,
-    which names the first such basis state.
+    Circuits are capped at ``MAX_STATE_QUBITS`` data and ancilla qubits.
+    A classical circuit (x/cx/ccx only) permutes basis states, so it runs
+    once on the support of the ket, bit-sliced by ``_lanes``; any other
+    circuit acts on a dense complex128 vector over all 2^n basis indices
+    (qubit q at bit n-1-q): controlled X gates swap the amplitudes their
+    masks select, and H and T/Tdg act on one axis of a (2,)*n view.  Both
+    give the same ket: amplitudes at or below ``DEFAULT_TOL`` are dropped,
+    the rest listed in basis index order, and any other amplitude on a set
+    ancilla raises ``AncillaError``, which names the first such basis state
+    in that order.  ``simulate`` keeps its fold of bitmasks over one index:
+    a one-state lane costs the label round trip and saves nothing.
     """
     n, anc = c.total_qubits, c.ancilla_qubits
     if n > MAX_STATE_QUBITS:
         raise SizeLimitError(
             f"circuit has {n} qubits; the statevector is capped at {MAX_STATE_QUBITS}"
         )
+    d = c.data_qubits
     for label, _ in v.items():
-        if len(label) != c.data_qubits or set(label) - {"0", "1"}:
-            raise ValueError(f"state label {label!r} must be {c.data_qubits} bits")
+        if len(label) != d or set(label) - {"0", "1"}:
+            raise ValueError(f"state label {label!r} must be {d} bits")
+    if c.is_classical():
+        return _lanes(c, v)
     psi = np.zeros(1 << n, dtype=np.complex128)
     for label, a in v.items():
         psi[int(label or "0", 2) << anc] = a
@@ -473,13 +498,47 @@ def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
             view[second] *= _PHASE[action]
 
     nonzero = np.flatnonzero(np.abs(psi) > DEFAULT_TOL)
-    d, mask = c.data_qubits, (1 << anc) - 1
+    mask = (1 << anc) - 1
     dirty = nonzero[(nonzero & mask) != 0]
     if len(dirty):
         i = int(dirty[0])
-        data, ancillas = _label(i >> anc, d), _label(i & mask, anc)
-        raise AncillaError(f"ancillas left dirty: amplitude on data {data}, ancillas {ancillas}")
+        raise _dirty(_label(i >> anc, d), _label(i & mask, anc))
     return AmpVec(zip((_label(i >> anc, d) for i in nonzero.tolist()), psi[nonzero].tolist()))
+
+
+def _dirty(data: str, ancillas: str) -> AncillaError:
+    return AncillaError(f"ancillas left dirty: amplitude on data {data}, ancillas {ancillas}")
+
+
+def _lanes(c: Circuit, v: AmpVec) -> AmpVec:
+    """A classical circuit on the k states of a ket at once, bit-sliced:
+    qubit q is one k-bit int, whose bit k-1-j is that qubit of state j, and
+    each gate is one big-int xor over all k states.  The lanes are read from
+    the label strings and printed back with ``format``; the states stay
+    paired with their amplitudes, so each is carried over bit for bit."""
+    if not len(v):
+        return AmpVec()
+    labels, amps = zip(*v.items())
+    k, d, n = len(labels), c.data_qubits, c.total_qubits
+    full = (1 << k) - 1
+    lanes = [int("".join(col), 2) for col in zip(*labels)] + [0] * c.ancilla_qubits + [full]
+    for a, b, t in c._lane_ops:
+        lanes[t] ^= lanes[a] & lanes[b]
+
+    def printed(qubit_lanes: list[int]) -> list[str]:
+        """Each state's bits on these qubits, as a label."""
+        cols = [format(lane, f"0{k}b") for lane in qubit_lanes]
+        return list(map("".join, zip(*cols))) if cols else [""] * k
+
+    out = printed(lanes[:d])
+    kept = [j for j, a in enumerate(amps) if abs(a) > DEFAULT_TOL]
+    if any(lanes[d:n]):  # some state has an ancilla set
+        anc = printed(lanes[d:n])
+        first = min(((out[j], anc[j]) for j in kept if "1" in anc[j]), default=None)
+        if first is not None:
+            raise _dirty(*first)
+    kept.sort(key=out.__getitem__)
+    return AmpVec([(out[j], amps[j]) for j in kept])
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,8 @@ def run_quanta(step: KleisliOp | Step, input_label: str) -> AmpVec:
     length-n block through the slots.  The ket lists its states in block
     index order, which is ``ListBasis`` order.  Its labels are printed from
     two half tables, filled from the support: each distinct half of the
-    items is printed once, then each state joins two halves and a payload."""
+    items is printed once, then each state joins two halves and a payload.
+    The ket takes the support's amplitudes in ``AmpVec``'s array form."""
     s = _step(step)
     l, b = split_pair(input_label)
     xs = split_list(l)
@@ -316,10 +317,10 @@ def run_quanta(step: KleisliOp | Step, input_label: str) -> AmpVec:
     codes, pay = np.divmod(support, p)
     low, high, low_text, high_text = _half_tables(n, codes, s.item.labels)
     pays = s.payload.labels
-    return AmpVec(zip(
+    return AmpVec(
         [f"({low_text[x]}{high_text[y]},{pays[z]})" for x, y, z in zip(low, high, pay.tolist())],
-        out[support].tolist(),
-    ))
+        out[support],
+    )
 
 
 def quantamorphism(step: KleisliOp | Step, maxlen: int) -> KleisliOp:

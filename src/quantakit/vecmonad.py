@@ -20,12 +20,18 @@ total non-finite, and then the checked constructor raises its own
 error.  ``matmul``, ``kron`` and ``dagger`` build a fresh complex matrix
 whose shape follows from checked operands, so ``CMatrix._trusted`` only
 marks it read-only.  ``from_matrix`` builds each column's ket once, on
-first use, and returns that immutable ket on every later call.
+first use, and returns that immutable ket on every later call.  A ket
+computed as an array, as the fold's is, enters through the constructor's
+array form: NumPy checks the whole array at once for what the per-entry
+loop checks one amplitude at a time, and any doubt goes to that loop.
+``format_state`` prints a ket in its own order without looking up or
+re-testing each label, since its constructor guarantees both.
 """
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -74,12 +80,30 @@ class AmpVec:
     """Finite-support ket: basis label -> complex amplitude.
 
     Entries with magnitude below ``PRUNE_EPS`` are dropped at construction;
-    the value is immutable afterwards.
+    the value is immutable afterwards.  ``AmpVec(labels, values)`` is the
+    array form, for a sequence of labels and a complex128 array of their
+    amplitudes: it builds what ``AmpVec(zip(labels, values.tolist()))``
+    builds, checking the whole array at once, and leaves any array it
+    cannot clear to that per-entry loop, which names the fault.  An array
+    shorter than ``_BULK_MIN`` goes to the loop directly.
     """
 
     __slots__ = ("_amps",)
 
-    def __init__(self, amps: Mapping[str, complex] | Iterable[tuple[str, complex]] = ()):
+    def __init__(
+        self,
+        amps: Mapping[str, complex] | Iterable[tuple[str, complex]] | Sequence[str] = (),
+        values: np.ndarray | None = None,
+    ):
+        if values is not None:  # the array form: amps holds the labels
+            if not (isinstance(values, np.ndarray) and values.dtype == np.complex128
+                    and values.shape == (len(amps),)):
+                raise ValueError("the array form takes one complex128 amplitude per label")
+            bulk = _bulk_store(amps, values) if len(values) >= _BULK_MIN else None
+            if bulk is not None:
+                self._amps = bulk
+                return
+            amps = zip(amps, values.tolist())  # the loop below names the fault
         items = amps.items() if isinstance(amps, Mapping) else amps
         store: dict[str, complex] = {}
         repeated = False
@@ -130,6 +154,32 @@ class AmpVec:
     def __repr__(self) -> str:
         body = ", ".join(f"{k!r}: {v:.6g}" for k, v in sorted(self._amps.items()))
         return f"AmpVec({{{body}}})"
+
+
+# NumPy's complex magnitude may differ from Python's abs() in the last
+# bits, so a magnitude this close to the floor, or this large, is left to
+# the per-entry loop.
+_FLOOR_LO, _FLOOR_HI = PRUNE_EPS * (1 - 2**-40), PRUNE_EPS * (1 + 2**-40)
+_MAG_CAP = 1e308
+# The NumPy passes cost about as much as the loop does on 64 amplitudes, and
+# several times as much on one, as in a classical step's support-one ket.
+_BULK_MIN = 64
+
+
+def _bulk_store(labels: Sequence[str], values: np.ndarray) -> dict[str, complex] | None:
+    """The store that the per-entry loop builds from ``zip(labels,
+    values)``, in whole-array passes; None when an amplitude is not finite,
+    its magnitude is near overflow or near ``PRUNE_EPS``, or a kept label
+    repeats, so that the loop decides and names the fault."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.abs(values)
+    keep = mags >= _FLOOR_HI
+    if not ((mags < _MAG_CAP).all() and (keep | (mags <= _FLOOR_LO)).all()):
+        return None  # NaN fails both tests
+    if not keep.all():
+        labels, values = list(itertools.compress(labels, keep.tolist())), values[keep]
+    store = dict(zip(labels, (values + 0j).tolist()))  # + 0j turns -0.0 parts into +0.0, as the loop does
+    return store if len(store) == len(values) else None
 
 
 def ret(label: str) -> AmpVec:
@@ -429,10 +479,27 @@ def parse_matrix(text: str) -> CMatrix:
     return CMatrix(src, FinBasis(tuple(tgt_labels)), np.array(rows, dtype=np.complex128))
 
 
-def format_state(v: AmpVec, basis: Iterable[str] | None = None) -> str:
-    """Nonzero amplitudes, one ``label: amp`` line, in basis (or sorted) order.
-    Each amplitude is read once, and each distinct one formatted once per call."""
+class _LineEnds(dict):
+    """Amplitude -> ``": amp\\n"``, each distinct amplitude formatted on its
+    first lookup."""
+
+    def __missing__(self, a: complex) -> str:
+        text = self[a] = f": {_fmt_amp(a)}\n"
+        return text
+
+
+def format_state(v: AmpVec, basis: Iterable[str] | None = None, *, own_order: bool = False) -> str:
+    """Nonzero amplitudes, one ``label: amp`` line, in basis (or sorted) order,
+    or with ``own_order`` in the ket's own item order.  Each amplitude is
+    read once, and each distinct one formatted once per call.  In its own
+    order a ket is printed as it stands, with no lookup and no test per
+    label: its constructor left no label twice and no amplitude below
+    ``PRUNE_EPS``."""
+    ends = _LineEnds()
+    if own_order:
+        if basis is not None:
+            raise ValueError("format_state takes a basis or own_order, not both")
+        amps = v._amps
+        return "".join(itertools.chain.from_iterable(zip(amps, map(ends.__getitem__, amps.values()))))
     labels = sorted(v.support) if basis is None else basis
-    amp = functools.cache(_fmt_amp)
-    lines = [f"{x}: {amp(a)}" for x in labels if abs(a := v[x]) >= PRUNE_EPS]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join([f"{x}{ends[a]}" for x in labels if abs(a := v[x]) >= PRUNE_EPS])

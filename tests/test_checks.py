@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from quantakit import checks, relalg, vecmonad
+from quantakit import checks, circuitgen, relalg, vecmonad
+from quantakit.circuitgen import Circuit, Gate
 from quantakit.cli import main
 from quantakit.relalg import FinBasis, Rel, coproduct_basis, product_basis
 from quantakit.vecmonad import AmpVec
@@ -149,10 +150,13 @@ def test_json_keeps_the_counterexamples_the_text_prints(monkeypatch, capsys):
     assert doc["details"][EXCHANGE] == "first counterexample r=00/00, s=00/00, t=00/00, v=10/00"
 
 
-# The randomized loops of the relalg and vecmonad suites run every case and
-# name the first that fails.  Each broken operator below keeps its types;
-# the details name the cases the suites' seeds draw.
+# The randomized loops of the relalg, vecmonad and circuitgen suites run
+# every case and name the first that fails.  Each broken operator below
+# keeps its types; the details name the cases the suites' seeds draw, and a
+# check that is no loop fails without one (None).
 _bind = vecmonad.bind
+_simulate, _decompose_mcx, _simulate_state = circuitgen.simulate, circuitgen.decompose_mcx, circuitgen.simulate_state
+ACTS, MCX = "synthesized circuits act as their matrices", "mcx lowering has the mcx truth table (up to 6 controls)"
 LOOP_MUTATIONS = {
     "kernel upper triangle": (relalg, "kernel", BROKEN["kernel"]["upper triangle"], {
         "kernel of a function is an equivalence": "f=011/100",
@@ -180,6 +184,30 @@ LOOP_MUTATIONS = {
     "nothing is unitary": (vecmonad, "is_unitary", lambda m, tol=1e-9: False, {
         "unitary ops close under composition and tensor": "case 0: the composite is not unitary",
     }),
+    "simulate flips the last output bit": (circuitgen, "simulate", lambda c, bits: (
+        lambda o: o[:-1] + "10"[int(o[-1])])(_simulate(c, bits)), {
+            ACTS: "case 0: input 00 gives 01, want 00",
+            MCX: "control polarities 1: input 00 gives 01, want 00",
+        }),
+    "peephole keeps the first half": (circuitgen, "peephole", lambda c: Circuit(
+        c.data_qubits, c.ancilla_qubits, c.gates[: len(c.gates) // 2]), {
+            "the 2-bit controlled-not compiles to one cx": None,
+            ACTS: "case 0: input 10 gives 10, want 11",
+            "peephole cancellation preserves semantics": "case 0: input 000, sup-norm gap 1",
+        }),
+    "decompose_mcx ignores polarity": (circuitgen, "decompose_mcx", lambda controls, target, ancillas: _decompose_mcx(
+        tuple((q, 1) for q, _ in controls), target, ancillas), {
+            ACTS: "case 1: input 000 gives 000, want 011",
+            MCX: "control polarities 0: input 00 gives 00, want 01",
+        }),
+    "decompose_mcx pads with two h": (circuitgen, "decompose_mcx", lambda controls, target, ancillas: _decompose_mcx(
+        controls, target, ancillas) + (Gate("h", (target,)),) * 2, {
+            MCX: "control polarities 1: lowered to h",
+        }),
+    "simulate_state conjugates": (circuitgen, "simulate_state", lambda c, v: AmpVec(
+        {k: a.conjugate() for k, a in _simulate_state(c, v).items()}), {
+            "statevector path matches dense matrix action": "case 0: amplitude at 00, sup-norm gap 5",
+        }),
 }
 
 
@@ -190,4 +218,5 @@ def test_a_failed_loop_names_its_first_failing_case(monkeypatch, mutation):
     suite = module.__name__.rsplit(".", 1)[-1]
     results = checks.run_suites([suite])
     assert {r.name: r.detail for r in results if not r.ok} == {
-        check: "first counterexample " + detail for check, detail in details.items()}
+        check: "" if detail is None else "first counterexample " + detail for check, detail in details.items()}
+

@@ -99,6 +99,11 @@ def test_check_all_golden(capsys, flags, golden):
     assert capsys.readouterr().out.encode() == (GOLDENS / golden).read_bytes()
 
 
+def test_run_alice_json_golden(capsys):
+    assert main(["run", "--step", "alice", "--input", "([0,1,1,0,1],(0,1))", "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDENS / "run_alice.json").read_bytes()
+
+
 @pytest.mark.parametrize(
     "flags, golden",
     [

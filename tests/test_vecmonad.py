@@ -683,3 +683,80 @@ class TestOverflowingAmplitudes:
                 AmpVec({"a": a})
             with pytest.raises(ValueError, match=r"^non-finite amplitude at 'a'$"):
                 AmpVec._from_sums({"a": 0j + a})
+
+
+# ---------------------------------------------------------------------------
+# The array form of the constructor against the per-entry loop, and the
+# ket printed in its own order.
+
+_HUGE_PART = 1.7e308  # finite; a magnitude with two such parts overflows
+_array_parts = st.one_of(
+    st.sampled_from(_EDGE + [PRUNE_EPS * (1 + 2**-52), PRUNE_EPS * (1 - 2**-53), _HUGE_PART, 1e308]),
+    st.floats(-4, 4),
+    st.floats(PRUNE_EPS / 2, 2 * PRUNE_EPS),
+)
+# Parts that leave no doubt, so that long arrays of them take the NumPy passes.
+_clear_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, PRUNE_EPS / 3, -3 * PRUNE_EPS, 1e307]),
+    st.floats(-4, 4),
+    st.floats(PRUNE_EPS / 2, 2 * PRUNE_EPS),
+)
+
+
+@st.composite
+def labelled_arrays(draw) -> tuple[list[str], np.ndarray]:
+    """Labels, repeating in some arrays, and a complex128 array of
+    amplitudes, on both sides of the length that takes the NumPy passes."""
+    n = draw(st.integers(0, vecmonad._BULK_MIN + 16))
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    else:
+        labels = [f"s{i}" for i in draw(st.permutations(range(n)))]
+    part = draw(st.sampled_from([_array_parts, _clear_parts]))
+    parts = draw(st.lists(st.tuples(part, part), min_size=n, max_size=n))
+    return labels, np.array([complex(re, im) for re, im in parts], dtype=np.complex128).reshape(n)
+
+
+class TestArrayForm:
+    @settings(max_examples=200, deadline=None)
+    @given(case=labelled_arrays())
+    def test_same_items_order_sign_bits_errors_and_print_as_the_loop(self, case):
+        labels, arr = case
+        want = _outcome(AmpVec, zip(labels, arr.tolist()))
+        assert _outcome(AmpVec, labels, arr) == want
+        bulk = vecmonad._bulk_store(labels, arr)
+        if bulk is not None:  # the NumPy passes, at any length
+            assert [(k, a.real.hex(), a.imag.hex()) for k, a in bulk.items()] == want
+        if isinstance(want, list):
+            v = AmpVec(labels, arr)
+            assert format_state(v, own_order=True) == format_state(v, [x for x, _ in v.items()])
+
+    def test_clean_arrays_skip_the_loop_and_doubtful_ones_take_it(self):
+        arr = np.array([0.5, -0.0 - 0.5j, PRUNE_EPS / 4, 1j], dtype=np.complex128)
+        assert vecmonad._bulk_store(["a", "b", "c", "d"], arr) == {"a": 0.5, "b": -0.5j, "d": 1j}
+        assert vecmonad._bulk_store(["a", "b", "c", "b"], arr) is None  # a kept label repeats
+        assert vecmonad._bulk_store(["a", "b", "c", "c"], arr) == {"a": 0.5, "b": -0.5j, "c": 1j}
+        for bad in (math.nan, math.inf, complex(_HUGE_PART, _HUGE_PART), PRUNE_EPS):
+            assert vecmonad._bulk_store(["a", "b"], np.array([1, bad], dtype=np.complex128)) is None
+
+    def test_repeated_labels_sum_and_small_entries_drop(self):
+        v = AmpVec(["a", "b", "a", "c"], np.array([0.25, 1, 0.5j, PRUNE_EPS / 2], dtype=np.complex128))
+        assert list(v.items()) == [("a", 0.25 + 0.5j), ("b", 1)]
+        v = AmpVec(["a", "a"], np.array([1, -1 + PRUNE_EPS / 4], dtype=np.complex128))
+        assert list(v.items()) == []
+
+    def test_negative_zero_parts_print_as_positive_zero(self):
+        v = AmpVec(["a"], np.array([complex(-0.0, -1.0)]))
+        assert [(a.real.hex(), a.imag.hex()) for _, a in v.items()] == [((0.0).hex(), (-1.0).hex())]
+
+    def test_faults_keep_their_text(self):
+        for a, fault in ((math.nan, "non-finite amplitude"), (complex(0, -math.inf), "non-finite amplitude"),
+                         (complex(_HUGE_PART, _HUGE_PART), "amplitude magnitude overflows")):
+            with pytest.raises(ValueError, match=rf"^{fault} at 'b'$"):
+                AmpVec(["a", "b"], np.array([1, a], dtype=np.complex128))
+
+    @pytest.mark.parametrize("values", [np.zeros(3), np.zeros(2, dtype=np.complex128), [0j, 0j, 0j],
+                                        np.zeros((3, 1), dtype=np.complex128)])
+    def test_the_array_must_be_one_complex128_amplitude_per_label(self, values):
+        with pytest.raises(ValueError, match="one complex128 amplitude per label"):
+            AmpVec(["a", "b", "c"], values)
