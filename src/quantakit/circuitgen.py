@@ -510,6 +510,12 @@ def _dirty(data: str, ancillas: str) -> AncillaError:
     return AncillaError(f"ancillas left dirty: amplitude on data {data}, ancillas {ancillas}")
 
 
+# Python's abs() and NumPy's complex magnitude may differ in the last bits,
+# so a magnitude this close to the tolerance is measured as the dense path
+# measures it.
+_TOL_LO, _TOL_HI = DEFAULT_TOL * (1 - 2**-40), DEFAULT_TOL * (1 + 2**-40)
+
+
 def _lanes(c: Circuit, v: AmpVec) -> AmpVec:
     """A classical circuit on the k states of a ket at once, bit-sliced:
     qubit q is one k-bit int, whose bit k-1-j is that qubit of state j, and
@@ -531,7 +537,10 @@ def _lanes(c: Circuit, v: AmpVec) -> AmpVec:
         return list(map("".join, zip(*cols))) if cols else [""] * k
 
     out = printed(lanes[:d])
-    kept = [j for j, a in enumerate(amps) if abs(a) > DEFAULT_TOL]
+    mags = list(map(abs, amps))
+    if any(_TOL_LO <= m <= _TOL_HI for m in mags):  # cut as the dense path's np.abs does
+        mags = np.abs(np.array(amps, dtype=np.complex128)).tolist()
+    kept = [j for j, m in enumerate(mags) if m > DEFAULT_TOL]
     if any(lanes[d:n]):  # some state has an ancilla set
         anc = printed(lanes[d:n])
         first = min(((out[j], anc[j]) for j in kept if "1" in anc[j]), default=None)

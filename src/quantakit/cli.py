@@ -110,7 +110,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write(json.dumps({lbl: [a.real, a.imag] for lbl, a in state.items()}) + "\n", args.out)
     else:
-        _write(vecmonad.format_state(state, own_order=True), args.out)
+        _write(vecmonad.format_state(state), args.out)
     return 0
 
 

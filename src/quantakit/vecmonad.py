@@ -24,8 +24,9 @@ first use, and returns that immutable ket on every later call.  A ket
 computed as an array, as the fold's is, enters through the constructor's
 array form: NumPy checks the whole array at once for what the per-entry
 loop checks one amplitude at a time, and any doubt goes to that loop.
-``format_state`` prints a ket in its own order without looking up or
-re-testing each label, since its constructor guarantees both.
+``format_state`` with no basis prints a ket in its own order, without
+looking up or re-testing each label, since its constructor guarantees
+both.
 """
 from __future__ import annotations
 
@@ -479,27 +480,14 @@ def parse_matrix(text: str) -> CMatrix:
     return CMatrix(src, FinBasis(tuple(tgt_labels)), np.array(rows, dtype=np.complex128))
 
 
-class _LineEnds(dict):
-    """Amplitude -> ``": amp\\n"``, each distinct amplitude formatted on its
-    first lookup."""
-
-    def __missing__(self, a: complex) -> str:
-        text = self[a] = f": {_fmt_amp(a)}\n"
-        return text
-
-
-def format_state(v: AmpVec, basis: Iterable[str] | None = None, *, own_order: bool = False) -> str:
-    """Nonzero amplitudes, one ``label: amp`` line, in basis (or sorted) order,
-    or with ``own_order`` in the ket's own item order.  Each amplitude is
-    read once, and each distinct one formatted once per call.  In its own
-    order a ket is printed as it stands, with no lookup and no test per
-    label: its constructor left no label twice and no amplitude below
-    ``PRUNE_EPS``."""
-    ends = _LineEnds()
-    if own_order:
-        if basis is not None:
-            raise ValueError("format_state takes a basis or own_order, not both")
+def format_state(v: AmpVec, basis: Iterable[str] | None = None) -> str:
+    """Nonzero amplitudes, one ``label: amp`` line, in basis order, or with
+    no basis in the ket's own item order.  Each amplitude is read once, and
+    each distinct one formatted once per call.  In its own order a ket is
+    printed as it stands, with no lookup and no test per label: its
+    constructor left no label twice and no amplitude below ``PRUNE_EPS``."""
+    end = functools.cache(lambda a: f": {_fmt_amp(a)}\n")  # a fold's ket repeats few distinct amplitudes
+    if basis is None:
         amps = v._amps
-        return "".join(itertools.chain.from_iterable(zip(amps, map(ends.__getitem__, amps.values()))))
-    labels = sorted(v.support) if basis is None else basis
-    return "".join([f"{x}{ends[a]}" for x in labels if abs(a := v[x]) >= PRUNE_EPS])
+        return "".join(itertools.chain.from_iterable(zip(amps, map(end, amps.values()))))
+    return "".join([f"{x}{end(a)}" for x in basis if abs(a := v[x]) >= PRUNE_EPS])

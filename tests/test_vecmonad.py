@@ -729,7 +729,7 @@ class TestArrayForm:
             assert [(k, a.real.hex(), a.imag.hex()) for k, a in bulk.items()] == want
         if isinstance(want, list):
             v = AmpVec(labels, arr)
-            assert format_state(v, own_order=True) == format_state(v, [x for x, _ in v.items()])
+            assert format_state(v) == format_state(v, [x for x, _ in v.items()])
 
     def test_clean_arrays_skip_the_loop_and_doubtful_ones_take_it(self):
         arr = np.array([0.5, -0.0 - 0.5j, PRUNE_EPS / 4, 1j], dtype=np.complex128)
