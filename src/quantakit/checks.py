@@ -570,7 +570,9 @@ def circuitgen_suite() -> list[CheckResult]:
             kind = ["x", "cx", "ccx", "h"][int(rng.integers(4))]
             qubits = tuple(int(q) for q in rng.choice(n, size=circuitgen.GATES[kind][1], replace=False))
             gs.append(circuitgen.Gate(kind, qubits))
-        gs = gs + gs[::-1]
+        # The t between the word and its reverse blocks the cancellation
+        # across the middle, so the result keeps gates.
+        gs = gs + [circuitgen.Gate("t", (0,))] + gs[::-1]
         circ = circuitgen.Circuit(n, 0, tuple(gs))
         slim = circuitgen.peephole(circ)
         for x in range(2 ** n):

@@ -9,16 +9,20 @@ returned to zero.  So the circuit IR holds only the ``qelib1.inc`` gates
 of ``GATES``, every control positive.
 
 A k=8 permutation compiles to tens of thousands of gate positions but a
-few dozen distinct gates, so every pass over a circuit does its work once
-per distinct ``Gate`` instance.  Each distinct MCX is lowered once per
-synthesis and its gates interned; ``parse_qasm`` parses each distinct line
-once; a ``Circuit`` keeps a table of its distinct instances, through which
-``is_classical``, ``Circuit.ops`` and QASM export map the positions.  Per
-position there remain only C-level ``map``/dict lookups and the passes that
-need order: the cancellation stack of ``peephole``, the simulators and the
-depth sweep of ``metrics``.  Synthesis and ``parse_qasm`` check each
-distinct gate as they build it, and ``peephole`` keeps gates of a checked
-circuit, so the circuits of all three skip the constructor's range check.
+few dozen distinct gates, so a ``Circuit`` holds one table of its
+distinct gates and its positions as small-int indices into that table.
+The builders fill both as they go: ``synth_permutation`` lowers each
+distinct MCX once, to table indices, and builds each distinct gate once;
+``peephole`` cancels on a stack of indices; ``parse_qasm`` maps each raw
+line to its index in its one pass over the lines.  Every per-gate result
+(decoded masks, simulator views, QASM lines, qubits for the depth sweep)
+is computed once per table entry and read through the index, and the
+gate counts of ``metrics`` come from each entry's position count.  Per
+position there remain only the passes that need order: the cancellation
+stack, the simulators and the depth sweep.  Synthesis and ``parse_qasm``
+check each distinct gate as they build it, and ``peephole`` keeps gates
+of a checked circuit, so the circuits of all three skip the constructor's
+range check.
 
 Circuits export to OpenQASM 2.0 and simulate on integers, with labels
 parsed and printed only at the edges.  A classical circuit (x/cx/ccx only)
@@ -34,10 +38,8 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
-from typing import TypeVar
 
 import numpy as np
 
@@ -81,8 +83,6 @@ is a control that fires on 1."""
 Op = tuple[str, int, int]
 """A decoded gate: (action, control mask, target mask), the action being
 that of ``GATES``; the target is acted on where every control bit is set."""
-
-_T = TypeVar("_T")
 
 
 class NonPermutationError(ValueError):
@@ -131,55 +131,79 @@ class Gate:
             raise ValueError("gate qubits must be distinct")
 
 
-@dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over data qubits followed by ancilla qubits.
 
-    Positions may share one ``Gate`` instance.  ``_distinct`` holds each
-    distinct instance once, keyed by ``id``; the public constructor builds
-    it on first use and checks qubit ranges once per entry, so each shared
-    gate is checked once.  ``is_classical``, the decoding of ``ops`` and the
-    lines of ``export_qasm`` are computed once per entry and mapped onto the
-    positions through a dict.  ``_trusted`` takes the table from code that
-    built the gates and checked them against the same qubit count.
+    A circuit holds one table of its distinct gates, ``_table``, and its
+    positions as small-int indices into that table, ``_index``; every entry
+    is used by some position.  The public constructor builds both from a
+    gate tuple, one entry per distinct gate (its first instance), checks the
+    qubit range of each entry once, and keeps the tuple as ``gates``.  The
+    builders that know each position's index, ``synth_permutation``,
+    ``peephole`` and ``parse_qasm``, hand over table and index through
+    ``_trusted``; their ``gates`` is built on demand, one instance per
+    entry.  Every per-gate result (``is_classical``, the decoding of ``ops``,
+    the simulators' views and masks, the lines of ``export_qasm``, the qubits
+    of ``metrics``) is computed once per entry and read through the index.
+    Equality, hash and ``repr`` are those of the field tuple
+    (``data_qubits``, ``ancilla_qubits``, ``gates``), and a circuit is
+    frozen.
     """
 
     data_qubits: int
     ancilla_qubits: int
-    gates: tuple[Gate, ...]
+    _table: tuple[Gate, ...]
+    _index: list[int]
 
-    def __post_init__(self) -> None:
-        total = self.data_qubits + self.ancilla_qubits
-        for g in self._distinct.values():
+    def __init__(self, data_qubits: int, ancilla_qubits: int, gates: tuple[Gate, ...]) -> None:
+        at: dict[Gate, int] = {}
+        index = [at.setdefault(g, len(at)) for g in gates]
+        total = data_qubits + ancilla_qubits
+        for g in at:
             if any(q < 0 or q >= total for q in g.qubits):
                 raise ValueError(f"gate {g} out of range for {total} qubits")
+        self.__dict__.update(
+            data_qubits=data_qubits, ancilla_qubits=ancilla_qubits, _table=tuple(at), _index=index, gates=gates
+        )
 
     @classmethod
-    def _trusted(
-        cls, data_qubits: int, ancilla_qubits: int, gates: tuple[Gate, ...], distinct: dict[int, Gate]
-    ) -> Circuit:
-        """A circuit whose gates all lie in range, with ``distinct`` as its
-        table: every distinct instance of ``gates`` keyed by ``id``, and
-        nothing else.  Not checked."""
+    def _trusted(cls, data_qubits: int, ancilla_qubits: int, table: tuple[Gate, ...], index: list[int]) -> Circuit:
+        """A circuit whose table entries all lie in range and are each used
+        by some position of ``index``, which the circuit then owns.  Not
+        checked."""
         c = object.__new__(cls)
-        object.__setattr__(c, "data_qubits", data_qubits)
-        object.__setattr__(c, "ancilla_qubits", ancilla_qubits)
-        object.__setattr__(c, "gates", gates)
-        object.__setattr__(c, "_distinct", distinct)
+        c.__dict__.update(data_qubits=data_qubits, ancilla_qubits=ancilla_qubits, _table=table, _index=index)
         return c
 
-    def __reduce__(self):
-        # The table is keyed by id, so a copy or an unpickled circuit builds its own.
-        return type(self), (self.data_qubits, self.ancilla_qubits, self.gates)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple[int, int, tuple[Gate, ...]]:
+        return self.data_qubits, self.ancilla_qubits, self.gates
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Circuit(data_qubits={self.data_qubits!r}, ancilla_qubits={self.ancilla_qubits!r}, gates={self.gates!r})"
 
     @cached_property
-    def _distinct(self) -> dict[int, Gate]:
-        return dict(zip(map(id, self.gates), self.gates))
+    def gates(self) -> tuple[Gate, ...]:
+        return tuple(map(self._table.__getitem__, self._index))
 
-    def _per_gate(self, f: Callable[[Gate], _T]) -> tuple[_T, ...]:
-        """``f`` of the gate at each position, called once per distinct instance."""
-        of = {i: f(g) for i, g in self._distinct.items()}
-        return tuple(map(of.__getitem__, map(id, self.gates)))
+    @cached_property
+    def _counts(self) -> list[int]:
+        """How many positions hold each table entry."""
+        index = np.fromiter(self._index, dtype=np.intp, count=len(self._index))
+        return np.bincount(index, minlength=len(self._table)).tolist()
 
     @property
     def total_qubits(self) -> int:
@@ -190,33 +214,33 @@ class Circuit:
 
     @cached_property
     def _classical(self) -> bool:
-        return all(GATES[g.name][0] == "x" for g in self._distinct.values())
+        return all(GATES[g.name][0] == "x" for g in self._table)
+
+    @cached_property
+    def _decoded(self) -> list[Op]:
+        """``ops`` per table entry."""
+        n = self.total_qubits
+        return [_decode(g, n) for g in self._table]
 
     @cached_property
     def ops(self) -> tuple[Op, ...]:
         """The gates as bitmasks over basis indices, qubit q at bit n-1-q."""
-        n = self.total_qubits
-        return self._per_gate(lambda g: _decode(g, n))
+        return tuple(map(self._decoded.__getitem__, self._index))
 
     @cached_property
-    def _view_ops(self) -> tuple[tuple[str, tuple, tuple], ...]:
-        """The gates as (action, first, second), the index tuples of
+    def _view_ops(self) -> list[tuple[str, tuple, tuple]]:
+        """Per entry, (action, first, second): the index tuples of
         ``_view_index`` into the (2,)*n view of a statevector."""
         n = self.total_qubits
-
-        def view(g: Gate) -> tuple[str, tuple, tuple]:
-            op = _decode(g, n)
-            return (op[0], *_view_index(op, n))
-
-        return self._per_gate(view)
+        return [(op[0], *_view_index(op, n)) for op in self._decoded]
 
     @cached_property
-    def _lane_ops(self) -> tuple[tuple[int, int, int], ...]:
-        """The gates of a classical circuit as (first, second, target)
-        qubits for ``_lanes``: target ^= first & second, a missing control
-        being qubit n, whose lane is all ones."""
+    def _lane_ops(self) -> list[tuple[int, int, int]]:
+        """Per entry of a classical circuit, (first, second, target) qubits
+        for ``_lanes``: target ^= first & second, a missing control being
+        qubit n, whose lane is all ones."""
         n = self.total_qubits
-        return self._per_gate(lambda g: ((n, n) + g.qubits)[-3:])
+        return [((n, n) + g.qubits)[-3:] for g in self._table]
 
 
 def _decode(g: Gate, n: int) -> Op:
@@ -225,11 +249,31 @@ def _decode(g: Gate, n: int) -> Op:
     return GATES[g.name][0], cmask, 1 << (n - 1 - target)
 
 
+_COSTS: dict[str, tuple[int, int]] = {"cx": (1, 0), "ccx": (6, 7), "t": (0, 1), "tdg": (0, 1)}
+"""(cx cost, T-count) per gate kind; other kinds cost nothing in either.  A
+``ccx`` costs the 6 cx of Barenco et al. (1995) and the 7 T of Amy, Maslov,
+Mosca and Roetteler (2013)."""
+
+
 @dataclass(frozen=True)
 class Metrics:
+    """Gate count, cx count and depth, which equality compares and
+    ``to_json`` prints; and, beside them, the count of every kind of
+    ``GATES``, the ancillas, and the cx cost and T-count of those kinds."""
+
     size: int
     cx: int
     depth: int
+    kinds: dict[str, int] = field(default_factory=dict, compare=False)
+    ancillas: int = field(default=0, compare=False)
+
+    @property
+    def cx_cost(self) -> int:
+        return sum(_COSTS.get(k, (0, 0))[0] * n for k, n in self.kinds.items())
+
+    @property
+    def t_count(self) -> int:
+        return sum(_COSTS.get(k, (0, 0))[1] * n for k, n in self.kinds.items())
 
     def to_json(self) -> str:
         return json.dumps({"size": self.size, "cx": self.cx, "depth": self.depth})
@@ -238,6 +282,10 @@ class Metrics:
 # ---------------------------------------------------------------------------
 # Multi-controlled X lowering
 
+Word = tuple[str, tuple[int, ...]]
+"""A gate as (kind, qubits), before it is built as a ``Gate``."""
+
+
 def decompose_mcx(
     controls: tuple[tuple[int, int], ...], target: int, ancillas: tuple[int, ...]
 ) -> tuple[Gate, ...]:
@@ -245,29 +293,38 @@ def decompose_mcx(
 
     Negative controls are conjugated by X; three or more controls use a
     CCX compute/uncompute ladder needing ``len(controls) - 2`` ancillas,
-    each restored to its prior value.
+    each restored to its prior value.  Equal gates are one instance.
     """
+    words = _mcx_words(controls, target, ancillas)
+    made = {w: Gate(*w) for w in dict.fromkeys(words)}
+    return tuple(map(made.__getitem__, words))
+
+
+def _mcx_words(
+    controls: tuple[tuple[int, int], ...], target: int, ancillas: tuple[int, ...]
+) -> list[Word]:
+    """The gates of ``decompose_mcx`` as words, none of them built."""
     need = max(0, len(controls) - 2)
     if len(ancillas) < need:
         raise AncillaError(f"need {need} ancillas, have {len(ancillas)}")
 
-    flips = tuple(Gate("x", (q,)) for q, pol in controls if pol == 0)
-    qs = tuple(q for q, _ in controls)
+    flips: list[Word] = [("x", (q,)) for q, pol in controls if pol == 0]
+    qs = [q for q, _ in controls]
 
-    core: list[Gate]
+    core: list[Word]
     if len(qs) == 0:
-        core = [Gate("x", (target,))]
+        core = [("x", (target,))]
     elif len(qs) == 1:
-        core = [Gate("cx", (qs[0], target))]
+        core = [("cx", (qs[0], target))]
     elif len(qs) == 2:
-        core = [Gate("ccx", (qs[0], qs[1], target))]
+        core = [("ccx", (qs[0], qs[1], target))]
     else:
-        compute = [Gate("ccx", (qs[0], qs[1], ancillas[0]))]
+        compute = [("ccx", (qs[0], qs[1], ancillas[0]))]
         for i in range(len(qs) - 3):
-            compute.append(Gate("ccx", (ancillas[i], qs[i + 2], ancillas[i + 1])))
-        hit = Gate("ccx", (ancillas[len(qs) - 3], qs[-1], target))
-        core = compute + [hit] + list(reversed(compute))
-    return flips + tuple(core) + flips
+            compute.append(("ccx", (ancillas[i], qs[i + 2], ancillas[i + 1])))
+        hit = ("ccx", (ancillas[len(qs) - 3], qs[-1], target))
+        core = compute + [hit] + compute[::-1]
+    return flips + core + flips
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +393,11 @@ def synth_permutation(m: CMatrix, tol: float = DEFAULT_TOL) -> Circuit:
     to within ``tol``, on the computational basis of ``Encoding(m.src)``;
     the matrix must map that basis to itself.
 
-    Each distinct Gray-chain MCX is lowered once per call, and its gates
-    are interned, so the raw circuit holds one ``Gate`` instance per
-    distinct gate.  Those gates act on the data qubits and the ancillas
-    that ``decompose_mcx`` was given, so the raw circuit is built trusted,
-    with the interned gates as its table.  ``peephole`` leaves one shared
-    instance per distinct gate: ``export_qasm`` formats and ``Circuit.ops``
-    decodes each distinct gate once, and the depth sweep of ``metrics``
-    builds nothing per position.
+    Each distinct Gray-chain MCX is lowered once per call, to the table
+    indices of its gates, and each distinct gate is built (and checked by
+    ``Gate``) once, when it first enters the table.  Those gates act on the
+    data qubits and the ancillas the lowering was given, so the raw circuit
+    is built trusted, and ``peephole`` runs on its indices.
     """
     width = Encoding(m.src).width
     if m.tgt != m.src:
@@ -353,9 +407,10 @@ def synth_permutation(m: CMatrix, tol: float = DEFAULT_TOL) -> Circuit:
     swaps = [s for u, v in _transpositions(perm) for s in _gray_chain(u, v, width)]
     need = max(0, width - 3) if swaps else 0
     ancillas = tuple(range(width, width + need))
-    interned: dict[tuple[str, tuple[int, ...]], Gate] = {}
-    lowered_of: dict[tuple[int, int], tuple[Gate, ...]] = {}
-    lowered: list[Gate] = []
+    table: list[Gate] = []
+    entry: dict[Word, int] = {}
+    lowered_of: dict[tuple[int, int], list[int]] = {}
+    index: list[int] = []
     for swap in swaps:
         seq = lowered_of.get(swap)
         if seq is None:
@@ -363,44 +418,51 @@ def synth_permutation(m: CMatrix, tol: float = DEFAULT_TOL) -> Circuit:
             controls = tuple(
                 (q, (state >> (width - 1 - q)) & 1) for q in range(width) if q != target
             )
-            gates = decompose_mcx(controls, target, ancillas)
-            seq = lowered_of[swap] = tuple(interned.setdefault((g.name, g.qubits), g) for g in gates)
-        lowered.extend(seq)
-    return peephole(Circuit._trusted(width, need, tuple(lowered), {id(g): g for g in interned.values()}))
+            seq = lowered_of[swap] = []
+            for w in _mcx_words(controls, target, ancillas):
+                i = entry.get(w)
+                if i is None:
+                    i = entry[w] = len(table)
+                    table.append(Gate(*w))
+                seq.append(i)
+        index += seq
+    return peephole(Circuit._trusted(width, need, tuple(table), index))
 
 
 def peephole(c: Circuit) -> Circuit:
     """Cancel adjacent identical self-inverse gates (action x or h), in one
-    pass on a stack.
+    pass on a stack of table indices.
 
     A gate cancels the top of the stack when the two are equal, so pairs
     that meet only after an inner pair cancels go too: the result is the
-    fixed point of repeated adjacent cancellation.  Each distinct instance
-    in ``c``'s table is mapped once to the first instance of its distinct
-    gate, so equality on the stack is an identity test; the stack is the
-    one pass over positions.  The result holds the shared instances that
-    remain.  They are gates of ``c``, already checked against the same
-    qubit count, so the result is built trusted.
+    fixed point of repeated adjacent cancellation.  Table entries that hold
+    equal gates are first merged into the first of them, so equality on
+    the stack is equality of ints.  The result keeps the entries that its
+    positions still use.  They are gates of ``c``, already checked against
+    the same qubit count, so the result is built trusted.
     """
-    shared: dict[Gate, Gate] = {}
-    shared_of = {i: shared.setdefault(g, g) for i, g in c._distinct.items()}
-    cancels = {id(s) for s in shared.values() if GATES[s.name][0] in ("x", "h")}
-    # With no two instances equal, each instance is its own shared gate.
-    seq = c.gates if len(shared) == len(shared_of) else map(shared_of.__getitem__, map(id, c.gates))
-    out: list = [None]  # a bottom that is no gate
-    top = None
-    for s in seq:
-        if s is top and id(s) in cancels:
+    table, index = c._table, c._index
+    first: dict[Gate, int] = {}
+    canon = [first.setdefault(g, i) for i, g in enumerate(table)]
+    if len(first) < len(table):
+        index = list(map(canon.__getitem__, index))
+    cancels = [GATES[g.name][0] in ("x", "h") for g in table]
+    out = [-1]  # a bottom that is no entry
+    top = -1
+    for s in index:
+        if s == top and cancels[s]:
             out.pop()
             top = out[-1]
         else:
             out.append(s)
             top = s
-    gates = tuple(out[1:])
-    kept = set(map(id, gates))
-    return Circuit._trusted(
-        c.data_qubits, c.ancilla_qubits, gates, {id(s): s for s in shared.values() if id(s) in kept}
-    )
+    del out[0]
+    kept = sorted(set(out))
+    if len(kept) < len(table):
+        renumber = dict(zip(kept, range(len(kept))))
+        out = list(map(renumber.__getitem__, out))
+        table = tuple(map(table.__getitem__, kept))
+    return Circuit._trusted(c.data_qubits, c.ancilla_qubits, table, out)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +497,9 @@ def simulate(c: Circuit, input_bits: str) -> str:
         return states[0][0]
     anc = c.ancilla_qubits
     s = int(input_bits or "0", 2) << anc
-    for _, cmask, tmask in c.ops:
+    decoded = c._decoded
+    for i in c._index:
+        _, cmask, tmask = decoded[i]
         if s & cmask == cmask:
             s ^= tmask
     if s & ((1 << anc) - 1):
@@ -488,7 +552,9 @@ def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     for label, a in v.items():
         psi[int(label or "0", 2) << anc] = a
     view = psi.reshape((2,) * n)
-    for action, first, second in c._view_ops:
+    views = c._view_ops
+    for i in c._index:
+        action, first, second = views[i]
         if action == "x":
             view[first] = view[second]
         elif action == "h":
@@ -528,7 +594,9 @@ def _lanes(c: Circuit, v: AmpVec) -> AmpVec:
     k, d, n = len(labels), c.data_qubits, c.total_qubits
     full = (1 << k) - 1
     lanes = [int("".join(col), 2) for col in zip(*labels)] + [0] * c.ancilla_qubits + [full]
-    for a, b, t in c._lane_ops:
+    lane_ops = c._lane_ops
+    for i in c._index:
+        a, b, t = lane_ops[i]
         lanes[t] ^= lanes[a] & lanes[b]
 
     def printed(qubit_lanes: list[int]) -> list[str]:
@@ -554,21 +622,33 @@ def _lanes(c: Circuit, v: AmpVec) -> AmpVec:
 # Metrics and OpenQASM 2.0
 
 def metrics(c: Circuit) -> Metrics:
+    """Size, cx count and depth, with the counts per kind, ancillas and
+    costs of ``Metrics``.  The counts come from each table entry's position
+    count.  The depth sweep over the positions reads each entry's qubits:
+    a one-qubit gate's qubit, or a triple (first control, last two qubits)
+    for a gate of two or three, whose level is one above the highest front
+    of its qubits."""
+    kinds = dict.fromkeys(GATES, 0)
+    for g, n in zip(c._table, c._counts):
+        kinds[g.name] += n
+    alone = [g.qubits[0] if len(g.qubits) == 1 else -1 for g in c._table]
+    triple = [(g.qubits[0], *g.qubits[-2:]) for g in c._table]
     front = [0] * max(1, c.total_qubits)
-    cx = 0
-    for g in c.gates:
-        qs = g.qubits
-        level = 0
-        for q in qs:
-            if front[q] > level:
-                level = front[q]
-        level += 1
-        for q in qs:
-            front[q] = level
-        if g.name == "cx":
-            cx += 1
-    depth = max(front) if c.gates else 0
-    return Metrics(size=len(c.gates), cx=cx, depth=depth)
+    for i in c._index:
+        q = alone[i]
+        if q >= 0:
+            front[q] += 1
+            continue
+        a, b, t = triple[i]
+        level = front[a]
+        if front[b] > level:
+            level = front[b]
+        if front[t] > level:
+            level = front[t]
+        front[a] = front[b] = front[t] = level + 1
+    return Metrics(
+        size=len(c._index), cx=kinds["cx"], depth=max(front), kinds=kinds, ancillas=c.ancilla_qubits
+    )
 
 
 def _qref(c: Circuit, q: int) -> str:
@@ -578,18 +658,23 @@ def _qref(c: Circuit, q: int) -> str:
 
 
 def export_qasm(c: Circuit) -> str:
-    """OpenQASM 2.0 text over ``qelib1.inc`` gates; each distinct ``Gate``
-    instance is formatted once."""
+    """OpenQASM 2.0 text over ``qelib1.inc`` gates; each table entry's line
+    is formatted once and joined through the index."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.data_qubits}];"]
     if c.ancilla_qubits:
         lines.append(f"qreg anc[{c.ancilla_qubits}];")
-    lines.extend(c._per_gate(lambda g: f"{g.name} {','.join(_qref(c, q) for q in g.qubits)};"))
+    line = [f"{g.name} {','.join(_qref(c, q) for q in g.qubits)};" for g in c._table]
+    lines += map(line.__getitem__, c._index)
     return "\n".join(lines) + "\n"
 
 
 _QASM_QREG = re.compile(r"qreg\s+(q|anc)\[(\d+)\];")
 _QASM_GATE = re.compile(rf"^({'|'.join(GATES)})\s+(.+);$")
 _QASM_REF = re.compile(r"^(q|anc)\[(\d+)\]$")
+
+
+# What ``parse_qasm`` maps a raw line to when it holds no gate.
+_UNREAD, _DECLARED, _NO_GATE = -3, -2, -1
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -599,45 +684,54 @@ def parse_qasm(text: str) -> Circuit:
     every reference must lie inside its register.  So a line means the
     same wherever it occurs, and it fails, if at all, where it first
     occurs; the one exception is a declaration repeated word for word,
-    which fails where it recurs.  Each distinct raw line is therefore read
-    once, in order of first occurrence, and the lines are then mapped
-    through a dict.  Lines equal once stripped share one (frozen) ``Gate``,
+    which fails where it recurs.  One pass over the lines therefore reads
+    each distinct raw line once, at its first occurrence, and maps every
+    line through a dict to its table index, or to a mark for a line without
+    a gate: a declaration's mark fails the line that repeats it.  Lines
+    equal once stripped share one table entry, whose (frozen) ``Gate`` is
     parsed and checked against its register once, so the circuit is built
-    trusted, with those gates as its table.
+    trusted.
     """
-    lines = text.splitlines()
     sizes: dict[str, int] = {}
-    seen: dict[str, Gate] = {}
-    meaning = _read_lines(lines, sizes, seen)
+    entry: dict[str, int] = {}  # stripped gate line -> table index
+    table: list[Gate] = []
+    index_of: dict[str, int] = {}  # raw line -> table index or mark
+    index: list[int] = []
+    for raw in text.splitlines():
+        i = index_of.get(raw, _UNREAD)
+        if i < 0:
+            if i == _DECLARED:
+                reg = _QASM_QREG.fullmatch(raw.strip()).group(1)
+                raise ValueError(f"register {reg} declared twice: {raw!r}")
+            if i == _UNREAD:
+                i = index_of[raw] = _read_line(raw, sizes, entry, table)
+            if i < 0:
+                continue
+        index.append(i)
     if "q" not in sizes:
         raise ValueError("missing qreg declaration")
-    gates = tuple(filter(None, map(meaning.__getitem__, lines)))
-    return Circuit._trusted(sizes["q"], sizes.get("anc", 0), gates, {id(g): g for g in seen.values()})
+    return Circuit._trusted(sizes["q"], sizes.get("anc", 0), tuple(table), index)
 
 
-def _read_lines(lines: list[str], sizes: dict[str, int], seen: dict[str, Gate]) -> dict[str, Gate | None]:
-    """Each distinct raw line of ``lines``, read in order of first
-    occurrence, mapped to its gate, or to None for a line without one.
-    Declarations fill ``sizes``, and each stripped gate line its entry of
-    ``seen``."""
-    meaning: dict[str, Gate | None] = dict.fromkeys(lines)  # in order of first occurrence
-    for raw in meaning:
-        line = raw.strip()
-        g = seen.get(line)
-        if g is None and line and not line.startswith(("//", "OPENQASM", "include")):
-            m = _QASM_QREG.fullmatch(line)
-            if m is None:
-                g = seen[line] = _parse_gate_line(line, raw, sizes)
-            elif m.group(1) in sizes:
-                raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
-            elif lines.count(raw) > 1:
-                # Fails where it recurs, unless a line before that fails first.
-                _read_lines(lines[: lines.index(raw, lines.index(raw) + 1)], {}, {})
-                raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
-            else:
-                sizes[m.group(1)] = int(m.group(2))
-        meaning[raw] = g
-    return meaning
+def _read_line(raw: str, sizes: dict[str, int], entry: dict[str, int], table: list[Gate]) -> int:
+    """The table index of a raw line's gate, reading it into ``table`` on
+    its first stripped occurrence, or the mark of a line without a gate.
+    A declaration fills ``sizes``."""
+    line = raw.strip()
+    i = entry.get(line)
+    if i is not None:
+        return i
+    if not line or line.startswith(("//", "OPENQASM", "include")):
+        return _NO_GATE
+    m = _QASM_QREG.fullmatch(line)
+    if m is None:
+        table.append(_parse_gate_line(line, raw, sizes))
+        entry[line] = len(table) - 1
+        return len(table) - 1
+    if m.group(1) in sizes:
+        raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
+    sizes[m.group(1)] = int(m.group(2))
+    return _DECLARED
 
 
 def _parse_gate_line(line: str, raw: str, sizes: dict[str, int]) -> Gate:

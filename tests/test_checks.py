@@ -156,6 +156,7 @@ def test_json_keeps_the_counterexamples_the_text_prints(monkeypatch, capsys):
 # check that is no loop fails without one (None).
 _bind = vecmonad.bind
 _simulate, _decompose_mcx, _simulate_state = circuitgen.simulate, circuitgen.decompose_mcx, circuitgen.simulate_state
+_mcx_words, _peephole = circuitgen._mcx_words, circuitgen.peephole
 ACTS, MCX = "synthesized circuits act as their matrices", "mcx lowering has the mcx truth table (up to 6 controls)"
 LOOP_MUTATIONS = {
     "kernel upper triangle": (relalg, "kernel", BROKEN["kernel"]["upper triangle"], {
@@ -195,10 +196,17 @@ LOOP_MUTATIONS = {
             ACTS: "case 0: input 10 gives 10, want 11",
             "peephole cancellation preserves semantics": "case 0: input 000, sup-norm gap 1",
         }),
-    "decompose_mcx ignores polarity": (circuitgen, "decompose_mcx", lambda controls, target, ancillas: _decompose_mcx(
+    # The lowering that decompose_mcx and synth_permutation share.
+    "decompose_mcx ignores polarity": (circuitgen, "_mcx_words", lambda controls, target, ancillas: _mcx_words(
         tuple((q, 1) for q, _ in controls), target, ancillas), {
             ACTS: "case 1: input 000 gives 000, want 011",
             MCX: "control polarities 0: input 00 gives 00, want 01",
+        }),
+    "peephole drops its last kept gate": (circuitgen, "peephole", lambda c: (lambda r: Circuit(
+        r.data_qubits, r.ancilla_qubits, r.gates[:-1]))(_peephole(c)), {
+            "the 2-bit controlled-not compiles to one cx": None,
+            ACTS: "case 0: input 10 gives 10, want 11",
+            "peephole cancellation preserves semantics": "case 0: input 000, sup-norm gap 1",
         }),
     "decompose_mcx pads with two h": (circuitgen, "decompose_mcx", lambda controls, target, ancillas: _decompose_mcx(
         controls, target, ancillas) + (Gate("h", (target,)),) * 2, {

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import re
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -39,6 +40,37 @@ GOLDENS = Path(__file__).parent / "goldens"
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 _T_PHASE = np.exp(1j * np.pi / 4)
+
+
+def assert_cost_model(c: Circuit) -> None:
+    """The counts of ``metrics`` agree with a count over the positions."""
+    got, kinds = metrics(c), Counter(g.name for g in c.gates)
+    assert got.kinds == {kind: kinds[kind] for kind in circuitgen.GATES}
+    assert (got.size, got.cx, got.ancillas) == (len(c.gates), kinds["cx"], c.ancilla_qubits)
+    assert got.cx_cost == kinds["cx"] + 6 * kinds["ccx"]
+    assert got.t_count == 7 * kinds["ccx"] + kinds["t"] + kinds["tdg"]
+
+
+@pytest.fixture(autouse=True)
+def every_circuit_has_its_cost_model(monkeypatch):
+    """Every circuit a test of this file builds, through the public
+    constructor or a builder, meets ``assert_cost_model`` at teardown."""
+    built = []
+    init, trusted = Circuit.__init__, Circuit._trusted
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def recorded_trusted(cls, *args):
+        built.append(trusted(*args))
+        return built[-1]
+
+    monkeypatch.setattr(Circuit, "__init__", recorded_init)
+    monkeypatch.setattr(Circuit, "_trusted", classmethod(recorded_trusted))
+    yield
+    for c in built:
+        assert_cost_model(c)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +562,70 @@ def ref_export_qasm(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+# References: ``peephole``, ``metrics`` and ``export_qasm`` as they stood
+# while a circuit kept its distinct instances in a table keyed by ``id``,
+# kept verbatim apart from the names.  That table, and the mapping through
+# it, are rebuilt here from ``c.gates``, and a result is built through the
+# public constructor.
+
+def ref_distinct(c: Circuit) -> dict[int, Gate]:
+    return dict(zip(map(id, c.gates), c.gates))
+
+
+def ref_per_gate(c: Circuit, f) -> tuple:
+    """``f`` of the gate at each position, called once per distinct instance."""
+    of = {i: f(g) for i, g in ref_distinct(c).items()}
+    return tuple(map(of.__getitem__, map(id, c.gates)))
+
+
+def ref_id_peephole(c: Circuit) -> Circuit:
+    """Cancel adjacent identical self-inverse gates (action x or h), in one
+    pass on a stack."""
+    shared: dict[Gate, Gate] = {}
+    shared_of = {i: shared.setdefault(g, g) for i, g in ref_distinct(c).items()}
+    cancels = {id(s) for s in shared.values() if circuitgen.GATES[s.name][0] in ("x", "h")}
+    # With no two instances equal, each instance is its own shared gate.
+    seq = c.gates if len(shared) == len(shared_of) else map(shared_of.__getitem__, map(id, c.gates))
+    out: list = [None]  # a bottom that is no gate
+    top = None
+    for s in seq:
+        if s is top and id(s) in cancels:
+            out.pop()
+            top = out[-1]
+        else:
+            out.append(s)
+            top = s
+    return Circuit(c.data_qubits, c.ancilla_qubits, tuple(out[1:]))
+
+
+def ref_sweep_metrics(c: Circuit) -> Metrics:
+    front = [0] * max(1, c.total_qubits)
+    cx = 0
+    for g in c.gates:
+        qs = g.qubits
+        level = 0
+        for q in qs:
+            if front[q] > level:
+                level = front[q]
+        level += 1
+        for q in qs:
+            front[q] = level
+        if g.name == "cx":
+            cx += 1
+    depth = max(front) if c.gates else 0
+    return Metrics(size=len(c.gates), cx=cx, depth=depth)
+
+
+def ref_id_export_qasm(c: Circuit) -> str:
+    """OpenQASM 2.0 text over ``qelib1.inc`` gates; each distinct ``Gate``
+    instance is formatted once."""
+    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.data_qubits}];"]
+    if c.ancilla_qubits:
+        lines.append(f"qreg anc[{c.ancilla_qubits}];")
+    lines.extend(ref_per_gate(c, lambda g: f"{g.name} {','.join(ref_qref(c, q) for q in g.qubits)};"))
+    return "\n".join(lines) + "\n"
+
+
 def perm_matrix(perm: list[int]) -> CMatrix:
     """The 0/1 matrix whose column j has its 1 in row perm[j]."""
     basis = FinBasis(tuple(f"s{j}" for j in range(len(perm))))
@@ -565,13 +661,17 @@ class TestSynthesisAgainstReference:
         assert metrics(got) == ref_metrics(want)
 
     def test_each_distinct_mcx_is_lowered_once(self, monkeypatch):
-        calls = []
+        calls, built = [], []
+        lower = circuitgen._mcx_words
 
         def counted(controls, target, ancillas):
             calls.append((controls, target))
-            return decompose_mcx(controls, target, ancillas)
+            return lower(controls, target, ancillas)
 
-        monkeypatch.setattr(circuitgen, "decompose_mcx", counted)
+        def counted_gate(name, qubits):
+            built.append((name, qubits))
+            return Gate(name, qubits)
+
         perm = np.random.default_rng(9).permutation(64).tolist()
         m = perm_matrix(perm)
         width = 6
@@ -580,8 +680,13 @@ class TestSynthesisAgainstReference:
             for u, v in ref_transpositions(perm)
             for g in ref_gray_chain(u, v, width)
         }
+        want = ref_synth_permutation(m, Encoding(m.src))
+        monkeypatch.setattr(circuitgen, "_mcx_words", counted)
+        monkeypatch.setattr(circuitgen, "Gate", counted_gate)
         synth_permutation(m)
         assert len(calls) == len(set(calls)) == len(distinct)
+        # Each distinct gate is built once; peephole keeps every one here.
+        assert len(built) == len(set(built)) == len(set(want.gates))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -831,12 +936,22 @@ def sharing(c: Circuit) -> list[int]:
     return [first.setdefault(id(g), i) for i, g in enumerate(c.gates)]
 
 
+def assert_table(c: Circuit) -> None:
+    """Each position's index names a table entry equal to its gate, and
+    every entry is named."""
+    assert len(c._index) == len(c.gates)
+    assert all(c._table[i] == g for i, g in zip(c._index, c.gates))
+    assert sorted(set(c._index)) == list(range(len(c._table)))
+
+
 def assert_as_public(c: Circuit) -> None:
-    """``c`` equals the public construction of its fields, with the same
-    table of distinct instances."""
+    """``c``, built by a builder, equals the public construction of its
+    fields, and its table holds each distinct instance of its positions
+    once, with each position's index naming its instance."""
     public = Circuit(c.data_qubits, c.ancilla_qubits, c.gates)
-    assert c == public
-    assert c._distinct == public._distinct
+    assert c == public and hash(c) == hash(public)
+    assert_table(c)
+    assert all(c._table[i] is g for i, g in zip(c._index, c.gates))
 
 
 class TestParseQasmAgainstReference:
@@ -899,7 +1014,7 @@ class TestPassesPerDistinctGate:
         c = peephole(Circuit(1, 0, (x, h, Gate("h", (0,)), x, x)))
         assert c.gates == (x,)
         assert c.is_classical()
-        assert c._distinct == {id(x): x}
+        assert c._table == (x,)
 
     def test_copies_build_their_own_table(self):
         c = synth_permutation(perm_matrix(np.random.default_rng(3).permutation(16).tolist()))
@@ -910,14 +1025,113 @@ class TestPassesPerDistinctGate:
             assert export_qasm(d) == export_qasm(c)
 
 
+# ---------------------------------------------------------------------------
+# The index form: one word of gates built three ways, against the
+# references above, and every kind of circuit through copy and pickle.
+
+
+@st.composite
+def gate_words(draw):
+    """Words over every kind of ``GATES`` on 0-7 data qubits and 0-3
+    ancillas, drawn from a small pool so that gates repeat.  Each position
+    holds the pool's instance or a fresh equal copy, and nested pairs of
+    pool gates are planted for ``peephole`` to cancel.  Gates land on any
+    qubit, so an ancilla may be left dirty."""
+    data, ancillas = draw(st.integers(0, 7)), draw(st.integers(0, 3))
+    total = data + ancillas
+    kinds = [kind for kind, arity in ARITY.items() if arity <= total]
+    if not kinds:
+        return Circuit(data, ancillas, ())
+    pool = [Gate(kind, tuple(draw(st.permutations(range(total)))[: ARITY[kind]]))
+            for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5))]
+
+    def placed(g: Gate) -> Gate:
+        return Gate(g.name, g.qubits) if draw(st.booleans()) else g
+
+    word = [placed(g) for g in draw(st.lists(st.sampled_from(pool), max_size=16))]
+    for _ in range(draw(st.integers(0, 2))):
+        inner = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        at = draw(st.integers(0, len(word)))
+        word[at:at] = [placed(g) for g in inner + inner[::-1]]
+    return Circuit(data, ancillas, tuple(word))
+
+
+def every_input(c: Circuit) -> list[str]:
+    return [format(x | 1 << c.data_qubits, "b")[1:] for x in range(1 << c.data_qubits)]
+
+
+def assert_same_circuit(got: Circuit, want: Circuit) -> None:
+    """``got`` has ``want``'s gates, equality, hash, ops, QASM, metrics and
+    simulation on every input, the last five against the references."""
+    assert got.gates == want.gates
+    assert got == want and hash(got) == hash(want)
+    assert got.ops == ref_ops(want)
+    assert export_qasm(got) == ref_id_export_qasm(want)
+    assert metrics(got) == ref_sweep_metrics(want)
+    for bits in every_input(want):
+        assert outcome(simulate, got, bits) == outcome(ref_simulate, want, bits)
+
+
+class TestIndexForm:
+    @settings(max_examples=200, deadline=None)
+    @given(gate_words())
+    def test_three_constructions_agree_with_the_references(self, c):
+        parsed = parse_qasm(export_qasm(c))
+        assert_table(c)
+        assert_same_circuit(c, c)
+        assert_same_circuit(parsed, c)
+        assert sharing(parsed) == sharing(ref_parse_qasm(export_qasm(c)))
+        assert_same_circuit(peephole(c), ref_id_peephole(c))
+        assert sharing(peephole(c)) == sharing(ref_id_peephole(c))
+        # Lines spaced apart parse to two table entries of one gate, which
+        # peephole must treat as equal.
+        lines = export_qasm(c).splitlines()
+        spaced = parse_qasm("\n".join(ln.replace(",", ", ") if i % 2 else ln for i, ln in enumerate(lines)))
+        assert_same_circuit(peephole(spaced), ref_id_peephole(c))
+        for d in (parsed, peephole(c), peephole(spaced)):
+            assert_as_public(d)
+
+    def test_equal_gates_parsed_from_lines_spaced_apart_cancel(self):
+        c = parse_qasm("qreg q[2];\ncx q[0],q[1];\ncx q[0], q[1];\nx q[0];\n")
+        assert len(c._table) == 3  # one entry per stripped line
+        slim = peephole(c)
+        assert slim == Circuit(2, 0, (Gate("x", (0,)),))
+        assert_as_public(slim)
+
+    @pytest.mark.parametrize("kind", ["public", "synthesized", "parsed", "peepholed"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_copy_deepcopy_and_pickle_keep_the_circuit(self, kind, warm):
+        x0, cx, h = Gate("x", (0,)), Gate("cx", (0, 3)), Gate("h", (1,))
+        public = Circuit(2, 2, (x0, cx, Gate("x", (0,)), h, h, cx, Gate("t", (3,)), x0, cx))
+        synthesized = synth_permutation(perm_matrix(np.random.default_rng(3).permutation(16).tolist()))
+        c = {
+            "public": lambda: public,
+            "synthesized": lambda: synthesized,
+            "parsed": lambda: parse_qasm(export_qasm(synthesized)),
+            "peepholed": lambda: peephole(public),
+        }[kind]()
+        if warm:  # fill the cached per-entry results first
+            export_qasm(c), metrics(c), c.ops, c.gates, [outcome(simulate, c, b) for b in every_input(c)]
+        for d in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert sharing(d) == sharing(c)
+            assert_table(d)
+            if kind != "public":  # whose gates may hold equal instances beside the table's
+                assert_as_public(d)
+            assert_same_circuit(d, Circuit(c.data_qubits, c.ancilla_qubits, c.gates))
+
+
 def test_the_large_circuit_is_pinned():
     """The seed-8 random 8-bit permutation: gate count, depth, ancillas and
     the exact QASM text of the circuit the synthesis emitted before it
-    worked once per distinct gate; a QASM round trip; 16 seeded inputs."""
+    worked once per distinct gate; its counts per kind, cx cost and
+    T-count; a QASM round trip; 16 seeded inputs."""
     perm = np.random.default_rng(8).permutation(256).tolist()
     c = synth_permutation(perm_matrix(perm))
-    assert metrics(c) == Metrics(size=38122, cx=0, depth=22310)
-    assert c.ancilla_qubits == 5
+    m = metrics(c)
+    assert m == Metrics(size=38122, cx=0, depth=22310)
+    assert c.ancilla_qubits == m.ancillas == 5
+    assert m.kinds == {"x": 18630, "cx": 0, "ccx": 19492, "h": 0, "t": 0, "tdg": 0}
+    assert (m.cx_cost, m.t_count) == (116952, 136444)
     text = export_qasm(c)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "2f0a82a92606f94acdfdaeb44c6a8e42342f25530bf31e15ca9e27ca2e930c10"

@@ -23,7 +23,8 @@ from quantakit.vecmonad import DEFAULT_TOL, PRUNE_EPS, AmpVec
 
 # ---------------------------------------------------------------------------
 # Reference: ``simulate_state`` as a dense statevector on every circuit,
-# before classical circuits took the bit-sliced path, kept verbatim.
+# before classical circuits took the bit-sliced path, kept verbatim apart
+# from reading its per-entry views through the circuit's index.
 
 
 def ref_simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
@@ -49,7 +50,7 @@ def ref_simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     for label, a in v.items():
         psi[int(label or "0", 2) << anc] = a
     view = psi.reshape((2,) * n)
-    for action, first, second in c._view_ops:
+    for action, first, second in map(c._view_ops.__getitem__, c._index):  # views per table entry
         if action == "x":
             view[first] = view[second]
         elif action == "h":
