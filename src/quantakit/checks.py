@@ -384,24 +384,27 @@ def quanta_suite() -> list[CheckResult]:
     bb = product_basis(BIT, BIT)
     lb2 = quanta.ListBasis(2)
 
-    ok = True
-    for _ in range(20):
-        step = _random_unitary_op(rng, bb)
-        ok &= vecmonad.is_unitary(quanta.fold_matrix(step, 2), tol=1e-9)
-    out.append(_result("quanta", "fold of a unitary step is unitary (20 random steps)", ok))
+    cases = _Cases()
+    for i in range(20):
+        fold = quanta.fold_matrix(_random_unitary_op(rng, bb), 2)
+        cases.check(vecmonad.is_unitary(fold, tol=1e-9), lambda: f"step {i}: F*F against the identity, " + _gap(
+            vecmonad.matmul(vecmonad.dagger(fold), fold), vecmonad.identity_matrix(fold.src)))
+    out.append(cases.result("quanta", "fold of a unitary step is unitary (20 random steps)"))
 
-    ok = True
+    cases = _Cases()
     lengths = np.array([len(relalg.split_list(relalg.split_pair(label)[0])) for label in lb2.basis])
-    for _ in range(5):
+    for i in range(5):
         rows, cols = np.nonzero(quanta.fold_matrix(_random_unitary_op(rng, bb), 2).entries)
-        ok &= bool(np.array_equal(lengths[rows], lengths[cols]))
-    out.append(_result("quanta", "outputs keep the input list length", ok))
+        moved = np.flatnonzero(lengths[rows] != lengths[cols])
+        cases.check(not len(moved),
+                    lambda: f"step {i}: {lb2.labels[cols[moved[0]]]} reaches {lb2.labels[rows[moved[0]]]}")
+    out.append(cases.result("quanta", "outputs keep the input list length"))
 
     m = quanta.fold_matrix(lib.step("id"), 2)
     ok = m.close_to(vecmonad.identity_matrix(lb2.basis), tol=1e-12)
     out.append(_result("quanta", "fold of the identity step is the identity", ok))
 
-    ok = True
+    cases = _Cases()
     step = lib.op("bell")
     fold = quanta.fold_matrix(lib.step("bell"), 2)
     for k_tab in [{"0": "0", "1": "1"}, {"0": "1", "1": "0"},
@@ -417,18 +420,18 @@ def quanta_suite() -> list[CheckResult]:
             lbl: pair_label(k_tab[relalg.split_pair(lbl)[0]], relalg.split_pair(lbl)[1])
             for lbl in bb
         }
+        k = k_tab["0"] + k_tab["1"]
         relabel = vecmonad.materialize(gates.lift(mapk, lb2.basis), lb2.basis)
         lhs = vecmonad.matmul(fold, relabel)
         rhs = quanta.fold_matrix(vecmonad.kleisli(step, gates.lift(k_pre, bb)), 2)
-        ok &= lhs.close_to(rhs, tol=1e-9)
+        cases.check(lhs.close_to(rhs, tol=1e-9), lambda: f"relabelling k={k}: fold after k, {_gap(lhs, rhs)}")
 
         lhs2 = vecmonad.matmul(relabel, fold)
         rhs2 = quanta.fold_matrix(vecmonad.kleisli(gates.lift(k_pre, bb), step), 2)
-        ok &= lhs2.close_to(rhs2, tol=1e-9)
-    out.append(_result("quanta", "free theorems for item relabelings (maxlen 2)", ok))
+        cases.check(lhs2.close_to(rhs2, tol=1e-9), lambda: f"relabelling k={k}: k after fold, {_gap(lhs2, rhs2)}")
+    out.append(cases.result("quanta", "free theorems for item relabelings (maxlen 2)"))
 
-    ok = _banana_split_ok(rng)
-    out.append(_result("quanta", "paired folds fuse into one fold (maxlen 2)", ok))
+    out.append(_banana_split(rng).result("quanta", "paired folds fuse into one fold (maxlen 2)"))
 
     fst_fn = relalg.from_function(lambda l: relalg.split_pair(l)[0], lb2.basis, lb2.list_basis)
     by_cata = quanta.cata(
@@ -445,7 +448,7 @@ def quanta_suite() -> list[CheckResult]:
     ok = psi_id.close_to(alpha_m, tol=1e-12)
     out.append(_result("quanta", "one-layer unfolding of the identity is alpha", ok))
 
-    ok = True
+    cases = _Cases()
     complemented = 0
     for bits in itertools.product("01", repeat=4):
         table = {x: bits[j] for j, x in enumerate(bb)}
@@ -454,33 +457,37 @@ def quanta_suite() -> list[CheckResult]:
         except relalg.ComplementError:
             continue
         complemented += 1
-        ok &= relalg.is_bijection(rel)
-    ok &= complemented == 4
-    out.append(_result("quanta", "projection-complemented steps promote to bijective folds", ok))
+        cases.check(relalg.is_bijection(rel), lambda: f"table {''.join(bits)}: the fold is no bijection")
+    cases.check(complemented == 4, lambda: f"{complemented} tables are complemented, want 4")
+    out.append(cases.result("quanta", "projection-complemented steps promote to bijective folds"))
 
-    ok = True
+    cases = _Cases()
     for perm in itertools.permutations(range(4)):
         table = {bb.labels[i]: bb.labels[perm[i]] for i in range(4)}
         x = gates.lift(table, bb)
         m_psi = vecmonad.materialize(quanta.psi(x, 2), lb2.basis)
         rel = Rel(m_psi.src, m_psi.tgt, np.abs(m_psi.entries) > 0.5)
-        ok &= relalg.is_injective(rel)
-    out.append(_result("quanta", "one-layer unfolding preserves injectivity", ok))
+        cases.check(relalg.is_injective(rel),
+                    lambda: f"step {''.join(map(str, perm))}: the unfolding layer is not injective")
+    out.append(cases.result("quanta", "one-layer unfolding preserves injectivity"))
 
-    ok = True
-    for step in [lib.step("cnot"), gates.bell(), _random_unitary_op(rng, bb)]:
+    cases = _Cases()
+    for name, step in [("cnot", lib.step("cnot")), ("bell", gates.bell()), ("random", _random_unitary_op(rng, bb))]:
         direct = quanta.fold_matrix(step, 2)
         fused = vecmonad.materialize(quanta.quantamorphism_via_psi(step, 2), lb2.basis)
-        ok &= direct.close_to(fused, tol=1e-9)
-    out.append(_result("quanta", "fused unfolding route equals the direct recursion", ok))
+        cases.check(direct.close_to(fused, tol=1e-9), lambda: f"step {name}: {_gap(direct, fused)}")
+    out.append(cases.result("quanta", "fused unfolding route equals the direct recursion"))
 
     return out
 
 
-def _banana_split_ok(rng: np.random.Generator) -> bool:
+def _banana_split(rng: np.random.Generator) -> _Cases:
+    """Banana split over every pair of five algebras, numbered in order:
+    xor, the one that keeps the value folded from the tail, and three
+    random tables."""
     bb = product_basis(BIT, BIT)
     cop = relalg.coproduct_basis(BIT, bb)
-    ok = True
+    cases = _Cases()
     algebras = [
         lambda side, body: body if side == 0 else gates.xor_table()[body],
         lambda side, body: body if side == 0 else relalg.split_pair(body)[1],
@@ -492,7 +499,7 @@ def _banana_split_ok(rng: np.random.Generator) -> bool:
                 relalg.tag_left(body) if side == 0 else relalg.tag_right(body)
             ]
         )
-    for h1, h2 in itertools.product(algebras, repeat=2):
+    for (i, h1), (j, h2) in itertools.product(enumerate(algebras), repeat=2):
         f1 = quanta.cata(h1, 2, BIT)
         f2 = quanta.cata(h2, 2, BIT)
         lhs = relalg.pair(f1, f2)
@@ -505,8 +512,16 @@ def _banana_split_ok(rng: np.random.Generator) -> bool:
             return pair_label(a(1, pair_label(item, c1)), b(1, pair_label(item, c2)))
 
         rhs = quanta.cata(fused, 2, product_basis(BIT, BIT))
-        ok &= lhs == rhs
-    return ok
+        cases.check(lhs == rhs, lambda: f"algebras ({i}, {j}): the paired and fused folds {_differ(lhs, rhs)}")
+    return cases
+
+
+def _differ(r: Rel, s: Rel) -> str:
+    """Where two relations differ: the first input whose images differ."""
+    if r.src != s.src or r.tgt != s.tgt:
+        return "have different bases"
+    j = np.flatnonzero((r.entries != s.entries).any(axis=0))[0]
+    return f"differ on {r.src.labels[j]}"
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,11 @@ parsed and printed only at the edges.  A classical circuit (x/cx/ccx only)
 runs on one basis input by a fold of bitmasks over its index, and on a ket
 by a bit-sliced lane kernel: each qubit is one big int holding that bit of
 every support state, so each gate is one xor over all the states at once.
-Any other circuit runs on a ket as a dense statevector.  Both ket paths
-take at most ``MAX_STATE_QUBITS`` qubits and give the same ket, bit for
-bit.  ``simulate`` keeps its mask fold: on one input, a lane of one bit
+Any other circuit runs on a ket as a dense statevector, of at most
+``MAX_STATE_QUBITS`` qubits.  The lanes need memory in proportion to the
+ket's support, not to 2^n, so they take a classical circuit of any width.
+Where both paths run, they give the same ket, bit for bit.  ``simulate``
+keeps its mask fold: on one input, a lane of one bit
 would only add the label round trip to the same gate loop.
 """
 from __future__ import annotations
@@ -525,11 +527,11 @@ def _view_index(op: Op, n: int) -> tuple[tuple[int | slice, ...], tuple[int | sl
 def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     """Statevector action on a ket over data-qubit bit-strings.
 
-    Circuits are capped at ``MAX_STATE_QUBITS`` data and ancilla qubits.
     A classical circuit (x/cx/ccx only) permutes basis states, so it runs
-    once on the support of the ket, bit-sliced by ``_lanes``; any other
-    circuit acts on a dense complex128 vector over all 2^n basis indices
-    (qubit q at bit n-1-q): controlled X gates swap the amplitudes their
+    once on the support of the ket, bit-sliced by ``_lanes``, at any width.
+    Any other circuit is capped at ``MAX_STATE_QUBITS`` data and ancilla
+    qubits, and acts on a dense complex128 vector over all 2^n basis
+    indices (qubit q at bit n-1-q): controlled X gates swap the amplitudes their
     masks select, and H and T/Tdg act on one axis of a (2,)*n view.  Both
     give the same ket: amplitudes at or below ``DEFAULT_TOL`` are dropped,
     the rest listed in basis index order, and any other amplitude on a set
@@ -538,7 +540,7 @@ def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     a one-state lane costs the label round trip and saves nothing.
     """
     n, anc = c.total_qubits, c.ancilla_qubits
-    if n > MAX_STATE_QUBITS:
+    if n > MAX_STATE_QUBITS and not c.is_classical():
         raise SizeLimitError(
             f"circuit has {n} qubits; the statevector is capped at {MAX_STATE_QUBITS}"
         )

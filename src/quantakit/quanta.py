@@ -13,14 +13,22 @@ item-basis order, bounded by the maximum length, with the payload label
 varying fastest.  The states of one list length n form a dense
 ``(|item|,)*n + (|payload|,)`` block, the last item on axis 0 and the
 head on axis n-1, whose C order is their cons-preorder.  The fold is a
-cascade of one step instance per list cell: ``_slots`` applies the step
-matrix to (slot n, payload), then (slot n-1, payload), down to slot 1,
-dropping amplitudes below ``PRUNE_EPS`` after each.  A step enters as a
-``Step``, its matrix and (item, payload) bases held by index, as
-``GateLibrary`` records it; ``_step`` is the one prologue, and parses an
-ad-hoc ``KleisliOp`` with ``step_shape``.  Other labels are parsed and
-printed only at the edges: ``ListBasis``, the state label of
-``run_quanta`` and the kets and matrices that the entry points return.
+cascade of one step instance per list cell, slot n (the last item) first
+and slot 1 (the head) last, with amplitudes below ``PRUNE_EPS`` dropped
+after each.  ``_slots`` runs it on the processed prefix: after slots n
+down to k, a basis state's image depends only on the items already read,
+and every unread slot still holds its input item.  So each slot is one
+product of the step's columns for the item read with a prefix image that
+grows by one item axis, and no work goes to unread slots.  ``run_quanta``
+pushes its one state through, reading its own items; ``_fold_blocks``
+reads every item at every slot, so one pass from the identity on payloads
+yields each length block in turn, for ``fold_matrix`` and ``rfold_rel``.
+
+A step enters as a ``Step``, its matrix and (item, payload) bases held
+by index, as ``GateLibrary`` records it; ``_step`` is the one prologue,
+and parses an ad-hoc ``KleisliOp`` with ``step_shape``.  Other labels
+are parsed and printed only at the edges: ``ListBasis``, the state label
+of ``run_quanta`` and the kets and matrices that the entry points return.
 Both print a list label from two half tables, the first n//2 items and
 the rest, each filled from the half codes that occur: each distinct half
 is printed once, and each label is one join, so printing a ket costs in
@@ -28,7 +36,7 @@ proportion to its support, not to its states times their items.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
@@ -221,7 +229,7 @@ def rfold_rel(
         for b, y in enumerate(payload):
             u[a * p + payload.index(table[pair_label(x, y)]), a * p + b] = 1
     basis = ListBasis(maxlen, item, payload).basis
-    return Rel(basis, basis, _fold_blocks(u, m, p, maxlen) != 0)
+    return Rel._trusted(basis, basis, _fold_blocks(u, m, p, maxlen) != 0)
 
 
 def cata(
@@ -252,28 +260,47 @@ def cata(
 # ---------------------------------------------------------------------------
 # The quantum fold
 
-def _slots(u: np.ndarray, m: int, p: int, n: int, x: np.ndarray) -> np.ndarray:
-    """Push each column of x, a length-n block, through the step matrix u
-    (index item * p + payload): slot n on axis 0 first, slot 1 on axis
-    n-1 last, dropping amplitudes below ``PRUNE_EPS`` after each slot."""
-    k = x.shape[1]
-    for axis in range(n):
-        left, right = m**axis, m ** (n - 1 - axis)
-        # Move (slot, payload) last, apply the step, move them back.
-        y = x.reshape(left, m, right, p, k).transpose(0, 2, 4, 1, 3).reshape(-1, m * p) @ u.T
-        x = y.reshape(left, right, k, m, p).transpose(0, 3, 1, 4, 2).reshape(-1, k)
-        x[np.abs(x) < PRUNE_EPS] = 0
-    return x
+def _slots(
+    u: np.ndarray, p: int, reads: Iterable[Sequence[int]], v: np.ndarray
+) -> Iterator[np.ndarray]:
+    """The fold on the processed prefix: yield ``v``, then its image after
+    each slot, slot n (the last item) first.  Each row of ``v`` is an input
+    (the items read so far, newest first, then the input payload) and an
+    output prefix (the items written so far, oldest first); its p columns
+    are the payload.  ``reads`` names the input items each slot reads: one
+    for a single state, every item for a whole block.  A slot is one
+    product per item d read, with the step's columns ``u[:, d*p:(d+1)*p]``
+    (index item * p + payload): d joins the input items and the step's
+    output item joins the output prefix.  Unread slots still hold their
+    input items, so no work is spent on them.  Amplitudes below
+    ``PRUNE_EPS`` are dropped after each slot."""
+    u = np.asarray(u, dtype=np.complex128)
+    yield v
+    for ds in reads:
+        out = np.empty((len(ds), len(v), len(u)), dtype=np.complex128)
+        for t, d in enumerate(ds):
+            np.dot(v, u[:, d * p:(d + 1) * p].T, out=out[t])
+        v = out.reshape(-1, p)
+        v[np.abs(v) < PRUNE_EPS] = 0
+        yield v
 
 
 def _fold_blocks(u: np.ndarray, m: int, p: int, maxlen: int) -> np.ndarray:
-    """The fold over ``ListBasis(maxlen)`` as a matrix: the identity of each
-    length block through the slots, placed by the cons-preorder walk."""
+    """The fold over ``ListBasis(maxlen)`` as a matrix, by length blocks.
+    One pass of the slots reads every item at every slot, starting from
+    the identity on payloads, and the prefix after n slots is the whole
+    length-n block: a square matrix whose input rows list the items head
+    first.  Each block lands at its cons-preorder rows and columns, its
+    input items reversed into code order."""
     lengths = np.array([n for n, _ in _cons_preorder(m, maxlen)])
     out = np.zeros((len(lengths) * p,) * 2, dtype=np.complex128)
-    for n in range(lengths.max() + 1):
-        rows = (np.flatnonzero(lengths == n)[:, None] * p + np.arange(p)).ravel()
-        out[np.ix_(rows, rows)] = _slots(u, m, p, n, np.eye(len(rows)))
+    # Each length's rows, its lists in code order, one block after another.
+    by_length = np.argsort(lengths, kind="stable")[:, None] * p + np.arange(p)
+    reads = [range(m)] * lengths.max()
+    for n, v in enumerate(_slots(u, p, reads, np.eye(p, dtype=np.complex128))):
+        rows, by_length = by_length[:m**n], by_length[m**n:]
+        head_first = np.arange(m**n).reshape((m,) * n).transpose().ravel()
+        out.T[rows[head_first].reshape(-1, 1), rows.ravel()] = v.reshape(rows.size, -1)
     return out
 
 
@@ -297,8 +324,10 @@ def _step(step: KleisliOp | Step) -> Step:
 
 def run_quanta(step: KleisliOp | Step, input_label: str) -> AmpVec:
     """Apply the quantum fold to one (list, payload) basis state: a one-hot
-    length-n block through the slots.  The ket lists its states in block
-    index order, which is ``ListBasis`` order.  Its labels are printed from
+    payload through the slots, each reading the state's own item, last item
+    first.  The image grows by one item axis per slot, up to the length-n
+    block.  The ket lists its states in block index order, which is
+    ``ListBasis`` order.  Its labels are printed from
     two half tables, filled from the support: each distinct half of the
     items is printed once, then each state joins two halves and a payload.
     The ket takes the support's amplitudes in ``AmpVec``'s array form."""
@@ -309,10 +338,11 @@ def run_quanta(step: KleisliOp | Step, input_label: str) -> AmpVec:
     n, size = len(xs), m ** len(xs) * p
     if size > MAX_LIST_STATES:
         raise SizeLimitError(f"lists of length {n} have {size} states; capped at {MAX_LIST_STATES}")
-    code = sum(s.item.index(x) * m**k for k, x in enumerate(xs))
-    col = np.zeros((size, 1), dtype=np.complex128)
-    col[code * p + s.payload.index(b)] = 1
-    out = _slots(s.u.entries, m, p, n, col)[:, 0]
+    reads = [(s.item.index(x),) for x in xs][::-1]
+    v = np.zeros((1, p), dtype=np.complex128)
+    v[0, s.payload.index(b)] = 1
+    *_, out = _slots(s.u.entries, p, reads, v)
+    out = out.ravel()
     support = (out != 0).nonzero()[0]
     codes, pay = np.divmod(support, p)
     low, high, low_text, high_text = _half_tables(n, codes, s.item.labels)
@@ -327,8 +357,8 @@ def quantamorphism(step: KleisliOp | Step, maxlen: int) -> KleisliOp:
     """Structural quantum fold of a unitary step over ``ListBasis(maxlen)``.
 
     The result is lazy: applied to a label of list length n, it pushes
-    that basis state, as a one-hot length-n block, through slots n down
-    to 1.  ``fold_matrix`` gives the fold as a matrix, by blocks.
+    that basis state through slots n down to 1 (``run_quanta``).
+    ``fold_matrix`` gives the fold as a matrix, by blocks.
     """
     s = _step(step)
     if not is_unitary(s.u):
@@ -338,11 +368,11 @@ def quantamorphism(step: KleisliOp | Step, maxlen: int) -> KleisliOp:
 
 def fold_matrix(step: KleisliOp | Step, maxlen: int) -> CMatrix:
     """``materialize(quantamorphism(step, maxlen), ListBasis(maxlen).basis)``
-    by blocks, with no label per column: each length block's identity goes
-    through the slots at once and lands at its cons-preorder rows and columns."""
+    by blocks, with no label per column: one pass of the slots yields every
+    length block, and each lands at its cons-preorder rows and columns."""
     s = _step(step)
     basis = ListBasis(maxlen, s.item, s.payload).basis
-    return CMatrix(basis, basis, _fold_blocks(s.u.entries, len(s.item), len(s.payload), maxlen))
+    return CMatrix._trusted(basis, basis, _fold_blocks(s.u.entries, len(s.item), len(s.payload), maxlen))
 
 
 # ---------------------------------------------------------------------------

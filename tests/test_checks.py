@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from quantakit import checks, circuitgen, relalg, vecmonad
+from quantakit import checks, circuitgen, quanta, relalg, vecmonad
 from quantakit.circuitgen import Circuit, Gate
 from quantakit.cli import main
 from quantakit.relalg import FinBasis, Rel, coproduct_basis, product_basis
@@ -150,13 +150,21 @@ def test_json_keeps_the_counterexamples_the_text_prints(monkeypatch, capsys):
     assert doc["details"][EXCHANGE] == "first counterexample r=00/00, s=00/00, t=00/00, v=10/00"
 
 
-# The randomized loops of the relalg, vecmonad and circuitgen suites run
-# every case and name the first that fails.  Each broken operator below
-# keeps its types; the details name the cases the suites' seeds draw, and a
-# check that is no loop fails without one (None).
+# The randomized loops of the relalg, vecmonad, circuitgen and quanta
+# suites run every case and name the first that fails.  Each broken
+# operator below keeps its types; the details name the cases the suites'
+# seeds draw, and a check that is no loop fails without one (None).
 _bind = vecmonad.bind
 _simulate, _decompose_mcx, _simulate_state = circuitgen.simulate, circuitgen.decompose_mcx, circuitgen.simulate_state
 _mcx_words, _peephole = circuitgen._mcx_words, circuitgen.peephole
+_fold_matrix, _rfold_rel, _cata, _psi = quanta.fold_matrix, quanta.rfold_rel, quanta.cata, quanta.psi
+
+
+def _refuse(table, maxlen):
+    """An ``rfold_rel`` that takes no table as projection-complemented."""
+    raise relalg.ComplementError("refused")
+
+
 ACTS, MCX = "synthesized circuits act as their matrices", "mcx lowering has the mcx truth table (up to 6 controls)"
 LOOP_MUTATIONS = {
     "kernel upper triangle": (relalg, "kernel", BROKEN["kernel"]["upper triangle"], {
@@ -215,6 +223,39 @@ LOOP_MUTATIONS = {
     "simulate_state conjugates": (circuitgen, "simulate_state", lambda c, v: AmpVec(
         {k: a.conjugate() for k, a in _simulate_state(c, v).items()}), {
             "statevector path matches dense matrix action": "case 0: amplitude at 00, sup-norm gap 5",
+        }),
+    "fold_matrix doubles": (quanta, "fold_matrix", lambda step, maxlen: (lambda f: vecmonad.CMatrix(
+        f.src, f.tgt, 2 * f.entries))(_fold_matrix(step, maxlen)), {
+            "fold of a unitary step is unitary (20 random steps)":
+                "step 0: F*F against the identity, sup-norm gap 3",
+            "fold of the identity step is the identity": None,
+            "fused unfolding route equals the direct recursion": "step cnot: sup-norm gap 1",
+        }),
+    "fold_matrix shifts its rows": (quanta, "fold_matrix", lambda step, maxlen: (lambda f: vecmonad.CMatrix(
+        f.src, f.tgt, np.roll(f.entries, 1, axis=0)))(_fold_matrix(step, maxlen)), {
+            "outputs keep the input list length": "step 0: ([0,0],0) reaches ([],0)",
+            "fold of the identity step is the identity": None,
+            "free theorems for item relabelings (maxlen 2)": "relabelling k=10: k after fold, sup-norm gap 1",
+            "fused unfolding route equals the direct recursion": "step cnot: sup-norm gap 1",
+        }),
+    "rfold_rel adds the identity": (quanta, "rfold_rel", lambda table, maxlen: (lambda r: Rel(
+        r.src, r.tgt, r.entries | np.eye(len(r.src), dtype=bool)))(_rfold_rel(table, maxlen)), {
+            "projection-complemented steps promote to bijective folds": "table 0110: the fold is no bijection",
+        }),
+    "rfold_rel refuses every table": (quanta, "rfold_rel", _refuse, {
+        "projection-complemented steps promote to bijective folds": "0 tables are complemented, want 4",
+    }),
+    "cata rotates its carrier": (quanta, "cata", lambda algebra, maxlen, carrier: (lambda f: Rel(
+        f.src, f.tgt, np.roll(f.entries, 1, axis=0)))(_cata(algebra, maxlen, carrier)), {
+            "paired folds fuse into one fold (maxlen 2)":
+                "algebras (0, 0): the paired and fused folds differ on ([],0)",
+            "folding the constructors projects the list": None,
+        }),
+    "psi forgets its input": (quanta, "psi", lambda x, maxlen: vecmonad.kleisli(vecmonad.lift(
+        lambda label: "([],0)", quanta.ListBasis(maxlen).basis), _psi(x, maxlen)), {
+            "one-layer unfolding of the identity is alpha": None,
+            "one-layer unfolding preserves injectivity": "step 0123: the unfolding layer is not injective",
+            "fused unfolding route equals the direct recursion": "step cnot: sup-norm gap 1",
         }),
 }
 

@@ -297,7 +297,8 @@ class TestAncillas:
 
 class TestQubitCap:
     def test_statevector_over_the_cap_is_refused(self):
-        c = Circuit(MAX_STATE_QUBITS - 1, 2, ())
+        # One h keeps the circuit off the lane path, which has no cap.
+        c = Circuit(MAX_STATE_QUBITS - 1, 2, (Gate("h", (0,)),))
         with pytest.raises(SizeLimitError, match=f"capped at {MAX_STATE_QUBITS}"):
             simulate_state(c, AmpVec({"0" * (MAX_STATE_QUBITS - 1): 1.0}))
 
@@ -310,6 +311,15 @@ class TestQubitCap:
         n = 3 * MAX_STATE_QUBITS
         c = Circuit(n, 0, (Gate("cx", (0, n - 1)),))
         assert simulate(c, "1" + "0" * (n - 1)) == "1" + "0" * (n - 2) + "1"
+
+    def test_lane_path_has_no_cap(self):
+        n = 3 * MAX_STATE_QUBITS
+        rng = np.random.default_rng(21)
+        gs = [Gate(name, tuple(int(q) for q in rng.choice(n, k, replace=False)))
+              for name, k in [("x", 1), ("cx", 2), ("ccx", 3)] * 40]
+        c = Circuit(n, 0, tuple(gs))
+        x = "".join(rng.choice(["0", "1"], n))
+        assert list(simulate_state(c, AmpVec({x: 1.0})).items()) == [(simulate(c, x), 1.0)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ from pathlib import Path
 import itertools
 import json
 import random
-from typing import Callable, Mapping
 
 import numpy as np
 import pytest
@@ -10,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tables as rt
+from quantakit import quanta
 from quantakit.cli import main
 from quantakit.gates import bell, default_library
 from quantakit.quanta import (
     MAX_LIST_STATES,
     ListBasis,
-    check_fst_complement,
+    Step,
     fold_matrix,
     pinned16_basis,
     quantamorphism,
@@ -29,7 +29,6 @@ from quantakit.relalg import (
     FinBasis,
     Rel,
     SizeLimitError,
-    from_function,
     list_label,
     pair_label,
     product_basis,
@@ -45,64 +44,12 @@ from quantakit.vecmonad import (
     format_state,
     from_matrix,
     materialize,
-    ret,
     vec_equal,
 )
+from reference import quanta as ref
+from reference.quanta import ref_enumerate_lists, ref_quanta_apply, ref_rfold_rel
 
 GOLDENS = Path(__file__).parent / "goldens"
-
-
-# ---------------------------------------------------------------------------
-# Reference: the list enumeration that ListBasis used before it derived its
-# labels from an integer walk, kept verbatim apart from the function name.
-
-def ref_enumerate_lists(items: tuple[str, ...], maxlen: int) -> tuple[tuple[str, ...], ...]:
-    out: list[tuple[str, ...]] = []
-
-    def walk(t: tuple[str, ...]) -> None:
-        out.append(t)
-        if len(t) < maxlen:
-            for a in items:
-                walk((a,) + t)
-
-    walk(())
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Reference: the label-level fold that quanta used before it tabulated the
-# step, kept verbatim apart from the function name.
-
-def ref_quanta_apply(step: KleisliOp) -> Callable[[str], AmpVec]:
-    item, payload = step_shape(step)
-    memo: dict[tuple[tuple[str, ...], str], AmpVec] = {}
-
-    def fold(t: tuple[str, ...], b: str) -> AmpVec:
-        key = (t, b)
-        if key in memo:
-            return memo[key]
-        if not t:
-            out = ret(pair_label(list_label(()), b))
-        else:
-            head, tail = t[0], t[1:]
-            acc: dict[str, complex] = {}
-            for sub, w1 in fold(tail, b).items():
-                t2, b2 = split_pair(sub)
-                for hb, w2 in step.apply(pair_label(head, b2)).items():
-                    h2, b3 = split_pair(hb)
-                    out_label = pair_label(
-                        list_label((h2,) + split_list(t2)), b3
-                    )
-                    acc[out_label] = acc.get(out_label, 0j) + w1 * w2
-            out = AmpVec(acc)
-        memo[key] = out
-        return out
-
-    def apply(label: str) -> AmpVec:
-        l, b = split_pair(label)
-        return fold(split_list(l), b)
-
-    return apply
 
 
 def random_unitary_op(seed: int, basis: FinBasis) -> KleisliOp:
@@ -282,36 +229,6 @@ def test_run_quanta_labels_follow_list_basis_order_and_parse_back(item, n):
         assert len(xs) == n and all(a in item for a in xs) and b in BIT
 
 
-# ---------------------------------------------------------------------------
-# Reference: the label-level classical reversible fold that quanta had
-# before rfold_rel became the quantamorphism of the lifted step, kept
-# verbatim apart from the names.
-
-def ref__rfold_run(table: Mapping[str, str], xs: tuple[str, ...], b: str) -> tuple[tuple[str, ...], str]:
-    if not xs:
-        return (), b
-    y, b2 = ref__rfold_run(table, xs[1:], b)
-    return (xs[0],) + y, table[pair_label(xs[0], b2)]
-
-
-def ref_rfold_rel(
-    table: Mapping[str, str],
-    maxlen: int,
-    item: FinBasis = BIT,
-    payload: FinBasis = BIT,
-) -> Rel:
-    """The reversible fold tabulated as a relation on a truncated basis."""
-    check_fst_complement(table, item, payload)
-    lb = ListBasis(maxlen, item, payload)
-
-    def act(label: str) -> str:
-        l, b = split_pair(label)
-        ys, b2 = ref__rfold_run(table, split_list(l), b)
-        return pair_label(list_label(ys), b2)
-
-    return from_function(act, lb.basis, lb.basis)
-
-
 def rfold_outcome(fn, *args):
     try:
         return fn(*args)
@@ -347,3 +264,83 @@ def test_rfold_rel_over_no_items_is_the_identity_on_empty_lists(payload):
         assert got == ref_rfold_rel({}, maxlen, FinBasis(()), payload)
         assert got.src.labels == tuple(pair_label("[]", b) for b in payload)
         assert np.array_equal(got.entries, np.eye(len(payload), dtype=bool))
+
+
+# ---------------------------------------------------------------------------
+# The prefix kernel against the whole-block kernel it replaced, bit for bit:
+# the float64 views must hold the same bit patterns, so a last-ulp drift or
+# a -0.0 for a 0.0 (which compare equal as floats) fails.
+
+def _bits(amps) -> np.ndarray:
+    return np.asarray(amps, dtype=np.complex128).view(np.float64).view(np.uint64)
+
+
+def _block_label(i: int, n: int, item: FinBasis, payload: FinBasis) -> str:
+    code, b = divmod(i, len(payload))
+    xs = []
+    for _ in range(n):
+        code, d = divmod(code, len(item))
+        xs.append(item.labels[d])
+    return pair_label(list_label(xs), payload.labels[b])
+
+
+def assert_run_is_the_block_kernel_bit_for_bit(s: Step, label: str) -> None:
+    got = run_quanta(s, label)
+    lst, b = split_pair(label)
+    xs = split_list(lst)
+    m, p, n = len(s.item), len(s.payload), len(xs)
+    col = np.zeros((m**n * p, 1), dtype=np.complex128)
+    col[sum(s.item.index(x) * m**k for k, x in enumerate(xs)) * p + s.payload.index(b)] = 1
+    want = ref._slots(s.u.entries, m, p, n, col)[:, 0]
+    support = want.nonzero()[0]
+    assert [x for x, _ in got.items()] == [_block_label(i, n, s.item, s.payload) for i in support]
+    assert np.array_equal(_bits([a for _, a in got.items()]), _bits(want[support]))
+
+
+def assert_fold_is_the_block_kernel_bit_for_bit(s: Step, maxlen: int) -> None:
+    m, p = len(s.item), len(s.payload)
+    want = ref._fold_blocks(s.u.entries, m, p, maxlen)
+    assert np.array_equal(_bits(fold_matrix(s, maxlen).entries), _bits(want))
+
+
+@st.composite
+def kernel_cases(draw):
+    item = FinBasis(tuple(f"a{i}" for i in range(draw(st.integers(1, 3)))))
+    payload = FinBasis(tuple(f"p{i}" for i in range(draw(st.integers(1, 3)))))
+    src = product_basis(item, payload)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        z = rng.normal(size=(len(src),) * 2) + 1j * rng.normal(size=(len(src),) * 2)
+        q, r = np.linalg.qr(z)
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    else:  # a lifted table as rfold_rel builds it: real, one payload permutation per item
+        m, p = len(item), len(payload)
+        u = np.zeros((m * p, m * p))
+        for a in range(m):
+            u[a * p + rng.permutation(p), a * p + np.arange(p)] = 1
+    xs = draw(st.lists(st.sampled_from(item.labels), max_size=6))
+    label = pair_label(list_label(xs), draw(st.sampled_from(payload.labels)))
+    maxlen = draw(st.integers(0, 6 if len(item) < 3 else 4))
+    return Step(CMatrix(src, src, u), item, payload), u, label, maxlen
+
+
+class TestPrefixKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_random_steps_match_the_block_kernel_bit_for_bit(self, case):
+        s, u, label, maxlen = case
+        assert_run_is_the_block_kernel_bit_for_bit(s, label)
+        assert_fold_is_the_block_kernel_bit_for_bit(s, maxlen)
+        # A lifted table's real u goes in as it is, as rfold_rel passes it.
+        m, p = len(s.item), len(s.payload)
+        got = quanta._fold_blocks(u, m, p, maxlen)
+        assert np.array_equal(_bits(got), _bits(ref._fold_blocks(u, m, p, maxlen)))
+
+    @pytest.mark.parametrize("name", FOLDABLE)
+    def test_library_steps_match_the_block_kernel_bit_for_bit(self, name):
+        s = default_library().step(name)
+        for maxlen in range(5):
+            assert_fold_is_the_block_kernel_bit_for_bit(s, maxlen)
+        for n in range(8 if name == "ccnot" else 11):
+            for label in _run_inputs(s.item, s.payload, n):
+                assert_run_is_the_block_kernel_bit_for_bit(s, label)
