@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuitgen, gates, quanta, relalg, vecmonad
-from .relalg import BIT, FinBasis, Rel, pair_label, product_basis
+from .relalg import BIT, FinBasis, Rel, pair_label
 from .vecmonad import AmpVec, KleisliOp
 
 __all__ = ["CheckResult", "SUITES", "run_suites"]
@@ -202,7 +202,7 @@ def relalg_suite() -> list[CheckResult]:
                     lambda: f"r={_rows(r)}: column criterion {by_columns}")
     out.append(cases.result("relalg", "difunctionality equals the column criterion"))
 
-    bb = product_basis(BIT, BIT)
+    bb = relalg.product_basis(BIT, BIT)
     mono = relalg.xor_monoid()
     cases = _Cases()
     for table_bits in itertools.product("01", repeat=4):
@@ -238,7 +238,7 @@ def relalg_suite() -> list[CheckResult]:
 def vecmonad_suite() -> list[CheckResult]:
     rng = np.random.default_rng(20260811)
     out: list[CheckResult] = []
-    b4 = product_basis(BIT, BIT)
+    b4 = relalg.product_basis(BIT, BIT)
 
     cases = _Cases()
     for i in range(1000):
@@ -271,7 +271,7 @@ def vecmonad_suite() -> list[CheckResult]:
     for i in range(50):
         f = _random_kleisli(rng, BIT, BIT)
         g = _random_kleisli(rng, b4, b4)
-        lhs = vecmonad.materialize(vecmonad.tensor(f, g), product_basis(BIT, b4))
+        lhs = vecmonad.materialize(vecmonad.tensor(f, g), relalg.product_basis(BIT, b4))
         rhs = vecmonad.kron(vecmonad.materialize(f, BIT), vecmonad.materialize(g, b4))
         cases.check(lhs.close_to(rhs, tol=1e-9), lambda: f"case {i}: {_gap(lhs, rhs)}")
     out.append(cases.result("vecmonad", "tensor materializes to the Kronecker product"))
@@ -283,7 +283,7 @@ def vecmonad_suite() -> list[CheckResult]:
         cases.check(vecmonad.is_unitary(vecmonad.materialize(vecmonad.kleisli(u1, u2), b4), tol=1e-9),
                     lambda: f"case {i}: the composite is not unitary")
         cases.check(vecmonad.is_unitary(
-            vecmonad.materialize(vecmonad.tensor(u1, u2), product_basis(b4, b4)), tol=1e-9
+            vecmonad.materialize(vecmonad.tensor(u1, u2), relalg.product_basis(b4, b4)), tol=1e-9
         ), lambda: f"case {i}: the tensor is not unitary")
     out.append(cases.result("vecmonad", "unitary ops close under composition and tensor"))
 
@@ -305,11 +305,14 @@ def gates_suite() -> list[CheckResult]:
     out: list[CheckResult] = []
     lib = gates.default_library()
 
-    ok = all(vecmonad.is_unitary(lib.matrix(n), tol=1e-9) for n in lib.names())
-    out.append(_result("gates", "every library gate is unitary", ok))
+    cases = _Cases()
+    for n in lib.names():
+        m = lib.matrix(n)
+        cases.check(vecmonad.is_unitary(m, tol=1e-9), lambda: f"gate {n}: {_unitary_gap(m)}")
+    out.append(cases.result("gates", "every library gate is unitary"))
 
-    bb = product_basis(BIT, BIT)
-    ok = True
+    bb = relalg.product_basis(BIT, BIT)
+    cases = _Cases()
     for f_tab, g_tab in itertools.product(
         [{"0": "0", "1": "1"}, {"0": "1", "1": "0"}], repeat=2
     ):
@@ -317,9 +320,10 @@ def gates_suite() -> list[CheckResult]:
             gates.choice(gates.lift(f_tab, BIT), gates.lift(g_tab, BIT)), bb
         )
         col_ones = np.abs(m.entries - 1.0) < 1e-12
-        ok &= bool((col_ones.sum(axis=0) == 1).all() and (col_ones.sum(axis=1) == 1).all())
-        ok &= bool((np.abs(m.entries) > 1e-12).sum() == 4)
-    out.append(_result("gates", "choice of classical bijections is a permutation", ok))
+        ok = (col_ones.sum(axis=0) == 1).all() and (col_ones.sum(axis=1) == 1).all()
+        ok = ok and (np.abs(m.entries) > 1e-12).sum() == 4
+        cases.check(ok, lambda: f"f={f_tab['0']}{f_tab['1']}, g={g_tab['0']}{g_tab['1']}: no permutation matrix")
+    out.append(cases.result("gates", "choice of classical bijections is a permutation"))
 
     via_pair = relalg.pair(
         relalg.from_function(lambda l: relalg.split_pair(l)[0], bb, BIT),
@@ -329,11 +333,13 @@ def gates_suite() -> list[CheckResult]:
         gates.choice(gates.lift({"0": "0", "1": "1"}, BIT), gates.lift(gates.NOT_TABLE, BIT)),
         bb,
     )
-    ok = np.array_equal(via_pair.entries.astype(float), via_choice.entries.real) and not np.any(
-        via_choice.entries.imag
-    )
-    ok = ok and via_choice == lib.matrix("cnot")
-    out.append(_result("gates", "cnot: split route and choice route coincide", ok))
+    cases = _Cases()
+    split, chosen, cnot = via_pair.entries.astype(complex), via_choice.entries, lib.matrix("cnot")
+    cases.check(np.array_equal(split, chosen),
+                lambda: f"{_first_input(bb, split, chosen)}: the split and choice routes differ")
+    cases.check(via_choice == cnot,
+                lambda: f"{_first_input(bb, chosen, cnot.entries)}: the choice route is not the library cnot")
+    out.append(cases.result("gates", "cnot: split route and choice route coincide"))
 
     ccnot_env = relalg.u_construct(
         relalg.from_function(
@@ -341,37 +347,56 @@ def gates_suite() -> list[CheckResult]:
         ),
         relalg.xor_monoid(),
     )
-    ok = np.array_equal(
-        ccnot_env.entries.astype(float), lib.matrix("ccnot").entries.real
-    )
-    out.append(_result("gates", "ccnot: envelope route equals the lifted table", ok))
+    cases = _Cases()
+    env, lifted = ccnot_env.entries.astype(float), lib.matrix("ccnot").entries.real
+    cases.check(np.array_equal(env, lifted),
+                lambda: f"{_first_input(ccnot_env.src, env, lifted)}: the envelope and the lifted table differ")
+    out.append(cases.result("gates", "ccnot: envelope route equals the lifted table"))
 
+    cases = _Cases()
     h2 = vecmonad.matmul(lib.matrix("h"), lib.matrix("h"))
-    ok = h2.close_to(vecmonad.identity_matrix(BIT), tol=1e-12)
+    cases.check(h2.close_to(vecmonad.identity_matrix(BIT), tol=1e-12),
+                lambda: f"h squared against the identity, {_gap(h2, vecmonad.identity_matrix(BIT))}")
     t8 = vecmonad.identity_matrix(BIT)
     for _ in range(8):
         t8 = vecmonad.matmul(lib.matrix("t"), t8)
-    ok &= t8.close_to(vecmonad.identity_matrix(BIT), tol=1e-9)
-    out.append(_result("gates", "h squares and t eighth-powers to the identity", ok))
+    cases.check(t8.close_to(vecmonad.identity_matrix(BIT), tol=1e-9),
+                lambda: f"t to the eighth against the identity, {_gap(t8, vecmonad.identity_matrix(BIT))}")
+    out.append(cases.result("gates", "h squares and t eighth-powers to the identity"))
 
+    cases = _Cases()
     b_mat = vecmonad.materialize(gates.bell(), bb)
     hid = vecmonad.kron(lib.matrix("h"), vecmonad.identity_matrix(BIT))
-    ok = b_mat.close_to(vecmonad.matmul(lib.matrix("cnot"), hid), tol=1e-12)
-    ok &= vecmonad.materialize(gates.unbell(), bb).close_to(vecmonad.dagger(b_mat), tol=1e-12)
-    out.append(_result("gates", "bell and unbell are adjoint blocks of the cnot/hadamard pair", ok))
+    want = vecmonad.matmul(lib.matrix("cnot"), hid)
+    cases.check(b_mat.close_to(want, tol=1e-12),
+                lambda: f"bell against cnot after h on the first bit, {_gap(b_mat, want)}")
+    u_mat, b_dag = vecmonad.materialize(gates.unbell(), bb), vecmonad.dagger(b_mat)
+    cases.check(u_mat.close_to(b_dag, tol=1e-12), lambda: f"unbell against the adjoint of bell, {_gap(u_mat, b_dag)}")
+    out.append(cases.result("gates", "bell and unbell are adjoint blocks of the cnot/hadamard pair"))
 
     rng = np.random.default_rng(20260812)
-    ok = True
-    for _ in range(20):
+    cases = _Cases()
+    for i in range(20):
         p = _random_unitary_op(rng, BIT)
         f = _random_unitary_op(rng, BIT)
         g = _random_unitary_op(rng, BIT)
-        ok &= vecmonad.is_unitary(
-            vecmonad.materialize(gates.mccarthy(p, f, g), bb), tol=1e-9
-        )
-    out.append(_result("gates", "guarded choice of unitaries is unitary", ok))
+        m = vecmonad.materialize(gates.mccarthy(p, f, g), bb)
+        cases.check(vecmonad.is_unitary(m, tol=1e-9), lambda: f"case {i}: {_unitary_gap(m)}")
+    out.append(cases.result("gates", "guarded choice of unitaries is unitary"))
 
     return out
+
+
+def _unitary_gap(m: vecmonad.CMatrix) -> str:
+    """How far U*U is from the identity."""
+    return "U*U against the identity, " + _gap(vecmonad.matmul(vecmonad.dagger(m), m), vecmonad.identity_matrix(m.src))
+
+
+def _first_input(src: FinBasis, a: np.ndarray, b: np.ndarray) -> str:
+    """Where two matrices over ``src`` differ: the first input whose columns differ."""
+    if a.shape != b.shape:
+        return f"shapes {a.shape} and {b.shape}"
+    return f"input {src.labels[np.flatnonzero((a != b).any(axis=0))[0]]}"
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +406,7 @@ def quanta_suite() -> list[CheckResult]:
     rng = np.random.default_rng(20260813)
     out: list[CheckResult] = []
     lib = gates.default_library()
-    bb = product_basis(BIT, BIT)
+    bb = relalg.product_basis(BIT, BIT)
     lb2 = quanta.ListBasis(2)
 
     cases = _Cases()
@@ -485,7 +510,7 @@ def _banana_split(rng: np.random.Generator) -> _Cases:
     """Banana split over every pair of five algebras, numbered in order:
     xor, the one that keeps the value folded from the tail, and three
     random tables."""
-    bb = product_basis(BIT, BIT)
+    bb = relalg.product_basis(BIT, BIT)
     cop = relalg.coproduct_basis(BIT, bb)
     cases = _Cases()
     algebras = [
@@ -511,7 +536,7 @@ def _banana_split(rng: np.random.Generator) -> _Cases:
             c1, c2 = relalg.split_pair(pairv)
             return pair_label(a(1, pair_label(item, c1)), b(1, pair_label(item, c2)))
 
-        rhs = quanta.cata(fused, 2, product_basis(BIT, BIT))
+        rhs = quanta.cata(fused, 2, relalg.product_basis(BIT, BIT))
         cases.check(lhs == rhs, lambda: f"algebras ({i}, {j}): the paired and fused folds {_differ(lhs, rhs)}")
     return cases
 

@@ -4,6 +4,10 @@ Subcommands materialize fold matrices, run single states, search minimal
 complements from truth-table files, synthesize/export circuits, simulate
 QASM files, and run the invariant suites.  Outputs are deterministic;
 labels printed by one command parse back as inputs to another.
+
+Only ``synth`` and ``simulate`` import ``circuitgen``, and only ``check``
+imports ``checks``: ``run``, ``matrix`` and ``complement`` start without
+compiling either module.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ import stat
 import sys
 from pathlib import Path
 
-from . import checks, circuitgen, gates, quanta, relalg, vecmonad
+from . import gates, quanta, relalg, vecmonad
 
 MAXLEN_CAP = 4
 DIM_CAP = 62
@@ -164,6 +168,8 @@ def _synth_matrix(args: argparse.Namespace) -> vecmonad.CMatrix:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import circuitgen
+
     m = _synth_matrix(args)
     circ = circuitgen.synth_permutation(m, args.tol)
     if args.qasm is not None:
@@ -173,12 +179,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import circuitgen
+
     circ = circuitgen.parse_qasm(Path(args.qasm_file).read_text())
     _write(circuitgen.simulate(circ, args.input) + "\n", args.out)
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import checks
+
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     unknown = [n for n in names if n not in checks.SUITES]
     if unknown:
@@ -277,7 +287,9 @@ def main(argv: list[str] | None = None) -> int:
             return _fail(f"empty output path for --{option}")
     try:
         return args.fn(args)
-    except (OSError, KeyError, ValueError) as exc:
+    except KeyError as exc:  # its str() is the repr of its one argument
+        return _fail(exc.args[0] if len(exc.args) == 1 and isinstance(exc.args[0], str) else str(exc))
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
 
 

@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from quantakit import checks, circuitgen, quanta, relalg, vecmonad
+from quantakit import checks, circuitgen, gates, quanta, relalg, vecmonad
 from quantakit.circuitgen import Circuit, Gate
 from quantakit.cli import main
-from quantakit.relalg import FinBasis, Rel, coproduct_basis, product_basis
-from quantakit.vecmonad import AmpVec
+from quantakit.relalg import BIT, FinBasis, Rel, coproduct_basis, pair_label, product_basis, split_pair
+from quantakit.vecmonad import AmpVec, KleisliOp
 
 
 @pytest.mark.parametrize("suite", list(checks.SUITES))
@@ -150,14 +150,25 @@ def test_json_keeps_the_counterexamples_the_text_prints(monkeypatch, capsys):
     assert doc["details"][EXCHANGE] == "first counterexample r=00/00, s=00/00, t=00/00, v=10/00"
 
 
-# The randomized loops of the relalg, vecmonad, circuitgen and quanta
-# suites run every case and name the first that fails.  Each broken
-# operator below keeps its types; the details name the cases the suites'
-# seeds draw, and a check that is no loop fails without one (None).
+# The loops of every suite run every case and name the first that fails.
+# Each broken operator below keeps its types; the details name the cases
+# the suites' seeds draw, and a check that is no loop fails without one
+# (None).  The suite run is the one named after the operator's module, or
+# the fifth element.
 _bind = vecmonad.bind
 _simulate, _decompose_mcx, _simulate_state = circuitgen.simulate, circuitgen.decompose_mcx, circuitgen.simulate_state
 _mcx_words, _peephole = circuitgen._mcx_words, circuitgen.peephole
 _fold_matrix, _rfold_rel, _cata, _psi = quanta.fold_matrix, quanta.rfold_rel, quanta.cata, quanta.psi
+_choice, _mccarthy, _bell, _unbell, _is_unitary = gates.choice, gates.mccarthy, gates.bell, gates.unbell, vecmonad.is_unitary
+
+
+def _both_branches(f, g):
+    """A ``choice`` that sends every control through the sum of f and g."""
+    def apply(label):
+        a, b = split_pair(label)
+        return AmpVec({pair_label(a, k): amp for k, amp in vecmonad.add(f.apply(b), g.apply(b)).items()})
+
+    return KleisliOp(product_basis(BIT, f.src), apply)
 
 
 def _refuse(table, maxlen):
@@ -166,6 +177,8 @@ def _refuse(table, maxlen):
 
 
 ACTS, MCX = "synthesized circuits act as their matrices", "mcx lowering has the mcx truth table (up to 6 controls)"
+CNOT_ROUTES, GUARDED = "cnot: split route and choice route coincide", "guarded choice of unitaries is unitary"
+BELL = "bell and unbell are adjoint blocks of the cnot/hadamard pair"
 LOOP_MUTATIONS = {
     "kernel upper triangle": (relalg, "kernel", BROKEN["kernel"]["upper triangle"], {
         "kernel of a function is an equivalence": "f=011/100",
@@ -257,15 +270,44 @@ LOOP_MUTATIONS = {
             "one-layer unfolding preserves injectivity": "step 0123: the unfolding layer is not injective",
             "fused unfolding route equals the direct recursion": "step cnot: sup-norm gap 1",
         }),
+    "choice adds its branches": (gates, "choice", _both_branches, {
+        "choice of classical bijections is a permutation": "f=01, g=01: no permutation matrix",
+        CNOT_ROUTES: "input (0,0): the split and choice routes differ",
+        GUARDED: "case 0: U*U against the identity, sup-norm gap 1.38",
+    }),
+    "choice swaps its branches": (gates, "choice", lambda f, g: _choice(g, f), {
+        CNOT_ROUTES: "input (0,0): the split and choice routes differ",
+    }),
+    "mccarthy adds the identity": (gates, "mccarthy", lambda p, f, g: (lambda op: KleisliOp(
+        op.src, lambda x: vecmonad.add(op.apply(x), vecmonad.ret(x))))(_mccarthy(p, f, g)), {
+            GUARDED: "case 0: U*U against the identity, sup-norm gap 1.53",
+        }),
+    "u_construct ignores f": (relalg, "u_construct", lambda f, m: relalg.identity(product_basis(f.src, m.carrier)), {
+        "ccnot: envelope route equals the lifted table": "input ((1,1),0): the envelope and the lifted table differ",
+    }, "gates"),
+    "matmul drops the imaginary part": (vecmonad, "matmul", lambda a, b: vecmonad.CMatrix(
+        b.src, a.tgt, (a.entries @ b.entries).real), {
+            "h squares and t eighth-powers to the identity": "t to the eighth against the identity, sup-norm gap 0.938",
+        }, "gates"),
+    "is_unitary at zero tolerance": (vecmonad, "is_unitary", lambda m, tol=1e-9: _is_unitary(m, tol=0.0), {
+        "every library gate is unitary": "gate h: U*U against the identity, sup-norm gap 2.22e-16",
+        GUARDED: "case 0: U*U against the identity, sup-norm gap 3.93e-16",
+    }, "gates"),
+    "bell is unbell": (gates, "bell", _unbell, {
+        BELL: "bell against cnot after h on the first bit, sup-norm gap 0.707",
+    }),
+    "unbell is bell": (gates, "unbell", _bell, {
+        BELL: "unbell against the adjoint of bell, sup-norm gap 0.707",
+    }),
 }
 
 
 @pytest.mark.parametrize("mutation", list(LOOP_MUTATIONS))
 def test_a_failed_loop_names_its_first_failing_case(monkeypatch, mutation):
-    module, name, broken, details = LOOP_MUTATIONS[mutation]
+    module, name, broken, details, *suite = LOOP_MUTATIONS[mutation]
+    gates.default_library()  # built before the mutation, which would refuse its gates
     monkeypatch.setattr(module, name, broken)
-    suite = module.__name__.rsplit(".", 1)[-1]
-    results = checks.run_suites([suite])
+    results = checks.run_suites(suite or [module.__name__.rsplit(".", 1)[-1]])
     assert {r.name: r.detail for r in results if not r.ok} == {
         check: "" if detail is None else "first counterexample " + detail for check, detail in details.items()}
 

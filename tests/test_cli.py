@@ -88,6 +88,26 @@ def test_synth_names_a_bad_argument(capsys, args, named):
     assert captured.err == f"error: {named}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--step", "nosuch", "--input", "([],0)"],
+    ["matrix", "--step", "nosuch", "--maxlen", "1"],
+    ["synth", "--maxlen", "pinned16", "--step", "nosuch"],
+], ids=["run", "matrix", "synth"])
+def test_an_unknown_gate_is_named_without_the_quotes_of_a_key_error_repr(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", (GOLDENS / "error_unknown_gate.txt").read_text())
+
+
+def test_a_key_error_without_one_message_prints_as_str_does(monkeypatch, capsys):
+    def lookup(args):
+        raise KeyError("a", "b")
+
+    monkeypatch.setattr(cli, "cmd_run", lookup)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert main(["run", "--step", "x", "--input", "([],0)"]) == 1
+    assert capsys.readouterr().err == "error: ('a', 'b')\n"
+
+
 def test_synth_pinned16_accepts_a_bit_pair_step(capsys):
     assert main(["synth", "--maxlen", "pinned16", "--step", "id"]) == 0
     assert capsys.readouterr().out.startswith("{")
@@ -527,7 +547,8 @@ def ref_synth_pinned16(step: str, qasm_out: bool, tol: float = 1e-9) -> tuple[st
         m = ref_pinned16_matrix(step, tol)
         circ = circuitgen.synth_permutation(m, tol)
     except (OSError, KeyError, ValueError, circuitgen.NonPermutationError) as exc:
-        return "", f"error: {exc}\n"
+        # as ``main`` prints it: a KeyError's message, not the repr that str() gives
+        return "", f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}\n"
     qasm = circuitgen.export_qasm(circ)
     stats = circuitgen.metrics(circ)
     return (qasm if qasm_out else "") + stats.to_json() + "\n", ""
