@@ -11,18 +11,22 @@ of ``GATES``, every control positive.
 A k=8 permutation compiles to tens of thousands of gate positions but a
 few dozen distinct gates, so a ``Circuit`` holds one table of its
 distinct gates and its positions as small-int indices into that table.
-The builders fill both as they go: ``synth_permutation`` lowers each
-distinct MCX once, to table indices, and builds each distinct gate once;
-``peephole`` cancels on a stack of indices; ``parse_qasm`` maps each raw
-line to its index in its one pass over the lines.  Every per-gate result
+The builders fill both as they go.  ``synth_permutation`` lowers the
+core of an MCX once per target qubit and its flips once per qubit,
+assembles each distinct Gray-chain swap from those parts as table
+indices, and builds each distinct gate once.  Each assembled swap is
+already reduced, so ``_cancel``, the one cancellation routine, compares
+gates only where one swap meets the last; ``peephole`` runs it on the
+positions one at a time.  ``parse_qasm`` maps every raw line to its index
+in one ``map``, reading each distinct line once.  Every per-gate result
 (decoded masks, simulator views, QASM lines, qubits for the depth sweep)
 is computed once per table entry and read through the index, and the
 gate counts of ``metrics`` come from each entry's position count.  Per
 position there remain only the passes that need order: the cancellation
-stack, the simulators and the depth sweep.  Synthesis and ``parse_qasm``
-check each distinct gate as they build it, and ``peephole`` keeps gates
-of a checked circuit, so the circuits of all three skip the constructor's
-range check.
+stack (which synthesis visits once per swap), the simulators and the
+depth sweep.  Synthesis and ``parse_qasm`` check each distinct gate as
+they build it, and ``peephole`` keeps gates of a checked circuit, so the
+circuits of all three skip the constructor's range check.
 
 Circuits export to OpenQASM 2.0 and simulate on integers, with labels
 parsed and printed only at the edges.  A classical circuit (x/cx/ccx only)
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 
@@ -141,12 +146,13 @@ class Circuit:
     is used by some position.  The public constructor builds both from a
     gate tuple, one entry per distinct gate (its first instance), checks the
     qubit range of each entry once, and keeps the tuple as ``gates``.  The
-    builders that know each position's index, ``synth_permutation``,
-    ``peephole`` and ``parse_qasm``, hand over table and index through
-    ``_trusted``; their ``gates`` is built on demand, one instance per
-    entry.  Every per-gate result (``is_classical``, the decoding of ``ops``,
-    the simulators' views and masks, the lines of ``export_qasm``, the qubits
-    of ``metrics``) is computed once per entry and read through the index.
+    builders that know each position's index hand over table and index
+    through ``_trusted``: ``_cancel``, for ``synth_permutation`` and
+    ``peephole``, and ``parse_qasm``.  Their ``gates`` is built on demand,
+    one instance per entry.  Every per-gate result (``is_classical``, the
+    decoding of ``ops``, the simulators' views and masks, the lines of
+    ``export_qasm``, the qubits of ``metrics``) is computed once per entry
+    and read through the index.
     Equality, hash and ``repr`` are those of the field tuple
     (``data_qubits``, ``ancilla_qubits``, ``gates``), and a circuit is
     frozen.
@@ -306,26 +312,35 @@ def _mcx_words(
     controls: tuple[tuple[int, int], ...], target: int, ancillas: tuple[int, ...]
 ) -> list[Word]:
     """The gates of ``decompose_mcx`` as words, none of them built."""
-    need = max(0, len(controls) - 2)
+    flips: list[Word] = [("x", (q,)) for q, pol in controls if pol == 0]
+    return _with_flips(flips, _mcx_core(tuple(q for q, _ in controls), target, ancillas))
+
+
+def _mcx_core(qs: tuple[int, ...], target: int, ancillas: tuple[int, ...]) -> list[Word]:
+    """The MCX on positive controls ``qs``: one gate for up to two
+    controls, else a CCX compute/uncompute ladder over the first
+    ``len(qs) - 2`` ancillas.  It depends on the control qubits, not on
+    their polarity."""
+    need = max(0, len(qs) - 2)
     if len(ancillas) < need:
         raise AncillaError(f"need {need} ancillas, have {len(ancillas)}")
-
-    flips: list[Word] = [("x", (q,)) for q, pol in controls if pol == 0]
-    qs = [q for q, _ in controls]
-
-    core: list[Word]
     if len(qs) == 0:
-        core = [("x", (target,))]
-    elif len(qs) == 1:
-        core = [("cx", (qs[0], target))]
-    elif len(qs) == 2:
-        core = [("ccx", (qs[0], qs[1], target))]
-    else:
-        compute = [("ccx", (qs[0], qs[1], ancillas[0]))]
-        for i in range(len(qs) - 3):
-            compute.append(("ccx", (ancillas[i], qs[i + 2], ancillas[i + 1])))
-        hit = ("ccx", (ancillas[len(qs) - 3], qs[-1], target))
-        core = compute + [hit] + compute[::-1]
+        return [("x", (target,))]
+    if len(qs) == 1:
+        return [("cx", (qs[0], target))]
+    if len(qs) == 2:
+        return [("ccx", (qs[0], qs[1], target))]
+    compute = [("ccx", (qs[0], qs[1], ancillas[0]))]
+    for i in range(len(qs) - 3):
+        compute.append(("ccx", (ancillas[i], qs[i + 2], ancillas[i + 1])))
+    hit = ("ccx", (ancillas[len(qs) - 3], qs[-1], target))
+    return compute + [hit] + compute[::-1]
+
+
+def _with_flips(flips: list, core: list) -> list:
+    """An MCX lowered from its parts, as words or as table indices: the x
+    flips of its 0-polarity controls, its positive-control core, the same
+    flips again."""
     return flips + core + flips
 
 
@@ -395,11 +410,17 @@ def synth_permutation(m: CMatrix, tol: float = DEFAULT_TOL) -> Circuit:
     to within ``tol``, on the computational basis of ``Encoding(m.src)``;
     the matrix must map that basis to itself.
 
-    Each distinct Gray-chain MCX is lowered once per call, to the table
-    indices of its gates, and each distinct gate is built (and checked by
-    ``Gate``) once, when it first enters the table.  Those gates act on the
-    data qubits and the ancillas the lowering was given, so the raw circuit
-    is built trusted, and ``peephole`` runs on its indices.
+    A Gray-chain swap is an MCX whose controls are all the other data
+    qubits, so its lowering is the x flips of its 0-polarity controls, a
+    core that depends only on its target, and the same flips again.  Each
+    target's core is lowered once, by ``_mcx_core``, and each qubit's flip
+    is one table entry; each distinct swap is assembled from those parts
+    as table indices, and each distinct gate is built (and checked by
+    ``Gate``) once, when it first enters the table.  An assembled swap has
+    no two equal neighbours, so ``_cancel`` compares gates only where one
+    swap meets the last, which reaches ``peephole``'s fixed point.  The
+    gates act on the data qubits and the ancillas the lowering was given,
+    so the circuit is built trusted.
     """
     width = Encoding(m.src).width
     if m.tgt != m.src:
@@ -409,62 +430,81 @@ def synth_permutation(m: CMatrix, tol: float = DEFAULT_TOL) -> Circuit:
     swaps = [s for u, v in _transpositions(perm) for s in _gray_chain(u, v, width)]
     need = max(0, width - 3) if swaps else 0
     ancillas = tuple(range(width, width + need))
-    table: list[Gate] = []
-    entry: dict[Word, int] = {}
-    lowered_of: dict[tuple[int, int], list[int]] = {}
-    index: list[int] = []
-    for swap in swaps:
-        seq = lowered_of.get(swap)
-        if seq is None:
-            state, target = swap
-            controls = tuple(
-                (q, (state >> (width - 1 - q)) & 1) for q in range(width) if q != target
-            )
-            seq = lowered_of[swap] = []
-            for w in _mcx_words(controls, target, ancillas):
-                i = entry.get(w)
-                if i is None:
-                    i = entry[w] = len(table)
-                    table.append(Gate(*w))
-                seq.append(i)
-        index += seq
-    return peephole(Circuit._trusted(width, need, tuple(table), index))
+    entry = _Entries()
+    flip = [("x", (q,)) for q in range(width)]
+    bits = [(q, 1 << (width - 1 - q)) for q in range(width)]
+    cores: dict[int, list[int]] = {}
+    lowered: dict[tuple[int, int], list[int]] = {}
+    for swap in dict.fromkeys(swaps):
+        state, target = swap
+        core = cores.get(target)
+        if core is None:
+            qs = tuple(q for q in range(width) if q != target)
+            core = cores[target] = [entry[w] for w in _mcx_core(qs, target, ancillas)]
+        flips = [entry[flip[q]] for q, bit in bits if not state & bit and q != target]
+        lowered[swap] = _with_flips(flips, core)
+    return _cancel(width, need, tuple(entry.gates), map(lowered.__getitem__, swaps))
+
+
+class _Entries(dict):
+    """Word -> table index, building each distinct gate (checked by
+    ``Gate``) into ``gates`` on its first lookup."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gates: list[Gate] = []
+
+    def __missing__(self, w: Word) -> int:
+        self.gates.append(Gate(*w))
+        i = self[w] = len(self.gates) - 1
+        return i
 
 
 def peephole(c: Circuit) -> Circuit:
-    """Cancel adjacent identical self-inverse gates (action x or h), in one
-    pass on a stack of table indices.
+    """Cancel adjacent identical self-inverse gates (action x or h), to the
+    fixed point of repeated adjacent cancellation.
 
-    A gate cancels the top of the stack when the two are equal, so pairs
-    that meet only after an inner pair cancels go too: the result is the
-    fixed point of repeated adjacent cancellation.  Table entries that hold
-    equal gates are first merged into the first of them, so equality on
-    the stack is equality of ints.  The result keeps the entries that its
-    positions still use.  They are gates of ``c``, already checked against
-    the same qubit count, so the result is built trusted.
+    Table entries that hold equal gates are first merged into the first of
+    them, so equality is equality of ints; then ``_cancel`` runs on the
+    positions one at a time, a run of one gate each.
     """
     table, index = c._table, c._index
     first: dict[Gate, int] = {}
     canon = [first.setdefault(g, i) for i, g in enumerate(table)]
     if len(first) < len(table):
         index = list(map(canon.__getitem__, index))
+    return _cancel(c.data_qubits, c.ancilla_qubits, table, zip(index))
+
+
+def _cancel(
+    data_qubits: int, ancilla_qubits: int, table: tuple[Gate, ...], runs: Iterable[Sequence[int]]
+) -> Circuit:
+    """The circuit of the runs of table indices, concatenated, with each
+    adjacent pair of equal self-inverse gates (action x or h) cancelled.
+
+    Equal gates must share one entry, and no run may hold such a pair
+    itself.  Cancelling adjacent pairs reaches one reduced word in whatever
+    order it is done, so a run is compared only where it meets the stack of
+    what is left before it: its head cancels the top while the two are
+    equal, and the rest is pushed as it stands.  The result keeps the
+    entries its positions still use.  They are gates of a checked table,
+    so the result is built trusted.
+    """
     cancels = [GATES[g.name][0] in ("x", "h") for g in table]
     out = [-1]  # a bottom that is no entry
-    top = -1
-    for s in index:
-        if s == top and cancels[s]:
+    for run in runs:
+        j, n = 0, len(run)
+        while j < n and run[j] == out[-1] and cancels[run[j]]:
             out.pop()
-            top = out[-1]
-        else:
-            out.append(s)
-            top = s
+            j += 1
+        out += run[j:] if j else run
     del out[0]
     kept = sorted(set(out))
     if len(kept) < len(table):
         renumber = dict(zip(kept, range(len(kept))))
         out = list(map(renumber.__getitem__, out))
         table = tuple(map(table.__getitem__, kept))
-    return Circuit._trusted(c.data_qubits, c.ancilla_qubits, table, out)
+    return Circuit._trusted(data_qubits, ancilla_qubits, table, out)
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +715,6 @@ _QASM_GATE = re.compile(rf"^({'|'.join(GATES)})\s+(.+);$")
 _QASM_REF = re.compile(r"^(q|anc)\[(\d+)\]$")
 
 
-# What ``parse_qasm`` maps a raw line to when it holds no gate.
-_UNREAD, _DECLARED, _NO_GATE = -3, -2, -1
-
-
 def parse_qasm(text: str) -> Circuit:
     """Parse the emitted OpenQASM 2.0 subset back into a circuit.
 
@@ -686,54 +722,61 @@ def parse_qasm(text: str) -> Circuit:
     every reference must lie inside its register.  So a line means the
     same wherever it occurs, and it fails, if at all, where it first
     occurs; the one exception is a declaration repeated word for word,
-    which fails where it recurs.  One pass over the lines therefore reads
-    each distinct raw line once, at its first occurrence, and maps every
-    line through a dict to its table index, or to a mark for a line without
-    a gate: a declaration's mark fails the line that repeats it.  Lines
-    equal once stripped share one table entry, whose (frozen) ``Gate`` is
-    parsed and checked against its register once, so the circuit is built
+    which fails where it recurs.  So ``_QasmLines`` reads a raw line at
+    its first occurrence only, to its table index, and every line goes
+    through it in one ``map``.  A line without a gate maps to -1 and is not
+    kept, so a repeated declaration is read again and fails; such lines
+    usually all lead the text, and are then cut in one slice.  Lines equal
+    once stripped share one table entry, whose (frozen) ``Gate`` is parsed
+    and checked against its register once, so the circuit is built
     trusted.
     """
-    sizes: dict[str, int] = {}
-    entry: dict[str, int] = {}  # stripped gate line -> table index
-    table: list[Gate] = []
-    index_of: dict[str, int] = {}  # raw line -> table index or mark
-    index: list[int] = []
-    for raw in text.splitlines():
-        i = index_of.get(raw, _UNREAD)
-        if i < 0:
-            if i == _DECLARED:
-                reg = _QASM_QREG.fullmatch(raw.strip()).group(1)
-                raise ValueError(f"register {reg} declared twice: {raw!r}")
-            if i == _UNREAD:
-                i = index_of[raw] = _read_line(raw, sizes, entry, table)
-            if i < 0:
-                continue
-        index.append(i)
+    lines = _QasmLines()
+    index = list(map(lines.__getitem__, text.splitlines()))
+    if index[: lines.marks].count(-1) == lines.marks:  # the lines without a gate lead
+        del index[: lines.marks]
+    else:
+        index = [i for i in index if i >= 0]
+    sizes = lines.sizes
     if "q" not in sizes:
         raise ValueError("missing qreg declaration")
-    return Circuit._trusted(sizes["q"], sizes.get("anc", 0), tuple(table), index)
+    return Circuit._trusted(sizes["q"], sizes.get("anc", 0), tuple(lines.table), index)
 
 
-def _read_line(raw: str, sizes: dict[str, int], entry: dict[str, int], table: list[Gate]) -> int:
-    """The table index of a raw line's gate, reading it into ``table`` on
-    its first stripped occurrence, or the mark of a line without a gate.
-    A declaration fills ``sizes``."""
-    line = raw.strip()
-    i = entry.get(line)
-    if i is not None:
+class _QasmLines(dict):
+    """Raw gate line -> table index, read on its first lookup.  A line
+    without a gate maps to -1 and is not kept, so ``marks`` counts every
+    such line; a declaration fills ``sizes``."""
+
+    __slots__ = ("marks", "sizes", "entry", "table")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.marks = 0
+        self.sizes: dict[str, int] = {}
+        self.entry: dict[str, int] = {}  # stripped gate line -> table index
+        self.table: list[Gate] = []
+
+    def __missing__(self, raw: str) -> int:
+        line = raw.strip()
+        entry = self.entry
+        i = entry.get(line)
+        if i is None:
+            if not line or line.startswith(("//", "OPENQASM", "include")):
+                self.marks += 1
+                return -1
+            m = _QASM_QREG.fullmatch(line)
+            if m is not None:
+                if m.group(1) in self.sizes:
+                    raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
+                self.sizes[m.group(1)] = int(m.group(2))
+                self.marks += 1
+                return -1
+            table = self.table
+            table.append(_parse_gate_line(line, raw, self.sizes))
+            i = entry[line] = len(table) - 1
+        self[raw] = i
         return i
-    if not line or line.startswith(("//", "OPENQASM", "include")):
-        return _NO_GATE
-    m = _QASM_QREG.fullmatch(line)
-    if m is None:
-        table.append(_parse_gate_line(line, raw, sizes))
-        entry[line] = len(table) - 1
-        return len(table) - 1
-    if m.group(1) in sizes:
-        raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
-    sizes[m.group(1)] = int(m.group(2))
-    return _DECLARED
 
 
 def _parse_gate_line(line: str, raw: str, sizes: dict[str, int]) -> Gate:

@@ -453,21 +453,25 @@ def parse_matrix(text: str) -> CMatrix:
     """Read what ``format_matrix`` prints.
 
     A row whose cells are exactly ``0+0i`` or ``1+0i``, one space apart,
-    as every row of a permutation dump is, is read in one NumPy step from
-    the first character of each cell.  Every other row goes through the
-    cell parser, which parses each distinct cell once.  Rows are checked in
-    order, each for its cell count, its label and then its cells.
+    as every row of a permutation dump is, is read from the first
+    character of each cell.  The leading such rows are read by
+    ``_leading_01_rows`` in one NumPy pass over their joined text; from
+    the first row that is not one on, a row loop reads each such row in
+    one NumPy step and sends every other row through the cell parser,
+    which parses each distinct cell once.  Rows are checked in order, each
+    for its cell count, its label and then its cells.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix dump")
     src = FinBasis(tuple(check_label(x) for x in lines[0].split()))
+    parts = [ln.partition(": ") for ln in lines[1:]]
+    lead = _leading_01_rows([rest for _, _, rest in parts], len(src))
+    tgt_labels = [check_label(label) for label, _, _ in parts[: len(lead)]]
     amp = functools.cache(_parse_amp)  # a dump repeats few distinct cells
     zeros = " ".join(["0+0i"] * len(src))
-    tgt_labels: list[str] = []
     rows = []
-    for ln in lines[1:]:
-        label, _, rest = ln.partition(": ")
+    for label, _, rest in parts[len(lead):]:
         if rest.replace("1+0i", "0+0i") == zeros:  # then each cell starts at a multiple of 5
             tgt_labels.append(check_label(label))
             rows.append(np.frombuffer(rest[::5].encode(), dtype=np.uint8) == ord("1"))
@@ -477,7 +481,31 @@ def parse_matrix(text: str) -> CMatrix:
             raise ValueError(f"row {label!r} has {len(cells)} cells, expected {len(src)}")
         tgt_labels.append(check_label(label))
         rows.append([amp(c) for c in cells])
-    return CMatrix(src, FinBasis(tuple(tgt_labels)), np.array(rows, dtype=np.complex128))
+    entries = np.array(rows, dtype=np.complex128)
+    if len(lead):
+        entries = np.concatenate((lead, entries)) if rows else lead.astype(np.complex128)
+    return CMatrix(src, FinBasis(tuple(tgt_labels)), entries)
+
+
+def _leading_01_rows(rests: list[str], n: int) -> np.ndarray:
+    """Which cells are ``1+0i`` in the leading rows (their text after the
+    label) that hold only ``0+0i`` or ``1+0i`` cells, one space apart, as a
+    bool array of one row each.  Their joined text is one array of bytes,
+    one row of it per row, and a byte or-ed with 1 at the start of each
+    cell reads ``1`` only if it was ``0`` or ``1``."""
+    width = 5 * n - 1
+    k = next((j for j, rest in enumerate(rests) if len(rest) != width), len(rests))
+    if not (n and k):
+        return np.zeros((0, n), dtype=bool)
+    # A non-ASCII character becomes one "?", which keeps the row's width and fits no cell.
+    text = np.frombuffer("".join(rests[:k]).encode("ascii", "replace"), dtype=np.uint8).reshape(k, width)
+    starts = np.zeros(width, dtype=np.uint8)
+    starts[::5] = 1
+    ones = np.frombuffer(" ".join(["1+0i"] * n).encode(), dtype=np.uint8)
+    bad = ((text | starts) != ones).any(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+    return text[:k, ::5] == ord("1")
 
 
 def format_state(v: AmpVec, basis: Iterable[str] | None = None) -> str:

@@ -157,7 +157,7 @@ def test_json_keeps_the_counterexamples_the_text_prints(monkeypatch, capsys):
 # the fifth element.
 _bind = vecmonad.bind
 _simulate, _decompose_mcx, _simulate_state = circuitgen.simulate, circuitgen.decompose_mcx, circuitgen.simulate_state
-_mcx_words, _peephole = circuitgen._mcx_words, circuitgen.peephole
+_mcx_words, _peephole, _cancel = circuitgen._mcx_words, circuitgen.peephole, circuitgen._cancel
 _fold_matrix, _rfold_rel, _cata, _psi = quanta.fold_matrix, quanta.rfold_rel, quanta.cata, quanta.psi
 _choice, _mccarthy, _bell, _unbell, _is_unitary = gates.choice, gates.mccarthy, gates.bell, gates.unbell, vecmonad.is_unitary
 
@@ -211,23 +211,33 @@ LOOP_MUTATIONS = {
             ACTS: "case 0: input 00 gives 01, want 00",
             MCX: "control polarities 1: input 00 gives 01, want 00",
         }),
+    # Synthesis cancels through circuitgen._cancel, not peephole, so only
+    # the peephole check sees these two.
     "peephole keeps the first half": (circuitgen, "peephole", lambda c: Circuit(
         c.data_qubits, c.ancilla_qubits, c.gates[: len(c.gates) // 2]), {
-            "the 2-bit controlled-not compiles to one cx": None,
-            ACTS: "case 0: input 10 gives 10, want 11",
             "peephole cancellation preserves semantics": "case 0: input 000, sup-norm gap 1",
-        }),
-    # The lowering that decompose_mcx and synth_permutation share.
-    "decompose_mcx ignores polarity": (circuitgen, "_mcx_words", lambda controls, target, ancillas: _mcx_words(
-        tuple((q, 1) for q, _ in controls), target, ancillas), {
-            ACTS: "case 1: input 000 gives 000, want 011",
-            MCX: "control polarities 0: input 00 gives 00, want 01",
         }),
     "peephole drops its last kept gate": (circuitgen, "peephole", lambda c: (lambda r: Circuit(
         r.data_qubits, r.ancilla_qubits, r.gates[:-1]))(_peephole(c)), {
+            "peephole cancellation preserves semantics": "case 0: input 000, sup-norm gap 1",
+        }),
+    # The cancellation that peephole and synthesis share.
+    "cancellation drops its last kept gate": (circuitgen, "_cancel", lambda *args: (lambda r: Circuit(
+        r.data_qubits, r.ancilla_qubits, r.gates[:-1]))(_cancel(*args)), {
             "the 2-bit controlled-not compiles to one cx": None,
             ACTS: "case 0: input 10 gives 10, want 11",
             "peephole cancellation preserves semantics": "case 0: input 000, sup-norm gap 1",
+        }),
+    # decompose_mcx reads polarities through _mcx_words; synthesis reads
+    # them from each swap's state, so only the mcx check sees this one.
+    "decompose_mcx ignores polarity": (circuitgen, "_mcx_words", lambda controls, target, ancillas: _mcx_words(
+        tuple((q, 1) for q, _ in controls), target, ancillas), {
+            MCX: "control polarities 0: input 00 gives 00, want 01",
+        }),
+    # The flip assembly that decompose_mcx and each synthesized swap share.
+    "swaps keep only their leading flips": (circuitgen, "_with_flips", lambda flips, core: flips + core, {
+            ACTS: "case 1: input 000 gives 100, want 011",
+            MCX: "control polarities 0: input 00 gives 11, want 01",
         }),
     "decompose_mcx pads with two h": (circuitgen, "decompose_mcx", lambda controls, target, ancillas: _decompose_mcx(
         controls, target, ancillas) + (Gate("h", (target,)),) * 2, {

@@ -33,7 +33,7 @@ from quantakit.circuitgen import (
 )
 from quantakit.cli import main
 from quantakit.relalg import FinBasis, SizeLimitError
-from quantakit.vecmonad import PRUNE_EPS, AmpVec, CMatrix, vec_equal
+from quantakit.vecmonad import PRUNE_EPS, AmpVec, CMatrix, parse_matrix, vec_equal
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -344,6 +344,20 @@ class TestPinnedReferences:
         assert captured.err == ""
         assert captured.out == (GOLDENS / "synth_perm4.txt").read_text()
         assert "qreg anc[1];" in captured.out
+
+    def test_perm6_metrics_golden(self, tmp_path, capsys):
+        """A seeded 64-state permutation: its metrics JSON is the golden,
+        its route takes 3 ancillas, and the circuit maps every input."""
+        qasm, out = tmp_path / "perm6.qasm", tmp_path / "metrics.json"
+        argv = ["synth", "--matrix-file", str(DATA / "perm6.mat"), "--qasm", str(qasm), "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (GOLDENS / "synth_perm6_metrics.json").read_bytes()
+        c = parse_qasm(qasm.read_text())
+        assert c.ancilla_qubits == metrics(c).ancillas == 3
+        m = parse_matrix((DATA / "perm6.mat").read_text())
+        for j, label in enumerate(m.src.labels):
+            image = m.tgt.labels[int(np.argmax(np.abs(m.entries[:, j])))]
+            assert simulate(c, format(j, "06b")) == format(m.tgt.index(image), "06b")
 
     def test_pinned16_synthesis_and_io_table(self, tmp_path, capsys):
         qasm, out = tmp_path / "cnot16.qasm", tmp_path / "metrics.json"
@@ -670,33 +684,57 @@ class TestSynthesisAgainstReference:
         assert export_qasm(got) == ref_export_qasm(want)
         assert metrics(got) == ref_metrics(want)
 
-    def test_each_distinct_mcx_is_lowered_once(self, monkeypatch):
+    @pytest.mark.parametrize("perm", [
+        np.random.default_rng(9).permutation(64).tolist(),
+        [1, 0, 2, 3, 4, 5, 6, 7],  # one swap, on target 2
+        [0, 1, 2, 7, 4, 5, 6, 3],  # a chain over targets 0 and 2
+    ])
+    def test_each_target_is_lowered_once_and_each_gate_built_once(self, monkeypatch, perm):
         calls, built = [], []
-        lower = circuitgen._mcx_words
+        lower = circuitgen._mcx_core
 
-        def counted(controls, target, ancillas):
-            calls.append((controls, target))
-            return lower(controls, target, ancillas)
+        def counted(qs, target, ancillas):
+            calls.append((qs, target))
+            return lower(qs, target, ancillas)
 
         def counted_gate(name, qubits):
             built.append((name, qubits))
             return Gate(name, qubits)
 
-        perm = np.random.default_rng(9).permutation(64).tolist()
         m = perm_matrix(perm)
-        width = 6
-        distinct = {
-            (g.qubits, g.ctrl_state)
+        width = len(perm).bit_length() - 1
+        targets = {
+            g.qubits[-1]
             for u, v in ref_transpositions(perm)
             for g in ref_gray_chain(u, v, width)
         }
         want = ref_synth_permutation(m, Encoding(m.src))
-        monkeypatch.setattr(circuitgen, "_mcx_words", counted)
+        monkeypatch.setattr(circuitgen, "_mcx_core", counted)
         monkeypatch.setattr(circuitgen, "Gate", counted_gate)
-        synth_permutation(m)
-        assert len(calls) == len(set(calls)) == len(distinct)
-        # Each distinct gate is built once; peephole keeps every one here.
+        got = synth_permutation(m)
+        # One lowering per target used, on every other data qubit.
+        assert sorted(t for _, t in calls) == sorted(targets)
+        assert all(qs == tuple(q for q in range(width) if q != t) for qs, t in calls)
+        # Each distinct gate is built once; no entry cancels at every use here.
         assert len(built) == len(set(built)) == len(set(want.gates))
+        assert got == want
+
+    def test_an_entry_that_cancels_at_every_use_is_dropped(self, monkeypatch):
+        """Two equal swaps cancel whole where they meet only if each has at
+        most one flip, since a swap's flips stand in the same order on both
+        sides of its core; no permutation of up to 8 states has a table
+        entry that cancels at every use.  So the transposition (0 2) is
+        added twice after that of [1, 0, 2, 3]: its one swap, x(1) cx(1,0)
+        x(1), meets itself and cancels whole, and its two entries go."""
+        transpositions = circuitgen._transpositions
+        monkeypatch.setattr(circuitgen, "_transpositions", lambda perm: transpositions(perm) + [(0, 2)] * 2)
+        got = synth_permutation(perm_matrix([1, 0, 2, 3]))
+        x0, cx = Gate("x", (0,)), Gate("cx", (0, 1))
+        assert got == Circuit(2, 0, (x0, cx, x0))
+        assert set(got._table) == {x0, cx}
+        assert_as_public(got)
+        raw = (x0, cx, x0) + (Gate("x", (1,)), Gate("cx", (1, 0)), Gate("x", (1,))) * 2
+        assert got == ref_stack_peephole(Circuit(2, 0, raw))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -991,6 +1029,8 @@ class TestParseQasmAgainstReference:
             "qreg q[2];\nx q[0];\n  x q[0];  \nx q[0];\n\tx q[0];",
             "",
             "// only a comment",
+            "OPENQASM 2.0;\n\nqreg q[1];\nx q[0];\n\n// c\nx q[0];\n",
+            "\n\nqreg q[1];\nx q[0];\n\nqreg q[1];\nx q[0];",
         ],
     )
     def test_declarations_repeats_and_order_of_errors(self, text):

@@ -627,6 +627,13 @@ class TestParseMatrixAgainstReference:
             "c0 c1\nr0: -0+0i 0-0i\nr1: 0+0i 1+0i\n",
             "c0 c1\nr0: 0+1i 1+0i\nr1: 1+1i 0+0i\n",
             "c0 c1\nr0: 1-0i 0+0i\nr1: 0+0i 10+0i\n",
+            # The leading 0/1 rows end before a row that does not fit.
+            "c0 c1\nr0: 1+0i 0+0i\nr1: 0+0i 1+0\u00ef\nr2: 0+0i 1+0i\n",
+            "c0 c1\nr0: 1+0i 0+0i\nr1: 0+0i 0+1i\nr2: 0+0i 1+0i\n",
+            "c0 c1\nr0: 1+0i 0+0i\nr1: 0+0i 1+0i 0+0i\nr2: 0+0i 1+0i\n",
+            "c0 c1\nr0: 1+0i 0+0i\n(r: 1+0i 0+0i\nr2: 0+0i 1+0i\n",
+            "c0 c1\nr0: 0+0i 1+0i\nr1 1+0i 0+0i\n",
+            "c0 c1\nr0: 0+0i 1+0i\nr1: 1+0i 0+0i\nr0: 1+0i 0+0i\n",
         ],
     )
     def test_fast_rows_beside_every_error(self, text):
