@@ -452,60 +452,56 @@ def format_matrix(m: CMatrix) -> str:
 def parse_matrix(text: str) -> CMatrix:
     """Read what ``format_matrix`` prints.
 
-    A row whose cells are exactly ``0+0i`` or ``1+0i``, one space apart,
-    as every row of a permutation dump is, is read from the first
-    character of each cell.  The leading such rows are read by
-    ``_leading_01_rows`` in one NumPy pass over their joined text; from
-    the first row that is not one on, a row loop reads each such row in
-    one NumPy step and sends every other row through the cell parser,
-    which parses each distinct cell once.  Rows are checked in order, each
-    for its cell count, its label and then its cells.
+    ``_01_rows`` marks, in one NumPy pass, each row whose cells are
+    exactly ``0+0i`` or ``1+0i``, one space apart, as every row of a
+    permutation dump is, and reads its cells from their first characters.
+    One loop then walks the rows in order: a marked row takes its
+    precomputed cells, and every other row goes through the cell parser,
+    which parses each distinct cell once.  Each row is checked for its
+    cell count, its label and then its cells.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix dump")
     src = FinBasis(tuple(check_label(x) for x in lines[0].split()))
     parts = [ln.partition(": ") for ln in lines[1:]]
-    lead = _leading_01_rows([rest for _, _, rest in parts], len(src))
-    tgt_labels = [check_label(label) for label, _, _ in parts[: len(lead)]]
+    fast, bits = _01_rows([rest for _, _, rest in parts], len(src))
     amp = functools.cache(_parse_amp)  # a dump repeats few distinct cells
-    zeros = " ".join(["0+0i"] * len(src))
+    tgt_labels = []
     rows = []
-    for label, _, rest in parts[len(lead):]:
-        if rest.replace("1+0i", "0+0i") == zeros:  # then each cell starts at a multiple of 5
+    for (label, _, rest), ok, row in zip(parts, fast, bits):
+        if ok:
             tgt_labels.append(check_label(label))
-            rows.append(np.frombuffer(rest[::5].encode(), dtype=np.uint8) == ord("1"))
+            rows.append(row)
             continue
         cells = rest.split()
         if len(cells) != len(src):
             raise ValueError(f"row {label!r} has {len(cells)} cells, expected {len(src)}")
         tgt_labels.append(check_label(label))
         rows.append([amp(c) for c in cells])
-    entries = np.array(rows, dtype=np.complex128)
-    if len(lead):
-        entries = np.concatenate((lead, entries)) if rows else lead.astype(np.complex128)
-    return CMatrix(src, FinBasis(tuple(tgt_labels)), entries)
+    return CMatrix(src, FinBasis(tuple(tgt_labels)), np.array(rows, dtype=np.complex128))
 
 
-def _leading_01_rows(rests: list[str], n: int) -> np.ndarray:
-    """Which cells are ``1+0i`` in the leading rows (their text after the
-    label) that hold only ``0+0i`` or ``1+0i`` cells, one space apart, as a
-    bool array of one row each.  Their joined text is one array of bytes,
-    one row of it per row, and a byte or-ed with 1 at the start of each
-    cell reads ``1`` only if it was ``0`` or ``1``."""
+def _01_rows(rests: list[str], n: int) -> tuple[list[bool], np.ndarray]:
+    """Which rows (their text after the label) hold only ``0+0i`` or
+    ``1+0i`` cells, one space apart, and which cells of each row are
+    ``1+0i``, as a bool array of one row each.  The joined text of the
+    rows of the right width is one array of bytes, one row of it per row,
+    and a byte or-ed with 1 at the start of each cell reads ``1`` only if
+    it was ``0`` or ``1``."""
     width = 5 * n - 1
-    k = next((j for j, rest in enumerate(rests) if len(rest) != width), len(rests))
-    if not (n and k):
-        return np.zeros((0, n), dtype=bool)
+    fits = np.fromiter(map(len, rests), dtype=np.intp, count=len(rests)) == width
     # A non-ASCII character becomes one "?", which keeps the row's width and fits no cell.
-    text = np.frombuffer("".join(rests[:k]).encode("ascii", "replace"), dtype=np.uint8).reshape(k, width)
+    joined = "".join(itertools.compress(rests, fits)).encode("ascii", "replace")
+    text = np.frombuffer(joined, dtype=np.uint8).reshape(-1, width)
     starts = np.zeros(width, dtype=np.uint8)
     starts[::5] = 1
     ones = np.frombuffer(" ".join(["1+0i"] * n).encode(), dtype=np.uint8)
-    bad = ((text | starts) != ones).any(axis=1)
-    if bad.any():
-        k = int(bad.argmax())
-    return text[:k, ::5] == ord("1")
+    fast = np.zeros(len(rests), dtype=bool)
+    fast[fits] = ((text | starts) == ones).all(axis=1)
+    bits = np.zeros((len(rests), n), dtype=bool)
+    bits[fits] = text[:, ::5] == ord("1")
+    return fast.tolist(), bits
 
 
 def format_state(v: AmpVec, basis: Iterable[str] | None = None) -> str:

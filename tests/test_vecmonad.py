@@ -627,7 +627,9 @@ class TestParseMatrixAgainstReference:
             "c0 c1\nr0: -0+0i 0-0i\nr1: 0+0i 1+0i\n",
             "c0 c1\nr0: 0+1i 1+0i\nr1: 1+1i 0+0i\n",
             "c0 c1\nr0: 1-0i 0+0i\nr1: 0+0i 10+0i\n",
-            # The leading 0/1 rows end before a row that does not fit.
+            # 0/1 rows before and after a row that does not fit.
+            "c0 c1\nr0: 1+0i 0+0i\nr1: 0.5+0i 0+0i\nr2: 0+0i 1+0i\nr3: 1+0i 1+0i\n",
+            "c0 c1\nr0: 0+1i 0+0i\nr1: 1+0i 0+0i\nr2: 0+0i 1+0\u00ef\n",
             "c0 c1\nr0: 1+0i 0+0i\nr1: 0+0i 1+0\u00ef\nr2: 0+0i 1+0i\n",
             "c0 c1\nr0: 1+0i 0+0i\nr1: 0+0i 0+1i\nr2: 0+0i 1+0i\n",
             "c0 c1\nr0: 1+0i 0+0i\nr1: 0+0i 1+0i 0+0i\nr2: 0+0i 1+0i\n",
