@@ -352,11 +352,15 @@ def _permutation_of(m: CMatrix, tol: float = DEFAULT_TOL) -> list[int]:
     if rows != cols:
         raise NonPermutationError("matrix is not square")
     a = np.abs(m.entries)
-    ones = np.abs(m.entries - 1.0) <= tol
+    # |z - 1| <= tol only where |z| >= 1 - tol, so only those entries are
+    # measured again; the margin is far above the rounding of either abs.
+    i, j = np.nonzero(a >= 1.0 - tol - 1e-9)
+    hit = np.abs(m.entries[i, j] - 1.0) <= tol
+    i, j = i[hit], j[hit]
     # Per column: one entry near 1, nothing above 1 + tol, and nothing
     # else above tol.
     bad = (
-        (np.count_nonzero(ones, axis=0) != 1)
+        (np.bincount(j, minlength=cols) != 1)
         | (a.max(axis=0, initial=0.0) > 1.0 + tol)
         | (np.count_nonzero(a > tol, axis=0) != 1)
     )
@@ -364,7 +368,9 @@ def _permutation_of(m: CMatrix, tol: float = DEFAULT_TOL) -> list[int]:
         raise NonPermutationError(
             "matrix is not a 0/1 permutation; general unitary synthesis is out of scope"
         )
-    perm = ones.argmax(axis=0).tolist()
+    at = np.empty(cols, dtype=np.intp)
+    at[j] = i  # the row of the one entry near 1, per column
+    perm = at.tolist()
     if len(set(perm)) != rows:
         raise NonPermutationError("columns do not form a permutation")
     return perm

@@ -125,17 +125,26 @@ def cmd_complement(args: argparse.Namespace) -> int:
         return _fail("--labels needs --matrices")
     rel = relalg.parse_truth_table(Path(args.table).read_text())
     comps = relalg.minimal_complements(rel)
+    # minimal_complements expands each pattern of block class-sets into
+    # sorted index partitions, up to 78,125 of them at the domain cap.  So
+    # label strings are built once, not per partition: each source label's
+    # "  x -> " prefix and each distinct block's text.
     names = rel.src.labels
+    arrows = [f"  {x} -> " for x in names]
+    block_text = {} if args.format == "json" else {
+        b: "{" + ",".join([names[i] for i in b]) + "}" for b in set().union(*comps)}
     doc, lines = [], [f"{len(comps)} minimal complement(s)"]
     for k, p in enumerate(comps, start=1):
-        least = {i: b[0] for b in p for i in b}
-        blocks = [[names[i] for i in b] for b in p]
-        quot = {x: names[least[i]] for i, x in enumerate(names)}
+        reps = list(names)  # each label's least block-mate
+        for b in p:
+            rep = names[b[0]]
+            for i in b[1:]:
+                reps[i] = rep
         if args.format == "json":
-            doc.append({"blocks": blocks, "quotient": quot})
+            doc.append({"blocks": [[names[i] for i in b] for b in p], "quotient": dict(zip(names, reps))})
             continue
-        lines.append(f"complement {k}: blocks " + " ".join("{" + ",".join(b) + "}" for b in blocks))
-        lines += [f"  {x} -> {y}" for x, y in quot.items()]
+        lines.append(f"complement {k}: blocks " + " ".join(map(block_text.__getitem__, p)))
+        lines += map(str.__add__, arrows, reps)
         if args.matrices:
             lines.append("  partition matrix:")
             kern = relalg.kernel(relalg.quotient(rel.src, p))

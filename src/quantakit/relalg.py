@@ -23,14 +23,20 @@ Besides the pointfree operators (composition, converse, kernel, pairing,
 junc, direct sum) the module provides the injectivity preorder, the
 relation taxonomy predicates, difunctionality, and the exact search for
 minimal complements: the coarsest partitions of the source that restore
-injectivity when paired with a given function, found by one pruned walk
-that tests maximality on each partition alone: every two blocks must share
-a kernel class.  The search returns each partition as blocks of source
+injectivity when paired with a given function.  Those are the partitions
+whose blocks hold distinct kernel classes and pairwise share one.  The
+search goes by class, not by element: it finds each multiset of block
+class-sets once, keeping equal sets as one kind with a count, then expands
+each into element blocks with no duplicates.  An element alone in its
+class joins any block, so those elements are a plain product over the
+finished blocks.  The search returns each partition as blocks of source
 indices; ``quotient`` turns one into a relation for a caller that needs it.
 """
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
@@ -509,46 +515,110 @@ def u_construct(f: Rel, m: MonoidSpec) -> Rel:
 MAX_COMPLEMENT_DOMAIN = 12
 
 
-def _maximal_partitions(cls: list[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Partitions of range(n) into blocks of distinct classes ``cls[i]`` that
-    pairwise share a class; blocks by least element, members ascending."""
-    n = len(cls)
-    # one[i] / two[i]: the classes with at least one / two elements in i..n-1.
-    one, two = [0] * (n + 1), [0] * (n + 1)
-    for i in reversed(range(n)):
-        bit = 1 << cls[i]
-        one[i] = one[i + 1] | bit
-        two[i] = two[i + 1] | (one[i + 1] & bit)
-    blocks: list[list[int]] = []
-    masks: list[int] = []  # the classes of each block, one bit each
+def _block_patterns(sizes: list[int]) -> list[list[tuple[int, int]]]:
+    """The multisets of block class-masks in which class k (bit k) lies in
+    exactly ``sizes[k]`` blocks and every two blocks share a class, each as
+    a list of (mask, count) kinds with distinct masks.
 
-    def walk(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        # Two blocks with disjoint classes can come to share one only through
-        # an unplaced element of a class of either, or two unplaced elements
-        # of a class of neither.  At the leaf this is the maximality test.
-        for k, mk in enumerate(masks):
-            for mj in masks[:k]:
-                both = mj | mk
-                if not mj & mk and not (both & one[i] or two[i] & ~both):
-                    return
-        if i == n:
-            yield tuple(tuple(b) for b in blocks)
+    Classes are placed in order, each spread over the kinds found so far
+    and some new blocks.  Equal masks stay one kind, so blocks that are
+    interchangeable are searched once."""
+    # A block shares a class with a block now disjoint from it only through
+    # a class still to place, and class k reaches sizes[k] - 1 other blocks.
+    spare = [sum(sizes[k:]) - len(sizes) + k for k in range(len(sizes) + 1)]
+    found: list[list[tuple[int, int]]] = []
+
+    def place(k: int, kinds: list[tuple[int, int]]) -> None:
+        for m, _ in kinds:
+            if sum(t for m2, t in kinds if not m & m2) > spare[k]:
+                return
+        if k == len(sizes):
+            found.append(kinds)
             return
-        bit = 1 << cls[i]
-        for k, b in enumerate(blocks):
-            if not masks[k] & bit:
-                b.append(i)
-                masks[k] |= bit
-                yield from walk(i + 1)
-                masks[k] ^= bit
-                b.pop()
-        blocks.append([i])
-        masks.append(bit)
-        yield from walk(i + 1)
-        masks.pop()
-        blocks.pop()
+        bit = 1 << k
 
-    yield from walk(0)
+        def spread(i: int, left: int, acc: list[tuple[int, int]]) -> None:
+            if i == len(kinds):
+                place(k + 1, acc + [(bit, left)] if left else acc)
+                return
+            m, t = kinds[i]
+            for j in range(min(t, left) + 1):  # j of the t blocks take class k
+                split = [(m, t - j)] if j < t else []
+                if j:
+                    split.append((m | bit, j))
+                spread(i + 1, left - j, acc + split)
+
+        spread(0, sizes[k], [])
+
+    place(0, [])
+    return found
+
+
+def _deals(elems: list[int], runs: list[int]) -> Iterator[tuple[int, ...]]:
+    """Each way to deal ``elems`` out one per slot, slots in order: each run
+    of slots takes an ascending subset of its length, and the slots after
+    the runs take a permutation of what is left."""
+    if not runs:
+        yield from itertools.permutations(elems)
+        return
+    for pick in itertools.combinations(elems, runs[0]):
+        rest = [e for e in elems if e not in pick]
+        for tail in _deals(rest, runs[1:]):
+            yield pick + tail
+
+
+def _maximal_partitions(cls: list[int]) -> list[tuple[tuple[int, ...], ...]]:
+    """Partitions of range(n) into blocks of distinct classes ``cls[i]`` that
+    pairwise share a class; blocks by least element, members ascending.
+
+    Each pattern of block class-masks from ``_block_patterns`` (classes of
+    two or more elements, largest first) is expanded into element bitmasks
+    per block, class by class.  The blocks of one kind are told apart by
+    the members of the kind's lowest class, which fill them in ascending
+    order; every other class deals its members over its blocks in any
+    order.  So each partition is built once.  An element alone in its
+    class shares no class with another block, so it joins any block and
+    never opens one: those elements multiply the finished blocks."""
+    members: dict[int, list[int]] = {}
+    for i, c in enumerate(cls):
+        members.setdefault(c, []).append(i)
+    classes = sorted((m for m in members.values() if len(m) > 1), key=len, reverse=True)
+    if not classes:  # every class alone: one block, or none on no elements
+        return [(tuple(range(len(cls))),)] if cls else [()]
+    singles = [m[0] for m in members.values() if len(m) == 1]
+    rows: list[tuple[int, ...]] = []
+    for kinds in _block_patterns([len(m) for m in classes]):
+        width = sum(t for _, t in kinds)
+        found = [(0,) * width]
+        for k, elems in enumerate(classes):
+            bit = 1 << k
+            runs: list[int] = []
+            slots: list[int] = []  # the blocks with class k: the runs', then the rest
+            free: list[int] = []
+            start = 0
+            for m, t in kinds:
+                if m & bit:
+                    if m & -m == bit and t > 1:  # class k is this kind's lowest
+                        runs.append(t)
+                        slots += range(start, start + t)
+                    else:
+                        free += range(start, start + t)
+                start += t
+            slots += free
+            deals = []
+            for deal in _deals(elems, runs):
+                row = [0] * width
+                for s, e in zip(slots, deal):
+                    row[s] = 1 << e
+                deals.append(tuple(row))
+            found = [tuple(map(operator.or_, r, d)) for r in found for d in deals]
+        for e in singles:
+            deals = [(0,) * s + (1 << e,) + (0,) * (width - s - 1) for s in range(width)]
+            found = [tuple(map(operator.or_, r, d)) for r in found for d in deals]
+        rows += found
+    blocks = {m: tuple([i for i in range(len(cls)) if m >> i & 1]) for m in set().union(*rows)}
+    # Blocks are disjoint, so their tuples sort by least element.
+    return [tuple(sorted(map(blocks.__getitem__, r))) for r in rows]
 
 
 def minimal_complements(f: Rel) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -556,10 +626,13 @@ def minimal_complements(f: Rel) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
     These partitions keep each kernel class of f in distinct blocks, and
     every two of their blocks share a kernel class, or they could merge.  The
-    search drops a branch once two blocks can no longer come to share one, so
-    it finishes on every source up to ``MAX_COMPLEMENT_DOMAIN`` elements.
-    Each partition is a tuple of blocks of source indices, blocks by least
-    element and members ascending; the partitions come sorted.
+    search places whole kernel classes, largest first, into patterns of
+    block class-sets, searching blocks with equal sets once, and drops a
+    pattern once a block can no longer share a class with every other.  It
+    then expands each pattern into element blocks, so it finishes on every
+    source up to ``MAX_COMPLEMENT_DOMAIN`` elements.  Each partition is a
+    tuple of blocks of source indices, blocks by least element and members
+    ascending; the partitions come sorted.
     """
     if not is_function(f):
         raise ValueError("minimal_complements requires a function")

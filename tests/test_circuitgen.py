@@ -755,6 +755,15 @@ class TestSynthesisAgainstReference:
         tol = data.draw(st.sampled_from((1e-9, 1e-6, 0.6)))
         assert outcome_of(_permutation_of, m, tol) == outcome_of(ref_permutation_of, m, tol)
 
+    def test_permutation_reader_refuses_an_entry_above_one_plus_tol(self):
+        """At tol 0.6, 0.5 is the column's one entry near 1 and 2 its one
+        entry above tol, so only the 1 + tol bound refuses it."""
+        basis = FinBasis(("s0", "s1"))
+        m = CMatrix(basis, basis, np.array([[0.5, 0], [2, 1]], dtype=np.complex128))
+        with pytest.raises(NonPermutationError, match="not a 0/1 permutation"):
+            _permutation_of(m, 0.6)
+        assert outcome_of(ref_permutation_of, m, 0.6) == outcome_of(_permutation_of, m, 0.6)
+
     def test_permutation_reader_refuses_a_non_square_matrix(self):
         m = CMatrix(FinBasis(("a",)), FinBasis(("a", "b")), np.ones((2, 1), dtype=np.complex128))
         with pytest.raises(NonPermutationError, match="not square"):

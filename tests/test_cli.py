@@ -137,6 +137,16 @@ def test_complement_xor_golden(capsys, flags, golden):
     assert capsys.readouterr().out == (GOLDENS / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "flags, golden",
+    [([], "complement_n9_432.txt"), (["--format", "json"], "complement_n9_432.json")],
+)
+def test_complement_nine_element_golden(capsys, flags, golden):
+    """Kernel classes of 4, 3 and 2 elements: 288 complements."""
+    assert main(["complement", str(DATA / "n9_432.tbl"), *flags]) == 0
+    assert capsys.readouterr().out == (GOLDENS / golden).read_text()
+
+
 # The label-level formatting that ``complement`` replaced, kept verbatim as
 # the reference: blocks and quotient maps read back from each quotient Rel.
 

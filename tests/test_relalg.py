@@ -48,6 +48,8 @@ from quantakit.relalg import (
     untag,
     xor_monoid,
 )
+from reference import relalg as ref
+from reference.relalg import ref_minimal_complements
 
 BB = product_basis(BIT, BIT)
 B3 = FinBasis(("a", "b", "c"))
@@ -322,70 +324,6 @@ def all_partitions(n):
         yield rest + ((x,),)
 
 
-# The search minimal_complements replaced, kept verbatim as the reference:
-# enumerate every valid partition, then keep those no other one coarsens.
-
-def _partitions_avoiding(n: int, forbidden: np.ndarray):
-    """All set partitions of range(n) with no forbidden pair sharing a block.
-
-    Restricted-growth enumeration; a branch is pruned as soon as an element
-    would join a block containing a partner it must stay apart from.
-    """
-    blocks: list[list[int]] = []
-
-    def walk(i: int):
-        if i == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            if not any(forbidden[i, j] for j in b):
-                b.append(i)
-                yield from walk(i + 1)
-                b.pop()
-        blocks.append([i])
-        yield from walk(i + 1)
-        blocks.pop()
-
-    yield from walk(0)
-
-
-def _refines(p, q) -> bool:
-    owner = {}
-    for k, b in enumerate(q):
-        for x in b:
-            owner[x] = k
-    return all(len({owner[x] for x in b}) == 1 for b in p)
-
-
-def ref_minimal_complements(f: Rel) -> tuple[Rel, ...]:
-    n = len(f.src)
-    ker = kernel(f).entries
-    forbidden = ker & ~np.eye(n, dtype=bool)
-
-    maximal = []
-    for p in _partitions_avoiding(n, forbidden):
-        if any(_refines(p, q) for q in maximal):
-            continue
-        maximal = [q for q in maximal if not _refines(q, p)]
-        maximal.append(p)
-
-    def signature(p):
-        return tuple(sorted(tuple(sorted(b)) for b in p))
-
-    out = []
-    for p in sorted(maximal, key=signature):
-        rep = {}
-        for b in p:
-            least = min(b)
-            for x in b:
-                rep[x] = least
-        q = from_function(
-            lambda lbl: f.src.labels[rep[f.src.index(lbl)]], f.src, f.src
-        )
-        out.append(q)
-    return tuple(out)
-
-
 def class_layouts(n):
     """Every assignment of range(n) to classes, up to renaming the classes."""
     if n == 0:
@@ -402,6 +340,18 @@ def function_of_layout(cls):
     src = FinBasis(tuple(f"a{i}" for i in range(len(cls))))
     tgt = FinBasis(tuple(f"c{c}" for c in range(max(cls, default=-1) + 1)))
     return from_function({x: f"c{c}" for x, c in zip(src, cls)}, src, tgt)
+
+
+TWELVE_ELEMENT_PROFILES = [
+    ((6, 6), 720),
+    ((4, 4, 4), 9216),
+    ((3, 3, 3, 3), 11880),
+    ((5, 4, 3), 8640),
+    ((3, 3, 2, 2, 2), 14688),
+    ((2, 2, 2, 2, 2, 2), 7712),
+    ((5, 1, 1, 1, 1, 1, 1, 1), 78125),
+    ((4, 2, 1, 1, 1, 1, 1, 1), 49152),
+]
 
 
 def label_blocks(src, p):
@@ -488,6 +438,31 @@ class TestMinimalComplements:
         f = function_of_layout(cls)
         got = tuple(quotient(f.src, p) for p in minimal_complements(f))
         assert got == ref_minimal_complements(f)
+
+    def test_matches_the_walk_on_every_layout_up_to_seven(self):
+        layouts = [cls for n in range(8) for cls in class_layouts(n)]
+        assert len(layouts) == 1156
+        for cls in layouts:
+            want = tuple(sorted(ref._maximal_partitions(list(cls))))
+            assert minimal_complements(function_of_layout(cls)) == want, cls
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(st.integers(0, 5), min_size=9, max_size=12))
+    def test_matches_the_walk_on_random_larger_layouts(self, cls):
+        want = tuple(sorted(ref._maximal_partitions(cls)))
+        assert minimal_complements(function_of_layout(cls)) == want
+
+    @pytest.mark.parametrize(
+        "sizes, count", TWELVE_ELEMENT_PROFILES, ids=[",".join(map(str, s)) for s, _ in TWELVE_ELEMENT_PROFILES]
+    )
+    def test_matches_the_walk_on_twelve_element_profiles(self, sizes, count):
+        """Class sizes of 12 elements and their complement counts; the
+        singleton-heavy ones are the search's product case."""
+        cls = np.random.default_rng(list(sizes)).permutation(
+            [c for c, s in enumerate(sizes) for _ in range(s)]).tolist()
+        got = minimal_complements(function_of_layout(cls))
+        assert len(got) == count
+        assert got == tuple(sorted(ref._maximal_partitions(cls)))
 
     def test_injective_twelve_elements_need_one_block(self):
         f = function_of_layout(range(12))
