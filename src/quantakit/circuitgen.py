@@ -18,15 +18,16 @@ indices, and builds each distinct gate once.  Each assembled swap is
 already reduced, so ``_cancel``, the one cancellation routine, compares
 gates only where one swap meets the last; ``peephole`` runs it on the
 positions one at a time.  ``parse_qasm`` maps every raw line to its index
-in one ``map``, reading each distinct line once.  Every per-gate result
-(decoded masks, simulator views, QASM lines, qubits for the depth sweep)
-is computed once per table entry and read through the index, and the
-gate counts of ``metrics`` come from each entry's position count.  Per
-position there remain only the passes that need order: the cancellation
-stack (which synthesis visits once per swap), the simulators and the
-depth sweep.  Synthesis and ``parse_qasm`` check each distinct gate as
-they build it, and ``peephole`` keeps gates of a checked circuit, so the
-circuits of all three skip the constructor's range check.
+in one ``map``, reading each distinct line once, a line in the emitted
+form in one regular-expression match.  Every per-gate result (decoded
+masks, simulator views, QASM lines, qubits for the depth sweep) is
+computed once per table entry, from the entry's qubits, and read through
+the index, and the gate counts of ``metrics`` come from each entry's
+position count.  Per position there remain only the passes that need
+order: the cancellation stack (which synthesis visits once per swap), the
+simulators and the depth sweep.  Synthesis and ``parse_qasm`` check each
+distinct gate as they build it, and ``peephole`` keeps gates of a checked
+circuit, so the circuits of all three skip the constructor's range check.
 
 Circuits export to OpenQASM 2.0 and simulate on integers, with labels
 parsed and printed only at the edges.  A classical circuit (x/cx/ccx only)
@@ -111,7 +112,7 @@ class Encoding:
     def __post_init__(self) -> None:
         n = len(self.basis)
         k = n.bit_length() - 1
-        if n != 1 << k:
+        if n == 0 or n != 1 << k:
             raise ValueError(f"basis size {n} is not a power of two")
         object.__setattr__(self, "width", k)
 
@@ -137,6 +138,16 @@ class Gate:
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
 
+    @classmethod
+    def _trusted(cls, name: str, qubits: tuple[int, ...]) -> Gate:
+        """A gate whose kind, arity and distinct qubits the caller has
+        checked.  The fields are set as the dataclass ``__init__`` sets
+        them, without ``__post_init__``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "name", name)
+        object.__setattr__(g, "qubits", qubits)
+        return g
+
 
 class Circuit:
     """Ordered gate list over data qubits followed by ancilla qubits.
@@ -151,8 +162,10 @@ class Circuit:
     ``peephole``, and ``parse_qasm``.  Their ``gates`` is built on demand,
     one instance per entry.  Every per-gate result (``is_classical``, the
     decoding of ``ops``, the simulators' views and masks, the lines of
-    ``export_qasm``, the qubits of ``metrics``) is computed once per entry
-    and read through the index.
+    ``export_qasm``, the qubits of ``metrics``) is computed once per entry,
+    on first use, and read through the index.  The dense simulator's views
+    are built from each entry's qubits, so a fresh circuit run only on the
+    statevector decodes no masks.
     Equality, hash and ``repr`` are those of the field tuple
     (``data_qubits``, ``ancilla_qubits``, ``gates``), and a circuit is
     frozen.
@@ -237,10 +250,25 @@ class Circuit:
 
     @cached_property
     def _view_ops(self) -> list[tuple[str, tuple, tuple]]:
-        """Per entry, (action, first, second): the index tuples of
-        ``_view_index`` into the (2,)*n view of a statevector."""
-        n = self.total_qubits
-        return [(op[0], *_view_index(op, n)) for op in self._decoded]
+        """Per entry, (action, first, second): two index tuples into the
+        (2,)*n view of a statevector, built from the entry's qubits.  Both
+        fix each control axis at 1 and take every other axis whole; for
+        action x they take the target axis forwards and reversed, for any
+        other action they fix it at 0 and 1."""
+        blank: list[int | slice] = [slice(None)] * self.total_qubits
+        out = []
+        for g in self._table:
+            action = GATES[g.name][0]
+            *controls, target = g.qubits
+            idx = blank.copy()
+            for q in controls:
+                idx[q] = 1
+            ends = (slice(None), slice(None, None, -1)) if action == "x" else (0, 1)
+            idx[target] = ends[0]
+            first = tuple(idx)
+            idx[target] = ends[1]
+            out.append((action, first, tuple(idx)))
+        return out
 
     @cached_property
     def _lane_ops(self) -> list[tuple[int, int, int]]:
@@ -527,6 +555,22 @@ def _label(i: int, width: int) -> str:
     return format(i | (1 << width), "b")[1:]
 
 
+def _labels(indices: np.ndarray, width: int) -> list[str]:
+    """``_label`` of each index.  From ``_BULK_LABELS`` indices up they are
+    read off one grid of ``0``/``1`` bytes, one row of ``width`` bytes per
+    index; fewer are printed one at a time, which costs less than the
+    NumPy passes."""
+    if len(indices) < _BULK_LABELS or not width:
+        return [_label(i, width) for i in indices.tolist()]
+    bits = (indices[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8) + ord("0")
+    return bits.view(f"S{width}").ravel().astype(str).tolist()
+
+
+# Measured in-process: 32 labels cost 4.0 us one at a time and 4.7 us in
+# bulk, 64 cost 7.7 and 6.5 us.
+_BULK_LABELS = 64
+
+
 def simulate(c: Circuit, input_bits: str) -> str:
     """Run a circuit on one computational-basis input.
 
@@ -555,21 +599,6 @@ def simulate(c: Circuit, input_bits: str) -> str:
     return _label(s >> anc, c.data_qubits)
 
 
-def _view_index(op: Op, n: int) -> tuple[tuple[int | slice, ...], tuple[int | slice, ...]]:
-    """Two index tuples into the (2,)*n view of a state, selecting the
-    amplitudes whose controls are all 1.  For action x they take the
-    target axis forwards and reversed; for any other action they fix it at
-    0 and 1."""
-    action, cmask, tmask = op
-    idx: list[int | slice] = [1 if cmask >> (n - 1 - q) & 1 else slice(None) for q in range(n)]
-    t = n - tmask.bit_length()
-    out = []
-    for end in (slice(None), slice(None, None, -1)) if action == "x" else (0, 1):
-        idx[t] = end
-        out.append(tuple(idx))
-    return out[0], out[1]
-
-
 def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     """Statevector action on a ket over data-qubit bit-strings.
 
@@ -578,12 +607,16 @@ def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     Any other circuit is capped at ``MAX_STATE_QUBITS`` data and ancilla
     qubits, and acts on a dense complex128 vector over all 2^n basis
     indices (qubit q at bit n-1-q): controlled X gates swap the amplitudes their
-    masks select, and H and T/Tdg act on one axis of a (2,)*n view.  Both
-    give the same ket: amplitudes at or below ``DEFAULT_TOL`` are dropped,
-    the rest listed in basis index order, and any other amplitude on a set
-    ancilla raises ``AncillaError``, which names the first such basis state
-    in that order.  ``simulate`` keeps its fold of bitmasks over one index:
-    a one-state lane costs the label round trip and saves nothing.
+    controls select, and H and T/Tdg act on one axis of a (2,)*n view,
+    through the index tuples of ``Circuit._view_ops``.  Both give the same
+    ket: amplitudes at or below ``DEFAULT_TOL`` are dropped, the rest
+    listed in basis index order, and any other amplitude on a set ancilla
+    raises ``AncillaError``, which names the first such basis state in that
+    order.  The dense path prints the labels of the kept indices through
+    ``_labels``, in one NumPy pass where there are many, and hands them,
+    with the kept amplitudes as one array, to ``AmpVec``'s array form.  ``simulate`` keeps its fold of bitmasks over
+    one index: a one-state lane costs the label round trip and saves
+    nothing.
     """
     n, anc = c.total_qubits, c.ancilla_qubits
     if n > MAX_STATE_QUBITS and not c.is_classical():
@@ -617,7 +650,7 @@ def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     if len(dirty):
         i = int(dirty[0])
         raise _dirty(_label(i >> anc, d), _label(i & mask, anc))
-    return AmpVec(zip((_label(i >> anc, d) for i in nonzero.tolist()), psi[nonzero].tolist()))
+    return AmpVec(_labels(nonzero >> anc, d), psi[nonzero])
 
 
 def _dirty(data: str, ancillas: str) -> AncillaError:
@@ -719,6 +752,11 @@ def export_qasm(c: Circuit) -> str:
 _QASM_QREG = re.compile(r"qreg\s+(q|anc)\[(\d+)\];")
 _QASM_GATE = re.compile(rf"^({'|'.join(GATES)})\s+(.+);$")
 _QASM_REF = re.compile(r"^(q|anc)\[(\d+)\]$")
+_QASM_PLAIN_REF = r"((?:q|anc)\[[0-9]+\])"
+_QASM_PLAIN = re.compile(rf"([a-z]+) {_QASM_PLAIN_REF}(?:,{_QASM_PLAIN_REF}(?:,{_QASM_PLAIN_REF})?)?;")
+"""A gate line in the form ``export_qasm`` writes: a lower-case name, one
+space, then one to three references with ASCII digits and no space
+between them."""
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -732,10 +770,15 @@ def parse_qasm(text: str) -> Circuit:
     its first occurrence only, to its table index, and every line goes
     through it in one ``map``.  A line without a gate maps to -1 and is not
     kept, so a repeated declaration is read again and fails; such lines
-    usually all lead the text, and are then cut in one slice.  Lines equal
-    once stripped share one table entry, whose (frozen) ``Gate`` is parsed
-    and checked against its register once, so the circuit is built
-    trusted.
+    usually all lead the text, and are then cut in one slice.  Only a line
+    that starts with ``qreg`` is tried as a declaration.  Lines equal once
+    stripped share one table entry, whose (frozen) ``Gate`` is parsed and
+    checked against its register once, so the circuit is built trusted.
+    A gate line in the form ``export_qasm`` writes is read by one match of
+    ``_QASM_PLAIN``, its references through a table of those already in
+    range, and built by ``Gate._trusted``; a line that is in another form,
+    or fails any check there, goes to ``_parse_gate_line``, which accepts
+    the same lines, builds the same gates and names each fault.
     """
     lines = _QasmLines()
     index = list(map(lines.__getitem__, text.splitlines()))
@@ -754,7 +797,7 @@ class _QasmLines(dict):
     without a gate maps to -1 and is not kept, so ``marks`` counts every
     such line; a declaration fills ``sizes``."""
 
-    __slots__ = ("marks", "sizes", "entry", "table")
+    __slots__ = ("marks", "sizes", "entry", "table", "qubit")
 
     def __init__(self) -> None:
         super().__init__()
@@ -762,6 +805,7 @@ class _QasmLines(dict):
         self.sizes: dict[str, int] = {}
         self.entry: dict[str, int] = {}  # stripped gate line -> table index
         self.table: list[Gate] = []
+        self.qubit = _QasmRefs(self.sizes)
 
     def __missing__(self, raw: str) -> int:
         line = raw.strip()
@@ -771,7 +815,7 @@ class _QasmLines(dict):
             if not line or line.startswith(("//", "OPENQASM", "include")):
                 self.marks += 1
                 return -1
-            m = _QASM_QREG.fullmatch(line)
+            m = _QASM_QREG.fullmatch(line) if line.startswith("qreg") else None
             if m is not None:
                 if m.group(1) in self.sizes:
                     raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
@@ -779,10 +823,45 @@ class _QasmLines(dict):
                 self.marks += 1
                 return -1
             table = self.table
-            table.append(_parse_gate_line(line, raw, self.sizes))
+            table.append(self._gate(line, raw))
             i = entry[line] = len(table) - 1
         self[raw] = i
         return i
+
+    def _gate(self, line: str, raw: str) -> Gate:
+        """The gate of a stripped line.  A line in the plain emitted form
+        whose name, arity, references and distinct qubits all pass is built
+        trusted in one pass; any other line goes to ``_parse_gate_line``,
+        which reads every form the subset allows and names the fault."""
+        m = _QASM_PLAIN.fullmatch(line)
+        if m is not None:
+            count = m.lastindex - 1
+            if GATES.get(m[1], ("", 0))[1] == count:
+                qubits = tuple(map(self.qubit.__getitem__, m.groups()[1 : count + 1]))
+                if -1 not in qubits and len(set(qubits)) == count:
+                    return Gate._trusted(m[1], qubits)
+        return _parse_gate_line(line, raw, self.sizes)
+
+
+class _QasmRefs(dict):
+    """Plain qubit reference -> its qubit, read on first lookup.  A
+    reference in range stays in range, since a register is declared once;
+    one outside the declared registers reads -1, and its line goes to
+    ``_parse_gate_line``, which names the fault."""
+
+    __slots__ = ("sizes",)
+
+    def __init__(self, sizes: dict[str, int]) -> None:
+        super().__init__()
+        self.sizes = sizes
+
+    def __missing__(self, ref: str) -> int:
+        reg, _, i = ref[:-1].partition("[")
+        i, sizes = int(i), self.sizes
+        if "q" not in sizes or i >= sizes.get(reg, 0):
+            return -1
+        q = self[ref] = i if reg == "q" else sizes["q"] + i
+        return q
 
 
 def _parse_gate_line(line: str, raw: str, sizes: dict[str, int]) -> Gate:

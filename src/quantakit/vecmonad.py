@@ -26,7 +26,7 @@ array form: NumPy checks the whole array at once for what the per-entry
 loop checks one amplitude at a time, and any doubt goes to that loop.
 ``format_state`` with no basis prints a ket in its own order, without
 looking up or re-testing each label, since its constructor guarantees
-both.
+both.  Both printers format each distinct amplitude once per call.
 """
 from __future__ import annotations
 
@@ -441,12 +441,30 @@ def _parse_amp(text: str) -> complex:
 
 def format_matrix(m: CMatrix) -> str:
     """Header of column labels, then one ``label: amps...`` line per row.
-    Each distinct amplitude is formatted once per call."""
-    amp = functools.cache(_fmt_amp)  # a fold matrix repeats few distinct cells
+
+    A fold matrix repeats few distinct cells, and each is formatted once.
+    From ``_UNIQUE_MIN`` cells up, ``np.unique`` finds them, and the rows
+    are joined from one take of their texts: cells that compare equal print
+    alike (``_fmt_amp`` prints both zeros as ``0``), and with
+    ``equal_nan=False`` no two NaN cells merge, so each keeps its own text.
+    A smaller matrix is formatted cell by cell through a cache."""
+    e = m.entries
     lines = [" ".join(m.src.labels)]
-    for label, row in zip(m.tgt.labels, m.entries.tolist()):
-        lines.append(f"{label}: {' '.join(map(amp, row))}")
+    if e.size >= _UNIQUE_MIN:
+        cells, at = np.unique(e, return_inverse=True, equal_nan=False)
+        text = np.array(list(map(_fmt_amp, cells.tolist())), dtype=object)
+        rows = text[at.reshape(e.shape)].tolist()
+    else:
+        amp = functools.cache(_fmt_amp)
+        rows = [map(amp, row) for row in e.tolist()]
+    lines += [f"{label}: {' '.join(row)}" for label, row in zip(m.tgt.labels, rows)]
     return "\n".join(lines) + "\n"
+
+
+# ``np.unique`` runs a dozen NumPy passes, which cost more than a cached
+# format per cell on a 14x14 fold when they run between other work, as in
+# a CLI call, and less from about 28x28 on.
+_UNIQUE_MIN = 512
 
 
 def parse_matrix(text: str) -> CMatrix:
@@ -504,13 +522,26 @@ def _01_rows(rests: list[str], n: int) -> tuple[list[bool], np.ndarray]:
     return fast.tolist(), bits
 
 
+class _LineEnds(dict):
+    """Amplitude -> the ``: amp`` end of its ``format_state`` line,
+    formatted on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, a: complex) -> str:
+        text = self[a] = f": {_fmt_amp(a)}\n"
+        return text
+
+
 def format_state(v: AmpVec, basis: Iterable[str] | None = None) -> str:
     """Nonzero amplitudes, one ``label: amp`` line, in basis order, or with
     no basis in the ket's own item order.  Each amplitude is read once, and
-    each distinct one formatted once per call.  In its own order a ket is
-    printed as it stands, with no lookup and no test per label: its
-    constructor left no label twice and no amplitude below ``PRUNE_EPS``."""
-    end = functools.cache(lambda a: f": {_fmt_amp(a)}\n")  # a fold's ket repeats few distinct amplitudes
+    each distinct one formatted once per call, on its first lookup in a
+    ``_LineEnds`` dict; a repeat is then one dict lookup, with no Python
+    frame.  In its own order a ket is printed as it stands, with no lookup
+    and no test per label: its constructor left no label twice and no
+    amplitude below ``PRUNE_EPS``."""
+    end = _LineEnds().__getitem__  # a fold's ket repeats few distinct amplitudes
     if basis is None:
         amps = v._amps
         return "".join(itertools.chain.from_iterable(zip(amps, map(end, amps.values()))))

@@ -1,0 +1,262 @@
+"""References for ``quantakit.circuitgen``: earlier implementations of
+what the module does now, each kept verbatim apart from its name, for
+tests to compare the current code with."""
+import re
+
+import numpy as np
+
+from quantakit import circuitgen
+from quantakit.circuitgen import (
+    _PHASE,
+    _SQRT2_INV,
+    MAX_STATE_QUBITS,
+    AncillaError,
+    Circuit,
+    Gate,
+    Op,
+    _decode,
+    _label,
+)
+from quantakit.relalg import SizeLimitError
+from quantakit.vecmonad import DEFAULT_TOL, PRUNE_EPS, AmpVec
+
+_T_PHASE = np.exp(1j * np.pi / 4)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the statevector views of ``Circuit._view_ops`` as they were
+# built before it read them from each gate's qubits: each table entry
+# decoded to its masks, and the masks read back axis by axis.  Kept
+# verbatim apart from the names.
+
+def ref_view_index(op: Op, n: int) -> tuple[tuple[int | slice, ...], tuple[int | slice, ...]]:
+    """Two index tuples into the (2,)*n view of a state, selecting the
+    amplitudes whose controls are all 1.  For action x they take the
+    target axis forwards and reversed; for any other action they fix it at
+    0 and 1."""
+    action, cmask, tmask = op
+    idx: list[int | slice] = [1 if cmask >> (n - 1 - q) & 1 else slice(None) for q in range(n)]
+    t = n - tmask.bit_length()
+    out = []
+    for end in (slice(None), slice(None, None, -1)) if action == "x" else (0, 1):
+        idx[t] = end
+        out.append(tuple(idx))
+    return out[0], out[1]
+
+
+def ref_view_ops(c: Circuit) -> list[tuple[str, tuple, tuple]]:
+    """Per table entry, (action, first, second): the index tuples of
+    ``ref_view_index`` into the (2,)*n view of a statevector."""
+    n = c.total_qubits
+    return [(op[0], *ref_view_index(op, n)) for op in (_decode(g, n) for g in c._table)]
+
+
+# ---------------------------------------------------------------------------
+# Reference: ``simulate_state`` as a dense statevector on every circuit,
+# before classical circuits took the bit-sliced path, kept verbatim apart
+# from its name and from reading per-entry views through the circuit's
+# index.  The views come from ``ref_view_ops``, the route through the
+# decoded masks that ``Circuit._view_ops`` took before it read each gate's
+# qubits, so that this reference does not follow the code it checks.
+
+
+def ref_dense_simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
+    """Statevector action on a ket over data-qubit bit-strings.
+
+    The state is a dense complex128 vector over all 2^n basis indices of
+    the n data and ancilla qubits (qubit q at bit n-1-q), so circuits are
+    capped at ``MAX_STATE_QUBITS`` qubits.  Controlled X gates swap the
+    amplitudes their masks select, and H and T/Tdg act on one axis of a
+    (2,)*n view.  Amplitudes at or below ``DEFAULT_TOL`` are dropped from
+    the result; any other amplitude on a set ancilla raises ``AncillaError``,
+    which names the first such basis state.
+    """
+    n, anc = c.total_qubits, c.ancilla_qubits
+    if n > MAX_STATE_QUBITS:
+        raise SizeLimitError(
+            f"circuit has {n} qubits; the statevector is capped at {MAX_STATE_QUBITS}"
+        )
+    for label, _ in v.items():
+        if len(label) != c.data_qubits or set(label) - {"0", "1"}:
+            raise ValueError(f"state label {label!r} must be {c.data_qubits} bits")
+    psi = np.zeros(1 << n, dtype=np.complex128)
+    for label, a in v.items():
+        psi[int(label or "0", 2) << anc] = a
+    view = psi.reshape((2,) * n)
+    for action, first, second in map(ref_view_ops(c).__getitem__, c._index):  # views per table entry
+        if action == "x":
+            view[first] = view[second]
+        elif action == "h":
+            zero, one = view[first], view[second]
+            view[first], view[second] = (zero + one) * _SQRT2_INV, (zero - one) * _SQRT2_INV
+        else:
+            view[second] *= _PHASE[action]
+
+    nonzero = np.flatnonzero(np.abs(psi) > DEFAULT_TOL)
+    d, mask = c.data_qubits, (1 << anc) - 1
+    dirty = nonzero[(nonzero & mask) != 0]
+    if len(dirty):
+        i = int(dirty[0])
+        data, ancillas = _label(i >> anc, d), _label(i & mask, anc)
+        raise AncillaError(f"ancillas left dirty: amplitude on data {data}, ancillas {ancillas}")
+    return AmpVec(zip((_label(i >> anc, d) for i in nonzero.tolist()), psi[nonzero].tolist()))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the label-dict simulator that circuitgen used before its
+# integer-index rewrite, kept verbatim apart from the function names.
+# ``ref_label_simulate_state`` walks a dict of bit-string labels, one gate
+# at a time.
+
+def _classical_step(bits: list[int], g: Gate) -> None:
+    if g.name == "x":
+        bits[g.qubits[0]] ^= 1
+    elif g.name == "cx":
+        if bits[g.qubits[0]]:
+            bits[g.qubits[1]] ^= 1
+    elif g.name == "ccx":
+        if bits[g.qubits[0]] and bits[g.qubits[1]]:
+            bits[g.qubits[2]] ^= 1
+    elif g.name == "mcx":
+        if all(bits[q] == pol for q, pol in zip(g.qubits[:-1], g.ctrl_state)):
+            bits[g.qubits[-1]] ^= 1
+    else:
+        raise ValueError(f"not a classical gate: {g.name}")
+
+
+def ref_simulate(c: Circuit, input_bits: str, tol: float = 1e-9) -> str:
+    """Run a circuit on one computational-basis input.
+
+    Classical circuits follow the permutation path; otherwise the
+    statevector is computed and must collapse to a single basis state.
+    Ancillas start at zero and must return to zero.
+    """
+    if len(input_bits) != c.data_qubits or set(input_bits) - {"0", "1"}:
+        raise ValueError(f"input must be {c.data_qubits} bits")
+    if c.is_classical():
+        bits = [int(b) for b in input_bits] + [0] * c.ancilla_qubits
+        for g in c.gates:
+            _classical_step(bits, g)
+        data = bits[: c.data_qubits]
+        if any(bits[c.data_qubits:]):
+            raise AncillaError(f"ancillas left dirty on input {input_bits}")
+        return "".join(str(b) for b in data)
+    out = ref_label_simulate_state(c, AmpVec({input_bits: 1.0}), tol=tol)
+    states = [(lbl, a) for lbl, a in out.items() if abs(a) > tol]
+    if len(states) != 1 or abs(abs(states[0][1]) - 1.0) > tol:
+        raise ValueError("output is not a computational basis state")
+    return states[0][0]
+
+
+def ref_label_simulate_state(c: Circuit, v: AmpVec, tol: float = 1e-9) -> AmpVec:
+    """Statevector action on a ket over data-qubit bit-strings."""
+    state: dict[str, complex] = {}
+    for label, a in v.items():
+        if len(label) != c.data_qubits or set(label) - {"0", "1"}:
+            raise ValueError(f"state label {label!r} must be {c.data_qubits} bits")
+        state[label + "0" * c.ancilla_qubits] = a
+
+    def flipped(bits: str, q: int) -> str:
+        return bits[:q] + ("1" if bits[q] == "0" else "0") + bits[q + 1 :]
+
+    for g in c.gates:
+        nxt: dict[str, complex] = {}
+        if g.name in ("x", "cx", "ccx", "mcx"):
+            for bits, a in state.items():
+                vals = [int(b) for b in bits]
+                fire = (
+                    g.name == "x"
+                    or (g.name == "cx" and vals[g.qubits[0]])
+                    or (g.name == "ccx" and vals[g.qubits[0]] and vals[g.qubits[1]])
+                    or (
+                        g.name == "mcx"
+                        and all(vals[q] == p for q, p in zip(g.qubits[:-1], g.ctrl_state))
+                    )
+                )
+                key = flipped(bits, g.qubits[-1]) if fire else bits
+                nxt[key] = nxt.get(key, 0j) + a
+        elif g.name == "h":
+            q = g.qubits[0]
+            for bits, a in state.items():
+                sign = -1.0 if bits[q] == "1" else 1.0
+                for key, w in ((bits[:q] + "0" + bits[q + 1 :], _SQRT2_INV),
+                               (bits[:q] + "1" + bits[q + 1 :], sign * _SQRT2_INV)):
+                    nxt[key] = nxt.get(key, 0j) + a * w
+        elif g.name in ("t", "tdg"):
+            q = g.qubits[0]
+            phase = _T_PHASE if g.name == "t" else np.conj(_T_PHASE)
+            for bits, a in state.items():
+                nxt[bits] = nxt.get(bits, 0j) + (a * phase if bits[q] == "1" else a)
+        else:
+            raise ValueError(f"unknown gate kind {g.name!r}")
+        state = {k: a for k, a in nxt.items() if abs(a) >= PRUNE_EPS}
+
+    out: dict[str, complex] = {}
+    for bits, a in state.items():
+        if abs(a) <= tol:
+            continue
+        if any(b == "1" for b in bits[c.data_qubits :]):
+            raise AncillaError("synthesis bug: amplitude on a dirty ancilla")
+        data = bits[: c.data_qubits]
+        out[data] = out.get(data, 0j) + a
+    return AmpVec(out)
+
+
+# ---------------------------------------------------------------------------
+# Reference: ``parse_qasm`` before it read each distinct line once through
+# a table, with the gate-line parser it used for every line.  Kept verbatim
+# apart from the names.
+
+_QASM_QREG = re.compile(r"qreg\s+(q|anc)\[(\d+)\];")
+_QASM_GATE = re.compile(rf"^({'|'.join(circuitgen.GATES)})\s+(.+);$")
+_QASM_REF = re.compile(r"^(q|anc)\[(\d+)\]$")
+
+
+def ref_parse_qasm(text: str) -> Circuit:
+    """Parse the emitted OpenQASM 2.0 subset back into a circuit.
+
+    Each register may be declared once, before any gate that uses it, and
+    every reference must lie inside its register.  So a gate line means
+    the same wherever it occurs: each distinct line is parsed and validated
+    once, and its repeats share the same (frozen) ``Gate``.
+    """
+    sizes: dict[str, int] = {}
+    seen: dict[str, Gate] = {}
+    gates: list[Gate] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        g = seen.get(line)
+        if g is None:
+            if not line or line.startswith(("//", "OPENQASM", "include")):
+                continue
+            m = _QASM_QREG.fullmatch(line)
+            if m:
+                if m.group(1) in sizes:
+                    raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
+                sizes[m.group(1)] = int(m.group(2))
+                continue
+            g = seen[line] = ref_parse_gate_line(line, raw, sizes)
+        gates.append(g)
+    if "q" not in sizes:
+        raise ValueError("missing qreg declaration")
+    return Circuit(sizes["q"], sizes.get("anc", 0), tuple(gates))
+
+
+def ref_parse_gate_line(line: str, raw: str, sizes: dict[str, int]) -> Gate:
+    gm = _QASM_GATE.fullmatch(line)
+    if gm is None:
+        raise ValueError(f"unsupported QASM line: {raw!r}")
+    if "q" not in sizes:
+        raise ValueError("gate before qreg declaration")
+    qubits = []
+    for ref in gm.group(2).split(","):
+        rm = _QASM_REF.fullmatch(ref.strip())
+        if rm is None:
+            raise ValueError(f"bad qubit reference {ref!r}")
+        reg, i = rm.group(1), int(rm.group(2))
+        if reg not in sizes:
+            raise ValueError(f"qubit reference {reg}[{i}] to an undeclared register")
+        if i >= sizes[reg]:
+            raise ValueError(f"qubit reference {reg}[{i}] outside qreg {reg}[{sizes[reg]}]")
+        qubits.append(i if reg == "q" else sizes["q"] + i)
+    return Gate(gm.group(1), tuple(qubits))

@@ -1,7 +1,6 @@
 import copy
 import hashlib
 import pickle
-import re
 from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
@@ -33,13 +32,16 @@ from quantakit.circuitgen import (
 )
 from quantakit.cli import main
 from quantakit.relalg import FinBasis, SizeLimitError
-from quantakit.vecmonad import PRUNE_EPS, AmpVec, CMatrix, parse_matrix, vec_equal
+from quantakit.vecmonad import AmpVec, CMatrix, parse_matrix, vec_equal
+from reference.circuitgen import (
+    ref_label_simulate_state,
+    ref_parse_qasm,
+    ref_simulate,
+    ref_view_ops,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parent / "goldens"
-
-_SQRT2_INV = 1.0 / np.sqrt(2.0)
-_T_PHASE = np.exp(1j * np.pi / 4)
 
 
 def assert_cost_model(c: Circuit) -> None:
@@ -71,104 +73,6 @@ def every_circuit_has_its_cost_model(monkeypatch):
     yield
     for c in built:
         assert_cost_model(c)
-
-
-# ---------------------------------------------------------------------------
-# Reference: the label-dict simulator that circuitgen used before its
-# integer-index rewrite, kept verbatim apart from the function names.
-
-def _classical_step(bits: list[int], g: Gate) -> None:
-    if g.name == "x":
-        bits[g.qubits[0]] ^= 1
-    elif g.name == "cx":
-        if bits[g.qubits[0]]:
-            bits[g.qubits[1]] ^= 1
-    elif g.name == "ccx":
-        if bits[g.qubits[0]] and bits[g.qubits[1]]:
-            bits[g.qubits[2]] ^= 1
-    elif g.name == "mcx":
-        if all(bits[q] == pol for q, pol in zip(g.qubits[:-1], g.ctrl_state)):
-            bits[g.qubits[-1]] ^= 1
-    else:
-        raise ValueError(f"not a classical gate: {g.name}")
-
-
-def ref_simulate(c: Circuit, input_bits: str, tol: float = 1e-9) -> str:
-    """Run a circuit on one computational-basis input.
-
-    Classical circuits follow the permutation path; otherwise the
-    statevector is computed and must collapse to a single basis state.
-    Ancillas start at zero and must return to zero.
-    """
-    if len(input_bits) != c.data_qubits or set(input_bits) - {"0", "1"}:
-        raise ValueError(f"input must be {c.data_qubits} bits")
-    if c.is_classical():
-        bits = [int(b) for b in input_bits] + [0] * c.ancilla_qubits
-        for g in c.gates:
-            _classical_step(bits, g)
-        data = bits[: c.data_qubits]
-        if any(bits[c.data_qubits:]):
-            raise AncillaError(f"ancillas left dirty on input {input_bits}")
-        return "".join(str(b) for b in data)
-    out = ref_simulate_state(c, AmpVec({input_bits: 1.0}), tol=tol)
-    states = [(lbl, a) for lbl, a in out.items() if abs(a) > tol]
-    if len(states) != 1 or abs(abs(states[0][1]) - 1.0) > tol:
-        raise ValueError("output is not a computational basis state")
-    return states[0][0]
-
-
-def ref_simulate_state(c: Circuit, v: AmpVec, tol: float = 1e-9) -> AmpVec:
-    """Statevector action on a ket over data-qubit bit-strings."""
-    state: dict[str, complex] = {}
-    for label, a in v.items():
-        if len(label) != c.data_qubits or set(label) - {"0", "1"}:
-            raise ValueError(f"state label {label!r} must be {c.data_qubits} bits")
-        state[label + "0" * c.ancilla_qubits] = a
-
-    def flipped(bits: str, q: int) -> str:
-        return bits[:q] + ("1" if bits[q] == "0" else "0") + bits[q + 1 :]
-
-    for g in c.gates:
-        nxt: dict[str, complex] = {}
-        if g.name in ("x", "cx", "ccx", "mcx"):
-            for bits, a in state.items():
-                vals = [int(b) for b in bits]
-                fire = (
-                    g.name == "x"
-                    or (g.name == "cx" and vals[g.qubits[0]])
-                    or (g.name == "ccx" and vals[g.qubits[0]] and vals[g.qubits[1]])
-                    or (
-                        g.name == "mcx"
-                        and all(vals[q] == p for q, p in zip(g.qubits[:-1], g.ctrl_state))
-                    )
-                )
-                key = flipped(bits, g.qubits[-1]) if fire else bits
-                nxt[key] = nxt.get(key, 0j) + a
-        elif g.name == "h":
-            q = g.qubits[0]
-            for bits, a in state.items():
-                sign = -1.0 if bits[q] == "1" else 1.0
-                for key, w in ((bits[:q] + "0" + bits[q + 1 :], _SQRT2_INV),
-                               (bits[:q] + "1" + bits[q + 1 :], sign * _SQRT2_INV)):
-                    nxt[key] = nxt.get(key, 0j) + a * w
-        elif g.name in ("t", "tdg"):
-            q = g.qubits[0]
-            phase = _T_PHASE if g.name == "t" else np.conj(_T_PHASE)
-            for bits, a in state.items():
-                nxt[bits] = nxt.get(bits, 0j) + (a * phase if bits[q] == "1" else a)
-        else:
-            raise ValueError(f"unknown gate kind {g.name!r}")
-        state = {k: a for k, a in nxt.items() if abs(a) >= PRUNE_EPS}
-
-    out: dict[str, complex] = {}
-    for bits, a in state.items():
-        if abs(a) <= tol:
-            continue
-        if any(b == "1" for b in bits[c.data_qubits :]):
-            raise AncillaError("synthesis bug: amplitude on a dirty ancilla")
-        data = bits[: c.data_qubits]
-        out[data] = out.get(data, 0j) + a
-    return AmpVec(out)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +139,7 @@ class TestAgainstReference:
     def test_simulate_state_matches_reference(self, data):
         c = data.draw(circuits())
         v = data.draw(kets(c.data_qubits))
-        want = outcome(ref_simulate_state, c, v)
+        want = outcome(ref_label_simulate_state, c, v)
         got = outcome(simulate_state, c, v)
         if isinstance(want, AmpVec):
             assert isinstance(got, AmpVec)
@@ -769,6 +673,14 @@ class TestSynthesisAgainstReference:
         with pytest.raises(NonPermutationError, match="not square"):
             _permutation_of(m)
 
+    @pytest.mark.parametrize("size", [0, 3, 6])
+    def test_a_basis_size_that_is_no_power_of_two_is_named(self, size):
+        basis = FinBasis(tuple(f"s{i}" for i in range(size)))
+        with pytest.raises(ValueError, match=f"^basis size {size} is not a power of two$"):
+            Encoding(basis)
+        with pytest.raises(ValueError, match=f"^basis size {size} is not a power of two$"):
+            synth_permutation(CMatrix(basis, basis, np.eye(size, dtype=np.complex128)))
+
 
 def test_metrics_of_a_small_circuit():
     c = Circuit(3, 0, (
@@ -881,64 +793,9 @@ def test_ops_are_bitmasks_with_qubit_zero_leftmost():
 
 
 # ---------------------------------------------------------------------------
-# Passes once per distinct gate.  References: ``parse_qasm`` and
-# ``Circuit.ops``/``is_classical`` before they read each distinct line and
-# gate once through a table, kept verbatim apart from the names.
-
-_REF_QASM_QREG = re.compile(r"qreg\s+(q|anc)\[(\d+)\];")
-_REF_QASM_GATE = re.compile(rf"^({'|'.join(circuitgen.GATES)})\s+(.+);$")
-_REF_QASM_REF = re.compile(r"^(q|anc)\[(\d+)\]$")
-
-
-def ref_parse_qasm(text: str) -> Circuit:
-    """Parse the emitted OpenQASM 2.0 subset back into a circuit.
-
-    Each register may be declared once, before any gate that uses it, and
-    every reference must lie inside its register.  So a gate line means
-    the same wherever it occurs: each distinct line is parsed and validated
-    once, and its repeats share the same (frozen) ``Gate``.
-    """
-    sizes: dict[str, int] = {}
-    seen: dict[str, Gate] = {}
-    gates: list[Gate] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        g = seen.get(line)
-        if g is None:
-            if not line or line.startswith(("//", "OPENQASM", "include")):
-                continue
-            m = _REF_QASM_QREG.fullmatch(line)
-            if m:
-                if m.group(1) in sizes:
-                    raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
-                sizes[m.group(1)] = int(m.group(2))
-                continue
-            g = seen[line] = ref_parse_gate_line(line, raw, sizes)
-        gates.append(g)
-    if "q" not in sizes:
-        raise ValueError("missing qreg declaration")
-    return Circuit(sizes["q"], sizes.get("anc", 0), tuple(gates))
-
-
-def ref_parse_gate_line(line: str, raw: str, sizes: dict[str, int]) -> Gate:
-    gm = _REF_QASM_GATE.fullmatch(line)
-    if gm is None:
-        raise ValueError(f"unsupported QASM line: {raw!r}")
-    if "q" not in sizes:
-        raise ValueError("gate before qreg declaration")
-    qubits = []
-    for ref in gm.group(2).split(","):
-        rm = _REF_QASM_REF.fullmatch(ref.strip())
-        if rm is None:
-            raise ValueError(f"bad qubit reference {ref!r}")
-        reg, i = rm.group(1), int(rm.group(2))
-        if reg not in sizes:
-            raise ValueError(f"qubit reference {reg}[{i}] to an undeclared register")
-        if i >= sizes[reg]:
-            raise ValueError(f"qubit reference {reg}[{i}] outside qreg {reg}[{sizes[reg]}]")
-        qubits.append(i if reg == "q" else sizes["q"] + i)
-    return Gate(gm.group(1), tuple(qubits))
-
+# Passes once per distinct gate.  References: ``Circuit.ops``/``is_classical``
+# before they read each distinct gate once through a table, kept verbatim
+# apart from the names; ``parse_qasm``'s is in ``reference.circuitgen``.
 
 def ref_ops(c: Circuit) -> tuple:
     """The gates as bitmasks over basis indices, qubit q at bit n-1-q;
@@ -962,11 +819,22 @@ _QASM_OK = (
     "OPENQASM 2.0;", 'include "qelib1.inc";', "// note", "", "   ",
     "x q[0];", "x q[1];", " x q[0]; ", "x q[0];  ", "h anc[0];", "t q[2];", "tdg q[1];",
     "cx q[0],q[1];", "cx q[1], q[0];", "ccx q[0],q[1],anc[0];", "ccx q[1],q[0],anc[1];",
+    # Near misses of the plain emitted form, which the reader of each line
+    # must hand to the full parser or read exactly as it does.
+    "x  q[0];", "h\tq[2];", "t q[0] ;", "cx q[0],  q[2];", "ccx q[2], q[0],anc[1];",
+    "x q[00];", "cx q[01],anc[001];", "x q[\u0661];", "cx anc[\u0661],q[2];",
 )
 _QASM_BAD = (
     "qreg q[2];", "qreg q[3];", "qreg anc[1];", "qreg anc[2];", "  qreg q[3];", "qreg  anc[2];",
     "x q[2];", "x anc[1];", "x q[9];", "cx q[0],q[0];", "y q[0];", "x q[a];", "mcx q[0],q[1];",
     "x q[0]", "qreg r[1];", "x r[0];",
+    # Near misses: past a register, repeated qubits, unknown or upper-case
+    # names, the wrong arity, non-ASCII digits out of range, stray text.
+    "x anc[7];", "cx q[0],anc[9];", "x q[99999999999999999999];", "x q[\u0669];",
+    "ccx q[0],q[1],q[0];", "cx anc[0],anc[0];", "cx anc[01],anc[1];",
+    "X q[0];", "CX q[0],q[1];", "cz q[0],q[1];", "swap q[0],q[1];",
+    "cx q[0];", "x q[0],q[1];", "ccx q[0],q[1];", "h q[0],q[1],q[2];",
+    "x q[0];;", "x q[0],;", "x q [0];", "x q[0]; // c", "x q[-1];", "x q[+1];",
 )
 _QASM_HEADS = (
     (), ("qreg q[3];",), ("qreg q[3];", "qreg anc[2];"), ("qreg anc[2];",),
@@ -1012,6 +880,18 @@ def assert_as_public(c: Circuit) -> None:
 
 
 class TestParseQasmAgainstReference:
+    def test_each_pool_line_reads_as_the_reference_reads_it(self):
+        lines = [ln for ln in _QASM_OK + _QASM_BAD if ln.strip() and "qreg" not in ln]
+        for head in ("qreg q[3];\nqreg anc[2];", "qreg q[2];\nqreg anc[1];", "qreg q[3];", ""):
+            for line in lines:
+                late = "" if "anc" in head else f"\nqreg anc[2];\n{line}"  # a register declared after gates
+                text = f"{head}\n{line}\n{line}{late}"
+                got = outcome_of(parse_qasm, text)
+                assert got == outcome_of(ref_parse_qasm, text), text
+                if isinstance(got, Circuit):
+                    assert sharing(got) == sharing(ref_parse_qasm(text))
+                    assert_as_public(got)
+
     @settings(max_examples=500, deadline=None)
     @given(qasm_texts())
     def test_same_circuit_or_same_error(self, text):
@@ -1047,6 +927,21 @@ class TestParseQasmAgainstReference:
         assert got == outcome_of(ref_parse_qasm, text)
         if isinstance(got, Circuit):
             assert sharing(got) == sharing(ref_parse_qasm(text))
+
+
+def test_labels_in_bulk_and_one_at_a_time_print_as_label_does():
+    for width in range(13):
+        for count in (0, 1, circuitgen._BULK_LABELS - 1, circuitgen._BULK_LABELS, 300):
+            indices = np.random.default_rng([width, count]).integers(0, 1 << width, count)
+            assert circuitgen._labels(indices, width) == [circuitgen._label(i, width) for i in indices.tolist()]
+
+
+class TestViewsFromQubits:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(circuits(), exportable_circuits(), qasm_texts().map(lambda text: outcome_of(parse_qasm, text))))
+    def test_views_equal_the_route_through_the_decoded_masks(self, c):
+        if isinstance(c, Circuit):
+            assert c._view_ops == ref_view_ops(c)
 
 
 class TestPassesPerDistinctGate:

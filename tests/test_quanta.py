@@ -103,7 +103,7 @@ class TestPinnedReferences:
         y = bind(x, quantamorphism(bell(), 3))
         assert vec_equal(y, AmpVec(rt.Y_STATE), tol=1e-12) and len(y) == len(rt.Y_STATE)
 
-    @pytest.mark.parametrize("step", ["bell", "cnot"])
+    @pytest.mark.parametrize("step", ["bell", "cnot", "alice"])
     def test_matrix_golden(self, capsys, step):
         assert main(["matrix", "--step", step, "--maxlen", "2"]) == 0
         golden = (GOLDENS / f"fold_{step}_maxlen2.txt").read_text()

@@ -7,67 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantakit import checks
-from quantakit.circuitgen import (
-    _PHASE,
-    _SQRT2_INV,
-    MAX_STATE_QUBITS,
-    AncillaError,
-    Circuit,
-    Gate,
-    _label,
-    decompose_mcx,
-    simulate_state,
-)
-from quantakit.relalg import SizeLimitError
+from quantakit.circuitgen import AncillaError, Circuit, Gate, _label, decompose_mcx, simulate_state
 from quantakit.vecmonad import DEFAULT_TOL, PRUNE_EPS, AmpVec
-
-# ---------------------------------------------------------------------------
-# Reference: ``simulate_state`` as a dense statevector on every circuit,
-# before classical circuits took the bit-sliced path, kept verbatim apart
-# from reading its per-entry views through the circuit's index.
-
-
-def ref_simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
-    """Statevector action on a ket over data-qubit bit-strings.
-
-    The state is a dense complex128 vector over all 2^n basis indices of
-    the n data and ancilla qubits (qubit q at bit n-1-q), so circuits are
-    capped at ``MAX_STATE_QUBITS`` qubits.  Controlled X gates swap the
-    amplitudes their masks select, and H and T/Tdg act on one axis of a
-    (2,)*n view.  Amplitudes at or below ``DEFAULT_TOL`` are dropped from
-    the result; any other amplitude on a set ancilla raises ``AncillaError``,
-    which names the first such basis state.
-    """
-    n, anc = c.total_qubits, c.ancilla_qubits
-    if n > MAX_STATE_QUBITS:
-        raise SizeLimitError(
-            f"circuit has {n} qubits; the statevector is capped at {MAX_STATE_QUBITS}"
-        )
-    for label, _ in v.items():
-        if len(label) != c.data_qubits or set(label) - {"0", "1"}:
-            raise ValueError(f"state label {label!r} must be {c.data_qubits} bits")
-    psi = np.zeros(1 << n, dtype=np.complex128)
-    for label, a in v.items():
-        psi[int(label or "0", 2) << anc] = a
-    view = psi.reshape((2,) * n)
-    for action, first, second in map(c._view_ops.__getitem__, c._index):  # views per table entry
-        if action == "x":
-            view[first] = view[second]
-        elif action == "h":
-            zero, one = view[first], view[second]
-            view[first], view[second] = (zero + one) * _SQRT2_INV, (zero - one) * _SQRT2_INV
-        else:
-            view[second] *= _PHASE[action]
-
-    nonzero = np.flatnonzero(np.abs(psi) > DEFAULT_TOL)
-    d, mask = c.data_qubits, (1 << anc) - 1
-    dirty = nonzero[(nonzero & mask) != 0]
-    if len(dirty):
-        i = int(dirty[0])
-        data, ancillas = _label(i >> anc, d), _label(i & mask, anc)
-        raise AncillaError(f"ancillas left dirty: amplitude on data {data}, ancillas {ancillas}")
-    return AmpVec(zip((_label(i >> anc, d) for i in nonzero.tolist()), psi[nonzero].tolist()))
-
+from reference.circuitgen import ref_dense_simulate_state
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -138,23 +80,23 @@ class TestLanesAgainstTheDensePath:
         c = data.draw(classical_circuits())
         v = data.draw(kets(c.data_qubits))
         assert c.is_classical()
-        assert outcome(simulate_state, c, v) == outcome(ref_simulate_state, c, v)
+        assert outcome(simulate_state, c, v) == outcome(ref_dense_simulate_state, c, v)
 
     def test_the_empty_ket(self):
         c = Circuit(2, 1, (Gate("x", (2,)),))
-        assert outcome(simulate_state, c, AmpVec()) == outcome(ref_simulate_state, c, AmpVec()) == []
+        assert outcome(simulate_state, c, AmpVec()) == outcome(ref_dense_simulate_state, c, AmpVec()) == []
 
     def test_a_dirty_ancilla_names_the_first_state_in_index_order(self):
         c = Circuit(2, 2, (Gate("cx", (0, 3)), Gate("cx", (1, 2))))
         v = AmpVec([("11", 0.5), ("01", 0.5), ("10", 0.5), ("00", 0.5)])
         got = outcome(simulate_state, c, v)
-        assert got == outcome(ref_simulate_state, c, v)
+        assert got == outcome(ref_dense_simulate_state, c, v)
         assert got == "AncillaError: ancillas left dirty: amplitude on data 01, ancillas 10"
 
     def test_a_dirty_state_at_the_tolerance_is_dropped(self):
         c = Circuit(1, 1, (Gate("cx", (0, 1)),))
         v = AmpVec([("1", DEFAULT_TOL), ("0", 1.0)])
-        assert outcome(simulate_state, c, v) == outcome(ref_simulate_state, c, v) == [
+        assert outcome(simulate_state, c, v) == outcome(ref_dense_simulate_state, c, v) == [
             ("0", (1.0).hex(), (0.0).hex())]
 
     def test_a_magnitude_at_the_tolerance_is_cut_as_the_dense_path_cuts_it(self):
@@ -167,10 +109,10 @@ class TestLanesAgainstTheDensePath:
             ("0x1.fa378777a033ep-31", "0x1.acd6fd5038a0ep-32"),
         )]
         v = AmpVec(zip(["00", "01", "10"], at_tol))
-        assert outcome(simulate_state, c, v) == outcome(ref_simulate_state, c, v)
+        assert outcome(simulate_state, c, v) == outcome(ref_dense_simulate_state, c, v)
         dirty = Circuit(2, 1, (Gate("cx", (0, 2)),))
         v = AmpVec(zip(["00", "10", "11"], [1.0, *at_tol[1:]]))
-        assert outcome(simulate_state, dirty, v) == outcome(ref_simulate_state, dirty, v)
+        assert outcome(simulate_state, dirty, v) == outcome(ref_dense_simulate_state, dirty, v)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

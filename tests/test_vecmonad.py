@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 from collections.abc import Iterable, Mapping
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 import reference_tables as rt
 from label_strategies import bases
-from quantakit import gates, vecmonad
+from quantakit import gates, quanta, vecmonad
 from quantakit.gates import NOT_TABLE, cnot_table, had, lift, tgate
-from quantakit.relalg import BIT, FinBasis, check_label, pair_label, product_basis, split_pair
+from quantakit.relalg import BIT, FinBasis, check_label, list_label, pair_label, product_basis, split_pair
 from quantakit.vecmonad import (
     PRUNE_EPS,
     AmpVec,
@@ -43,6 +44,7 @@ from quantakit.vecmonad import (
     vec_equal,
     xl_op,
 )
+from reference.vecmonad import ref_format_matrix, ref_format_state
 
 BB = product_basis(BIT, BIT)
 
@@ -286,6 +288,75 @@ class TestFormats:
         tgt = FinBasis(tuple(f"r{i}" for i in range(len(rows))))
         m = CMatrix(src, tgt, np.array(rows, dtype=np.complex128))
         assert parse_matrix(format_matrix(m)) == m
+
+
+# Parts that print alike but differ in bits (the signed zeros), parts that
+# are not finite, and a few ordinary ones, so that cells repeat.
+_PRINT_PARTS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, -0.5, 1 / 3, 1e-300, 2.5e17]
+print_cells = st.builds(complex, st.sampled_from(_PRINT_PARTS), st.sampled_from(_PRINT_PARTS)) | st.complex_numbers(
+    allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def printed_matrices(draw) -> CMatrix:
+    """Matrices of 0-6 rows and 0-6 columns, their cells drawn from a small
+    pool of each draw so that they repeat; 0x0, 0xn and nx0 among them."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    pool = draw(st.lists(print_cells, min_size=1, max_size=6))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    entries = np.array(cells, dtype=np.complex128).reshape(rows, cols)
+    return CMatrix(FinBasis(tuple(f"c{j}" for j in range(cols))), FinBasis(tuple(f"r{i}" for i in range(rows))), entries)
+
+
+class TestPrintersAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(printed_matrices())
+    def test_format_matrix_prints_what_the_reference_prints(self, m):
+        for unique_min in (0, vecmonad._UNIQUE_MIN):  # np.unique on every size, then as shipped
+            with mock.patch.object(vecmonad, "_UNIQUE_MIN", unique_min):
+                assert format_matrix(m) == ref_format_matrix(m)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3), (1, 1), (0, 600), (600, 0)])
+    @pytest.mark.parametrize("unique_min", [0, 10**9])
+    def test_format_matrix_on_empty_and_one_cell_shapes(self, shape, unique_min):
+        m = CMatrix(FinBasis(tuple(f"c{j}" for j in range(shape[1]))), FinBasis(tuple(f"r{i}" for i in range(shape[0]))),
+                    np.zeros(shape, dtype=np.complex128))
+        with mock.patch.object(vecmonad, "_UNIQUE_MIN", unique_min):
+            assert format_matrix(m) == ref_format_matrix(m)
+
+    def test_each_nan_cell_keeps_its_own_text(self):
+        cells = [complex(math.nan, 1), complex(math.nan, -1), complex(1, math.nan), complex(-math.nan, math.inf),
+                 complex(math.nan, math.nan), complex(math.inf, -math.inf), complex(-0.0, math.nan), -0j, 0j]
+        rows = [cells, cells[::-1]] * 30  # 540 cells, above _UNIQUE_MIN
+        m = CMatrix(FinBasis(tuple(f"c{j}" for j in range(len(cells)))), FinBasis(tuple(f"r{i}" for i in range(len(rows)))),
+                    np.array(rows, dtype=np.complex128))
+        assert m.entries.size >= vecmonad._UNIQUE_MIN
+        assert format_matrix(m) == ref_format_matrix(m)
+
+    @pytest.mark.parametrize("step", ["bell", "unbell", "cond", "alice", "cnot", "ccnot"])
+    def test_folds_print_as_the_reference_prints(self, step):
+        for maxlen in range(3 if step in ("alice", "ccnot") else 5):
+            m = quanta.fold_matrix(gates.default_library().step(step), maxlen)
+            assert format_matrix(m) == ref_format_matrix(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["bell", "unbell", "cond", "alice", "cnot", "ccnot"]), st.data())
+    def test_kets_of_run_quanta_print_as_the_reference_prints(self, step, data):
+        s = gates.default_library().step(step)
+        items = data.draw(st.lists(st.sampled_from(s.item.labels), max_size=7))
+        label = pair_label(list_label(items), data.draw(st.sampled_from(s.payload.labels)))
+        v = quanta.run_quanta(s, label)
+        assert format_state(v) == ref_format_state(v)
+        basis = quanta.ListBasis(len(items), s.item, s.payload).basis
+        assert format_state(v, basis) == ref_format_state(v, basis)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "(0,1)", "[1]", "c"]), st.sampled_from(_CELL_POOL) | amplitudes)),
+           st.lists(st.sampled_from(["a", "b", "(0,1)", "[1]", "c", "d"]), unique=True))
+    def test_random_kets_print_as_the_reference_prints(self, pairs, basis):
+        v = AmpVec(pairs)
+        assert format_state(v) == ref_format_state(v)
+        assert format_state(v, basis) == ref_format_state(v, basis)
 
 
 class TestLift:
