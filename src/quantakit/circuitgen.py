@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .relalg import FinBasis, SizeLimitError
-from .vecmonad import DEFAULT_TOL, AmpVec, CMatrix
+from .vecmonad import _BULK_MIN, DEFAULT_TOL, AmpVec, CMatrix
 
 __all__ = [
     "GATES",
@@ -556,19 +556,21 @@ def _label(i: int, width: int) -> str:
 
 
 def _labels(indices: np.ndarray, width: int) -> list[str]:
-    """``_label`` of each index.  From ``_BULK_LABELS`` indices up they are
-    read off one grid of ``0``/``1`` bytes, one row of ``width`` bytes per
-    index; fewer are printed one at a time, which costs less than the
-    NumPy passes."""
-    if len(indices) < _BULK_LABELS or not width:
+    """``_label`` of each index.  From ``vecmonad._BULK_MIN`` indices up,
+    where ``AmpVec``'s array form takes its NumPy path too, they are read
+    off one grid of ``0``/``1`` bytes, one row of ``width`` bytes per
+    index; fewer are printed one at a time, as that array form then loops.
+    """
+    if len(indices) < _BULK_MIN or not width:
         return [_label(i, width) for i in indices.tolist()]
     bits = (indices[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8) + ord("0")
     return bits.view(f"S{width}").ravel().astype(str).tolist()
 
 
-# Measured in-process: 32 labels cost 4.0 us one at a time and 4.7 us in
-# bulk, 64 cost 7.7 and 6.5 us.
-_BULK_LABELS = 64
+# Measured in-process on a 2-vCPU AMD EPYC: one label costs 0.4 us one at a
+# time and 3.2 us on the grid, 1,024 cost 111 and 63 us.  ``check
+# circuitgen`` runs many small kets: with the grid on every ket it took
+# 9.9 ms, and 9.25 ms with this threshold.
 
 
 def simulate(c: Circuit, input_bits: str) -> str:
@@ -614,9 +616,9 @@ def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     raises ``AncillaError``, which names the first such basis state in that
     order.  The dense path prints the labels of the kept indices through
     ``_labels``, in one NumPy pass where there are many, and hands them,
-    with the kept amplitudes as one array, to ``AmpVec``'s array form.  ``simulate`` keeps its fold of bitmasks over
-    one index: a one-state lane costs the label round trip and saves
-    nothing.
+    with the kept amplitudes as one array, to ``AmpVec``'s array form.
+    ``simulate`` keeps its fold of bitmasks over one index: a one-state
+    lane costs the label round trip and saves nothing.
     """
     n, anc = c.total_qubits, c.ancilla_qubits
     if n > MAX_STATE_QUBITS and not c.is_classical():
@@ -846,8 +848,10 @@ class _QasmLines(dict):
 class _QasmRefs(dict):
     """Plain qubit reference -> its qubit, read on first lookup.  A
     reference in range stays in range, since a register is declared once;
-    one outside the declared registers reads -1, and its line goes to
-    ``_parse_gate_line``, which names the fault."""
+    one outside the declared registers, or any before ``q`` is declared,
+    reads -1, and its line goes to ``_parse_gate_line``, which names the
+    fault.  An index with more digits than its register's size is out of
+    range unread, so no digit string is too long for ``int`` here."""
 
     __slots__ = ("sizes",)
 
@@ -856,9 +860,13 @@ class _QasmRefs(dict):
         self.sizes = sizes
 
     def __missing__(self, ref: str) -> int:
-        reg, _, i = ref[:-1].partition("[")
-        i, sizes = int(i), self.sizes
-        if "q" not in sizes or i >= sizes.get(reg, 0):
+        reg, _, digits = ref[:-1].partition("[")
+        sizes = self.sizes
+        size = sizes.get(reg, 0)
+        if "q" not in sizes or len(digits) > len(str(size)):
+            return -1
+        i = int(digits)
+        if i >= size:
             return -1
         q = self[ref] = i if reg == "q" else sizes["q"] + i
         return q

@@ -442,29 +442,18 @@ def _parse_amp(text: str) -> complex:
 def format_matrix(m: CMatrix) -> str:
     """Header of column labels, then one ``label: amps...`` line per row.
 
-    A fold matrix repeats few distinct cells, and each is formatted once.
-    From ``_UNIQUE_MIN`` cells up, ``np.unique`` finds them, and the rows
-    are joined from one take of their texts: cells that compare equal print
-    alike (``_fmt_amp`` prints both zeros as ``0``), and with
-    ``equal_nan=False`` no two NaN cells merge, so each keeps its own text.
-    A smaller matrix is formatted cell by cell through a cache."""
+    A fold matrix repeats few distinct cells: ``np.unique`` finds them,
+    each is formatted once, and the rows are joined from one take of their
+    texts.  Cells that compare equal print alike (``_fmt_amp`` prints both
+    zeros as ``0``), and with ``equal_nan=False`` no two NaN cells merge,
+    so each keeps its own text."""
     e = m.entries
+    cells, at = np.unique(e, return_inverse=True, equal_nan=False)
+    text = np.array(list(map(_fmt_amp, cells.tolist())), dtype=object)
+    rows = text[at.reshape(e.shape)].tolist()
     lines = [" ".join(m.src.labels)]
-    if e.size >= _UNIQUE_MIN:
-        cells, at = np.unique(e, return_inverse=True, equal_nan=False)
-        text = np.array(list(map(_fmt_amp, cells.tolist())), dtype=object)
-        rows = text[at.reshape(e.shape)].tolist()
-    else:
-        amp = functools.cache(_fmt_amp)
-        rows = [map(amp, row) for row in e.tolist()]
     lines += [f"{label}: {' '.join(row)}" for label, row in zip(m.tgt.labels, rows)]
     return "\n".join(lines) + "\n"
-
-
-# ``np.unique`` runs a dozen NumPy passes, which cost more than a cached
-# format per cell on a 14x14 fold when they run between other work, as in
-# a CLI call, and less from about 28x28 on.
-_UNIQUE_MIN = 512
 
 
 def parse_matrix(text: str) -> CMatrix:

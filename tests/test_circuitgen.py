@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tables as rt
-from quantakit import circuitgen, gates
+from quantakit import circuitgen, gates, vecmonad
 from quantakit.circuitgen import (
     MAX_STATE_QUBITS,
     AncillaError,
@@ -835,6 +835,9 @@ _QASM_BAD = (
     "X q[0];", "CX q[0],q[1];", "cz q[0],q[1];", "swap q[0],q[1];",
     "cx q[0];", "x q[0],q[1];", "ccx q[0],q[1];", "h q[0],q[1],q[2];",
     "x q[0];;", "x q[0],;", "x q [0];", "x q[0]; // c", "x q[-1];", "x q[+1];",
+    # Indices too long for ``int``: the first fault of the line is named
+    # before any index is converted.
+    "x q[" + "9" * 5000 + "];", "cx q[9],q[" + "9" * 5000 + "];",
 )
 _QASM_HEADS = (
     (), ("qreg q[3];",), ("qreg q[3];", "qreg anc[2];"), ("qreg anc[2];",),
@@ -931,7 +934,7 @@ class TestParseQasmAgainstReference:
 
 def test_labels_in_bulk_and_one_at_a_time_print_as_label_does():
     for width in range(13):
-        for count in (0, 1, circuitgen._BULK_LABELS - 1, circuitgen._BULK_LABELS, 300):
+        for count in (0, 1, vecmonad._BULK_MIN - 1, vecmonad._BULK_MIN, 300):
             indices = np.random.default_rng([width, count]).integers(0, 1 << width, count)
             assert circuitgen._labels(indices, width) == [circuitgen._label(i, width) for i in indices.tolist()]
 

@@ -3,7 +3,6 @@ import itertools
 import math
 import re
 from collections.abc import Iterable, Mapping
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -312,25 +311,20 @@ class TestPrintersAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(printed_matrices())
     def test_format_matrix_prints_what_the_reference_prints(self, m):
-        for unique_min in (0, vecmonad._UNIQUE_MIN):  # np.unique on every size, then as shipped
-            with mock.patch.object(vecmonad, "_UNIQUE_MIN", unique_min):
-                assert format_matrix(m) == ref_format_matrix(m)
+        assert format_matrix(m) == ref_format_matrix(m)
 
     @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3), (1, 1), (0, 600), (600, 0)])
-    @pytest.mark.parametrize("unique_min", [0, 10**9])
-    def test_format_matrix_on_empty_and_one_cell_shapes(self, shape, unique_min):
+    def test_format_matrix_on_empty_and_one_cell_shapes(self, shape):
         m = CMatrix(FinBasis(tuple(f"c{j}" for j in range(shape[1]))), FinBasis(tuple(f"r{i}" for i in range(shape[0]))),
                     np.zeros(shape, dtype=np.complex128))
-        with mock.patch.object(vecmonad, "_UNIQUE_MIN", unique_min):
-            assert format_matrix(m) == ref_format_matrix(m)
+        assert format_matrix(m) == ref_format_matrix(m)
 
     def test_each_nan_cell_keeps_its_own_text(self):
         cells = [complex(math.nan, 1), complex(math.nan, -1), complex(1, math.nan), complex(-math.nan, math.inf),
                  complex(math.nan, math.nan), complex(math.inf, -math.inf), complex(-0.0, math.nan), -0j, 0j]
-        rows = [cells, cells[::-1]] * 30  # 540 cells, above _UNIQUE_MIN
+        rows = [cells, cells[::-1]] * 30
         m = CMatrix(FinBasis(tuple(f"c{j}" for j in range(len(cells)))), FinBasis(tuple(f"r{i}" for i in range(len(rows)))),
                     np.array(rows, dtype=np.complex128))
-        assert m.entries.size >= vecmonad._UNIQUE_MIN
         assert format_matrix(m) == ref_format_matrix(m)
 
     @pytest.mark.parametrize("step", ["bell", "unbell", "cond", "alice", "cnot", "ccnot"])
