@@ -626,13 +626,12 @@ def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
             f"circuit has {n} qubits; the statevector is capped at {MAX_STATE_QUBITS}"
         )
     d = c.data_qubits
-    for label, _ in v.items():
-        if len(label) != d or set(label) - {"0", "1"}:
-            raise ValueError(f"state label {label!r} must be {d} bits")
     if c.is_classical():
         return _lanes(c, v)
     psi = np.zeros(1 << n, dtype=np.complex128)
     for label, a in v.items():
+        if len(label) != d or label.strip("01"):
+            raise _label_error(label, d)
         psi[int(label or "0", 2) << anc] = a
     view = psi.reshape((2,) * n)
     views = c._view_ops
@@ -655,6 +654,10 @@ def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     return AmpVec(_labels(nonzero >> anc, d), psi[nonzero])
 
 
+def _label_error(label: str, d: int) -> ValueError:
+    return ValueError(f"state label {label!r} must be {d} bits")
+
+
 def _dirty(data: str, ancillas: str) -> AncillaError:
     return AncillaError(f"ancillas left dirty: amplitude on data {data}, ancillas {ancillas}")
 
@@ -668,15 +671,21 @@ _TOL_LO, _TOL_HI = DEFAULT_TOL * (1 - 2**-40), DEFAULT_TOL * (1 + 2**-40)
 def _lanes(c: Circuit, v: AmpVec) -> AmpVec:
     """A classical circuit on the k states of a ket at once, bit-sliced:
     qubit q is one k-bit int, whose bit k-1-j is that qubit of state j, and
-    each gate is one big-int xor over all k states.  The lanes are read from
-    the label strings and printed back with ``format``; the states stay
-    paired with their amplitudes, so each is carried over bit for bit."""
+    each gate is one big-int xor over all k states.  The labels are read
+    once, joined: each is d bits exactly when the join is k*d characters of
+    0 and 1 and none is longer than d, and qubit q's lane is then every d-th
+    character from q.  The lanes are printed back with ``format``; the
+    states stay paired with their amplitudes, so each is carried over bit
+    for bit."""
     if not len(v):
         return AmpVec()
     labels, amps = zip(*v.items())
     k, d, n = len(labels), c.data_qubits, c.total_qubits
+    bits = "".join(labels)
+    if len(bits) != k * d or bits.strip("01") or max(map(len, labels)) != d:
+        raise _label_error(next(x for x in labels if len(x) != d or x.strip("01")), d)
     full = (1 << k) - 1
-    lanes = [int("".join(col), 2) for col in zip(*labels)] + [0] * c.ancilla_qubits + [full]
+    lanes = [int(bits[q::d], 2) for q in range(d)] + [0] * c.ancilla_qubits + [full]
     lane_ops = c._lane_ops
     for i in c._index:
         a, b, t = lane_ops[i]

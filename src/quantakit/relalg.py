@@ -11,11 +11,14 @@ so ``gamma``, ``inj1``, ``inj2`` and ``bang`` are built from basis
 indices alone.  Labels read from files must be well formed
 (``check_label``).
 
-The public ``Rel(...)`` constructor copies its matrix and checks its shape.
-The operators (composition, converse, kernel, meet, pairing, junc) skip
-that: each builds a fresh bool matrix whose shape follows from operands
-that were checked when they were built, so ``Rel._trusted`` only marks it
-read-only.  ``converse`` shares its operand's transposed read-only view.
+``Rel`` and ``vecmonad.CMatrix`` are one typed matrix, ``_TypedMatrix``,
+with a bool or a complex128 ``dtype``.  Its public constructor coerces its
+matrix to that dtype, copies it and checks its shape; ``_trusted`` only
+marks an operator's fresh result read-only.  The operators (composition,
+converse, kernel, meet, pairing, junc) go through ``Rel._trusted``: each
+builds a fresh bool matrix whose shape follows from operands that were
+checked when they were built.  ``converse`` shares its operand's
+transposed read-only view.
 Composition and kernel are Boolean matrix products: a count of witnesses
 in a small integer type would wrap around on large bases.
 
@@ -39,7 +42,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -258,18 +261,24 @@ def coproduct_basis(a: FinBasis, b: FinBasis) -> FinBasis:
 
 
 # ---------------------------------------------------------------------------
-# Relations
+# Typed matrices and relations
 
 @dataclass(frozen=True, eq=False)
-class Rel:
-    """Boolean matrix relation typed src -> tgt (rows tgt, columns src)."""
+class _TypedMatrix:
+    """Matrix typed src -> tgt (rows tgt, columns src) with read-only
+    entries of the subclass's ``dtype``; equal only to a value of the same
+    class over equal bases with equal entries, and unhashable.  Each
+    subclass is a frozen dataclass too, so that its values refuse new
+    attributes as well as writes to the fields."""
+
+    dtype: ClassVar[type]
 
     src: FinBasis
     tgt: FinBasis
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=bool).copy()
+        m = np.asarray(self.entries, dtype=self.dtype).copy()
         if m.shape != (len(self.tgt), len(self.src)):
             raise ValueError(
                 f"matrix shape {m.shape} does not match bases "
@@ -279,8 +288,8 @@ class Rel:
         object.__setattr__(self, "entries", m)
 
     @classmethod
-    def _trusted(cls, src: FinBasis, tgt: FinBasis, m: np.ndarray) -> Rel:
-        """An operator's result: ``m`` is a bool matrix of shape
+    def _trusted(cls: type[_M], src: FinBasis, tgt: FinBasis, m: np.ndarray) -> _M:
+        """An operator's result: ``m`` is a ``cls.dtype`` matrix of shape
         (len(tgt), len(src)) that no one else writes to.  Marked read-only,
         neither copied nor checked.  The fields are set as the dataclass
         ``__init__`` sets them; filling ``__dict__`` would give each
@@ -293,7 +302,7 @@ class Rel:
         return r
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Rel):
+        if not isinstance(other, self.__class__):
             return NotImplemented
         return (
             self.src == other.src
@@ -302,6 +311,16 @@ class Rel:
         )
 
     __hash__ = None  # type: ignore[assignment]
+
+
+_M = TypeVar("_M", bound=_TypedMatrix)
+
+
+@dataclass(frozen=True, eq=False)
+class Rel(_TypedMatrix):
+    """Boolean matrix relation typed src -> tgt (rows tgt, columns src)."""
+
+    dtype = bool
 
     def holds(self, out_label: str, in_label: str) -> bool:
         return bool(self.entries[self.tgt.index(out_label), self.src.index(in_label)])
@@ -676,6 +695,8 @@ def parse_truth_table(text: str) -> Rel:
         if "->" not in line:
             raise ValueError(f"malformed truth-table line: {raw!r}")
         lhs, rhs = (check_label(part.strip()) for part in line.split("->", 1))
+        if not lhs or not rhs:
+            raise ValueError(f"empty label in truth-table line: {raw!r}")
         if lhs in table:
             raise ValueError(f"duplicate source label: {lhs!r}")
         table[lhs] = rhs

@@ -17,16 +17,18 @@ finite kets, which leaves no repeated label and no -0.0 part, so its
 result needs one pruning pass; one finiteness test on the total of the
 sums stands for all of them, because a NaN or infinite sum makes the
 total non-finite, and then the checked constructor raises its own
-error.  ``matmul``, ``kron`` and ``dagger`` build a fresh complex matrix
-whose shape follows from checked operands, so ``CMatrix._trusted`` only
-marks it read-only.  ``from_matrix`` builds each column's ket once, on
-first use, and returns that immutable ket on every later call.  A ket
-computed as an array, as the fold's is, enters through the constructor's
-array form: NumPy checks the whole array at once for what the per-entry
-loop checks one amplitude at a time, and any doubt goes to that loop.
-``format_state`` with no basis prints a ket in its own order, without
-looking up or re-testing each label, since its constructor guarantees
-both.  Both printers format each distinct amplitude once per call.
+error.  ``CMatrix`` is ``relalg._TypedMatrix`` with a complex128 dtype,
+so it shares ``Rel``'s checked constructor and ``_trusted``.  ``matmul``,
+``kron`` and ``dagger`` go through ``_trusted``: each builds a fresh
+complex matrix whose shape follows from checked operands.
+``from_matrix`` builds each column's ket once, on first use, and returns
+that immutable ket on every later call.  A ket computed as an array, as
+the fold's is, enters through the constructor's array form: NumPy checks
+the whole array at once for what the per-entry loop checks one amplitude
+at a time, and any doubt goes to that loop.  ``format_state`` with no
+basis prints a ket in its own order, without looking up or re-testing
+each label, since its constructor guarantees both.  Both printers format
+each distinct amplitude once per call.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relalg import FinBasis, check_label, coproduct_basis, pair_label, product_basis, split_pair, tag_left, tag_right, untag
+from .relalg import FinBasis, _TypedMatrix, check_label, coproduct_basis, pair_label, product_basis, split_pair, tag_left, tag_right, untag
 
 __all__ = [
     "DEFAULT_TOL",
@@ -310,47 +312,10 @@ def assoc_inv_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
 # Typed complex matrices
 
 @dataclass(frozen=True, eq=False)
-class CMatrix:
+class CMatrix(_TypedMatrix):
     """Complex matrix typed src -> tgt (rows tgt, columns src)."""
 
-    src: FinBasis
-    tgt: FinBasis
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=np.complex128).copy()
-        if m.shape != (len(self.tgt), len(self.src)):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match bases "
-                f"{len(self.tgt)}x{len(self.src)}"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @classmethod
-    def _trusted(cls, src: FinBasis, tgt: FinBasis, m: np.ndarray) -> CMatrix:
-        """An operator's result: ``m`` is a complex128 matrix of shape
-        (len(tgt), len(src)) that no one else writes to.  Marked read-only,
-        neither copied nor checked.  The fields are set as the dataclass
-        ``__init__`` sets them; filling ``__dict__`` would give each
-        instance a dict of its own."""
-        m.setflags(write=False)
-        c = object.__new__(cls)
-        object.__setattr__(c, "src", src)
-        object.__setattr__(c, "tgt", tgt)
-        object.__setattr__(c, "entries", m)
-        return c
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CMatrix):
-            return NotImplemented
-        return (
-            self.src == other.src
-            and self.tgt == other.tgt
-            and np.array_equal(self.entries, other.entries)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
+    dtype = np.complex128
 
     def close_to(self, other: "CMatrix", tol: float = DEFAULT_TOL) -> bool:
         return (

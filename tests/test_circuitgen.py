@@ -169,6 +169,26 @@ class TestAgainstReference:
         with pytest.raises(ValueError, match="must be 2 bits"):
             simulate_state(c, AmpVec({"102": 1.0}))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_simulate_state_names_the_first_bad_label_in_ket_order(self, data):
+        """On the lanes (classical) and the dense path alike, against the
+        check by length and character set that both paths once shared."""
+        d = data.draw(st.integers(0, 4))
+        label = (st.text("01", min_size=d, max_size=d) | st.text("01", max_size=d + 2)
+                 | st.text("01a_ +\x00é１", max_size=d + 1))
+        v = AmpVec({x: 1.0 for x in data.draw(st.lists(label, min_size=1, max_size=8, unique=True))})
+        bad = [x for x, _ in v.items() if len(x) != d or set(x) - {"0", "1"}]
+        classical = Circuit(d, 1, (Gate("x", (d,)), Gate("x", (d,))))
+        hadamards = Circuit(d, 1, (Gate("h", (d,)), Gate("h", (d,))))
+        for c in (classical, hadamards):
+            if bad:
+                with pytest.raises(ValueError) as exc:
+                    simulate_state(c, v)
+                assert str(exc.value) == f"state label {bad[0]!r} must be {d} bits"
+            else:
+                assert vec_equal(simulate_state(c, v), v)
+
 
 class TestAncillas:
     def test_dirty_ancilla_on_the_classical_path(self):

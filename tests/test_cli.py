@@ -147,6 +147,11 @@ def test_complement_nine_element_golden(capsys, flags, golden):
     assert capsys.readouterr().out == (GOLDENS / golden).read_text()
 
 
+def test_complement_names_an_empty_truth_table_label(capsys):
+    assert main(["complement", str(DATA / "empty_label.tbl")]) == 1
+    assert capsys.readouterr() == ("", (GOLDENS / "error_empty_label.txt").read_text())
+
+
 # The label-level formatting that ``complement`` replaced, kept verbatim as
 # the reference: blocks and quotient maps read back from each quotient Rel.
 

@@ -593,6 +593,12 @@ class TestTextFormats:
             f"malformed label {label!r}: brackets must balance and commas sit inside them"
         )
 
+    @pytest.mark.parametrize("line", [" -> y", "b -> ", "->", "  ->  ", "-> y"])
+    def test_truth_table_names_an_empty_label(self, line):
+        with pytest.raises(ValueError) as exc:
+            relalg.parse_truth_table(f"a -> x\n{line}\n")
+        assert str(exc.value) == f"empty label in truth-table line: {line!r}"
+
     @settings(max_examples=100, deadline=None)
     @given(labels)
     def test_built_labels_are_accepted(self, label):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -13,7 +14,7 @@ import reference_tables as rt
 from label_strategies import bases
 from quantakit import gates, quanta, vecmonad
 from quantakit.gates import NOT_TABLE, cnot_table, had, lift, tgate
-from quantakit.relalg import BIT, FinBasis, check_label, list_label, pair_label, product_basis, split_pair
+from quantakit.relalg import BIT, POINT, FinBasis, Rel, check_label, list_label, pair_label, product_basis, split_pair
 from quantakit.vecmonad import (
     PRUNE_EPS,
     AmpVec,
@@ -608,6 +609,69 @@ class TestMatrixOperatorsSkipRevalidation:
             assert m == want[name], name
             assert m.entries.dtype == np.complex128 and not m.entries.flags.writeable, name
 
+
+# ---------------------------------------------------------------------------
+# The typed-matrix contract that ``Rel`` and ``CMatrix`` share: what the
+# checked constructor does to its matrix, and how values compare, hash,
+# print and take replacements.
+
+@pytest.mark.parametrize("cls, dtype", [(Rel, np.bool_), (CMatrix, np.complex128)], ids=["Rel", "CMatrix"])
+class TestTypedMatrixContract:
+    def test_a_shape_that_does_not_match_the_bases_is_named(self, cls, dtype):
+        with pytest.raises(ValueError) as exc:
+            cls(BIT, BB, np.zeros((3, 2)))
+        assert str(exc.value) == "matrix shape (3, 2) does not match bases 4x2"
+
+    def test_the_matrix_is_copied_on_construct(self, cls, dtype):
+        raw = np.eye(2, dtype=dtype)
+        m = cls(BIT, BIT, raw)
+        raw[0, 1] = 1
+        assert m.entries.tolist() == np.eye(2, dtype=dtype).tolist()
+
+    def test_entries_are_coerced_to_the_class_dtype(self, cls, dtype):
+        m = cls(BIT, BIT, [[2, 0], [0, 1]])
+        assert m.entries.dtype == dtype
+        assert m.entries.tolist() == np.array([[2, 0], [0, 1]]).astype(dtype).tolist()
+
+    def test_entries_are_read_only(self, cls, dtype):
+        m = cls(BIT, BIT, np.eye(2))
+        assert not m.entries.flags.writeable
+        with pytest.raises(ValueError):
+            m.entries[0, 1] = 1
+
+    def test_values_are_frozen_and_unhashable(self, cls, dtype):
+        m = cls(BIT, BIT, np.eye(2))
+        with pytest.raises(TypeError):
+            hash(m)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.src = POINT
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.note = "x"
+
+    def test_replace_checks_again(self, cls, dtype):
+        m = cls(BIT, BIT, np.eye(2))
+        with pytest.raises(ValueError, match=r"^matrix shape \(1, 2\) does not match bases 2x2$"):
+            dataclasses.replace(m, entries=np.ones((1, 2)))
+        r = dataclasses.replace(m, tgt=POINT, entries=np.ones((1, 2), dtype=np.int64))
+        assert type(r) is cls and r.entries.dtype == dtype and not r.entries.flags.writeable
+
+    def test_repr_names_the_class_and_its_fields(self, cls, dtype):
+        assert repr(cls(BIT, POINT, np.ones((1, 2)))).startswith(
+            f"{cls.__name__}(src=FinBasis(labels=('0', '1')), tgt=FinBasis(labels=('*',)), entries=array("
+        )
+
+    def test_equal_to_the_same_entries_over_the_same_bases(self, cls, dtype):
+        m = cls(BIT, BIT, np.eye(2))
+        assert m == cls(BIT, BIT, np.eye(2, dtype=np.int64)) and not m != cls(BIT, BIT, np.eye(2))
+        assert m != cls(BIT, BIT, np.ones((2, 2)))
+        assert m != cls(BIT, FinBasis(("a", "b")), np.eye(2))
+        assert m != ((1, 0), (0, 1)) and m.__eq__(((1, 0), (0, 1))) is NotImplemented
+
+
+def test_a_relation_and_a_complex_matrix_are_never_equal():
+    r, c = Rel(BIT, BIT, np.eye(2)), CMatrix(BIT, BIT, np.eye(2))
+    assert r != c and c != r and not r == c
+    assert r.__eq__(c) is NotImplemented and c.__eq__(r) is NotImplemented
 
 
 # ---------------------------------------------------------------------------
