@@ -18,16 +18,17 @@ indices, and builds each distinct gate once.  Each assembled swap is
 already reduced, so ``_cancel``, the one cancellation routine, compares
 gates only where one swap meets the last; ``peephole`` runs it on the
 positions one at a time.  ``parse_qasm`` maps every raw line to its index
-in one ``map``, reading each distinct line once, a line in the emitted
-form in one regular-expression match.  Every per-gate result (decoded
-masks, simulator views, QASM lines, qubits for the depth sweep) is
-computed once per table entry, from the entry's qubits, and read through
-the index, and the gate counts of ``metrics`` come from each entry's
-position count.  Per position there remain only the passes that need
-order: the cancellation stack (which synthesis visits once per swap), the
-simulators and the depth sweep.  Synthesis and ``parse_qasm`` check each
-distinct gate as they build it, and ``peephole`` keeps gates of a checked
-circuit, so the circuits of all three skip the constructor's range check.
+in one ``map``, reading each distinct line once through one reader that
+names the line's first fault, and each distinct qubit reference once.
+Every per-gate result (decoded masks, simulator views, QASM lines,
+qubits for the depth sweep) is computed once per table entry, from the
+entry's qubits, and read through the index, and the gate counts of
+``metrics`` come from each entry's position count.  Per position there
+remain only the passes that need order: the cancellation stack (which
+synthesis visits once per swap), the simulators and the depth sweep.
+Synthesis and ``parse_qasm`` check each distinct gate as they build it,
+and ``peephole`` keeps gates of a checked circuit, so the circuits of
+all three skip the constructor's range check.
 
 Circuits export to OpenQASM 2.0 and simulate on integers, with labels
 parsed and printed only at the edges.  A classical circuit (x/cx/ccx only)
@@ -137,16 +138,6 @@ class Gate:
             raise ValueError(f"{self.name} takes {arity} qubits")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
-
-    @classmethod
-    def _trusted(cls, name: str, qubits: tuple[int, ...]) -> Gate:
-        """A gate whose kind, arity and distinct qubits the caller has
-        checked.  The fields are set as the dataclass ``__init__`` sets
-        them, without ``__post_init__``."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "name", name)
-        object.__setattr__(g, "qubits", qubits)
-        return g
 
 
 class Circuit:
@@ -386,11 +377,12 @@ def _permutation_of(m: CMatrix, tol: float = DEFAULT_TOL) -> list[int]:
     hit = np.abs(m.entries[i, j] - 1.0) <= tol
     i, j = i[hit], j[hit]
     # Per column: one entry near 1, nothing above 1 + tol, and nothing
-    # else above tol.
+    # else above tol.  Every comparison with NaN is false, so an entry
+    # counts as zero only where it is at most tol: a NaN is nonzero.
     bad = (
         (np.bincount(j, minlength=cols) != 1)
         | (a.max(axis=0, initial=0.0) > 1.0 + tol)
-        | (np.count_nonzero(a > tol, axis=0) != 1)
+        | (np.count_nonzero(~(a <= tol), axis=0) != 1)
     )
     if bad.any():
         raise NonPermutationError(
@@ -761,13 +753,8 @@ def export_qasm(c: Circuit) -> str:
 
 
 _QASM_QREG = re.compile(r"qreg\s+(q|anc)\[(\d+)\];")
-_QASM_GATE = re.compile(rf"^({'|'.join(GATES)})\s+(.+);$")
-_QASM_REF = re.compile(r"^(q|anc)\[(\d+)\]$")
-_QASM_PLAIN_REF = r"((?:q|anc)\[[0-9]+\])"
-_QASM_PLAIN = re.compile(rf"([a-z]+) {_QASM_PLAIN_REF}(?:,{_QASM_PLAIN_REF}(?:,{_QASM_PLAIN_REF})?)?;")
-"""A gate line in the form ``export_qasm`` writes: a lower-case name, one
-space, then one to three references with ASCII digits and no space
-between them."""
+_QASM_GATE = re.compile(rf"({'|'.join(GATES)})\s+(.+);")
+_QASM_REF = re.compile(r"(q|anc)\[(\d+)\]")
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -783,13 +770,9 @@ def parse_qasm(text: str) -> Circuit:
     kept, so a repeated declaration is read again and fails; such lines
     usually all lead the text, and are then cut in one slice.  Only a line
     that starts with ``qreg`` is tried as a declaration.  Lines equal once
-    stripped share one table entry, whose (frozen) ``Gate`` is parsed and
-    checked against its register once, so the circuit is built trusted.
-    A gate line in the form ``export_qasm`` writes is read by one match of
-    ``_QASM_PLAIN``, its references through a table of those already in
-    range, and built by ``Gate._trusted``; a line that is in another form,
-    or fails any check there, goes to ``_parse_gate_line``, which accepts
-    the same lines, builds the same gates and names each fault.
+    stripped share one table entry, whose (frozen) ``Gate`` is read by
+    ``_QasmLines._gate`` and checked against its registers once, so the
+    circuit is built trusted.
     """
     lines = _QasmLines()
     index = list(map(lines.__getitem__, text.splitlines()))
@@ -804,9 +787,10 @@ def parse_qasm(text: str) -> Circuit:
 
 
 class _QasmLines(dict):
-    """Raw gate line -> table index, read on its first lookup.  A line
-    without a gate maps to -1 and is not kept, so ``marks`` counts every
-    such line; a declaration fills ``sizes``."""
+    """Raw line -> table index, read on its first lookup.  A line without
+    a gate maps to -1 and is not kept, so ``marks`` counts every such line;
+    a declaration fills ``sizes``.  A gate line is read by ``_gate``, the
+    one reader of gate lines, which names the first fault of the line."""
 
     __slots__ = ("marks", "sizes", "entry", "table", "qubit")
 
@@ -840,27 +824,24 @@ class _QasmLines(dict):
         return i
 
     def _gate(self, line: str, raw: str) -> Gate:
-        """The gate of a stripped line.  A line in the plain emitted form
-        whose name, arity, references and distinct qubits all pass is built
-        trusted in one pass; any other line goes to ``_parse_gate_line``,
-        which reads every form the subset allows and names the fault."""
-        m = _QASM_PLAIN.fullmatch(line)
-        if m is not None:
-            count = m.lastindex - 1
-            if GATES.get(m[1], ("", 0))[1] == count:
-                qubits = tuple(map(self.qubit.__getitem__, m.groups()[1 : count + 1]))
-                if -1 not in qubits and len(set(qubits)) == count:
-                    return Gate._trusted(m[1], qubits)
-        return _parse_gate_line(line, raw, self.sizes)
+        """The checked gate of a stripped line: its name, then each of its
+        references in turn through ``qubit``, then ``Gate``'s arity and
+        distinct-qubit checks."""
+        m = _QASM_GATE.fullmatch(line)
+        if m is None:
+            raise ValueError(f"unsupported QASM line: {raw!r}")
+        if "q" not in self.sizes:
+            raise ValueError("gate before qreg declaration")
+        return Gate(m[1], tuple(map(self.qubit.__getitem__, m[2].split(","))))
 
 
 class _QasmRefs(dict):
-    """Plain qubit reference -> its qubit, read on first lookup.  A
-    reference in range stays in range, since a register is declared once;
-    one outside the declared registers, or any before ``q`` is declared,
-    reads -1, and its line goes to ``_parse_gate_line``, which names the
-    fault.  An index with more digits than its register's size is out of
-    range unread, so no digit string is too long for ``int`` here."""
+    """Qubit reference, as it stands between the commas of a gate line ->
+    its qubit, read on first lookup; the one place a reference is read and
+    its faults named.  Only a reference in range is kept, and it stays in
+    range, since a register is declared once; any other is read again
+    where it recurs, and fails again.  The caller has checked that ``q``
+    is declared."""
 
     __slots__ = ("sizes",)
 
@@ -869,33 +850,14 @@ class _QasmRefs(dict):
         self.sizes = sizes
 
     def __missing__(self, ref: str) -> int:
-        reg, _, digits = ref[:-1].partition("[")
-        sizes = self.sizes
-        size = sizes.get(reg, 0)
-        if "q" not in sizes or len(digits) > len(str(size)):
-            return -1
-        i = int(digits)
-        if i >= size:
-            return -1
-        q = self[ref] = i if reg == "q" else sizes["q"] + i
-        return q
-
-
-def _parse_gate_line(line: str, raw: str, sizes: dict[str, int]) -> Gate:
-    gm = _QASM_GATE.fullmatch(line)
-    if gm is None:
-        raise ValueError(f"unsupported QASM line: {raw!r}")
-    if "q" not in sizes:
-        raise ValueError("gate before qreg declaration")
-    qubits = []
-    for ref in gm.group(2).split(","):
-        rm = _QASM_REF.fullmatch(ref.strip())
-        if rm is None:
+        m = _QASM_REF.fullmatch(ref.strip())
+        if m is None:
             raise ValueError(f"bad qubit reference {ref!r}")
-        reg, i = rm.group(1), int(rm.group(2))
+        reg, i = m[1], int(m[2])
+        sizes = self.sizes
         if reg not in sizes:
             raise ValueError(f"qubit reference {reg}[{i}] to an undeclared register")
         if i >= sizes[reg]:
             raise ValueError(f"qubit reference {reg}[{i}] outside qreg {reg}[{sizes[reg]}]")
-        qubits.append(i if reg == "q" else sizes["q"] + i)
-    return Gate(gm.group(1), tuple(qubits))
+        q = self[ref] = i if reg == "q" else sizes["q"] + i
+        return q

@@ -36,6 +36,8 @@ proportion to its support, not to its states times their items.
 """
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -102,6 +104,16 @@ __all__ = [
 MAX_LIST_STATES = 2**18
 
 
+def _unprintable(m: int, p: int, n: int) -> bool:
+    """Whether ``p * m**n`` may have more digits than ``str`` prints of an
+    int: ``sys.get_int_max_str_digits()``, or its default of 4,300 where no
+    limit is set (0, or a Python before 3.10.7).  The bound is read from
+    logarithms, so nothing is raised to a power, and a count that long is
+    refused at once, with no count in its text."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    return m > 1 and p > 0 and math.log10(p) + n * math.log10(m) >= limit - 1
+
+
 def _cons_preorder(m: int, maxlen: int) -> list[tuple[int, int]]:
     """(length, code) of each list up to maxlen in cons-preorder; a code
     holds the item indices in base m, head in the lowest digit."""
@@ -156,11 +168,25 @@ class ListBasis:
     def __post_init__(self) -> None:
         if self.maxlen < 0:
             raise ValueError("maxlen must be non-negative")
-        if len(self) > MAX_LIST_STATES:
-            raise SizeLimitError(f"list basis has {len(self)} states; capped at {MAX_LIST_STATES}")
+        n = self.maxlen
+        if _unprintable(len(self.item), len(self.payload), n + 1):  # the count is below p * m**(n+1)
+            raise SizeLimitError(
+                f"list basis on lists up to length {n} has more than {MAX_LIST_STATES} states;"
+                f" capped at {MAX_LIST_STATES}"
+            )
+        states = self.states
+        if states > MAX_LIST_STATES:
+            raise SizeLimitError(f"list basis has {states} states; capped at {MAX_LIST_STATES}")
+
+    @property
+    def states(self) -> int:
+        """``|payload| * (1 + m + ... + m**maxlen)`` in closed form, for m
+        items; unlike ``len``, it may exceed ``sys.maxsize``."""
+        m, n = len(self.item), self.maxlen
+        return len(self.payload) * (n + 1 if m == 1 else (m ** (n + 1) - 1) // (m - 1))
 
     def __len__(self) -> int:
-        return len(self.payload) * sum(len(self.item) ** k for k in range(self.maxlen + 1))
+        return self.states
 
     @cached_property
     def list_basis(self) -> FinBasis:
@@ -335,7 +361,12 @@ def run_quanta(step: KleisliOp | Step, input_label: str) -> AmpVec:
     l, b = split_pair(input_label)
     xs = split_list(l)
     m, p = len(s.item), len(s.payload)
-    n, size = len(xs), m ** len(xs) * p
+    n = len(xs)
+    if _unprintable(m, p, n):
+        raise SizeLimitError(
+            f"lists of length {n} have more than {MAX_LIST_STATES} states; capped at {MAX_LIST_STATES}"
+        )
+    size = m**n * p
     if size > MAX_LIST_STATES:
         raise SizeLimitError(f"lists of length {n} have {size} states; capped at {MAX_LIST_STATES}")
     reads = [(s.item.index(x),) for x in xs][::-1]

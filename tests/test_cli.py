@@ -44,7 +44,9 @@ def test_run_accepts_labels_inside_the_step_basis(capsys):
 
 @pytest.mark.parametrize(
     "step, item, n, states",
-    [("ccnot", "(1,1)", 9, 699050), ("bell", "1", 17, 524286)],
+    # At 70 items the count exceeds ``sys.maxsize``, which ``len`` cannot
+    # return; it is printed all the same.
+    [("ccnot", "(1,1)", 9, 699050), ("bell", "1", 17, 524286), ("cnot", "0", 70, 4722366482869645213694)],
 )
 def test_run_names_the_list_basis_cap(capsys, step, item, n, states):
     label = "([" + ",".join([item] * n) + "],0)"
@@ -52,6 +54,14 @@ def test_run_names_the_list_basis_cap(capsys, step, item, n, states):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: list basis has {states} states; capped at 262144\n"
+
+
+def test_run_refuses_a_count_too_long_to_print(capsys):
+    assert main(["run", "--step", "cnot", "--input", "([" + ",".join(["0"] * 20000) + "],0)"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: list basis on lists up to length 20000 has more than 262144 states; capped at 262144\n",
+    )
 
 
 def test_run_applies_tol_to_the_library_matrix(capsys):
@@ -271,8 +281,18 @@ def test_synth_tol_reaches_the_permutation_reader(tmp_path, capsys):
             "s0 s1\ns0: 0.5+0i 0+0i\ns1: 0+0i 1+0i\n",
             "matrix is not a 0/1 permutation; general unitary synthesis is out of scope",
         ),
+        # A NaN compares false with everything, so it counts as a nonzero
+        # entry beside the column's 1, not as a zero.
+        (
+            "s0 s1\ns0: 1+0i nan+0i\ns1: 0+0i 1+0i\n",
+            "matrix is not a 0/1 permutation; general unitary synthesis is out of scope",
+        ),
+        (
+            "s0 s1\ns0: 1+0i 0+nani\ns1: 0+0i 1+0i\n",
+            "matrix is not a 0/1 permutation; general unitary synthesis is out of scope",
+        ),
     ],
-    ids=["two-columns-one-row", "half-entry"],
+    ids=["two-columns-one-row", "half-entry", "nan-real", "nan-imag"],
 )
 def test_synth_refuses_a_matrix_that_is_no_permutation(tmp_path, capsys, dump, named):
     path = tmp_path / "bad.txt"
@@ -460,6 +480,22 @@ def test_simulate_perm4_on_every_input_golden(tmp_path, capsys):
         assert main(["simulate", str(qasm), x]) == 0
         lines.append(f"{x} {capsys.readouterr().out}")
     assert "".join(lines) == (GOLDENS / "simulate_perm4.txt").read_text()
+
+
+def test_simulate_spaced_qasm_on_every_input_golden(capsys):
+    """What the CI entry-point step prints: a hand-written QASM file in
+    forms the emitter never writes, simulated on each of its 8 inputs."""
+    lines = []
+    for i in range(8):
+        x = format(i, "03b")
+        assert main(["simulate", str(DATA / "spaced.qasm"), x]) == 0
+        lines.append(f"{x} {capsys.readouterr().out}")
+    assert "".join(lines) == (GOLDENS / "simulate_spaced.txt").read_text()
+
+
+def test_simulate_names_a_reference_outside_anc_golden(capsys):
+    assert main(["simulate", str(DATA / "outside_anc.qasm"), "000"]) == 1
+    assert capsys.readouterr() == ("", (GOLDENS / "error_outside_anc.txt").read_text())
 
 
 @pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)

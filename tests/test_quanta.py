@@ -2,6 +2,7 @@ from pathlib import Path
 import itertools
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from quantakit.quanta import (
 from quantakit.relalg import (
     BIT,
     ComplementError,
+    POINT,
     FinBasis,
     Rel,
     SizeLimitError,
@@ -183,6 +185,26 @@ class TestAgainstReference:
         n = 18  # 2**18 lists of 18 bits, times two payloads
         with pytest.raises(SizeLimitError, match=f"lists of length {n} have {2 * MAX_LIST_STATES} states"):
             run_quanta(bell(), pair_label(list_label(["1"] * n), "0"))
+
+    def test_run_names_the_cap_where_the_count_is_too_long_to_print(self):
+        n = 20000
+        with pytest.raises(SizeLimitError, match=f"^lists of length {n} have more than {MAX_LIST_STATES} states"):
+            run_quanta(bell(), pair_label(list_label(["1"] * n), "0"))
+
+
+@pytest.mark.parametrize(
+    "item, named",
+    [
+        (BIT, f"list basis on lists up to length 1000000 has more than {MAX_LIST_STATES} states"),
+        (POINT, f"list basis has 2000002 states; capped at {MAX_LIST_STATES}"),
+    ],
+    ids=["bit", "point"],
+)
+def test_a_million_item_list_basis_is_refused_at_once(item, named):
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match=f"^{named}"):
+        ListBasis(10**6, item)
+    assert time.perf_counter() - start < 1.0  # a term-by-term sum grows quadratically in maxlen
 
 
 def _run_inputs(item: FinBasis, payload: FinBasis, n: int) -> list[str]:
