@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import re
+import unicodedata
 from collections.abc import Iterable, Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
@@ -57,6 +58,7 @@ from .vecmonad import _BULK_MIN, DEFAULT_TOL, AmpVec, CMatrix
 
 __all__ = [
     "GATES",
+    "MAX_QASM_QUBITS",
     "MAX_STATE_QUBITS",
     "AncillaError",
     "Circuit",
@@ -77,6 +79,9 @@ __all__ = [
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 _T_PHASE = np.exp(1j * np.pi / 4)
 _PHASE = {"t": _T_PHASE, "tdg": np.conj(_T_PHASE)}
+
+MAX_QASM_QUBITS = 2**16
+"""Largest register ``parse_qasm`` accepts, judged where it is declared."""
 
 MAX_STATE_QUBITS = 20
 """Largest data plus ancilla qubit count ``simulate_state`` accepts: its
@@ -320,19 +325,14 @@ def decompose_mcx(
 
     Negative controls are conjugated by X; three or more controls use a
     CCX compute/uncompute ladder needing ``len(controls) - 2`` ancillas,
-    each restored to its prior value.  Equal gates are one instance.
+    each restored to its prior value.  Its words come from the parts that
+    synthesis shares, ``_mcx_core`` and ``_with_flips``; equal gates are one
+    instance.
     """
-    words = _mcx_words(controls, target, ancillas)
+    flips: list[Word] = [("x", (q,)) for q, pol in controls if pol == 0]
+    words = _with_flips(flips, _mcx_core(tuple(q for q, _ in controls), target, ancillas))
     made = {w: Gate(*w) for w in dict.fromkeys(words)}
     return tuple(map(made.__getitem__, words))
-
-
-def _mcx_words(
-    controls: tuple[tuple[int, int], ...], target: int, ancillas: tuple[int, ...]
-) -> list[Word]:
-    """The gates of ``decompose_mcx`` as words, none of them built."""
-    flips: list[Word] = [("x", (q,)) for q, pol in controls if pol == 0]
-    return _with_flips(flips, _mcx_core(tuple(q for q, _ in controls), target, ancillas))
 
 
 def _mcx_core(qs: tuple[int, ...], target: int, ancillas: tuple[int, ...]) -> list[Word]:
@@ -569,15 +569,15 @@ def simulate(c: Circuit, input_bits: str) -> str:
     """Run a circuit on one computational-basis input.
 
     A classical circuit (x/cx/ccx only) folds its gate masks over one
-    integer basis index; any other circuit goes through ``simulate_state``
-    and must collapse to a single basis state, to within ``DEFAULT_TOL``.
+    integer basis index; any other circuit goes through ``simulate_state``,
+    the one place amplitudes at or below ``DEFAULT_TOL`` are cut, and its
+    ket must be one basis state of magnitude 1, to within ``DEFAULT_TOL``.
     Ancillas start at zero and must return to zero.
     """
     if len(input_bits) != c.data_qubits or set(input_bits) - {"0", "1"}:
         raise ValueError(f"input must be {c.data_qubits} bits")
     if not c.is_classical():
-        out = simulate_state(c, AmpVec({input_bits: 1.0}))
-        states = [(lbl, a) for lbl, a in out.items() if abs(a) > DEFAULT_TOL]
+        states = list(simulate_state(c, AmpVec({input_bits: 1.0})).items())
         if len(states) != 1 or abs(abs(states[0][1]) - 1.0) > DEFAULT_TOL:
             raise ValueError("output is not a computational basis state")
         return states[0][0]
@@ -609,17 +609,14 @@ def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     order.  The dense path prints the labels of the kept indices through
     ``_labels``, in one NumPy pass where there are many, and hands them,
     with the kept amplitudes as one array, to ``AmpVec``'s array form.
-    ``simulate`` keeps its fold of bitmasks over one index: a one-state
-    lane costs the label round trip and saves nothing.
     """
-    n, anc = c.total_qubits, c.ancilla_qubits
-    if n > MAX_STATE_QUBITS and not c.is_classical():
+    if c.is_classical():
+        return _lanes(c, v)
+    n, anc, d = c.total_qubits, c.ancilla_qubits, c.data_qubits
+    if n > MAX_STATE_QUBITS:
         raise SizeLimitError(
             f"circuit has {n} qubits; the statevector is capped at {MAX_STATE_QUBITS}"
         )
-    d = c.data_qubits
-    if c.is_classical():
-        return _lanes(c, v)
     psi = np.zeros(1 << n, dtype=np.complex128)
     for label, a in v.items():
         if len(label) != d or label.strip("01"):
@@ -764,13 +761,15 @@ def parse_qasm(text: str) -> Circuit:
     every reference must lie inside its register.  So a line means the
     same wherever it occurs, and it fails, if at all, where it first
     occurs; the one exception is a declaration repeated word for word,
-    which fails where it recurs.  So ``_QasmLines`` reads a raw line at
-    its first occurrence only, to its table index, and every line goes
-    through it in one ``map``.  A line without a gate maps to -1 and is not
-    kept, so a repeated declaration is read again and fails; such lines
-    usually all lead the text, and are then cut in one slice.  Only a line
-    that starts with ``qreg`` is tried as a declaration.  Lines equal once
-    stripped share one table entry, whose (frozen) ``Gate`` is read by
+    which fails where it recurs.  A register holds at most
+    ``MAX_QASM_QUBITS`` qubits; each size and index is judged by its digits
+    (``_decimal``) before ``int`` reads it.  So ``_QasmLines`` reads a raw
+    line at its first occurrence only, to its table index, and every line
+    goes through it in one ``map``.  A line without a gate maps to -1 and
+    is not kept, so a repeated declaration is read again and fails; such
+    lines usually all lead the text, and are then cut in one slice.  Only a
+    line that starts with ``qreg`` is tried as a declaration.  Lines equal
+    once stripped share one table entry, whose (frozen) ``Gate`` is read by
     ``_QasmLines._gate`` and checked against its registers once, so the
     circuit is built trusted.
     """
@@ -812,9 +811,12 @@ class _QasmLines(dict):
                 return -1
             m = _QASM_QREG.fullmatch(line) if line.startswith("qreg") else None
             if m is not None:
-                if m.group(1) in self.sizes:
-                    raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
-                self.sizes[m.group(1)] = int(m.group(2))
+                reg, size = m[1], _decimal(m[2])
+                if reg in self.sizes:
+                    raise ValueError(f"register {reg} declared twice: {raw!r}")
+                if len(size) > len(str(MAX_QASM_QUBITS)) or int(size) > MAX_QASM_QUBITS:
+                    raise SizeLimitError(f"register {reg} has {size} qubits; capped at {MAX_QASM_QUBITS}")
+                self.sizes[reg] = int(size)
                 self.marks += 1
                 return -1
             table = self.table
@@ -853,11 +855,19 @@ class _QasmRefs(dict):
         m = _QASM_REF.fullmatch(ref.strip())
         if m is None:
             raise ValueError(f"bad qubit reference {ref!r}")
-        reg, i = m[1], int(m[2])
+        reg, i = m[1], _decimal(m[2])
         sizes = self.sizes
         if reg not in sizes:
             raise ValueError(f"qubit reference {reg}[{i}] to an undeclared register")
-        if i >= sizes[reg]:
+        if len(i) > len(str(sizes[reg])) or int(i) >= sizes[reg]:  # more digits than the size: never converted
             raise ValueError(f"qubit reference {reg}[{i}] outside qreg {reg}[{sizes[reg]}]")
-        q = self[ref] = i if reg == "q" else sizes["q"] + i
+        q = self[ref] = int(i) if reg == "q" else sizes["q"] + int(i)
         return q
+
+
+def _decimal(digits: str) -> str:
+    """``\\d`` digits as ``str(int(digits))`` prints them, without ``int``, so
+    a number too long for ``int`` is judged by its length and named."""
+    if not digits.isascii():
+        digits = "".join(str(unicodedata.decimal(c)) for c in digits)
+    return digits.lstrip("0") or "0"

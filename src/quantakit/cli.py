@@ -58,10 +58,7 @@ def _fail(msg: str) -> int:
 
 
 def _gate_step(name: str, tol: float) -> quanta.Step:
-    lib = gates.default_library()
-    if name not in lib:
-        raise KeyError(f"unknown gate {name!r} (have: {', '.join(lib.names())})")
-    step = lib.step(name)
+    step = gates.default_library().step(name)
     if not vecmonad.is_unitary(step.u, tol):
         raise ValueError(f"gate {name!r} is not unitary at tolerance {tol}")
     return step
@@ -287,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "matrix" and args.maxlen < 0:
-        return _fail("maxlen must be non-negative")
     if not 0 < getattr(args, "tol", 1.0) < math.inf:
         return _fail("tolerance must be positive and finite")
     for option in ("out", "qasm"):

@@ -147,7 +147,8 @@ class GateLibrary:
     """Named operations, each checked to be unitary when the library is
     built; it records the matrix it checked and, for a gate on an (item,
     payload) pair basis, the ``quanta.Step`` that the fold takes by index,
-    and cannot change."""
+    and cannot change.  An unknown name is refused here, with a
+    ``KeyError`` that lists the library's names."""
 
     def __init__(self, ops: Mapping[str, KleisliOp]) -> None:
         self._ops: dict[str, tuple[KleisliOp, CMatrix, Step | None]] = {}
@@ -182,7 +183,7 @@ class GateLibrary:
         try:
             return self._ops[name]
         except KeyError:
-            raise KeyError(f"unknown gate {name!r}") from None
+            raise KeyError(f"unknown gate {name!r} (have: {', '.join(self._ops)})") from None
 
 
 @functools.cache

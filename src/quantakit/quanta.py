@@ -229,15 +229,19 @@ def step_shape(step: KleisliOp) -> tuple[FinBasis, FinBasis]:
 
 def check_fst_complement(
     table: Mapping[str, str], item: FinBasis, payload: FinBasis
-) -> None:
-    """Reject step tables not injective in the payload once the item is fixed."""
+) -> Rel:
+    """The lifted step (a,b) -> (a, table[(a,b)]), the split of the first
+    projection and the table, which ``rfold_rel`` folds; tables not
+    injective in the payload once the item is fixed are rejected."""
     src = product_basis(item, payload)
     fst = from_function(lambda l: split_pair(l)[0], src, item)
     f = from_function(table.__getitem__, src, payload)
-    collisions = np.argwhere(np.triu(kernel(pair(fst, f)).entries, 1))
+    lifted = pair(fst, f)
+    collisions = np.argwhere(np.triu(kernel(lifted).entries, 1))
     if len(collisions):
         x, y = (src.labels[i] for i in collisions[0])
         raise ComplementError(f"step not first-projection complemented: inputs {x} and {y} collide")
+    return lifted
 
 
 def rfold_rel(
@@ -247,15 +251,11 @@ def rfold_rel(
     payload: FinBasis = BIT,
 ) -> Rel:
     """The reversible fold tabulated as a relation on a truncated basis:
-    the quantamorphism of the lifted step (a,b) -> (a, table[(a,b)])."""
-    check_fst_complement(table, item, payload)
-    m, p = len(item), len(payload)
-    u = np.zeros((m * p, m * p))
-    for a, x in enumerate(item):
-        for b, y in enumerate(payload):
-            u[a * p + payload.index(table[pair_label(x, y)]), a * p + b] = 1
+    the quantamorphism of the lifted step that ``check_fst_complement``
+    checks and returns."""
+    u = check_fst_complement(table, item, payload).entries
     basis = ListBasis(maxlen, item, payload).basis
-    return Rel._trusted(basis, basis, _fold_blocks(u, m, p, maxlen) != 0)
+    return Rel._trusted(basis, basis, _fold_blocks(u, len(item), len(payload), maxlen) != 0)
 
 
 def cata(

@@ -2,6 +2,7 @@
 what the module does now, each kept verbatim apart from its name, for
 tests to compare the current code with."""
 import re
+import unicodedata
 
 import numpy as np
 
@@ -9,6 +10,7 @@ from quantakit import circuitgen
 from quantakit.circuitgen import (
     _PHASE,
     _SQRT2_INV,
+    MAX_QASM_QUBITS,
     MAX_STATE_QUBITS,
     AncillaError,
     Circuit,
@@ -205,7 +207,9 @@ def ref_label_simulate_state(c: Circuit, v: AmpVec, tol: float = 1e-9) -> AmpVec
 # ---------------------------------------------------------------------------
 # Reference: ``parse_qasm`` before it read each distinct line once through
 # a table, with the gate-line parser it used for every line.  Kept verbatim
-# apart from the names.
+# apart from the names and one later rule: a register size or qubit index
+# is judged by its digits before ``int`` reads it, and a register above
+# ``MAX_QASM_QUBITS`` is refused where it is declared.
 
 _QASM_QREG = re.compile(r"qreg\s+(q|anc)\[(\d+)\];")
 _QASM_GATE = re.compile(rf"^({'|'.join(circuitgen.GATES)})\s+(.+);$")
@@ -233,7 +237,10 @@ def ref_parse_qasm(text: str) -> Circuit:
             if m:
                 if m.group(1) in sizes:
                     raise ValueError(f"register {m.group(1)} declared twice: {raw!r}")
-                sizes[m.group(1)] = int(m.group(2))
+                size = _ref_decimal(m.group(2))
+                if len(size) > len(str(MAX_QASM_QUBITS)) or int(size) > MAX_QASM_QUBITS:
+                    raise SizeLimitError(f"register {m.group(1)} has {size} qubits; capped at {MAX_QASM_QUBITS}")
+                sizes[m.group(1)] = int(size)
                 continue
             g = seen[line] = ref_parse_gate_line(line, raw, sizes)
         gates.append(g)
@@ -253,10 +260,15 @@ def ref_parse_gate_line(line: str, raw: str, sizes: dict[str, int]) -> Gate:
         rm = _QASM_REF.fullmatch(ref.strip())
         if rm is None:
             raise ValueError(f"bad qubit reference {ref!r}")
-        reg, i = rm.group(1), int(rm.group(2))
+        reg, i = rm.group(1), _ref_decimal(rm.group(2))
         if reg not in sizes:
             raise ValueError(f"qubit reference {reg}[{i}] to an undeclared register")
-        if i >= sizes[reg]:
+        if len(i) > len(str(sizes[reg])) or int(i) >= sizes[reg]:
             raise ValueError(f"qubit reference {reg}[{i}] outside qreg {reg}[{sizes[reg]}]")
-        qubits.append(i if reg == "q" else sizes["q"] + i)
+        qubits.append(int(i) if reg == "q" else sizes["q"] + int(i))
     return Gate(gm.group(1), tuple(qubits))
+
+
+def _ref_decimal(digits: str) -> str:
+    """Decimal digits as ``str(int(digits))`` prints them, without ``int``."""
+    return "".join(str(unicodedata.decimal(c)) for c in digits).lstrip("0") or "0"

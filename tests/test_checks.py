@@ -157,7 +157,7 @@ def test_json_keeps_the_counterexamples_the_text_prints(monkeypatch, capsys):
 # the fifth element.
 _bind = vecmonad.bind
 _simulate, _decompose_mcx, _simulate_state = circuitgen.simulate, circuitgen.decompose_mcx, circuitgen.simulate_state
-_mcx_words, _peephole, _cancel = circuitgen._mcx_words, circuitgen.peephole, circuitgen._cancel
+_peephole, _cancel = circuitgen.peephole, circuitgen._cancel
 _fold_matrix, _rfold_rel, _cata, _psi = quanta.fold_matrix, quanta.rfold_rel, quanta.cata, quanta.psi
 _choice, _mccarthy, _bell, _unbell, _is_unitary = gates.choice, gates.mccarthy, gates.bell, gates.unbell, vecmonad.is_unitary
 
@@ -228,9 +228,9 @@ LOOP_MUTATIONS = {
             ACTS: "case 0: input 10 gives 10, want 11",
             "peephole cancellation preserves semantics": "case 0: input 000, sup-norm gap 1",
         }),
-    # decompose_mcx reads polarities through _mcx_words; synthesis reads
-    # them from each swap's state, so only the mcx check sees this one.
-    "decompose_mcx ignores polarity": (circuitgen, "_mcx_words", lambda controls, target, ancillas: _mcx_words(
+    # decompose_mcx reads polarities itself; synthesis reads them from
+    # each swap's state, so only the mcx check sees this one.
+    "decompose_mcx ignores polarity": (circuitgen, "decompose_mcx", lambda controls, target, ancillas: _decompose_mcx(
         tuple((q, 1) for q, _ in controls), target, ancillas), {
             MCX: "control polarities 0: input 00 gives 00, want 01",
         }),

@@ -1,6 +1,8 @@
 import copy
 import hashlib
 import pickle
+import sys
+import time
 from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 import reference_tables as rt
 from quantakit import circuitgen, gates, vecmonad
 from quantakit.circuitgen import (
+    MAX_QASM_QUBITS,
     MAX_STATE_QUBITS,
     AncillaError,
     Circuit,
@@ -816,6 +819,48 @@ class TestQasm:
         assert main(["simulate", str(path), "01"]) == 0
         assert capsys.readouterr().out == "11\n"
 
+    @pytest.mark.parametrize("reg", ["q", "anc"])
+    def test_a_register_is_capped_where_it_is_declared(self, reg):
+        decl = f"qreg q[1];\nqreg {reg}[{MAX_QASM_QUBITS}];" if reg == "anc" else f"qreg q[{MAX_QASM_QUBITS}];"
+        last = MAX_QASM_QUBITS - 1 + (reg == "anc")
+        c = parse_qasm(f"{decl}\nx {reg}[{MAX_QASM_QUBITS - 1}];")
+        assert c.gates == (Gate("x", (last,)),)
+        for size in (MAX_QASM_QUBITS + 1, "0" * 9 + str(MAX_QASM_QUBITS + 1), "9" * 5000):
+            with pytest.raises(SizeLimitError) as info:
+                parse_qasm(f"qreg {reg}[{size}];\nx q[0];\ny q[0];")
+            assert str(info.value) == f"register {reg} has {str(size).lstrip('0')} qubits; capped at {MAX_QASM_QUBITS}"
+        assert parse_qasm(f"qreg {reg}[{'0' * 5000}{MAX_QASM_QUBITS}];\nqreg {'anc' if reg == 'q' else 'q'}[1];")
+
+    @pytest.mark.parametrize("limit", [0, 640, 4300])
+    def test_numbers_too_long_for_int_are_named_without_converting(self, limit):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            nines = "9" * 5000
+            for text, named in (
+                (f"qreg q[3];\nx q[{nines}];", f"qubit reference q[{nines}] outside qreg q[3]"),
+                (f"qreg q[3];\nx q[1000];", "qubit reference q[1000] outside qreg q[3]"),
+                (f"qreg q[3];\nx anc[{nines}];", f"qubit reference anc[{nines}] to an undeclared register"),
+                (f"qreg q[{nines}];", f"register q has {nines} qubits; capped at {MAX_QASM_QUBITS}"),
+            ):
+                with pytest.raises(ValueError) as info:
+                    parse_qasm(text)
+                assert str(info.value) == named
+                assert outcome_of(ref_parse_qasm, text) == (type(info.value), named)
+            assert parse_qasm(f"qreg q[3];\nx q[{'0' * 5000}2];").gates == (Gate("x", (2,)),)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_a_register_above_the_cap_is_refused_in_under_10_ms(self):
+        text = f"qreg q[3];\nqreg anc[{'9' * 5000}];\nx q[0];\n"
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(SizeLimitError):
+                parse_qasm(text)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.01
+
 
 def test_the_gate_table_names_every_kind_and_nothing_else():
     assert {kind: arity for kind, (_, arity) in circuitgen.GATES.items()} == ARITY
@@ -892,6 +937,8 @@ _QASM_BAD = (
     # Indices too long for ``int``: the first fault of the line is named
     # before any index is converted.
     "x q[" + "9" * 5000 + "];", "cx q[9],q[" + "9" * 5000 + "];",
+    # Register sizes too long for ``int``, and one past the cap.
+    "qreg q[" + "9" * 5000 + "];", f"qreg anc[{MAX_QASM_QUBITS + 1}];",
 )
 _QASM_HEADS = (
     (), ("qreg q[3];",), ("qreg q[3];", "qreg anc[2];"), ("qreg anc[2];",),

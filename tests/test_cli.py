@@ -64,6 +64,11 @@ def test_run_refuses_a_count_too_long_to_print(capsys):
     )
 
 
+def test_matrix_refuses_a_negative_maxlen_golden(capsys):
+    assert main(["matrix", "--step", "cnot", "--maxlen", "-1"]) == 1
+    assert capsys.readouterr() == ("", (GOLDENS / "error_negative_maxlen.txt").read_text())
+
+
 def test_run_applies_tol_to_the_library_matrix(capsys):
     assert main(["run", "--step", "bell", "--input", "([1],0)", "--tol", "1e-30"]) == 1
     assert capsys.readouterr().err == "error: gate 'bell' is not unitary at tolerance 1e-30\n"
@@ -496,6 +501,12 @@ def test_simulate_spaced_qasm_on_every_input_golden(capsys):
 def test_simulate_names_a_reference_outside_anc_golden(capsys):
     assert main(["simulate", str(DATA / "outside_anc.qasm"), "000"]) == 1
     assert capsys.readouterr() == ("", (GOLDENS / "error_outside_anc.txt").read_text())
+
+
+@pytest.mark.parametrize("name", ["long_index", "qreg_over_cap"])
+def test_simulate_names_an_oversized_number_golden(capsys, name):
+    assert main(["simulate", str(DATA / f"{name}.qasm"), "000"]) == 1
+    assert capsys.readouterr() == ("", (GOLDENS / f"error_{name}.txt").read_text())
 
 
 @pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)

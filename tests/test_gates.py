@@ -192,6 +192,13 @@ class TestLibrary:
         with pytest.raises(KeyError):
             default_library().op("nope")
 
+    @pytest.mark.parametrize("method", ["op", "matrix", "step"])
+    def test_unknown_gate_lists_the_library_names(self, method):
+        lib = GateLibrary({"x": lift(NOT_TABLE, BIT), "cnot": lift(cnot_table(), BB)})
+        with pytest.raises(KeyError) as info:
+            getattr(lib, method)("nope")
+        assert info.value.args == ("unknown gate 'nope' (have: x, cnot)",)
+
     def test_ccnot_pointwise_listing(self):
         lib = default_library()
         table = ccnot_table()

@@ -17,6 +17,7 @@ from quantakit.quanta import (
     MAX_LIST_STATES,
     ListBasis,
     Step,
+    check_fst_complement,
     fold_matrix,
     pinned16_basis,
     quantamorphism,
@@ -31,6 +32,7 @@ from quantakit.relalg import (
     FinBasis,
     Rel,
     SizeLimitError,
+    from_function,
     list_label,
     pair_label,
     product_basis,
@@ -277,6 +279,21 @@ def test_rfold_rel_names_the_first_colliding_inputs():
     table = {"(0,0)": "1", "(0,1)": "0", "(1,0)": "0", "(1,1)": "0"}
     with pytest.raises(ComplementError, match=r"inputs \(1,0\) and \(1,1\) collide$"):
         rfold_rel(table, 2)
+
+
+def test_check_fst_complement_returns_the_lifted_step():
+    src = product_basis(BIT, BIT)
+    lifted = 0
+    for outs in itertools.product(BIT.labels, repeat=len(src)):
+        table = dict(zip(src.labels, outs))
+        if len({(split_pair(x)[0], y) for x, y in table.items()}) < len(src):
+            with pytest.raises(ComplementError):
+                check_fst_complement(table, BIT, BIT)
+            continue
+        want = from_function(lambda x: pair_label(split_pair(x)[0], table[x]), src, src)
+        assert check_fst_complement(table, BIT, BIT) == want
+        lifted += 1
+    assert lifted == 4
 
 
 @pytest.mark.parametrize("payload", [BIT, FinBasis(("p", "q", "r"))], ids=["bit", "pqr"])
