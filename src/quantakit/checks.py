@@ -13,7 +13,7 @@ randomized loops run every case and name the first one that fails.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +103,19 @@ def _random_vec(rng: np.random.Generator, basis: FinBasis) -> AmpVec:
 def _random_kleisli(rng: np.random.Generator, src: FinBasis, tgt: FinBasis) -> KleisliOp:
     m = rng.normal(size=(len(tgt), len(src))) + 1j * rng.normal(size=(len(tgt), len(src)))
     return vecmonad.from_matrix(vecmonad.CMatrix(src, tgt, m))
+
+
+def _monad_law_draws(rng: np.random.Generator, n: int) -> Iterator[tuple[np.ndarray, np.ndarray, int, np.ndarray]]:
+    """The monad-law cases on 4 states, in three draws each: f's and g's
+    matrices from one (4, 4, 4) normal draw, the unit's index, then v's
+    real and imaginary parts from one (2, 4) draw.  The generator hands out
+    normals in order, so these are the numbers that two ``_random_kleisli``
+    calls, then ``integers(4)`` and ``_random_vec``, would draw, and they
+    leave the generator in the same state."""
+    for _ in range(n):
+        fg = rng.normal(size=(4, 4, 4))
+        k = int(rng.integers(4))
+        yield fg[0] + 1j * fg[1], fg[2] + 1j * fg[3], k, rng.normal(size=(2, 4))
 
 
 def _random_unitary_op(rng: np.random.Generator, basis: FinBasis) -> KleisliOp:
@@ -234,11 +247,11 @@ def vecmonad_suite() -> list[CheckResult]:
     b4 = relalg.product_basis(BIT, BIT)
 
     cases = _Cases()
-    for i in range(1000):
-        f = _random_kleisli(rng, b4, b4)
-        g = _random_kleisli(rng, b4, b4)
-        a = b4.labels[int(rng.integers(4))]
-        v = _random_vec(rng, b4)
+    for i, (fm, gm, k, vp) in enumerate(_monad_law_draws(rng, 1000)):
+        f = vecmonad.from_matrix(vecmonad.CMatrix(b4, b4, fm))
+        g = vecmonad.from_matrix(vecmonad.CMatrix(b4, b4, gm))
+        a = b4.labels[k]
+        v = AmpVec({x: complex(vp[0, j], vp[1, j]) for j, x in enumerate(b4)})
         lhs, rhs = vecmonad.bind(vecmonad.ret(a), f), f.apply(a)
         cases.check(vecmonad.vec_equal(lhs, rhs, tol=1e-12),
                     lambda: f"case {i}: left unit at a={a}, {_gap(lhs, rhs)}")
@@ -517,10 +530,9 @@ def _banana_split(rng: np.random.Generator) -> _Cases:
                 relalg.tag_left(body) if side == 0 else relalg.tag_right(body)
             ]
         )
+    folds = [quanta.cata(h, 2, BIT) for h in algebras]  # each pair reuses its two folds
     for (i, h1), (j, h2) in itertools.product(enumerate(algebras), repeat=2):
-        f1 = quanta.cata(h1, 2, BIT)
-        f2 = quanta.cata(h2, 2, BIT)
-        lhs = relalg.pair(f1, f2)
+        lhs = relalg.pair(folds[i], folds[j])
 
         def fused(side: int, body: str, a=h1, b=h2) -> str:
             if side == 0:

@@ -20,6 +20,8 @@ import stat
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import gates, quanta, relalg, vecmonad
 
 MAXLEN_CAP = 4
@@ -75,13 +77,17 @@ def _fold_matrix(step_name: str, maxlen: int, tol: float) -> vecmonad.CMatrix:
 
 
 def _matrix_json(m: vecmonad.CMatrix) -> str:
-    return json.dumps(
-        {
-            "columns": list(m.src.labels),
-            "rows": list(m.tgt.labels),
-            "entries": [[[z.real, z.imag] for z in row] for row in m.entries.tolist()],
-        }
-    )
+    """The fold as JSON: column and row labels, and each cell as ``[re, im]``.
+
+    A fold matrix repeats few distinct cells, so each distinct 16-byte cell
+    is dumped once: cells are told apart by their bits, not their values,
+    so that ``-0.0`` and each NaN keep their own text.  The texts are joined
+    with ``json.dumps``' default separators."""
+    e = np.ascontiguousarray(m.entries)
+    cells, at = np.unique(e.view("V16").ravel(), return_inverse=True)
+    text = np.array([json.dumps([z.real, z.imag]) for z in cells.view(np.complex128).tolist()], dtype=object)
+    rows = ", ".join(["[" + ", ".join(row) + "]" for row in text[at.reshape(e.shape)].tolist()])
+    return f'{{"columns": {json.dumps(m.src.labels)}, "rows": {json.dumps(m.tgt.labels)}, "entries": [{rows}]}}'
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
@@ -123,30 +129,57 @@ def cmd_complement(args: argparse.Namespace) -> int:
     rel = relalg.parse_truth_table(Path(args.table).read_text())
     comps = relalg.minimal_complements(rel)
     # minimal_complements expands each pattern of block class-sets into
-    # sorted index partitions, up to 78,125 of them at the domain cap.  So
-    # label strings are built once, not per partition: each source label's
-    # "  x -> " prefix and each distinct block's text.
+    # sorted index partitions, up to 78,125 of them at the domain cap, and
+    # most blocks recur across many of them.  So each distinct block's texts
+    # are built once: its header text (in JSON, its list of labels) and one
+    # line per member, for the member's slot.  A partition matrix row is 1
+    # exactly at the row's block-mates, because the kernel of a quotient is
+    # the same-block relation, so its rows are member lines too, in slots
+    # after the quotient lines.  A complement then joins its blocks' headers
+    # in block order, and its lines from the slots, in element order.
     names = rel.src.labels
-    arrows = [f"  {x} -> " for x in names]
-    block_text = {} if args.format == "json" else {
-        b: "{" + ",".join([names[i] for i in b]) + "}" for b in set().union(*comps)}
-    doc, lines = [], [f"{len(comps)} minimal complement(s)"]
-    for k, p in enumerate(comps, start=1):
-        reps = list(names)  # each label's least block-mate
-        for b in p:
-            rep = names[b[0]]
-            for i in b[1:]:
-                reps[i] = rep
-        if args.format == "json":
-            doc.append({"blocks": [[names[i] for i in b] for b in p], "quotient": dict(zip(names, reps))})
-            continue
-        lines.append(f"complement {k}: blocks " + " ".join(map(block_text.__getitem__, p)))
-        lines += map(str.__add__, arrows, reps)
-        if args.matrices:
-            lines.append("  partition matrix:")
-            kern = relalg.kernel(relalg.quotient(rel.src, p))
-            lines += [f"    {row}" for row in relalg.format_bool_matrix(kern, labels=args.labels).splitlines()]
-    _write((json.dumps(doc, indent=2) if args.format == "json" else "\n".join(lines)) + "\n", args.out)
+    n = len(names)
+    blocks = set().union(*comps)
+    if args.format == "json":
+        enc = list(map(json.dumps, names))  # each label escaped once, with json.dumps' ensure_ascii escapes
+        pieces = {b: ("      [\n" + ",\n".join(["        " + enc[i] for i in b]) + "\n      ]",
+                      [(i, f"      {enc[i]}: {enc[b[0]]}") for i in b]) for b in blocks}
+    else:
+        pieces = {b: ("{" + ",".join([names[i] for i in b]) + "}",
+                      [(i, f"  {names[i]} -> {names[b[0]]}") for i in b]) for b in blocks}
+    slots = [""] * n
+    if args.matrices:
+        slots += ["  partition matrix:"] + [""] * n
+        prefix = [f"    {x}: " if args.labels else "    " for x in names]
+        for b, (_, members) in pieces.items():
+            cells = ["0"] * n
+            for i in b:
+                cells[i] = "1"
+            row = " ".join(cells)
+            members += [(n + 1 + i, prefix[i] + row) for i in b]
+
+    def filled():
+        """Each complement's block headers, with its lines put in ``slots``."""
+        for p in comps:
+            heads = []
+            for b in p:
+                head, members = pieces[b]
+                heads.append(head)
+                for i, line in members:
+                    slots[i] = line
+            yield heads
+
+    if args.format == "json":
+        doc = ['  {\n    "blocks": [\n' + ",\n".join(heads) + '\n    ],\n    "quotient": {\n'
+               + ",\n".join(slots) + "\n    }\n  }" for heads in filled()]
+        text = "[\n" + ",\n".join(doc) + "\n]"
+    else:
+        out = [f"{len(comps)} minimal complement(s)"]
+        for k, heads in enumerate(filled(), start=1):
+            out.append(f"complement {k}: blocks " + " ".join(heads))
+            out += slots
+        text = "\n".join(out)
+    _write(text + "\n", args.out)
     return 0
 
 

@@ -321,3 +321,19 @@ def test_a_failed_loop_names_its_first_failing_case(monkeypatch, mutation):
     assert {r.name: r.detail for r in results if not r.ok} == {
         check: "" if detail is None else "first counterexample " + detail for check, detail in details.items()}
 
+
+
+def test_the_monad_law_cases_are_the_seven_draw_cases():
+    """Three draws per case give the cases, in order, that two Kleisli
+    arrows (real then imaginary normals each), one index and one ket (real
+    then imaginary normals) drew one call at a time, and leave the
+    vecmonad suite's generator in the same state for the checks after."""
+    fast, slow = np.random.default_rng(20260811), np.random.default_rng(20260811)
+    for fm, gm, k, vp in checks._monad_law_draws(fast, 1000):
+        want_f = slow.normal(size=(4, 4)) + 1j * slow.normal(size=(4, 4))
+        want_g = slow.normal(size=(4, 4)) + 1j * slow.normal(size=(4, 4))
+        want_k = int(slow.integers(4))
+        want_v = [slow.normal(size=4), slow.normal(size=4)]
+        assert np.array_equal(fm, want_f) and np.array_equal(gm, want_g)
+        assert k == want_k and np.array_equal(vp, want_v)
+    assert fast.bit_generator.state == slow.bit_generator.state

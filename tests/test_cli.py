@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +140,41 @@ def test_run_alice_json_golden(capsys):
     assert capsys.readouterr().out.encode() == (GOLDENS / "run_alice.json").read_bytes()
 
 
+# The per-cell printer that ``matrix --format json`` replaced, kept as the
+# reference.
+def ref_matrix_json(m: vecmonad.CMatrix) -> str:
+    return json.dumps(
+        {
+            "columns": list(m.src.labels),
+            "rows": list(m.tgt.labels),
+            "entries": [[[z.real, z.imag] for z in row] for row in m.entries.tolist()],
+        }
+    )
+
+
+@pytest.mark.parametrize("step", default_library().names())
+def test_matrix_json_prints_what_the_per_cell_printer_printed(capsys, step):
+    for maxlen in range(5):
+        try:
+            m = cli._fold_matrix(step, maxlen, vecmonad.DEFAULT_TOL)
+        except (KeyError, ValueError):  # not a step, or over a cap
+            continue
+        assert main(["matrix", "--step", step, "--maxlen", str(maxlen), "--format", "json"]) == 0
+        assert capsys.readouterr().out == ref_matrix_json(m) + "\n"
+
+
+def test_matrix_json_keeps_each_zero_and_nan_text_of_the_per_cell_printer():
+    """Signed zeros, NaNs with other sign and payload bits, infinities and
+    subnormals, in every real and imaginary pairing."""
+    parts = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1.0, -0.5])
+    parts = np.append(parts, np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64))
+    re, im = np.meshgrid(parts, parts)
+    basis = relalg.FinBasis(tuple(f"x{i}" for i in range(len(parts))))
+    m = vecmonad.CMatrix(basis, basis, np.stack([re, im], axis=-1).view(np.complex128)[..., 0])  # bits kept
+    assert cli._matrix_json(m) == ref_matrix_json(m)
+    assert "[-0.0, 0.0]" in cli._matrix_json(m) and "[0.0, -0.0]" in cli._matrix_json(m)
+
+
 @pytest.mark.parametrize(
     "flags, golden",
     [
@@ -154,7 +190,11 @@ def test_complement_xor_golden(capsys, flags, golden):
 
 @pytest.mark.parametrize(
     "flags, golden",
-    [([], "complement_n9_432.txt"), (["--format", "json"], "complement_n9_432.json")],
+    [
+        ([], "complement_n9_432.txt"),
+        (["--format", "json"], "complement_n9_432.json"),
+        (["--matrices", "--labels"], "complement_n9_432_matrices.txt"),
+    ],
 )
 def test_complement_nine_element_golden(capsys, flags, golden):
     """Kernel classes of 4, 3 and 2 elements: 288 complements."""
@@ -210,14 +250,14 @@ def class_tables(draw):
     return "".join(f"{x} -> c{c}\n" for x, c in zip(src, cls))
 
 
-@pytest.mark.parametrize(
+COMPLEMENT_FLAGS = pytest.mark.parametrize(
     "flags",
     [[], ["--format", "json"], ["--matrices"], ["--matrices", "--labels"]],
     ids=["text", "json", "matrices", "matrices-labels"],
 )
-@settings(max_examples=40, deadline=None)
-@given(table=class_tables())
-def test_complement_prints_what_the_label_level_formatting_printed(flags, table):
+
+
+def assert_complement_prints_the_reference(table: str, flags: list[str]) -> None:
     rel = relalg.parse_truth_table(table)
     comps = tuple(relalg.quotient(rel.src, p) for p in relalg.minimal_complements(rel))
     ref_args = argparse.Namespace(
@@ -230,6 +270,31 @@ def test_complement_prints_what_the_label_level_formatting_printed(flags, table)
         path.write_text(table)
         assert main(["complement", str(path), "--out", str(out), *flags]) == 0
         assert out.read_text() == ref_complement_output(comps, ref_args)
+
+
+@COMPLEMENT_FLAGS
+@settings(max_examples=40, deadline=None)
+@given(table=class_tables())
+def test_complement_prints_what_the_label_level_formatting_printed(flags, table):
+    assert_complement_prints_the_reference(table, flags)
+
+
+# Labels whose JSON form needs escapes: a quote, a backslash, a tab, and
+# non-ASCII text, one of it outside the Basic Multilingual Plane.
+ESCAPED_LABELS = ['q"x', "b\\s", "t\tab", "\u00e9", "\u2603", "\U0001f600", '"', "\\"]
+
+
+@COMPLEMENT_FLAGS
+def test_complement_prints_labels_that_need_json_escapes_as_the_reference(flags):
+    table = "".join(f"{x} -> c{c}\n" for x, c in zip(ESCAPED_LABELS, [0, 1, 0, 2, 1, 0, 3, 2]))
+    assert_complement_prints_the_reference(table, flags)
+
+
+@COMPLEMENT_FLAGS
+def test_complement_prints_thousands_of_complements_as_the_reference(flags):
+    """Kernel classes of 4, 2, 1, 1, 1 and 1 elements, interleaved: 3,072
+    complements built from 192 distinct blocks."""
+    assert_complement_prints_the_reference((DATA / "n10_4211.tbl").read_text(), flags)
 
 
 @pytest.mark.parametrize(
