@@ -1,8 +1,12 @@
 """Runnable invariant suites behind the ``check`` command.
 
 Each suite exercises one module's algebraic contracts with seeded
-randomness, so repeated runs are byte-identical.  The suites return
-plain (name, ok, detail) records; the CLI renders counts and failures.
+randomness, so repeated runs are byte-identical.  A suite records its
+checks in one ``_Suite``, which each check names once, at its start: a
+loop fills the ``_Cases`` of ``_Suite.cases``, a single verdict goes
+through ``_Suite.add`` and a law over all operand tuples through
+``_Suite.law``.  The suites return plain (suite, name, ok, detail)
+records, in check order; the CLI renders counts and failures.
 
 The exhaustive relation-algebra laws call the library operators once on
 every distinct operand (each split, junc and kernel they need), stack the
@@ -33,25 +37,10 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(suite: str, name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(suite, name, bool(ok), "" if ok else detail)
-
-
 def _masks(rels: list[Rel]) -> np.ndarray:
     """Each relation's entries as one bit mask: r <= s is r & ~s == 0."""
     bits = np.array([r.entries.ravel() for r in rels], dtype=np.uint16)
     return (bits << np.arange(bits.shape[1], dtype=np.uint16)).sum(axis=1, dtype=np.uint16)
-
-
-def _law(suite: str, name: str, lhs: np.ndarray, rhs: np.ndarray, **operands: list[Rel]) -> CheckResult:
-    """A law tested over all operand tuples at once: the leading axes of
-    ``lhs`` and ``rhs`` index the operand lists, in order.  A failure names
-    the first tuple where the two sides differ, each relation by its rows."""
-    if np.array_equal(lhs, rhs):
-        return _result(suite, name, True)
-    first = np.argwhere(lhs != rhs)[0]
-    named = (f"{n}={_rows(rels[i])}" for (n, rels), i in zip(operands.items(), first))
-    return _result(suite, name, False, "first counterexample " + ", ".join(named))
 
 
 def _rows(r: Rel) -> str:
@@ -70,8 +59,39 @@ class _Cases:
         if not ok and self.ok:
             self.ok, self.detail = False, "first counterexample " + describe()
 
-    def result(self, suite: str, name: str) -> CheckResult:
-        return _result(suite, name, self.ok, self.detail)
+
+class _Suite:
+    """The one recorder of a suite's results, in check order: each check
+    names itself once, at its start, through ``cases``, ``add`` or ``law``."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._checks: list[tuple[str, _Cases]] = []
+
+    def cases(self, name: str) -> _Cases:
+        """The cases of check ``name``, for its loop to fill."""
+        cases = _Cases()
+        self._checks.append((name, cases))
+        return cases
+
+    def add(self, name: str, ok: object, detail: str = "") -> None:
+        """One verdict, with the detail it keeps if it fails."""
+        cases = self.cases(name)
+        cases.ok, cases.detail = bool(ok), "" if ok else detail
+
+    def law(self, name: str, lhs: np.ndarray, rhs: np.ndarray, **operands: list[Rel]) -> None:
+        """A law tested over all operand tuples at once: the leading axes of
+        ``lhs`` and ``rhs`` index the operand lists, in order.  A failure
+        names the first tuple where the two sides differ, each relation by
+        its rows."""
+        cases = self.cases(name)
+        if not np.array_equal(lhs, rhs):
+            first = np.argwhere(lhs != rhs)[0]
+            named = [f"{n}={_rows(rels[i])}" for (n, rels), i in zip(operands.items(), first)]
+            cases.check(False, lambda: ", ".join(named))
+
+    def results(self) -> list[CheckResult]:
+        return [CheckResult(self.name, name, cases.ok, cases.detail) for name, cases in self._checks]
 
 
 def _gap(u: AmpVec | vecmonad.CMatrix, v: AmpVec | vecmonad.CMatrix) -> str:
@@ -131,23 +151,21 @@ def _random_unitary_op(rng: np.random.Generator, basis: FinBasis) -> KleisliOp:
 
 def relalg_suite() -> list[CheckResult]:
     rng = np.random.default_rng(20260810)
-    out: list[CheckResult] = []
+    rec = _Suite("relalg")
     b3 = FinBasis(("a", "b", "c"))
     b2 = FinBasis(("p", "q"))
 
-    cases = _Cases()
+    cases = rec.cases("kernel of a function is an equivalence")
     for _ in range(50):
         f = _random_function(rng, b3, b2)
         cases.check(relalg.is_equivalence(relalg.kernel(f)), lambda: f"f={_rows(f)}")
-    out.append(cases.result("relalg", "kernel of a function is an equivalence"))
 
-    cases = _Cases()
+    cases = rec.cases("bijection iff kernel and image are identities")
     for _ in range(50):
         f = _random_function(rng, b3, b3)
         bij = relalg.is_bijection(f)
         chr_ = relalg.kernel(f) == relalg.identity(b3) and relalg.image(f) == relalg.identity(b3)
         cases.check(bij == chr_, lambda: f"f={_rows(f)}: bijection {bij}, identity kernel and image {chr_}")
-    out.append(cases.result("relalg", "bijection iff kernel and image are identities"))
 
     rels2 = [Rel(b2, b2, np.array(bits, dtype=bool).reshape(2, 2))
              for bits in itertools.product([0, 1], repeat=4)]
@@ -162,10 +180,9 @@ def relalg_suite() -> list[CheckResult]:
         r, s, x = ker[:, None, None], ker[None, :, None], ker[None, None, :]
         lhs = (x & ~ker_pair[:, :, None]) == 0
         rhs = ((x & ~r) == 0) & ((x & ~s) == 0)
-        out.append(_law("relalg", f"pairing is the least upper bound ({where})",
-                        lhs, rhs, r=rels, s=rels, x=rels))
+        rec.law(f"pairing is the least upper bound ({where})", lhs, rhs, r=rels, s=rels, x=rels)
 
-    cases = _Cases()
+    cases = rec.cases("injectivity shunting law")
     for _ in range(200):
         g = _random_function(rng, b2, b3)
         r = _random_rel(rng, b3, b2)
@@ -173,7 +190,6 @@ def relalg_suite() -> list[CheckResult]:
         lhs = relalg.leq_injectivity(relalg.compose(r, g), s)
         rhs = relalg.leq_injectivity(r, relalg.compose(s, relalg.converse(g)))
         cases.check(lhs == rhs, lambda: f"g={_rows(g)}, r={_rows(r)}, s={_rows(s)}")
-    out.append(cases.result("relalg", "injectivity shunting law"))
 
     # Library splits and juncs on every distinct operand; the outer junc
     # (columns side by side) and split (rowwise meet) for every (r, s, t, v).
@@ -183,10 +199,9 @@ def relalg_suite() -> list[CheckResult]:
     sv = np.array([relalg.either(s, v).entries for s in rels2 for v in vs]).reshape(1, 16, 1, 8, 2, 4)
     lhs = np.concatenate(np.broadcast_arrays(p[:, :, None, None], p[None, None, :8, 8:]), axis=-1)
     rhs = (rt[..., :, None, :] & sv[..., None, :, :]).reshape(lhs.shape)
-    out.append(_law("relalg", "exchange law (exhaustive 2-element bases)",
-                    lhs, rhs, r=rels2, s=rels2, t=ts, v=vs))
+    rec.law("exchange law (exhaustive 2-element bases)", lhs, rhs, r=rels2, s=rels2, t=ts, v=vs)
 
-    cases = _Cases()
+    cases = rec.cases("kernel of a split meets the kernels")
     for _ in range(100):
         r = _random_rel(rng, b3, b2)
         s = _random_rel(rng, b3, b2)
@@ -194,9 +209,8 @@ def relalg_suite() -> list[CheckResult]:
                     lambda: f"r={_rows(r)}, s={_rows(s)}: the kernel of <r,s> is not the meet of theirs")
         cases.check(relalg.leq_injectivity(r, relalg.pair(r, s)),
                     lambda: f"r={_rows(r)}, s={_rows(s)}: r is more injective than <r,s>")
-    out.append(cases.result("relalg", "kernel of a split meets the kernels"))
 
-    cases = _Cases()
+    cases = rec.cases("difunctionality equals the column criterion")
     for _ in range(100):
         r = _random_rel(rng, b3, b3)
         cols = [r.entries[:, j] for j in range(3)]
@@ -206,11 +220,10 @@ def relalg_suite() -> list[CheckResult]:
         )
         cases.check(relalg.is_difunctional(r) == by_columns,
                     lambda: f"r={_rows(r)}: column criterion {by_columns}")
-    out.append(cases.result("relalg", "difunctionality equals the column criterion"))
 
+    cases = rec.cases("envelope is a self-inverse bijection refining f")
     bb = relalg.product_basis(BIT, BIT)
     mono = relalg.xor_monoid()
-    cases = _Cases()
     for table_bits in itertools.product("01", repeat=4):
         table = {x: table_bits[j] for j, x in enumerate(bb)}
         f = relalg.from_function(table, bb, BIT)
@@ -224,18 +237,16 @@ def relalg_suite() -> list[CheckResult]:
             )
             cases.check(out_b == table[x], lambda: f"f={_rows(f)}: the envelope sends {pair_label(x, '0')}"
                                                    f" to payload {out_b}, f gives {table[x]}")
-    out.append(cases.result("relalg", "envelope is a self-inverse bijection refining f"))
 
+    cases = rec.cases("xor has exactly the two projection complements")
     xor = relalg.from_function(gates.xor_table(), bb, BIT)
     comps = relalg.minimal_complements(xor)
-    cases = _Cases()
     cases.check(len(comps) == 2, lambda: f"{len(comps)} minimal complements")
     for p in comps:
         cases.check(relalg.is_injective(relalg.pair(xor, relalg.quotient(bb, p))),
                     lambda: f"blocks {p}: the split with xor is not injective")
-    out.append(cases.result("relalg", "xor has exactly the two projection complements"))
 
-    return out
+    return rec.results()
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +254,10 @@ def relalg_suite() -> list[CheckResult]:
 
 def vecmonad_suite() -> list[CheckResult]:
     rng = np.random.default_rng(20260811)
-    out: list[CheckResult] = []
+    rec = _Suite("vecmonad")
     b4 = relalg.product_basis(BIT, BIT)
 
-    cases = _Cases()
+    cases = rec.cases("monad laws (1000 randomized cases)")
     for i, (fm, gm, k, vp) in enumerate(_monad_law_draws(rng, 1000)):
         f = vecmonad.from_matrix(vecmonad.CMatrix(b4, b4, fm))
         g = vecmonad.from_matrix(vecmonad.CMatrix(b4, b4, gm))
@@ -260,9 +271,8 @@ def vecmonad_suite() -> list[CheckResult]:
         lhs = vecmonad.bind(vecmonad.bind(v, f), g)
         rhs = vecmonad.bind(v, KleisliOp(b4, lambda x: vecmonad.bind(f.apply(x), g)))
         cases.check(vecmonad.vec_equal(lhs, rhs, tol=1e-12), lambda: f"case {i}: associativity, {_gap(lhs, rhs)}")
-    out.append(cases.result("vecmonad", "monad laws (1000 randomized cases)"))
 
-    cases = _Cases()
+    cases = rec.cases("materialize is functorial")
     for i in range(50):
         f = _random_kleisli(rng, b4, b4)
         g = _random_kleisli(rng, b4, b4)
@@ -271,18 +281,16 @@ def vecmonad_suite() -> list[CheckResult]:
         cases.check(lhs.close_to(rhs, tol=1e-9), lambda: f"case {i}: Kleisli composite, {_gap(lhs, rhs)}")
     lhs, rhs = vecmonad.materialize(vecmonad.ret_op(b4), b4), vecmonad.identity_matrix(b4)
     cases.check(lhs == rhs, lambda: f"the unit is not the identity matrix, {_gap(lhs, rhs)}")
-    out.append(cases.result("vecmonad", "materialize is functorial"))
 
-    cases = _Cases()
+    cases = rec.cases("tensor materializes to the Kronecker product")
     for i in range(50):
         f = _random_kleisli(rng, BIT, BIT)
         g = _random_kleisli(rng, b4, b4)
         lhs = vecmonad.materialize(vecmonad.tensor(f, g), relalg.product_basis(BIT, b4))
         rhs = vecmonad.kron(vecmonad.materialize(f, BIT), vecmonad.materialize(g, b4))
         cases.check(lhs.close_to(rhs, tol=1e-9), lambda: f"case {i}: {_gap(lhs, rhs)}")
-    out.append(cases.result("vecmonad", "tensor materializes to the Kronecker product"))
 
-    cases = _Cases()
+    cases = rec.cases("unitary ops close under composition and tensor")
     for i in range(20):
         u1 = _random_unitary_op(rng, b4)
         u2 = _random_unitary_op(rng, b4)
@@ -291,34 +299,31 @@ def vecmonad_suite() -> list[CheckResult]:
         cases.check(vecmonad.is_unitary(
             vecmonad.materialize(vecmonad.tensor(u1, u2), relalg.product_basis(b4, b4)), tol=1e-9
         ), lambda: f"case {i}: the tensor is not unitary")
-    out.append(cases.result("vecmonad", "unitary ops close under composition and tensor"))
 
-    cases = _Cases()
+    cases = rec.cases("pruning is invisible above 10x the prune epsilon")
     for i in range(100):
         v = _random_vec(rng, b4)
         noisy = vecmonad.add(v, AmpVec({b4.labels[0]: vecmonad.PRUNE_EPS / 10}))
         cases.check(vecmonad.vec_equal(v, noisy, tol=10 * vecmonad.PRUNE_EPS),
                     lambda: f"case {i}: {_gap(v, noisy)}")
-    out.append(cases.result("vecmonad", "pruning is invisible above 10x the prune epsilon"))
 
-    return out
+    return rec.results()
 
 
 # ---------------------------------------------------------------------------
 # gates
 
 def gates_suite() -> list[CheckResult]:
-    out: list[CheckResult] = []
+    rec = _Suite("gates")
     lib = gates.default_library()
 
-    cases = _Cases()
+    cases = rec.cases("every library gate is unitary")
     for n in lib.names():
         m = lib.matrix(n)
         cases.check(vecmonad.is_unitary(m, tol=1e-9), lambda: f"gate {n}: {_unitary_gap(m)}")
-    out.append(cases.result("gates", "every library gate is unitary"))
 
+    cases = rec.cases("choice of classical bijections is a permutation")
     bb = relalg.product_basis(BIT, BIT)
-    cases = _Cases()
     for f_tab, g_tab in itertools.product(
         [{"0": "0", "1": "1"}, {"0": "1", "1": "0"}], repeat=2
     ):
@@ -329,8 +334,8 @@ def gates_suite() -> list[CheckResult]:
         ok = (col_ones.sum(axis=0) == 1).all() and (col_ones.sum(axis=1) == 1).all()
         ok = ok and (np.abs(m.entries) > 1e-12).sum() == 4
         cases.check(ok, lambda: f"f={f_tab['0']}{f_tab['1']}, g={g_tab['0']}{g_tab['1']}: no permutation matrix")
-    out.append(cases.result("gates", "choice of classical bijections is a permutation"))
 
+    cases = rec.cases("cnot: split route and choice route coincide")
     via_pair = relalg.pair(
         relalg.from_function(lambda l: relalg.split_pair(l)[0], bb, BIT),
         relalg.from_function(gates.xor_table(), bb, BIT),
@@ -339,27 +344,24 @@ def gates_suite() -> list[CheckResult]:
         gates.choice(gates.lift({"0": "0", "1": "1"}, BIT), gates.lift(gates.NOT_TABLE, BIT)),
         bb,
     )
-    cases = _Cases()
     split, chosen, cnot = via_pair.entries.astype(complex), via_choice.entries, lib.matrix("cnot")
     cases.check(np.array_equal(split, chosen),
                 lambda: f"{_first_input(bb, split, chosen)}: the split and choice routes differ")
     cases.check(via_choice == cnot,
                 lambda: f"{_first_input(bb, chosen, cnot.entries)}: the choice route is not the library cnot")
-    out.append(cases.result("gates", "cnot: split route and choice route coincide"))
 
+    cases = rec.cases("ccnot: envelope route equals the lifted table")
     ccnot_env = relalg.u_construct(
         relalg.from_function(
             {l: "1" if l == pair_label("1", "1") else "0" for l in bb}, bb, BIT
         ),
         relalg.xor_monoid(),
     )
-    cases = _Cases()
     env, lifted = ccnot_env.entries.astype(float), lib.matrix("ccnot").entries.real
     cases.check(np.array_equal(env, lifted),
                 lambda: f"{_first_input(ccnot_env.src, env, lifted)}: the envelope and the lifted table differ")
-    out.append(cases.result("gates", "ccnot: envelope route equals the lifted table"))
 
-    cases = _Cases()
+    cases = rec.cases("h squares and t eighth-powers to the identity")
     h2 = vecmonad.matmul(lib.matrix("h"), lib.matrix("h"))
     cases.check(h2.close_to(vecmonad.identity_matrix(BIT), tol=1e-12),
                 lambda: f"h squared against the identity, {_gap(h2, vecmonad.identity_matrix(BIT))}")
@@ -368,9 +370,8 @@ def gates_suite() -> list[CheckResult]:
         t8 = vecmonad.matmul(lib.matrix("t"), t8)
     cases.check(t8.close_to(vecmonad.identity_matrix(BIT), tol=1e-9),
                 lambda: f"t to the eighth against the identity, {_gap(t8, vecmonad.identity_matrix(BIT))}")
-    out.append(cases.result("gates", "h squares and t eighth-powers to the identity"))
 
-    cases = _Cases()
+    cases = rec.cases("bell and unbell are adjoint blocks of the cnot/hadamard pair")
     b_mat = vecmonad.materialize(gates.bell(), bb)
     hid = vecmonad.kron(lib.matrix("h"), vecmonad.identity_matrix(BIT))
     want = vecmonad.matmul(lib.matrix("cnot"), hid)
@@ -378,19 +379,17 @@ def gates_suite() -> list[CheckResult]:
                 lambda: f"bell against cnot after h on the first bit, {_gap(b_mat, want)}")
     u_mat, b_dag = vecmonad.materialize(gates.unbell(), bb), vecmonad.dagger(b_mat)
     cases.check(u_mat.close_to(b_dag, tol=1e-12), lambda: f"unbell against the adjoint of bell, {_gap(u_mat, b_dag)}")
-    out.append(cases.result("gates", "bell and unbell are adjoint blocks of the cnot/hadamard pair"))
 
+    cases = rec.cases("guarded choice of unitaries is unitary")
     rng = np.random.default_rng(20260812)
-    cases = _Cases()
     for i in range(20):
         p = _random_unitary_op(rng, BIT)
         f = _random_unitary_op(rng, BIT)
         g = _random_unitary_op(rng, BIT)
         m = vecmonad.materialize(gates.mccarthy(p, f, g), bb)
         cases.check(vecmonad.is_unitary(m, tol=1e-9), lambda: f"case {i}: {_unitary_gap(m)}")
-    out.append(cases.result("gates", "guarded choice of unitaries is unitary"))
 
-    return out
+    return rec.results()
 
 
 def _unitary_gap(m: vecmonad.CMatrix) -> str:
@@ -410,32 +409,29 @@ def _first_input(src: FinBasis, a: np.ndarray, b: np.ndarray) -> str:
 
 def quanta_suite() -> list[CheckResult]:
     rng = np.random.default_rng(20260813)
-    out: list[CheckResult] = []
+    rec = _Suite("quanta")
     lib = gates.default_library()
     bb = relalg.product_basis(BIT, BIT)
     lb2 = quanta.ListBasis(2)
 
-    cases = _Cases()
+    cases = rec.cases("fold of a unitary step is unitary (20 random steps)")
     for i in range(20):
         fold = quanta.fold_matrix(_random_unitary_op(rng, bb), 2)
         cases.check(vecmonad.is_unitary(fold, tol=1e-9), lambda: f"step {i}: F*F against the identity, " + _gap(
             vecmonad.matmul(vecmonad.dagger(fold), fold), vecmonad.identity_matrix(fold.src)))
-    out.append(cases.result("quanta", "fold of a unitary step is unitary (20 random steps)"))
 
-    cases = _Cases()
+    cases = rec.cases("outputs keep the input list length")
     lengths = np.array([len(relalg.split_list(relalg.split_pair(label)[0])) for label in lb2.basis])
     for i in range(5):
         rows, cols = np.nonzero(quanta.fold_matrix(_random_unitary_op(rng, bb), 2).entries)
         moved = np.flatnonzero(lengths[rows] != lengths[cols])
         cases.check(not len(moved),
                     lambda: f"step {i}: {lb2.labels[cols[moved[0]]]} reaches {lb2.labels[rows[moved[0]]]}")
-    out.append(cases.result("quanta", "outputs keep the input list length"))
 
-    m = quanta.fold_matrix(lib.step("id"), 2)
-    ok = m.close_to(vecmonad.identity_matrix(lb2.basis), tol=1e-12)
-    out.append(_result("quanta", "fold of the identity step is the identity", ok))
+    rec.add("fold of the identity step is the identity",
+            quanta.fold_matrix(lib.step("id"), 2).close_to(vecmonad.identity_matrix(lb2.basis), tol=1e-12))
 
-    cases = _Cases()
+    cases = rec.cases("free theorems for item relabelings (maxlen 2)")
     step = lib.op("bell")
     fold = quanta.fold_matrix(lib.step("bell"), 2)
     for k_tab in [{"0": "0", "1": "1"}, {"0": "1", "1": "0"},
@@ -447,39 +443,32 @@ def quanta_suite() -> list[CheckResult]:
             )
             for lbl in lb2.basis
         }
-        k_pre = {
-            lbl: pair_label(k_tab[relalg.split_pair(lbl)[0]], relalg.split_pair(lbl)[1])
-            for lbl in bb
-        }
+        k_id = vecmonad.tensor(gates.lift(k_tab, BIT), vecmonad.ret_op(BIT))
         k = k_tab["0"] + k_tab["1"]
         relabel = vecmonad.materialize(gates.lift(mapk, lb2.basis), lb2.basis)
         lhs = vecmonad.matmul(fold, relabel)
-        rhs = quanta.fold_matrix(vecmonad.kleisli(step, gates.lift(k_pre, bb)), 2)
+        rhs = quanta.fold_matrix(vecmonad.kleisli(step, k_id), 2)
         cases.check(lhs.close_to(rhs, tol=1e-9), lambda: f"relabelling k={k}: fold after k, {_gap(lhs, rhs)}")
 
         lhs2 = vecmonad.matmul(relabel, fold)
-        rhs2 = quanta.fold_matrix(vecmonad.kleisli(gates.lift(k_pre, bb), step), 2)
+        rhs2 = quanta.fold_matrix(vecmonad.kleisli(k_id, step), 2)
         cases.check(lhs2.close_to(rhs2, tol=1e-9), lambda: f"relabelling k={k}: k after fold, {_gap(lhs2, rhs2)}")
-    out.append(cases.result("quanta", "free theorems for item relabelings (maxlen 2)"))
 
-    out.append(_banana_split(rng).result("quanta", "paired folds fuse into one fold (maxlen 2)"))
+    _banana_split(rng, rec.cases("paired folds fuse into one fold (maxlen 2)"))
 
-    fst_fn = relalg.from_function(lambda l: relalg.split_pair(l)[0], lb2.basis, lb2.list_basis)
-    by_cata = quanta.cata(
+    rec.add("folding the constructors projects the list", quanta.cata(
         lambda side, body: relalg.list_label(()) if side == 0 else relalg.list_label(
             (relalg.split_pair(body)[0],) + relalg.split_list(relalg.split_pair(body)[1])
         ),
         2,
         lb2.list_basis,
-    )
-    out.append(_result("quanta", "folding the constructors projects the list", by_cata == fst_fn))
+    ) == relalg.from_function(lambda l: relalg.split_pair(l)[0], lb2.basis, lb2.list_basis))
 
-    alpha_m = vecmonad.materialize(quanta.alpha(2), lb2.basis)
     psi_id = vecmonad.materialize(quanta.psi(lib.step("id"), 2), lb2.basis)
-    ok = psi_id.close_to(alpha_m, tol=1e-12)
-    out.append(_result("quanta", "one-layer unfolding of the identity is alpha", ok))
+    rec.add("one-layer unfolding of the identity is alpha",
+            psi_id.close_to(vecmonad.materialize(quanta.alpha(2), lb2.basis), tol=1e-12))
 
-    cases = _Cases()
+    cases = rec.cases("projection-complemented steps promote to bijective folds")
     complemented = 0
     for bits in itertools.product("01", repeat=4):
         table = {x: bits[j] for j, x in enumerate(bb)}
@@ -490,9 +479,8 @@ def quanta_suite() -> list[CheckResult]:
         complemented += 1
         cases.check(relalg.is_bijection(rel), lambda: f"table {''.join(bits)}: the fold is no bijection")
     cases.check(complemented == 4, lambda: f"{complemented} tables are complemented, want 4")
-    out.append(cases.result("quanta", "projection-complemented steps promote to bijective folds"))
 
-    cases = _Cases()
+    cases = rec.cases("one-layer unfolding preserves injectivity")
     for perm in itertools.permutations(range(4)):
         table = {bb.labels[i]: bb.labels[perm[i]] for i in range(4)}
         x = gates.lift(table, bb)
@@ -500,25 +488,22 @@ def quanta_suite() -> list[CheckResult]:
         rel = Rel(m_psi.src, m_psi.tgt, np.abs(m_psi.entries) > 0.5)
         cases.check(relalg.is_injective(rel),
                     lambda: f"step {''.join(map(str, perm))}: the unfolding layer is not injective")
-    out.append(cases.result("quanta", "one-layer unfolding preserves injectivity"))
 
-    cases = _Cases()
+    cases = rec.cases("fused unfolding route equals the direct recursion")
     for name, step in [("cnot", lib.step("cnot")), ("bell", gates.bell()), ("random", _random_unitary_op(rng, bb))]:
         direct = quanta.fold_matrix(step, 2)
         fused = vecmonad.materialize(quanta.quantamorphism_via_psi(step, 2), lb2.basis)
         cases.check(direct.close_to(fused, tol=1e-9), lambda: f"step {name}: {_gap(direct, fused)}")
-    out.append(cases.result("quanta", "fused unfolding route equals the direct recursion"))
 
-    return out
+    return rec.results()
 
 
-def _banana_split(rng: np.random.Generator) -> _Cases:
+def _banana_split(rng: np.random.Generator, cases: _Cases) -> None:
     """Banana split over every pair of five algebras, numbered in order:
     xor, the one that keeps the value folded from the tail, and three
     random tables."""
     bb = relalg.product_basis(BIT, BIT)
     cop = relalg.coproduct_basis(BIT, bb)
-    cases = _Cases()
     algebras = [
         lambda side, body: body if side == 0 else gates.xor_table()[body],
         lambda side, body: body if side == 0 else relalg.split_pair(body)[1],
@@ -543,7 +528,6 @@ def _banana_split(rng: np.random.Generator) -> _Cases:
 
         rhs = quanta.cata(fused, 2, relalg.product_basis(BIT, BIT))
         cases.check(lhs == rhs, lambda: f"algebras ({i}, {j}): the paired and fused folds {_differ(lhs, rhs)}")
-    return cases
 
 
 def _differ(r: Rel, s: Rel) -> str:
@@ -559,14 +543,14 @@ def _differ(r: Rel, s: Rel) -> str:
 
 def circuitgen_suite() -> list[CheckResult]:
     rng = np.random.default_rng(20260814)
-    out: list[CheckResult] = []
+    rec = _Suite("circuitgen")
     lib = gates.default_library()
 
     cnot4 = lib.matrix("cnot")
-    circ4 = circuitgen.synth_permutation(cnot4)
-    ok = circ4.gates == (circuitgen.Gate("cx", (0, 1)),)
-    out.append(_result("circuitgen", "the 2-bit controlled-not compiles to one cx", ok))
+    rec.add("the 2-bit controlled-not compiles to one cx",
+            circuitgen.synth_permutation(cnot4).gates == (circuitgen.Gate("cx", (0, 1)),))
 
+    cases = rec.cases("synthesized circuits act as their matrices")
     matrices = [cnot4]
     for _ in range(3):
         perm = rng.permutation(8)
@@ -575,7 +559,6 @@ def circuitgen_suite() -> list[CheckResult]:
             m[i, j] = 1.0
         basis = FinBasis(tuple(format(i, "03b") for i in range(8)))
         matrices.append(vecmonad.CMatrix(basis, basis, m))
-    cases = _Cases()
     for i, m in enumerate(matrices):
         enc = circuitgen.Encoding(m.src)
         circ = circuitgen.synth_permutation(m)
@@ -584,9 +567,8 @@ def circuitgen_suite() -> list[CheckResult]:
             got = circuitgen.simulate(circ, bits)
             expect = enc.bits_of(m.tgt.labels[int(np.argmax(np.abs(m.entries[:, j])))])
             cases.check(got == expect, lambda: f"case {i}: input {bits} gives {got}, want {expect}")
-    out.append(cases.result("circuitgen", "synthesized circuits act as their matrices"))
 
-    cases = _Cases()
+    cases = rec.cases("mcx lowering has the mcx truth table (up to 6 controls)")
     for n_controls in range(1, 7):
         anc = tuple(range(n_controls + 1, n_controls + 1 + max(0, n_controls - 2)))
         for pols in ([1] * n_controls, [0] + [1] * (n_controls - 1)):
@@ -605,9 +587,8 @@ def circuitgen_suite() -> list[CheckResult]:
                 if fire:
                     want[n_controls] = "1" if bits[n_controls] == "0" else "0"
                 cases.check(got == "".join(want), lambda: f"{case}: input {inp} gives {got}, want {''.join(want)}")
-    out.append(cases.result("circuitgen", "mcx lowering has the mcx truth table (up to 6 controls)"))
 
-    cases = _Cases()
+    cases = rec.cases("peephole cancellation preserves semantics")
     for i in range(10):
         n = 3
         gs = []
@@ -625,14 +606,12 @@ def circuitgen_suite() -> list[CheckResult]:
             a = circuitgen.simulate_state(circ, AmpVec({bits: 1.0}))
             b = circuitgen.simulate_state(slim, AmpVec({bits: 1.0}))
             cases.check(vecmonad.vec_equal(a, b, tol=1e-9), lambda: f"case {i}: input {bits}, {_gap(a, b)}")
-    out.append(cases.result("circuitgen", "peephole cancellation preserves semantics"))
 
     circ = circuitgen.synth_permutation(cnot4)
-    text = circuitgen.export_qasm(circ)
-    ok = circuitgen.parse_qasm(text).gates == circ.gates
-    out.append(_result("circuitgen", "exported QASM parses back to the same gates", ok))
+    rec.add("exported QASM parses back to the same gates",
+            circuitgen.parse_qasm(circuitgen.export_qasm(circ)).gates == circ.gates)
 
-    cases = _Cases()
+    cases = rec.cases("statevector path matches dense matrix action")
     basis = FinBasis(("00", "01", "10", "11"))
     for i in range(10):
         gs = []
@@ -647,9 +626,8 @@ def circuitgen_suite() -> list[CheckResult]:
         wrong = [b for b, w in zip(basis.labels, want) if abs(got[b] - w) > 1e-9]
         cases.check(not wrong, lambda: f"case {i}: amplitude at {wrong[0]},"
                                        f" {_gap(got, AmpVec(zip(basis.labels, want)))}")
-    out.append(cases.result("circuitgen", "statevector path matches dense matrix action"))
 
-    return out
+    return rec.results()
 
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)

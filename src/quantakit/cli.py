@@ -18,6 +18,7 @@ import math
 import os
 import stat
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,11 @@ from . import gates, quanta, relalg, vecmonad
 MAXLEN_CAP = 4
 DIM_CAP = 62
 OVERWRITE_NOTE = "; an existing file is overwritten in place, keeping its inode and mode"
+CHUNK_LINES = 8192
 
 
-def _write(text: str, out: str | None) -> None:
-    """Print ``text``, or write it to the path ``out`` in place.
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """Print the text ``chunks`` in order, or write them to the path ``out`` in place.
 
     Truncating to zero first, as ``Path.write_text`` does, makes ext4 flush
     the file's blocks on close (its replace-via-truncate heuristic): 50-65 ms
@@ -40,7 +42,7 @@ def _write(text: str, out: str | None) -> None:
     mode ``write_text`` would give it.
     """
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     fd = os.open(Path(out), os.O_WRONLY | os.O_CREAT, 0o666)
     try:
@@ -49,9 +51,21 @@ def _write(text: str, out: str | None) -> None:
         os.close(fd)
         raise
     with f:
-        f.write(text)
+        f.writelines(chunks)
         if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null, FIFOs and terminals cannot be cut
             f.truncate()
+
+
+def _chunks(groups: Iterable[list[str]]) -> Iterator[str]:
+    """The lines of ``groups`` in order, each ended by a newline, joined
+    ``CHUNK_LINES`` lines to a chunk; the last chunk takes what is left."""
+    buf: list[str] = []
+    for group in groups:
+        buf += group
+        while len(buf) >= CHUNK_LINES:
+            yield "\n".join(buf[:CHUNK_LINES] + [""])
+            del buf[:CHUNK_LINES]
+    yield "\n".join(buf + [""])
 
 
 def _fail(msg: str) -> int:
@@ -93,7 +107,7 @@ def _matrix_json(m: vecmonad.CMatrix) -> str:
 def cmd_matrix(args: argparse.Namespace) -> int:
     m = _fold_matrix(args.step, args.maxlen, args.tol)
     text = _matrix_json(m) + "\n" if args.format == "json" else vecmonad.format_matrix(m)
-    _write(text, args.out)
+    _write([text], args.out)
     return 0
 
 
@@ -115,9 +129,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     quanta.ListBasis(len(items), step.item, step.payload)  # refuses an oversized run before any fold work
     state = quanta.run_quanta(step, args.input)
     if args.format == "json":
-        _write(json.dumps({lbl: [a.real, a.imag] for lbl, a in state.items()}) + "\n", args.out)
+        _write([json.dumps({lbl: [a.real, a.imag] for lbl, a in state.items()}) + "\n"], args.out)
     else:
-        _write(vecmonad.format_state(state), args.out)
+        _write([vecmonad.format_state(state)], args.out)
     return 0
 
 
@@ -131,23 +145,26 @@ def cmd_complement(args: argparse.Namespace) -> int:
     # minimal_complements expands each pattern of block class-sets into
     # sorted index partitions, up to 78,125 of them at the domain cap, and
     # most blocks recur across many of them.  So each distinct block's texts
-    # are built once: its header text (in JSON, its list of labels) and one
-    # line per member, for the member's slot.  A partition matrix row is 1
-    # exactly at the row's block-mates, because the kernel of a quotient is
-    # the same-block relation, so its rows are member lines too, in slots
-    # after the quotient lines.  A complement then joins its blocks' headers
-    # in block order, and its lines from the slots, in element order.
+    # are built once: its header (in JSON, its list's lines) and one line
+    # per member, for the member's slot after slot 0, which holds the line
+    # before them.  A partition matrix row is 1 exactly at the row's
+    # block-mates (the kernel of a quotient is the same-block relation), so
+    # its rows are member lines too, in the slots after the quotient lines.
+    # A complement joins its blocks' headers in block order and its lines
+    # from the slots, and the report goes out CHUNK_LINES lines at a time.
     names = rel.src.labels
     n = len(names)
     blocks = set().union(*comps)
+    slots = [""] * (n + 1)
     if args.format == "json":
         enc = list(map(json.dumps, names))  # each label escaped once, with json.dumps' ensure_ascii escapes
-        pieces = {b: ("      [\n" + ",\n".join(["        " + enc[i] for i in b]) + "\n      ]",
-                      [(i, f"      {enc[i]}: {enc[b[0]]}") for i in b]) for b in blocks}
+        comma = [","] * (n - 1) + [""]  # after every quotient line but the last element's
+        pieces = {b: (["      ["] + [f"        {enc[i]}," for i in b[:-1]] + [f"        {enc[b[-1]]}", "      ],"],
+                      [(1 + i, f"      {enc[i]}: {enc[b[0]]}{comma[i]}") for i in b]) for b in blocks}
+        slots[0] = '    "quotient": {'
     else:
         pieces = {b: ("{" + ",".join([names[i] for i in b]) + "}",
-                      [(i, f"  {names[i]} -> {names[b[0]]}") for i in b]) for b in blocks}
-    slots = [""] * n
+                      [(1 + i, f"  {names[i]} -> {names[b[0]]}") for i in b]) for b in blocks}
     if args.matrices:
         slots += ["  partition matrix:"] + [""] * n
         prefix = [f"    {x}: " if args.labels else "    " for x in names]
@@ -156,7 +173,7 @@ def cmd_complement(args: argparse.Namespace) -> int:
             for i in b:
                 cells[i] = "1"
             row = " ".join(cells)
-            members += [(n + 1 + i, prefix[i] + row) for i in b]
+            members += [(n + 2 + i, prefix[i] + row) for i in b]
 
     def filled():
         """Each complement's block headers, with its lines put in ``slots``."""
@@ -169,17 +186,25 @@ def cmd_complement(args: argparse.Namespace) -> int:
                     slots[i] = line
             yield heads
 
-    if args.format == "json":
-        doc = ['  {\n    "blocks": [\n' + ",\n".join(heads) + '\n    ],\n    "quotient": {\n'
-               + ",\n".join(slots) + "\n    }\n  }" for heads in filled()]
-        text = "[\n" + ",\n".join(doc) + "\n]"
-    else:
-        out = [f"{len(comps)} minimal complement(s)"]
-        for k, heads in enumerate(filled(), start=1):
-            out.append(f"complement {k}: blocks " + " ".join(heads))
-            out += slots
-        text = "\n".join(out)
-    _write(text + "\n", args.out)
+    def report() -> Iterator[list[str]]:
+        """The report's lines, a few lists of them per complement."""
+        if args.format == "json":
+            yield ["["]
+            for k, heads in enumerate(filled(), start=1):
+                lines = ["  {", '    "blocks": [']
+                for head in heads:
+                    lines += head
+                lines[-1] = "      ]"  # no comma after the last block
+                lines += ["    ],", *slots, "    }", "  }," if k < len(comps) else "  }"]
+                yield lines
+            yield ["]"]
+        else:
+            yield [f"{len(comps)} minimal complement(s)"]
+            for k, heads in enumerate(filled(), start=1):
+                slots[0] = f"complement {k}: blocks {' '.join(heads)}"
+                yield slots
+
+    _write(_chunks(report()), args.out)
     return 0
 
 
@@ -212,8 +237,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     m = _synth_matrix(args)
     circ = circuitgen.synth_permutation(m, args.tol)
     if args.qasm is not None:
-        _write(circuitgen.export_qasm(circ), args.qasm)
-    _write(circuitgen.metrics(circ).to_json() + "\n", args.out)
+        _write([circuitgen.export_qasm(circ)], args.qasm)
+    _write([circuitgen.metrics(circ).to_json() + "\n"], args.out)
     return 0
 
 
@@ -221,7 +246,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from . import circuitgen
 
     circ = circuitgen.parse_qasm(Path(args.qasm_file).read_text())
-    _write(circuitgen.simulate(circ, args.input) + "\n", args.out)
+    _write([circuitgen.simulate(circ, args.input) + "\n"], args.out)
     return 0
 
 
@@ -232,11 +257,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     unknown = [n for n in names if n not in checks.SUITES]
     if unknown:
         return _fail(f"unknown suite {unknown[0]!r} (have: all, {', '.join(checks.SUITES)})")
-    results = checks.run_suites(names)
-    by_suite: dict[str, list[checks.CheckResult]] = {}
-    for r in results:
-        by_suite.setdefault(r.suite, []).append(r)
-    failed = [r for r in results if not r.ok]
+    by_suite = {n: checks.SUITES[n]() for n in names}
     if args.format == "json":
         doc = {}
         for suite, rs in by_suite.items():
@@ -248,7 +269,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             details = {r.name: r.detail for r in rs if r.detail}  # only failures carry one
             if details:
                 doc[suite]["details"] = details
-        _write(json.dumps(doc, indent=2) + "\n", args.out)
+        _write([json.dumps(doc, indent=2) + "\n"], args.out)
     else:
         lines = []
         for suite, rs in by_suite.items():
@@ -256,8 +277,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             for r in rs:
                 mark = "ok " if r.ok else "FAIL"
                 lines.append(f"  [{mark}] {r.name}" + (f" -- {r.detail}" if r.detail else ""))
-        _write("\n".join(lines) + "\n", args.out)
-    return 1 if failed else 0
+        _write(["\n".join(lines) + "\n"], args.out)
+    return 0 if all(r.ok for rs in by_suite.values() for r in rs) else 1
 
 
 @functools.cache

@@ -12,17 +12,36 @@ from quantakit.circuitgen import (
     _SQRT2_INV,
     MAX_QASM_QUBITS,
     MAX_STATE_QUBITS,
+    GATES,
     AncillaError,
     Circuit,
     Gate,
-    Op,
-    _decode,
-    _label,
 )
 from quantakit.relalg import SizeLimitError
 from quantakit.vecmonad import DEFAULT_TOL, PRUNE_EPS, AmpVec
 
 _T_PHASE = np.exp(1j * np.pi / 4)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the gate decoder and the bit-string printer, verbatim copies of
+# ``circuitgen``'s ``Op``, ``_decode`` and ``_label``, so that the
+# references below neither decode nor print through the code they check.
+
+Op = tuple[str, int, int]
+"""A decoded gate: (action, control mask, target mask), the action being
+that of ``GATES``; the target is acted on where every control bit is set."""
+
+
+def _decode(g: Gate, n: int) -> Op:
+    *controls, target = g.qubits
+    cmask = sum(1 << (n - 1 - q) for q in controls)  # the qubits are distinct
+    return GATES[g.name][0], cmask, 1 << (n - 1 - target)
+
+
+def _label(i: int, width: int) -> str:
+    # The guard bit keeps leading zeros and gives "" for width 0.
+    return format(i | (1 << width), "b")[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from quantakit.quanta import ListBasis, _cons_preorder, check_fst_complement, step_shape
+from quantakit.quanta import ListBasis, check_fst_complement, step_shape
 from quantakit.relalg import BIT, FinBasis, Rel, from_function, list_label, pair_label, split_list, split_pair
 from quantakit.vecmonad import PRUNE_EPS, AmpVec, KleisliOp, ret
 
@@ -31,8 +31,9 @@ def _slots(u: np.ndarray, m: int, p: int, n: int, x: np.ndarray) -> np.ndarray:
 
 def _fold_blocks(u: np.ndarray, m: int, p: int, maxlen: int) -> np.ndarray:
     """The fold over ``ListBasis(maxlen)`` as a matrix: the identity of each
-    length block through the slots, placed by the cons-preorder walk."""
-    lengths = np.array([n for n, _ in _cons_preorder(m, maxlen)])
+    length block through the slots, placed by the cons-preorder walk, which
+    ``ref_enumerate_lists`` gives in lists of item indices."""
+    lengths = np.array([len(t) for t in ref_enumerate_lists(tuple(range(m)), maxlen)])
     out = np.zeros((len(lengths) * p,) * 2, dtype=np.complex128)
     for n in range(lengths.max() + 1):
         rows = (np.flatnonzero(lengths == n)[:, None] * p + np.arange(p)).ravel()

@@ -5,7 +5,17 @@ import functools
 import itertools
 from collections.abc import Iterable
 
-from quantakit.vecmonad import PRUNE_EPS, AmpVec, CMatrix, _fmt_amp
+from quantakit.vecmonad import PRUNE_EPS, AmpVec, CMatrix
+
+
+# ---------------------------------------------------------------------------
+# Reference: the amplitude printer, a verbatim copy of ``vecmonad._fmt_amp``,
+# so that the printers below do not print through the code they check.
+
+def _fmt_amp(a: complex) -> str:
+    re_part = 0.0 if a.real == 0 else a.real
+    im_part = 0.0 if a.imag == 0 else a.imag
+    return f"{re_part:.12g}{im_part:+.12g}i"
 
 
 # ---------------------------------------------------------------------------

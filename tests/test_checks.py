@@ -155,9 +155,10 @@ def test_json_keeps_the_counterexamples_the_text_prints(monkeypatch, capsys):
 # the suites' seeds draw, and a check that is no loop fails without one
 # (None).  The suite run is the one named after the operator's module, or
 # the fifth element.
-_bind = vecmonad.bind
+_bind, _add = vecmonad.bind, vecmonad.add
 _simulate, _decompose_mcx, _simulate_state = circuitgen.simulate, circuitgen.decompose_mcx, circuitgen.simulate_state
-_peephole, _cancel = circuitgen.peephole, circuitgen._cancel
+_peephole, _cancel, _parse_qasm = circuitgen.peephole, circuitgen._cancel, circuitgen.parse_qasm
+_minimal_complements = relalg.minimal_complements
 _fold_matrix, _rfold_rel, _cata, _psi = quanta.fold_matrix, quanta.rfold_rel, quanta.cata, quanta.psi
 _choice, _mccarthy, _bell, _unbell, _is_unitary = gates.choice, gates.mccarthy, gates.bell, gates.unbell, vecmonad.is_unitary
 
@@ -195,6 +196,9 @@ LOOP_MUTATIONS = {
             "difunctionality equals the column criterion": "r=110/111/011: column criterion False",
             "envelope is a self-inverse bijection refining f": "f=1111/0000: the envelope is not self-inverse",
         }),
+    "minimal_complements keeps its first partition": (relalg, "minimal_complements", lambda f: _minimal_complements(f)[:1], {
+        "xor has exactly the two projection complements": "1 minimal complements",
+    }),
     "bind conjugates": (vecmonad, "bind", lambda v, f: AmpVec({k: a.conjugate() for k, a in _bind(v, f).items()}), {
         "monad laws (1000 randomized cases)": "case 0: left unit at a=(1,1), sup-norm gap 4.5",
         "materialize is functorial": "case 0: Kleisli composite, sup-norm gap 9.35",
@@ -203,6 +207,9 @@ LOOP_MUTATIONS = {
         product_basis(a.src, b.src), product_basis(a.tgt, b.tgt), np.kron(a.entries, b.entries.T)), {
             "tensor materializes to the Kronecker product": "case 0: sup-norm gap 6.94",
         }),
+    "add scales its sum": (vecmonad, "add", lambda u, v: vecmonad.scale(1 + 1e-9, _add(u, v)), {
+        "pruning is invisible above 10x the prune epsilon": "case 0: sup-norm gap 2.12e-09",
+    }),
     "nothing is unitary": (vecmonad, "is_unitary", lambda m, tol=1e-9: False, {
         "unitary ops close under composition and tensor": "case 0: the composite is not unitary",
     }),
@@ -242,6 +249,10 @@ LOOP_MUTATIONS = {
     "decompose_mcx pads with two h": (circuitgen, "decompose_mcx", lambda controls, target, ancillas: _decompose_mcx(
         controls, target, ancillas) + (Gate("h", (target,)),) * 2, {
             MCX: "control polarities 1: lowered to h",
+        }),
+    "parse_qasm drops its last gate": (circuitgen, "parse_qasm", lambda text: (lambda c: Circuit(
+        c.data_qubits, c.ancilla_qubits, c.gates[:-1]))(_parse_qasm(text)), {
+            "exported QASM parses back to the same gates": None,
         }),
     "simulate_state conjugates": (circuitgen, "simulate_state", lambda c, v: AmpVec(
         {k: a.conjugate() for k, a in _simulate_state(c, v).items()}), {

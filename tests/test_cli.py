@@ -4,6 +4,7 @@ import io
 import json
 import os
 import stat
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -297,6 +298,26 @@ def test_complement_prints_thousands_of_complements_as_the_reference(flags):
     assert_complement_prints_the_reference((DATA / "n10_4211.tbl").read_text(), flags)
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in kilobytes, as Linux gives it")
+def test_the_largest_complement_report_streams_in_under_100_mb():
+    """At the domain cap, kernel classes of 5 and seven singletons give
+    78,125 complements and a 44 MB ``--matrices --labels`` report.  Written
+    a chunk at a time, the command peaks near the search's own 50 MB; held
+    whole, the report took it to 188 MB.  As in CI, a small fresh
+    interpreter runs the command as its child and reads the child's peak:
+    a child started straight from this process would count this process's
+    own pages in its peak, since Linux keeps the peak across ``exec``."""
+    program = ("import resource, subprocess, sys\nsubprocess.run(sys.argv[1:], check=True)\n"
+               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    argv = ["complement", str(DATA / "n12_5111111.tbl"), "--matrices", "--labels", "--out", os.devnull]
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", program, sys.executable, "-m", "quantakit.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 100 * 1024
+
+
 @pytest.mark.parametrize(
     "flags, named",
     [
@@ -496,12 +517,13 @@ def _expected(argv: list[str], capsys) -> tuple[str, str]:
 @given(texts=st.lists(st.tuples(st.text(st.characters(codec="utf-8"), max_size=40), st.integers(0, 400)),
                       min_size=1, max_size=6))
 def test_overwrites_read_back_exactly_the_last_text(texts):
-    """Growing, shrinking and empty texts, up to 16,000 characters, leave no
-    stale tail: the file holds what ``Path.write_text`` writes afresh."""
+    """Growing, shrinking and empty texts, up to 16,000 characters written
+    in up to 400 chunks, leave no stale tail: the file holds what
+    ``Path.write_text`` writes afresh."""
     with tempfile.TemporaryDirectory() as tmp:
         out, ref = Path(tmp) / "out.txt", Path(tmp) / "ref.txt"
         for chunk, repeat in texts:
-            cli._write(chunk * repeat, str(out))
+            cli._write([chunk] * repeat, str(out))
         ref.write_text(texts[-1][0] * texts[-1][1])
         assert out.read_bytes() == ref.read_bytes()
 
