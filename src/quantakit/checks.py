@@ -26,7 +26,7 @@ from . import circuitgen, gates, quanta, relalg, vecmonad
 from .relalg import BIT, FinBasis, Rel, pair_label
 from .vecmonad import AmpVec, KleisliOp
 
-__all__ = ["CheckResult", "SUITES", "run_suites"]
+__all__ = ["CheckResult", "SUITES"]
 
 
 @dataclass(frozen=True)
@@ -666,7 +666,3 @@ SUITES = {
     "quanta": quanta_suite,
     "circuitgen": circuitgen_suite,
 }
-
-
-def run_suites(names: list[str]) -> list[CheckResult]:
-    return [r for n in names for r in SUITES[n]()]

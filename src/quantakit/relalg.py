@@ -105,8 +105,8 @@ class BasisMismatchError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """Raised when an input is beyond a named size cap (a brute-force search
-    domain, a statevector's qubit count)."""
+    """Raised when an input is beyond a named size cap (the domain of the
+    complement search, a statevector's qubit count)."""
 
 
 class ComplementError(ValueError):
@@ -658,7 +658,7 @@ def minimal_complements(f: Rel) -> tuple[tuple[tuple[int, ...], ...], ...]:
     n = len(f.src)
     if n > MAX_COMPLEMENT_DOMAIN:
         raise SizeLimitError(
-            f"domain has {n} elements; brute-force search capped at {MAX_COMPLEMENT_DOMAIN}"
+            f"domain has {n} elements; complement search capped at {MAX_COMPLEMENT_DOMAIN}"
         )
     # f is a function, so column j holds one 1, in the row of j's class.
     return tuple(sorted(_maximal_partitions(np.nonzero(f.entries.T)[1].tolist())))

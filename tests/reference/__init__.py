@@ -1,2 +1,3 @@
-"""Earlier implementations kept as references for the tests, one module
-per source module."""
+"""Every reference the tests compare with, one module per source module.
+No test module defines a reference, and no reference reads a private
+``quantakit`` name: ``test_references`` holds both rules."""

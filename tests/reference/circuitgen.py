@@ -1,26 +1,22 @@
 """References for ``quantakit.circuitgen``: earlier implementations of
-what the module does now, each kept verbatim apart from its name, for
-tests to compare the current code with."""
+what the module does now, each kept verbatim apart from its name and the
+changes its comment names, for tests to compare the current code with."""
 import re
 import unicodedata
+from typing import NamedTuple
 
 import numpy as np
 
-from quantakit import circuitgen
 from quantakit.circuitgen import (
-    _PHASE,
-    _SQRT2_INV,
-    MAX_QASM_QUBITS,
-    MAX_STATE_QUBITS,
-    GATES,
-    AncillaError,
-    Circuit,
-    Gate,
+    MAX_QASM_QUBITS, MAX_STATE_QUBITS, GATES, AncillaError, Circuit, Encoding, Gate, Metrics, NonPermutationError,
+    decompose_mcx,
 )
 from quantakit.relalg import SizeLimitError
-from quantakit.vecmonad import DEFAULT_TOL, PRUNE_EPS, AmpVec
+from quantakit.vecmonad import DEFAULT_TOL, PRUNE_EPS, AmpVec, CMatrix
 
+_SQRT2_INV = 1.0 / np.sqrt(2.0)
 _T_PHASE = np.exp(1j * np.pi / 4)
+_PHASE = {"t": _T_PHASE, "tdg": np.conj(_T_PHASE)}
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +38,183 @@ def _decode(g: Gate, n: int) -> Op:
 def _label(i: int, width: int) -> str:
     # The guard bit keeps leading zeros and gives "" for width 0.
     return format(i | (1 << width), "b")[1:]
+
+
+# ---------------------------------------------------------------------------
+# Reference: ``Circuit.ops``/``is_classical`` before they read each
+# distinct gate once through a table, kept verbatim apart from the names.
+
+def ref_ops(c: Circuit) -> tuple:
+    """The gates as bitmasks over basis indices, qubit q at bit n-1-q;
+    decoded once per circuit and once per distinct Gate instance."""
+    n = c.total_qubits
+    decoded: dict[int, tuple] = {}
+    out = []
+    for g in c.gates:
+        op = decoded.get(id(g))
+        if op is None:
+            op = decoded[id(g)] = _decode(g, n)
+        out.append(op)
+    return tuple(out)
+
+
+def ref_is_classical(c: Circuit) -> bool:
+    return all(op[0] == "x" for op in ref_ops(c))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the one-pass stack that cancelled synthesized circuits before
+# circuitgen shared one Gate per distinct gate, kept verbatim apart from the
+# function name.  It is the reference of ``peephole`` too: cancelling
+# adjacent pairs reaches one reduced word in whatever order it is done, so
+# the stack's word is that of the fixed-point rescan ``peephole`` once was.
+
+def ref_stack_peephole(c: Circuit) -> Circuit:
+    """Cancel adjacent identical self-inverse gates, in one pass on a stack.
+
+    A gate cancels the top of the stack when the two are equal, so pairs
+    that meet only after an inner pair cancels go too: the result is the
+    fixed point of repeated adjacent cancellation.
+    """
+    out: list[Gate] = []
+    for g in c.gates:
+        if out and out[-1] == g and g.name in ("x", "cx", "ccx", "h"):
+            out.pop()
+        else:
+            out.append(g)
+    return Circuit(c.data_qubits, c.ancilla_qubits, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# Reference: permutation synthesis, its depth sweep and its QASM export as
+# they stood before circuitgen shared one Gate per distinct gate: the
+# per-position lowering, kept verbatim apart from the function names and
+# from the export's branch for an mcx gate, which the gate set no longer
+# has.
+
+def ref_permutation_of(m: CMatrix, tol: float = 1e-9) -> list[int]:
+    rows, cols = m.entries.shape
+    if rows != cols:
+        raise NonPermutationError("matrix is not square")
+    perm = []
+    for j in range(cols):
+        col = m.entries[:, j]
+        ones = np.nonzero(np.abs(col - 1.0) <= tol)[0]
+        if len(ones) != 1 or np.max(np.abs(col), initial=0.0) > 1.0 + tol:
+            raise NonPermutationError(
+                "matrix is not a 0/1 permutation; general unitary synthesis is out of scope"
+            )
+        others = ~(np.abs(col) <= tol)  # a NaN counts as nonzero
+        if int(np.count_nonzero(others)) != 1:
+            raise NonPermutationError(
+                "matrix is not a 0/1 permutation; general unitary synthesis is out of scope"
+            )
+        perm.append(int(ones[0]))
+    if sorted(perm) != list(range(rows)):
+        raise NonPermutationError("columns do not form a permutation")
+    return perm
+
+
+def ref_transpositions(perm: list[int]) -> list[tuple[int, int]]:
+    seen = [False] * len(perm)
+    out: list[tuple[int, int]] = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        nxt = perm[start]
+        while nxt != start:
+            cycle.append(nxt)
+            seen[nxt] = True
+            nxt = perm[nxt]
+        for other in cycle[1:]:
+            out.append((cycle[0], other))
+    return out
+
+
+class RefMcx(NamedTuple):
+    """An MCX as the reference route named it: qubits list controls first,
+    target last, with one polarity bit per control (1 fires on a set
+    control).  The circuit IR has no such gate, so it lives here."""
+
+    qubits: tuple[int, ...]
+    ctrl_state: tuple[int, ...]
+
+
+def ref_adjacent_swap_mcx(u: int, v: int, width: int) -> RefMcx:
+    """MCX swapping two states at Hamming distance one (bit 0 = leftmost)."""
+    diff = u ^ v
+    target = width - diff.bit_length()
+    controls = []
+    state = []
+    for q in range(width):
+        if q == target:
+            continue
+        controls.append(q)
+        state.append((u >> (width - 1 - q)) & 1)
+    return RefMcx(tuple(controls) + (target,), tuple(state))
+
+
+def ref_gray_chain(u: int, v: int, width: int) -> list[Gate]:
+    """Transposition (u v) as a Gray-code chain of adjacent-state swaps."""
+    diffs = [q for q in range(width) if ((u ^ v) >> (width - 1 - q)) & 1]
+    path = [u]
+    cur = u
+    for q in diffs:
+        cur ^= 1 << (width - 1 - q)
+        path.append(cur)
+    ups = [ref_adjacent_swap_mcx(path[i], path[i + 1], width) for i in range(len(path) - 1)]
+    return ups + ups[:-1][::-1]
+
+
+def ref_synth_permutation(m: CMatrix, enc: Encoding, tol: float = 1e-9) -> Circuit:
+    """Circuit over data qubits (plus ancillas) realizing a permutation matrix,
+    to within ``tol``, on the encoded computational basis."""
+    if m.src != enc.basis or m.tgt != enc.basis:
+        raise ValueError("matrix bases must match the encoding basis")
+    perm = ref_permutation_of(m, tol)
+    width = enc.width
+
+    mcx_gates: list[Gate] = []
+    for u, v in ref_transpositions(perm):
+        mcx_gates.extend(ref_gray_chain(u, v, width))
+
+    need = max((max(0, len(g.qubits) - 3) for g in mcx_gates), default=0)
+    ancillas = tuple(range(width, width + need))
+    lowered: list[Gate] = []
+    for g in mcx_gates:
+        controls = tuple(zip(g.qubits[:-1], g.ctrl_state))
+        lowered.extend(decompose_mcx(controls, g.qubits[-1], ancillas))
+    return ref_stack_peephole(Circuit(width, need, tuple(lowered)))
+
+
+def ref_metrics(c: Circuit) -> Metrics:
+    front = [0] * max(1, c.total_qubits)
+    for g in c.gates:
+        level = 1 + max(front[q] for q in g.qubits)
+        for q in g.qubits:
+            front[q] = level
+    depth = max(front) if c.gates else 0
+    cx = sum(1 for g in c.gates if g.name == "cx")
+    return Metrics(size=len(c.gates), cx=cx, depth=depth)
+
+
+def ref_qref(c: Circuit, q: int) -> str:
+    if q < c.data_qubits:
+        return f"q[{q}]"
+    return f"anc[{q - c.data_qubits}]"
+
+
+def ref_export_qasm(c: Circuit) -> str:
+    """OpenQASM 2.0 text."""
+    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.data_qubits}];"]
+    if c.ancilla_qubits:
+        lines.append(f"qreg anc[{c.ancilla_qubits}];")
+    for g in c.gates:
+        refs = ",".join(ref_qref(c, q) for q in g.qubits)
+        lines.append(f"{g.name} {refs};")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +298,11 @@ def ref_dense_simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
 
 # ---------------------------------------------------------------------------
 # Reference: the label-dict simulator that circuitgen used before its
-# integer-index rewrite, kept verbatim apart from the function names.
+# integer-index rewrite, kept verbatim apart from the function names and
+# from its branches for an mcx gate, which the gate set no longer has.
 # ``ref_label_simulate_state`` walks a dict of bit-string labels, one gate
-# at a time.
+# at a time: on one input it is several times faster than
+# ``ref_dense_simulate_state``, which the lanes need for its exact bits.
 
 def _classical_step(bits: list[int], g: Gate) -> None:
     if g.name == "x":
@@ -138,9 +313,6 @@ def _classical_step(bits: list[int], g: Gate) -> None:
     elif g.name == "ccx":
         if bits[g.qubits[0]] and bits[g.qubits[1]]:
             bits[g.qubits[2]] ^= 1
-    elif g.name == "mcx":
-        if all(bits[q] == pol for q, pol in zip(g.qubits[:-1], g.ctrl_state)):
-            bits[g.qubits[-1]] ^= 1
     else:
         raise ValueError(f"not a classical gate: {g.name}")
 
@@ -182,17 +354,13 @@ def ref_label_simulate_state(c: Circuit, v: AmpVec, tol: float = 1e-9) -> AmpVec
 
     for g in c.gates:
         nxt: dict[str, complex] = {}
-        if g.name in ("x", "cx", "ccx", "mcx"):
+        if g.name in ("x", "cx", "ccx"):
             for bits, a in state.items():
                 vals = [int(b) for b in bits]
                 fire = (
                     g.name == "x"
                     or (g.name == "cx" and vals[g.qubits[0]])
                     or (g.name == "ccx" and vals[g.qubits[0]] and vals[g.qubits[1]])
-                    or (
-                        g.name == "mcx"
-                        and all(vals[q] == p for q, p in zip(g.qubits[:-1], g.ctrl_state))
-                    )
                 )
                 key = flipped(bits, g.qubits[-1]) if fire else bits
                 nxt[key] = nxt.get(key, 0j) + a
@@ -231,7 +399,7 @@ def ref_label_simulate_state(c: Circuit, v: AmpVec, tol: float = 1e-9) -> AmpVec
 # ``MAX_QASM_QUBITS`` is refused where it is declared.
 
 _QASM_QREG = re.compile(r"qreg\s+(q|anc)\[(\d+)\];")
-_QASM_GATE = re.compile(rf"^({'|'.join(circuitgen.GATES)})\s+(.+);$")
+_QASM_GATE = re.compile(rf"^({'|'.join(GATES)})\s+(.+);$")
 _QASM_REF = re.compile(r"^(q|anc)\[(\d+)\]$")
 
 

@@ -3,9 +3,39 @@ the module does now, each kept verbatim apart from its name, for tests to
 compare the current code with."""
 from typing import Iterator
 
-import numpy as np
+from quantakit.relalg import (
+    BIT, POINT, FinBasis, Rel, coproduct_basis, from_function, pair_label, product_basis, tag_left, tag_right, untag,
+)
 
-from quantakit.relalg import Rel, from_function, kernel
+
+# ---------------------------------------------------------------------------
+# References: the label-level structural relations that relalg had before
+# it built them from basis indices, kept verbatim apart from the names.
+
+def ref_bang(src: FinBasis) -> Rel:
+    """The unique function into the singleton basis."""
+    return from_function(lambda _x: "*", src, POINT)
+
+
+def ref_inj1(a: FinBasis, b: FinBasis) -> Rel:
+    cop = coproduct_basis(a, b)
+    return from_function(lambda x: tag_left(x), a, cop)
+
+
+def ref_inj2(a: FinBasis, b: FinBasis) -> Rel:
+    cop = coproduct_basis(a, b)
+    return from_function(lambda x: tag_right(x), b, cop)
+
+
+def ref_gamma(a: FinBasis) -> Rel:
+    """The bijection A+A -> BIT x A tagging with a leading bit."""
+    cop = coproduct_basis(a, a)
+
+    def route(label: str) -> str:
+        side, x = untag(label)
+        return pair_label("1" if side else "0", x)
+
+    return from_function(route, cop, product_basis(BIT, a))
 
 
 # ---------------------------------------------------------------------------
@@ -55,32 +85,8 @@ def _maximal_partitions(cls: list[int]) -> Iterator[tuple[tuple[int, ...], ...]]
 
 
 # ---------------------------------------------------------------------------
-# Reference: the search the walk replaced, kept verbatim: enumerate every
-# valid partition, then keep those no other one coarsens.
-
-def _partitions_avoiding(n: int, forbidden: np.ndarray):
-    """All set partitions of range(n) with no forbidden pair sharing a block.
-
-    Restricted-growth enumeration; a branch is pruned as soon as an element
-    would join a block containing a partner it must stay apart from.
-    """
-    blocks: list[list[int]] = []
-
-    def walk(i: int):
-        if i == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            if not any(forbidden[i, j] for j in b):
-                b.append(i)
-                yield from walk(i + 1)
-                b.pop()
-        blocks.append([i])
-        yield from walk(i + 1)
-        blocks.pop()
-
-    yield from walk(0)
-
+# Reference: the refinement test of the search the walk replaced, kept
+# verbatim: whether every block of partition p lies inside a block of q.
 
 def _refines(p, q) -> bool:
     owner = {}
@@ -88,32 +94,3 @@ def _refines(p, q) -> bool:
         for x in b:
             owner[x] = k
     return all(len({owner[x] for x in b}) == 1 for b in p)
-
-
-def ref_minimal_complements(f: Rel) -> tuple[Rel, ...]:
-    n = len(f.src)
-    ker = kernel(f).entries
-    forbidden = ker & ~np.eye(n, dtype=bool)
-
-    maximal = []
-    for p in _partitions_avoiding(n, forbidden):
-        if any(_refines(p, q) for q in maximal):
-            continue
-        maximal = [q for q in maximal if not _refines(q, p)]
-        maximal.append(p)
-
-    def signature(p):
-        return tuple(sorted(tuple(sorted(b)) for b in p))
-
-    out = []
-    for p in sorted(maximal, key=signature):
-        rep = {}
-        for b in p:
-            least = min(b)
-            for x in b:
-                rep[x] = least
-        q = from_function(
-            lambda lbl: f.src.labels[rep[f.src.index(lbl)]], f.src, f.src
-        )
-        out.append(q)
-    return tuple(out)

@@ -3,19 +3,35 @@ the module does now, each kept verbatim apart from its name, for tests to
 compare the current code with."""
 import functools
 import itertools
-from collections.abc import Iterable
+import math
+from collections.abc import Iterable, Mapping
 
-from quantakit.vecmonad import PRUNE_EPS, AmpVec, CMatrix
+import numpy as np
+
+from quantakit.relalg import FinBasis, check_label, pair_label, product_basis, split_pair
+from quantakit.vecmonad import PRUNE_EPS, AmpVec, CMatrix, KleisliOp, ret
 
 
 # ---------------------------------------------------------------------------
-# Reference: the amplitude printer, a verbatim copy of ``vecmonad._fmt_amp``,
-# so that the printers below do not print through the code they check.
+# Reference: the amplitude printer and reader, verbatim copies of
+# ``vecmonad._fmt_amp`` and ``vecmonad._parse_amp``, so that the printers
+# and the parser below do not go through the code they check.
 
 def _fmt_amp(a: complex) -> str:
     re_part = 0.0 if a.real == 0 else a.real
     im_part = 0.0 if a.imag == 0 else a.imag
     return f"{re_part:.12g}{im_part:+.12g}i"
+
+
+def _parse_amp(text: str) -> complex:
+    body = text[:-1] if text.endswith("i") else ""
+    for i in range(len(body) - 1, 0, -1):
+        if body[i] in "+-" and body[i - 1] not in "eE":
+            try:
+                return complex(float(body[:i]), float(body[i:]))
+            except ValueError:
+                break
+    raise ValueError(f"malformed amplitude: {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -44,3 +60,109 @@ def ref_format_state(v: AmpVec, basis: Iterable[str] | None = None) -> str:
         amps = v._amps
         return "".join(itertools.chain.from_iterable(zip(amps, map(end, amps.values()))))
     return "".join([f"{x}{end(a)}" for x in basis if abs(a := v[x]) >= PRUNE_EPS])
+
+
+# ---------------------------------------------------------------------------
+# References: the label-level structural maps that vecmonad had before it
+# built them from basis indices, kept verbatim apart from the names.
+
+def ref_xl_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
+    """Permutation (x,(y,z)) -> (y,(x,z)) swapping the first two of three."""
+
+    def apply(label: str) -> AmpVec:
+        x, yz = split_pair(label)
+        y, z = split_pair(yz)
+        return ret(pair_label(y, pair_label(x, z)))
+
+    return KleisliOp(product_basis(a, product_basis(b, c)), apply)
+
+
+def ref_assoc_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
+    """Associator (x,(y,z)) -> ((x,y),z)."""
+
+    def apply(label: str) -> AmpVec:
+        x, yz = split_pair(label)
+        y, z = split_pair(yz)
+        return ret(pair_label(pair_label(x, y), z))
+
+    return KleisliOp(product_basis(a, product_basis(b, c)), apply)
+
+
+def ref_assoc_inv_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
+    """Inverse associator ((x,y),z) -> (x,(y,z))."""
+
+    def apply(label: str) -> AmpVec:
+        xy, z = split_pair(label)
+        x, y = split_pair(xy)
+        return ret(pair_label(x, pair_label(y, z)))
+
+    return KleisliOp(product_basis(product_basis(a, b), c), apply)
+
+
+# ---------------------------------------------------------------------------
+# References: ``AmpVec.__init__`` and ``from_matrix`` before the one-pass
+# constructor and the column lists, kept verbatim apart from the names.
+
+class RefAmpVec:
+    __slots__ = ("_amps",)
+
+    def __init__(self, amps: Mapping[str, complex] | Iterable[tuple[str, complex]] = ()):
+        items = amps.items() if isinstance(amps, Mapping) else amps
+        store: dict[str, complex] = {}
+        for label, a in items:
+            a = complex(a)
+            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+                raise ValueError(f"non-finite amplitude at {label!r}")
+            if abs(a) >= PRUNE_EPS:
+                store[label] = store.get(label, 0j) + a
+        self._amps = {k: v for k, v in store.items() if abs(v) >= PRUNE_EPS}
+
+    def items(self) -> Iterable[tuple[str, complex]]:
+        return self._amps.items()
+
+
+def ref_from_matrix(m: CMatrix) -> KleisliOp:
+    """Columns of a matrix re-read as a vector-valued function."""
+
+    def apply(label: str) -> RefAmpVec:
+        j = m.src.index(label)
+        return RefAmpVec({m.tgt.labels[i]: m.entries[i, j] for i in range(len(m.tgt))})
+
+    return KleisliOp(m.src, apply)
+
+
+# ---------------------------------------------------------------------------
+# Reference: ``bind`` before its result took the summed-ket path, kept
+# verbatim apart from the name.
+
+def ref_bind(v: AmpVec, f: KleisliOp) -> AmpVec:
+    """Linear extension of f over the support of v."""
+    acc: dict[str, complex] = {}
+    for label, a in v.items():
+        if label not in f.src:
+            raise KeyError(f"label {label!r} outside operation source basis")
+        for out, b in f.apply(label).items():
+            acc[out] = acc.get(out, 0j) + a * b
+    return AmpVec(acc)
+
+
+# ---------------------------------------------------------------------------
+# Reference: ``parse_matrix`` before its fast row, kept verbatim apart from
+# the name and from reading each cell through the copy of ``_parse_amp``.
+
+def ref_parse_matrix(text: str) -> CMatrix:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty matrix dump")
+    src = FinBasis(tuple(check_label(x) for x in lines[0].split()))
+    amp = functools.cache(_parse_amp)  # a dump repeats few distinct cells
+    tgt_labels: list[str] = []
+    rows = []
+    for ln in lines[1:]:
+        label, _, rest = ln.partition(": ")
+        cells = rest.split()
+        if len(cells) != len(src):
+            raise ValueError(f"row {label!r} has {len(cells)} cells, expected {len(src)}")
+        tgt_labels.append(check_label(label))
+        rows.append([amp(c) for c in cells])
+    return CMatrix(src, FinBasis(tuple(tgt_labels)), np.array(rows, dtype=np.complex128))

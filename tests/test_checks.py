@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import numpy as np
@@ -9,45 +8,15 @@ from quantakit.circuitgen import Circuit, Gate
 from quantakit.cli import main
 from quantakit.relalg import BIT, FinBasis, Rel, coproduct_basis, pair_label, product_basis, split_pair
 from quantakit.vecmonad import AmpVec, KleisliOp
+from reference.checks import ref_exchange_law, ref_lub_2x2
 
 
 @pytest.mark.parametrize("suite", list(checks.SUITES))
 def test_every_check_in_the_suite_passes(suite):
-    results = checks.run_suites([suite])
+    results = checks.SUITES[suite]()
     assert results and all(r.suite == suite for r in results)
     failed = [f"{r.name} -- {r.detail}" if r.detail else r.name for r in results if not r.ok]
     assert failed == []
-
-
-# Reference: the relalg suite's two loop checks before they were tested over
-# all tuples at once, kept verbatim: the same 16 relations on a 2-element
-# basis, and the library's operators on every tuple.
-
-b2 = FinBasis(("p", "q"))
-rels2 = [Rel(b2, b2, np.array(bits, dtype=bool).reshape(2, 2))
-         for bits in itertools.product([0, 1], repeat=4)]
-
-
-def ref_lub_2x2() -> bool:
-    ok = True
-    for r, s, x in itertools.product(rels2, rels2, rels2):
-        lhs = relalg.leq_injectivity(relalg.pair(r, s), x)
-        rhs = relalg.leq_injectivity(r, x) and relalg.leq_injectivity(s, x)
-        if lhs != rhs:
-            ok = False
-            break
-    return ok
-
-
-def ref_exchange_law() -> bool:
-    ok = True
-    for r, s in itertools.product(rels2, rels2):
-        for t, v in itertools.product(rels2[:8], rels2[8:]):
-            lhs = relalg.either(relalg.pair(r, s), relalg.pair(t, v))
-            rhs = relalg.pair(relalg.either(r, t), relalg.either(s, v))
-            if lhs != rhs:
-                ok = False
-    return ok
 
 
 LUB = "pairing is the least upper bound (2-element bases)"
@@ -328,7 +297,7 @@ def test_a_failed_loop_names_its_first_failing_case(monkeypatch, mutation):
     module, name, broken, details, *suite = LOOP_MUTATIONS[mutation]
     gates.default_library()  # built before the mutation, which would refuse its gates
     monkeypatch.setattr(module, name, broken)
-    results = checks.run_suites(suite or [module.__name__.rsplit(".", 1)[-1]])
+    results = checks.SUITES[suite[0] if suite else module.__name__.rsplit(".", 1)[-1]]()
     assert {r.name: r.detail for r in results if not r.ok} == {
         check: "" if detail is None else "first counterexample " + detail for check, detail in details.items()}
 

@@ -5,7 +5,6 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -37,10 +36,8 @@ from quantakit.cli import main
 from quantakit.relalg import FinBasis, SizeLimitError
 from quantakit.vecmonad import AmpVec, CMatrix, parse_matrix, vec_equal
 from reference.circuitgen import (
-    ref_label_simulate_state,
-    ref_parse_qasm,
-    ref_simulate,
-    ref_view_ops,
+    ref_export_qasm, ref_gray_chain, ref_is_classical, ref_label_simulate_state, ref_metrics, ref_ops, ref_parse_qasm,
+    ref_permutation_of, ref_simulate, ref_stack_peephole, ref_synth_permutation, ref_transpositions, ref_view_ops,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -299,32 +296,7 @@ class TestPinnedReferences:
 
 
 # ---------------------------------------------------------------------------
-# Peephole cancellation against the reference: the fixed-point rescan that
-# circuitgen used before it cancelled on a stack, kept verbatim apart from
-# the function name.
-
-def ref_peephole(c: Circuit) -> Circuit:
-    """Cancel adjacent identical self-inverse gates until a fixed point."""
-    gates = list(c.gates)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        out: list[Gate] = []
-        while i < len(gates):
-            if (
-                i + 1 < len(gates)
-                and gates[i] == gates[i + 1]
-                and gates[i].name in ("x", "cx", "ccx", "h")
-            ):
-                i += 2
-                changed = True
-            else:
-                out.append(gates[i])
-                i += 1
-        gates = out
-    return Circuit(c.data_qubits, c.ancilla_qubits, tuple(gates))
-
+# Peephole cancellation against the reference
 
 _WORD_POOL = (
     Gate("x", (0,)), Gate("x", (1,)), Gate("h", (0,)), Gate("h", (2,)),
@@ -356,7 +328,7 @@ class TestPeephole:
     @settings(max_examples=300, deadline=None)
     @given(words())
     def test_matches_the_fixed_point_reference(self, c):
-        assert peephole(c) == ref_peephole(c)
+        assert peephole(c) == ref_stack_peephole(c)
 
     def test_nested_pairs_cancel_and_blockers_stay(self):
         x0, cx, t = Gate("x", (0,)), Gate("cx", (0, 1)), Gate("t", (0,))
@@ -365,217 +337,7 @@ class TestPeephole:
 
 
 # ---------------------------------------------------------------------------
-# Permutation synthesis against the route it replaced: the per-position
-# lowering, stack peephole, depth sweep and QASM export that circuitgen
-# used before it shared one Gate per distinct gate, kept verbatim apart
-# from the function names.
-
-def ref_permutation_of(m: CMatrix, tol: float = 1e-9) -> list[int]:
-    rows, cols = m.entries.shape
-    if rows != cols:
-        raise NonPermutationError("matrix is not square")
-    perm = []
-    for j in range(cols):
-        col = m.entries[:, j]
-        ones = np.nonzero(np.abs(col - 1.0) <= tol)[0]
-        if len(ones) != 1 or np.max(np.abs(col), initial=0.0) > 1.0 + tol:
-            raise NonPermutationError(
-                "matrix is not a 0/1 permutation; general unitary synthesis is out of scope"
-            )
-        others = ~(np.abs(col) <= tol)  # a NaN counts as nonzero
-        if int(np.count_nonzero(others)) != 1:
-            raise NonPermutationError(
-                "matrix is not a 0/1 permutation; general unitary synthesis is out of scope"
-            )
-        perm.append(int(ones[0]))
-    if sorted(perm) != list(range(rows)):
-        raise NonPermutationError("columns do not form a permutation")
-    return perm
-
-
-def ref_transpositions(perm: list[int]) -> list[tuple[int, int]]:
-    seen = [False] * len(perm)
-    out: list[tuple[int, int]] = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        for other in cycle[1:]:
-            out.append((cycle[0], other))
-    return out
-
-
-class RefMcx(NamedTuple):
-    """An MCX as the reference route named it: qubits list controls first,
-    target last, with one polarity bit per control (1 fires on a set
-    control).  The circuit IR has no such gate, so it lives here."""
-
-    qubits: tuple[int, ...]
-    ctrl_state: tuple[int, ...]
-
-
-def ref_adjacent_swap_mcx(u: int, v: int, width: int) -> RefMcx:
-    """MCX swapping two states at Hamming distance one (bit 0 = leftmost)."""
-    diff = u ^ v
-    target = width - diff.bit_length()
-    controls = []
-    state = []
-    for q in range(width):
-        if q == target:
-            continue
-        controls.append(q)
-        state.append((u >> (width - 1 - q)) & 1)
-    return RefMcx(tuple(controls) + (target,), tuple(state))
-
-
-def ref_gray_chain(u: int, v: int, width: int) -> list[Gate]:
-    """Transposition (u v) as a Gray-code chain of adjacent-state swaps."""
-    diffs = [q for q in range(width) if ((u ^ v) >> (width - 1 - q)) & 1]
-    path = [u]
-    cur = u
-    for q in diffs:
-        cur ^= 1 << (width - 1 - q)
-        path.append(cur)
-    ups = [ref_adjacent_swap_mcx(path[i], path[i + 1], width) for i in range(len(path) - 1)]
-    return ups + ups[:-1][::-1]
-
-
-def ref_synth_permutation(m: CMatrix, enc: Encoding, tol: float = 1e-9) -> Circuit:
-    """Circuit over data qubits (plus ancillas) realizing a permutation matrix,
-    to within ``tol``, on the encoded computational basis."""
-    if m.src != enc.basis or m.tgt != enc.basis:
-        raise ValueError("matrix bases must match the encoding basis")
-    perm = ref_permutation_of(m, tol)
-    width = enc.width
-
-    mcx_gates: list[Gate] = []
-    for u, v in ref_transpositions(perm):
-        mcx_gates.extend(ref_gray_chain(u, v, width))
-
-    need = max((max(0, len(g.qubits) - 3) for g in mcx_gates), default=0)
-    ancillas = tuple(range(width, width + need))
-    lowered: list[Gate] = []
-    for g in mcx_gates:
-        controls = tuple(zip(g.qubits[:-1], g.ctrl_state))
-        lowered.extend(decompose_mcx(controls, g.qubits[-1], ancillas))
-    return ref_stack_peephole(Circuit(width, need, tuple(lowered)))
-
-
-def ref_stack_peephole(c: Circuit) -> Circuit:
-    """Cancel adjacent identical self-inverse gates, in one pass on a stack.
-
-    A gate cancels the top of the stack when the two are equal, so pairs
-    that meet only after an inner pair cancels go too: the result is the
-    fixed point of repeated adjacent cancellation.
-    """
-    out: list[Gate] = []
-    for g in c.gates:
-        if out and out[-1] == g and g.name in ("x", "cx", "ccx", "h"):
-            out.pop()
-        else:
-            out.append(g)
-    return Circuit(c.data_qubits, c.ancilla_qubits, tuple(out))
-
-
-def ref_metrics(c: Circuit) -> Metrics:
-    front = [0] * max(1, c.total_qubits)
-    for g in c.gates:
-        level = 1 + max(front[q] for q in g.qubits)
-        for q in g.qubits:
-            front[q] = level
-    depth = max(front) if c.gates else 0
-    cx = sum(1 for g in c.gates if g.name == "cx")
-    return Metrics(size=len(c.gates), cx=cx, depth=depth)
-
-
-def ref_qref(c: Circuit, q: int) -> str:
-    if q < c.data_qubits:
-        return f"q[{q}]"
-    return f"anc[{q - c.data_qubits}]"
-
-
-def ref_export_qasm(c: Circuit) -> str:
-    """OpenQASM 2.0 text; multi-controlled gates must be lowered first."""
-    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.data_qubits}];"]
-    if c.ancilla_qubits:
-        lines.append(f"qreg anc[{c.ancilla_qubits}];")
-    for g in c.gates:
-        if g.name == "mcx":
-            raise ValueError("lower mcx gates with decompose_mcx before export")
-        refs = ",".join(ref_qref(c, q) for q in g.qubits)
-        lines.append(f"{g.name} {refs};")
-    return "\n".join(lines) + "\n"
-
-
-# References: ``peephole``, ``metrics`` and ``export_qasm`` as they stood
-# while a circuit kept its distinct instances in a table keyed by ``id``,
-# kept verbatim apart from the names.  That table, and the mapping through
-# it, are rebuilt here from ``c.gates``, and a result is built through the
-# public constructor.
-
-def ref_distinct(c: Circuit) -> dict[int, Gate]:
-    return dict(zip(map(id, c.gates), c.gates))
-
-
-def ref_per_gate(c: Circuit, f) -> tuple:
-    """``f`` of the gate at each position, called once per distinct instance."""
-    of = {i: f(g) for i, g in ref_distinct(c).items()}
-    return tuple(map(of.__getitem__, map(id, c.gates)))
-
-
-def ref_id_peephole(c: Circuit) -> Circuit:
-    """Cancel adjacent identical self-inverse gates (action x or h), in one
-    pass on a stack."""
-    shared: dict[Gate, Gate] = {}
-    shared_of = {i: shared.setdefault(g, g) for i, g in ref_distinct(c).items()}
-    cancels = {id(s) for s in shared.values() if circuitgen.GATES[s.name][0] in ("x", "h")}
-    # With no two instances equal, each instance is its own shared gate.
-    seq = c.gates if len(shared) == len(shared_of) else map(shared_of.__getitem__, map(id, c.gates))
-    out: list = [None]  # a bottom that is no gate
-    top = None
-    for s in seq:
-        if s is top and id(s) in cancels:
-            out.pop()
-            top = out[-1]
-        else:
-            out.append(s)
-            top = s
-    return Circuit(c.data_qubits, c.ancilla_qubits, tuple(out[1:]))
-
-
-def ref_sweep_metrics(c: Circuit) -> Metrics:
-    front = [0] * max(1, c.total_qubits)
-    cx = 0
-    for g in c.gates:
-        qs = g.qubits
-        level = 0
-        for q in qs:
-            if front[q] > level:
-                level = front[q]
-        level += 1
-        for q in qs:
-            front[q] = level
-        if g.name == "cx":
-            cx += 1
-    depth = max(front) if c.gates else 0
-    return Metrics(size=len(c.gates), cx=cx, depth=depth)
-
-
-def ref_id_export_qasm(c: Circuit) -> str:
-    """OpenQASM 2.0 text over ``qelib1.inc`` gates; each distinct ``Gate``
-    instance is formatted once."""
-    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.data_qubits}];"]
-    if c.ancilla_qubits:
-        lines.append(f"qreg anc[{c.ancilla_qubits}];")
-    lines.extend(ref_per_gate(c, lambda g: f"{g.name} {','.join(ref_qref(c, q) for q in g.qubits)};"))
-    return "\n".join(lines) + "\n"
-
+# Permutation synthesis against the route it replaced
 
 def perm_matrix(perm: list[int]) -> CMatrix:
     """The 0/1 matrix whose column j has its 1 in row perm[j]."""
@@ -892,27 +654,7 @@ def test_ops_are_bitmasks_with_qubit_zero_leftmost():
 
 
 # ---------------------------------------------------------------------------
-# Passes once per distinct gate.  References: ``Circuit.ops``/``is_classical``
-# before they read each distinct gate once through a table, kept verbatim
-# apart from the names; ``parse_qasm``'s is in ``reference.circuitgen``.
-
-def ref_ops(c: Circuit) -> tuple:
-    """The gates as bitmasks over basis indices, qubit q at bit n-1-q;
-    decoded once per circuit and once per distinct Gate instance."""
-    n = c.total_qubits
-    decoded: dict[int, tuple] = {}
-    out = []
-    for g in c.gates:
-        op = decoded.get(id(g))
-        if op is None:
-            op = decoded[id(g)] = circuitgen._decode(g, n)
-        out.append(op)
-    return tuple(out)
-
-
-def ref_is_classical(c: Circuit) -> bool:
-    return all(op[0] == "x" for op in ref_ops(c))
-
+# Passes once per distinct gate
 
 _QASM_OK = (
     "OPENQASM 2.0;", 'include "qelib1.inc";', "// note", "", "   ",
@@ -959,10 +701,11 @@ def qasm_texts(draw):
     return draw(st.sampled_from(("\n", "\r\n"))).join(lines) + draw(st.sampled_from(("", "\n")))
 
 
-def sharing(c: Circuit) -> list[int]:
-    """For each position, the first position holding the same instance."""
-    first: dict[int, int] = {}
-    return [first.setdefault(id(g), i) for i, g in enumerate(c.gates)]
+def sharing(c: Circuit, key=id) -> list[int]:
+    """For each position, the first position holding the same instance, or
+    with ``key=None`` an equal gate."""
+    first: dict = {}
+    return [first.setdefault(key(g) if key else g, i) for i, g in enumerate(c.gates)]
 
 
 def assert_table(c: Circuit) -> None:
@@ -1085,7 +828,7 @@ class TestPassesPerDistinctGate:
 
 # ---------------------------------------------------------------------------
 # The index form: one word of gates built three ways, against the
-# references above, and every kind of circuit through copy and pickle.
+# references, and every kind of circuit through copy and pickle.
 
 
 @st.composite
@@ -1124,8 +867,8 @@ def assert_same_circuit(got: Circuit, want: Circuit) -> None:
     assert got.gates == want.gates
     assert got == want and hash(got) == hash(want)
     assert got.ops == ref_ops(want)
-    assert export_qasm(got) == ref_id_export_qasm(want)
-    assert metrics(got) == ref_sweep_metrics(want)
+    assert export_qasm(got) == ref_export_qasm(want)
+    assert metrics(got) == ref_metrics(want)
     for bits in every_input(want):
         assert outcome(simulate, got, bits) == outcome(ref_simulate, want, bits)
 
@@ -1139,13 +882,13 @@ class TestIndexForm:
         assert_same_circuit(c, c)
         assert_same_circuit(parsed, c)
         assert sharing(parsed) == sharing(ref_parse_qasm(export_qasm(c)))
-        assert_same_circuit(peephole(c), ref_id_peephole(c))
-        assert sharing(peephole(c)) == sharing(ref_id_peephole(c))
+        assert_same_circuit(peephole(c), ref_stack_peephole(c))
+        assert sharing(peephole(c)) == sharing(ref_stack_peephole(c), key=None)
         # Lines spaced apart parse to two table entries of one gate, which
         # peephole must treat as equal.
         lines = export_qasm(c).splitlines()
         spaced = parse_qasm("\n".join(ln.replace(",", ", ") if i % 2 else ln for i, ln in enumerate(lines)))
-        assert_same_circuit(peephole(spaced), ref_id_peephole(c))
+        assert_same_circuit(peephole(spaced), ref_stack_peephole(c))
         for d in (parsed, peephole(c), peephole(spaced)):
             assert_as_public(d)
 

@@ -42,14 +42,11 @@ from quantakit.relalg import (
     product_basis,
     quotient,
     subset,
-    tag_left,
-    tag_right,
     u_construct,
-    untag,
     xor_monoid,
 )
 from reference import relalg as ref
-from reference.relalg import ref_minimal_complements
+from reference.relalg import ref_bang, ref_gamma, ref_inj1, ref_inj2
 
 BB = product_basis(BIT, BIT)
 B3 = FinBasis(("a", "b", "c"))
@@ -354,6 +351,11 @@ TWELVE_ELEMENT_PROFILES = [
 ]
 
 
+def walk_quotients(f, cls):
+    """The quotients of the partitions the reference walk finds, sorted."""
+    return tuple(quotient(f.src, p) for p in sorted(ref._maximal_partitions(list(cls))))
+
+
 def label_blocks(src, p):
     """The blocks of an index partition, in labels."""
     return tuple(tuple(src.labels[i] for i in b) for b in p)
@@ -388,14 +390,10 @@ class TestMinimalComplements:
 
         kept = [p for p in all_partitions(4) if keeps(p)]
 
-        def refines(p, q):
-            owner = {x: k for k, b in enumerate(q) for x in b}
-            return all(len({owner[x] for x in b}) == 1 for b in p)
-
         want = {
             tuple(sorted(tuple(sorted(b)) for b in p))
             for p in kept
-            if not any(refines(p, q) and p != q for q in kept)
+            if not any(ref._refines(p, q) and p != q for q in kept)
         }
         got = set()
         for p in minimal_complements(and_fn):
@@ -411,7 +409,7 @@ class TestMinimalComplements:
             blocks = label_blocks(BB, part)
             for p in all_partitions(4):
                 named = tuple(tuple(BB.labels[i] for i in b) for b in p)
-                strictly_coarser = _refines_named(blocks, named) and set(
+                strictly_coarser = ref._refines(blocks, named) and set(
                     map(frozenset, named)
                 ) != set(map(frozenset, blocks))
                 if strictly_coarser:
@@ -420,7 +418,7 @@ class TestMinimalComplements:
 
     def test_size_limit(self):
         big = FinBasis(tuple(str(i) for i in range(13)))
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match=r"^domain has 13 elements; complement search capped at 12$"):
             minimal_complements(identity(big))
 
     def test_matches_the_reference_on_every_layout_up_to_six(self):
@@ -430,14 +428,14 @@ class TestMinimalComplements:
             f = function_of_layout(cls)
             got = minimal_complements(f)
             assert isinstance(got, tuple)
-            assert tuple(quotient(f.src, p) for p in got) == ref_minimal_complements(f), cls
+            assert tuple(quotient(f.src, p) for p in got) == walk_quotients(f, cls), cls
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.integers(0, 7), min_size=7, max_size=8))
     def test_matches_the_reference_on_random_layouts(self, cls):
         f = function_of_layout(cls)
         got = tuple(quotient(f.src, p) for p in minimal_complements(f))
-        assert got == ref_minimal_complements(f)
+        assert got == walk_quotients(f, cls)
 
     def test_matches_the_walk_on_every_layout_up_to_seven(self):
         layouts = [cls for n in range(8) for cls in class_layouts(n)]
@@ -501,14 +499,6 @@ class TestQuotient:
     def test_refuses_blocks_that_do_not_partition_the_source(self, blocks):
         with pytest.raises(ValueError, match=r"do not partition range\(3\)"):
             quotient(B3, blocks)
-
-
-def _refines_named(p, q):
-    owner = {}
-    for k, b in enumerate(q):
-        for x in b:
-            owner[x] = k
-    return all(len({owner[x] for x in b}) == 1 for b in p)
 
 
 def _partition_rel(blocks):
@@ -615,33 +605,7 @@ class TestTextFormats:
 
 
 # ---------------------------------------------------------------------------
-# References: the label-level structural relations that relalg had before
-# it built them from basis indices, kept verbatim apart from the names.
-
-def ref_bang(src: FinBasis) -> Rel:
-    """The unique function into the singleton basis."""
-    return from_function(lambda _x: "*", src, relalg.POINT)
-
-
-def ref_inj1(a: FinBasis, b: FinBasis) -> Rel:
-    cop = coproduct_basis(a, b)
-    return from_function(lambda x: tag_left(x), a, cop)
-
-
-def ref_inj2(a: FinBasis, b: FinBasis) -> Rel:
-    cop = coproduct_basis(a, b)
-    return from_function(lambda x: tag_right(x), b, cop)
-
-
-def ref_gamma(a: FinBasis) -> Rel:
-    """The bijection A+A -> BIT x A tagging with a leading bit."""
-    cop = coproduct_basis(a, a)
-
-    def route(label: str) -> str:
-        side, x = untag(label)
-        return pair_label("1" if side else "0", x)
-
-    return from_function(route, cop, product_basis(BIT, a))
+# The structural relations against their label-level references
 
 
 class TestStructuralRelationsAgainstReference:

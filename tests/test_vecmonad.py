@@ -1,9 +1,7 @@
 import dataclasses
-import functools
 import itertools
 import math
 import re
-from collections.abc import Iterable, Mapping
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ import reference_tables as rt
 from label_strategies import bases
 from quantakit import gates, quanta, vecmonad
 from quantakit.gates import NOT_TABLE, cnot_table, had, lift, tgate
-from quantakit.relalg import BIT, POINT, FinBasis, Rel, check_label, list_label, pair_label, product_basis, split_pair
+from quantakit.relalg import BIT, POINT, FinBasis, Rel, list_label, pair_label, product_basis
 from quantakit.vecmonad import (
     PRUNE_EPS,
     AmpVec,
@@ -44,7 +42,10 @@ from quantakit.vecmonad import (
     vec_equal,
     xl_op,
 )
-from reference.vecmonad import ref_format_matrix, ref_format_state
+from reference.vecmonad import (
+    RefAmpVec, ref_assoc_inv_op, ref_assoc_op, ref_bind, ref_format_matrix, ref_format_state, ref_from_matrix,
+    ref_parse_matrix, ref_xl_op,
+)
 
 BB = product_basis(BIT, BIT)
 
@@ -369,40 +370,7 @@ class TestLift:
 
 
 # ---------------------------------------------------------------------------
-# References: the label-level structural maps that vecmonad had before it
-# built them from basis indices, kept verbatim apart from the names.
-
-def ref_xl_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
-    """Permutation (x,(y,z)) -> (y,(x,z)) swapping the first two of three."""
-
-    def apply(label: str) -> AmpVec:
-        x, yz = split_pair(label)
-        y, z = split_pair(yz)
-        return ret(pair_label(y, pair_label(x, z)))
-
-    return KleisliOp(product_basis(a, product_basis(b, c)), apply)
-
-
-def ref_assoc_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
-    """Associator (x,(y,z)) -> ((x,y),z)."""
-
-    def apply(label: str) -> AmpVec:
-        x, yz = split_pair(label)
-        y, z = split_pair(yz)
-        return ret(pair_label(pair_label(x, y), z))
-
-    return KleisliOp(product_basis(a, product_basis(b, c)), apply)
-
-
-def ref_assoc_inv_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
-    """Inverse associator ((x,y),z) -> (x,(y,z))."""
-
-    def apply(label: str) -> AmpVec:
-        xy, z = split_pair(label)
-        x, y = split_pair(xy)
-        return ret(pair_label(x, pair_label(y, z)))
-
-    return KleisliOp(product_basis(product_basis(a, b), c), apply)
+# The structural maps against their label-level references
 
 
 class TestStructuralMapsAgainstReference:
@@ -421,35 +389,7 @@ class TestStructuralMapsAgainstReference:
 
 
 # ---------------------------------------------------------------------------
-# References: ``AmpVec.__init__`` and ``from_matrix`` before the one-pass
-# constructor and the column lists, kept verbatim apart from the names.
-
-class RefAmpVec:
-    __slots__ = ("_amps",)
-
-    def __init__(self, amps: Mapping[str, complex] | Iterable[tuple[str, complex]] = ()):
-        items = amps.items() if isinstance(amps, Mapping) else amps
-        store: dict[str, complex] = {}
-        for label, a in items:
-            a = complex(a)
-            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                raise ValueError(f"non-finite amplitude at {label!r}")
-            if abs(a) >= PRUNE_EPS:
-                store[label] = store.get(label, 0j) + a
-        self._amps = {k: v for k, v in store.items() if abs(v) >= PRUNE_EPS}
-
-    def items(self) -> Iterable[tuple[str, complex]]:
-        return self._amps.items()
-
-
-def ref_from_matrix(m: CMatrix) -> KleisliOp:
-    """Columns of a matrix re-read as a vector-valued function."""
-
-    def apply(label: str) -> RefAmpVec:
-        j = m.src.index(label)
-        return RefAmpVec({m.tgt.labels[i]: m.entries[i, j] for i in range(len(m.tgt))})
-
-    return KleisliOp(m.src, apply)
+# ``AmpVec.__init__`` and ``from_matrix`` against their references
 
 
 def _built(make, *args) -> list[tuple[str, str, str]] | str:
@@ -501,19 +441,7 @@ class TestAgainstReferenceConstructors:
 
 
 # ---------------------------------------------------------------------------
-# Operator results that skip re-validation.  Reference: ``bind`` before its
-# result took the summed-ket path, kept verbatim.
-
-def ref_bind(v: AmpVec, f: KleisliOp) -> AmpVec:
-    """Linear extension of f over the support of v."""
-    acc: dict[str, complex] = {}
-    for label, a in v.items():
-        if label not in f.src:
-            raise KeyError(f"label {label!r} outside operation source basis")
-        for out, b in f.apply(label).items():
-            acc[out] = acc.get(out, 0j) + a * b
-    return AmpVec(acc)
-
+# Operator results that skip re-validation.
 
 # Finite parts up to overflow, so that finite terms can sum to infinity.
 _big_parts = st.one_of(st.sampled_from([x for x in _EDGE if math.isfinite(x)]), st.floats(-4, 4),
@@ -675,26 +603,7 @@ def test_a_relation_and_a_complex_matrix_are_never_equal():
 
 
 # ---------------------------------------------------------------------------
-# Matrix dumps.  Reference: ``parse_matrix`` before its fast row, kept
-# verbatim apart from the name.
-
-def ref_parse_matrix(text: str) -> CMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix dump")
-    src = FinBasis(tuple(check_label(x) for x in lines[0].split()))
-    amp = functools.cache(vecmonad._parse_amp)  # a dump repeats few distinct cells
-    tgt_labels: list[str] = []
-    rows = []
-    for ln in lines[1:]:
-        label, _, rest = ln.partition(": ")
-        cells = rest.split()
-        if len(cells) != len(src):
-            raise ValueError(f"row {label!r} has {len(cells)} cells, expected {len(src)}")
-        tgt_labels.append(check_label(label))
-        rows.append([amp(c) for c in cells])
-    return CMatrix(src, FinBasis(tuple(tgt_labels)), np.array(rows, dtype=np.complex128))
-
+# Matrix dumps against the reference parser
 
 _FAST_CELLS = ("0+0i", "1+0i")
 _NEAR_CELLS = ("0+1i", "1+1i", "1-0i", "-0+0i", "0+0e0i", "10+0i")
