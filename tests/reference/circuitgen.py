@@ -3,6 +3,7 @@ what the module does now, each kept verbatim apart from its name and the
 changes its comment names, for tests to compare the current code with."""
 import re
 import unicodedata
+from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
@@ -238,20 +239,19 @@ def ref_view_index(op: Op, n: int) -> tuple[tuple[int | slice, ...], tuple[int |
     return out[0], out[1]
 
 
-def ref_view_ops(c: Circuit) -> list[tuple[str, tuple, tuple]]:
-    """Per table entry, (action, first, second): the index tuples of
+def ref_view_ops(gates: Iterable[Gate], n: int) -> list[tuple[str, tuple, tuple]]:
+    """Per gate, (action, first, second): the index tuples of
     ``ref_view_index`` into the (2,)*n view of a statevector."""
-    n = c.total_qubits
-    return [(op[0], *ref_view_index(op, n)) for op in (_decode(g, n) for g in c._table)]
+    return [(op[0], *ref_view_index(op, n)) for op in (_decode(g, n) for g in gates)]
 
 
 # ---------------------------------------------------------------------------
 # Reference: ``simulate_state`` as a dense statevector on every circuit,
 # before classical circuits took the bit-sliced path, kept verbatim apart
-# from its name and from reading per-entry views through the circuit's
-# index.  The views come from ``ref_view_ops``, the route through the
-# decoded masks that ``Circuit._view_ops`` took before it read each gate's
-# qubits, so that this reference does not follow the code it checks.
+# from its name and from reading one view per gate of ``c.gates``.  The
+# views come from ``ref_view_ops``, the route through the decoded masks
+# that ``Circuit._view_ops`` took before it read each gate's qubits, so
+# that this reference does not follow the code it checks.
 
 
 def ref_dense_simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
@@ -277,7 +277,7 @@ def ref_dense_simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     for label, a in v.items():
         psi[int(label or "0", 2) << anc] = a
     view = psi.reshape((2,) * n)
-    for action, first, second in map(ref_view_ops(c).__getitem__, c._index):  # views per table entry
+    for action, first, second in ref_view_ops(c.gates, n):
         if action == "x":
             view[first] = view[second]
         elif action == "h":

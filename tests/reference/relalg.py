@@ -3,8 +3,11 @@ the module does now, each kept verbatim apart from its name, for tests to
 compare the current code with."""
 from typing import Iterator
 
+import numpy as np
+
 from quantakit.relalg import (
-    BIT, POINT, FinBasis, Rel, coproduct_basis, from_function, pair_label, product_basis, tag_left, tag_right, untag,
+    BIT, POINT, FinBasis, Rel, coproduct_basis, from_function, kernel, pair_label, product_basis, tag_left, tag_right,
+    untag,
 )
 
 
@@ -85,8 +88,32 @@ def _maximal_partitions(cls: list[int]) -> Iterator[tuple[tuple[int, ...], ...]]
 
 
 # ---------------------------------------------------------------------------
-# Reference: the refinement test of the search the walk replaced, kept
-# verbatim: whether every block of partition p lies inside a block of q.
+# Reference: the search the walk replaced, kept verbatim: enumerate every
+# valid partition, then keep those no other one coarsens.
+
+def _partitions_avoiding(n: int, forbidden: np.ndarray):
+    """All set partitions of range(n) with no forbidden pair sharing a block.
+
+    Restricted-growth enumeration; a branch is pruned as soon as an element
+    would join a block containing a partner it must stay apart from.
+    """
+    blocks: list[list[int]] = []
+
+    def walk(i: int):
+        if i == n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            if not any(forbidden[i, j] for j in b):
+                b.append(i)
+                yield from walk(i + 1)
+                b.pop()
+        blocks.append([i])
+        yield from walk(i + 1)
+        blocks.pop()
+
+    yield from walk(0)
+
 
 def _refines(p, q) -> bool:
     owner = {}
@@ -94,3 +121,32 @@ def _refines(p, q) -> bool:
         for x in b:
             owner[x] = k
     return all(len({owner[x] for x in b}) == 1 for b in p)
+
+
+def ref_minimal_complements(f: Rel) -> tuple[Rel, ...]:
+    n = len(f.src)
+    ker = kernel(f).entries
+    forbidden = ker & ~np.eye(n, dtype=bool)
+
+    maximal = []
+    for p in _partitions_avoiding(n, forbidden):
+        if any(_refines(p, q) for q in maximal):
+            continue
+        maximal = [q for q in maximal if not _refines(q, p)]
+        maximal.append(p)
+
+    def signature(p):
+        return tuple(sorted(tuple(sorted(b)) for b in p))
+
+    out = []
+    for p in sorted(maximal, key=signature):
+        rep = {}
+        for b in p:
+            least = min(b)
+            for x in b:
+                rep[x] = least
+        q = from_function(
+            lambda lbl: f.src.labels[rep[f.src.index(lbl)]], f.src, f.src
+        )
+        out.append(q)
+    return tuple(out)

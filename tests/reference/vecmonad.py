@@ -2,7 +2,6 @@
 the module does now, each kept verbatim apart from its name, for tests to
 compare the current code with."""
 import functools
-import itertools
 import math
 from collections.abc import Iterable, Mapping
 
@@ -37,7 +36,8 @@ def _parse_amp(text: str) -> complex:
 # ---------------------------------------------------------------------------
 # Reference: the printers before ``format_matrix`` formatted each distinct
 # cell of the whole matrix once and ``format_state`` kept its line ends in a
-# dict, both formatting through a ``functools.cache`` built per call.
+# dict, both formatting through a ``functools.cache`` built per call; kept
+# verbatim apart from the names and from reading a ket through ``items()``.
 
 def ref_format_matrix(m: CMatrix) -> str:
     """Header of column labels, then one ``label: amps...`` line per row.
@@ -57,8 +57,7 @@ def ref_format_state(v: AmpVec, basis: Iterable[str] | None = None) -> str:
     constructor left no label twice and no amplitude below ``PRUNE_EPS``."""
     end = functools.cache(lambda a: f": {_fmt_amp(a)}\n")  # a fold's ket repeats few distinct amplitudes
     if basis is None:
-        amps = v._amps
-        return "".join(itertools.chain.from_iterable(zip(amps, map(end, amps.values()))))
+        return "".join([f"{x}{end(a)}" for x, a in v.items()])
     return "".join([f"{x}{end(a)}" for x in basis if abs(a := v[x]) >= PRUNE_EPS])
 
 

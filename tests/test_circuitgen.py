@@ -701,11 +701,10 @@ def qasm_texts(draw):
     return draw(st.sampled_from(("\n", "\r\n"))).join(lines) + draw(st.sampled_from(("", "\n")))
 
 
-def sharing(c: Circuit, key=id) -> list[int]:
-    """For each position, the first position holding the same instance, or
-    with ``key=None`` an equal gate."""
-    first: dict = {}
-    return [first.setdefault(key(g) if key else g, i) for i, g in enumerate(c.gates)]
+def sharing(c: Circuit) -> list[int]:
+    """For each position, the first position holding the same instance."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(g), i) for i, g in enumerate(c.gates)]
 
 
 def assert_table(c: Circuit) -> None:
@@ -788,7 +787,7 @@ class TestViewsFromQubits:
     @given(st.one_of(circuits(), exportable_circuits(), qasm_texts().map(lambda text: outcome_of(parse_qasm, text))))
     def test_views_equal_the_route_through_the_decoded_masks(self, c):
         if isinstance(c, Circuit):
-            assert c._view_ops == ref_view_ops(c)
+            assert c._view_ops == ref_view_ops(c._table, c.total_qubits)
 
 
 class TestPassesPerDistinctGate:
@@ -883,7 +882,8 @@ class TestIndexForm:
         assert_same_circuit(parsed, c)
         assert sharing(parsed) == sharing(ref_parse_qasm(export_qasm(c)))
         assert_same_circuit(peephole(c), ref_stack_peephole(c))
-        assert sharing(peephole(c)) == sharing(ref_stack_peephole(c), key=None)
+        equal: dict = {}  # equal gates of the result are one instance
+        assert sharing(peephole(c)) == [equal.setdefault(g, i) for i, g in enumerate(ref_stack_peephole(c).gates)]
         # Lines spaced apart parse to two table entries of one gate, which
         # peephole must treat as equal.
         lines = export_qasm(c).splitlines()

@@ -1,5 +1,6 @@
-"""References live in ``tests/reference/`` and read no private ``quantakit``
-name, so that a fault in a private helper cannot hide in its reference."""
+"""References live in ``tests/reference/`` and read no private name of
+``quantakit`` or of any object but their own, so that a fault in private
+code or state cannot hide in its reference."""
 import ast
 from pathlib import Path
 
@@ -9,24 +10,16 @@ TESTS = Path(__file__).parent
 
 
 def private_reads(tree: ast.Module) -> list[str]:
-    """The ``_``-prefixed names a module imports from ``quantakit``, or reads
-    as attributes of a name it imported from there."""
-    bound, out = set(), []
+    """The ``_``-prefixed names a module imports from ``quantakit``, and the
+    ``_``-prefixed attributes it reads of anything but ``self``."""
+    out = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             module = getattr(node, "module", None)
-            for a in node.names:
-                name = f"{module}.{a.name}" if module else a.name
-                if name.split(".")[0] == "quantakit":
-                    bound.add(a.asname or (a.name if module else "quantakit"))
-                    if "._" in name:
-                        out.append(name)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__"):
-            root = node.value
-            while isinstance(root, ast.Attribute):
-                root = root.value
-            if isinstance(root, ast.Name) and root.id in bound:
+            names = [f"{module}.{a.name}" if module else a.name for a in node.names]
+            out += [name for name in names if name.split(".")[0] == "quantakit" and "._" in name]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__"):
+            if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
                 out.append(ast.unparse(node))
     return out
 
@@ -42,8 +35,10 @@ def test_no_reference_reads_a_private_quantakit_name(path):
     assert private_reads(ast.parse(path.read_text())) == []
 
 
-def test_private_reads_are_found_through_every_binding():
+def test_private_reads_are_found_on_every_object_but_self():
     text = ("import quantakit.circuitgen\nimport quantakit._x\nfrom quantakit import vecmonad as vm\nfrom quantakit.circuitgen"
-            " import _decode, Circuit\nvm._parse_amp; Circuit._trusted; quantakit.circuitgen._label; vm.A._b; vm.__name__; x._y")
+            " import _decode, Circuit\nvm._parse_amp; Circuit._trusted; quantakit.circuitgen._label; vm.A._b; vm.__name__\n"
+            "c._table; v._amps; self._amps")
     assert private_reads(ast.parse(text)) == ["quantakit._x", "quantakit.circuitgen._decode", "vm._parse_amp",
-                                              "Circuit._trusted", "quantakit.circuitgen._label", "vm.A._b"]
+                                              "Circuit._trusted", "quantakit.circuitgen._label", "vm.A._b", "c._table",
+                                              "v._amps"]
