@@ -74,8 +74,11 @@ def _fail(msg: str) -> int:
 
 
 def _gate_step(name: str, tol: float) -> quanta.Step:
-    step = gates.default_library().step(name)
-    if not vecmonad.is_unitary(step.u, tol):
+    """The library's fold step for ``name``, refused unless its matrix is
+    unitary at ``tol``, by the gap the library measured when it was built."""
+    lib = gates.default_library()
+    step = lib.step(name)
+    if not lib.unitarity_gap(name) <= tol:
         raise ValueError(f"gate {name!r} is not unitary at tolerance {tol}")
     return step
 

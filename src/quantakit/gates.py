@@ -9,8 +9,9 @@ quantum choice combinator routes the payload through a branch selected by
 the control bit without measuring it (control 0 takes the first branch,
 control 1 the second), and the McCarthy conditional preprocesses the
 control and then applies its if-branch on control 1.  A ``GateLibrary``
-checks its gates and records their fold steps when it is built and never
-changes, so ``default_library()`` is built once per process.
+checks its gates and records their unitarity gaps and fold steps when it
+is built and never changes, so ``default_library()`` is built once per
+process.
 """
 from __future__ import annotations
 
@@ -22,18 +23,19 @@ from collections.abc import Mapping
 from .quanta import Step, step_shape
 from .relalg import BIT, pair_label, product_basis, split_pair
 from .vecmonad import (
+    DEFAULT_TOL,
     AmpVec,
     CMatrix,
     KleisliOp,
     assoc_inv_op,
     assoc_op,
-    is_unitary,
     kleisli,
     lift,
     materialize,
     ret,
     ret_op,
     tensor,
+    unitarity_gap,
 )
 
 __all__ = [
@@ -127,7 +129,7 @@ def choice(f: KleisliOp, g: KleisliOp) -> KleisliOp:
     def apply(label: str) -> AmpVec:
         a, b = split_pair(label)
         branch = f if a == "0" else g
-        return AmpVec({pair_label(a, k): amp for k, amp in branch.apply(b).items()})
+        return AmpVec._trusted({pair_label(a, k): amp for k, amp in branch.apply(b).items()})
 
     return KleisliOp(src, apply)
 
@@ -145,22 +147,23 @@ def cond() -> KleisliOp:
 
 class GateLibrary:
     """Named operations, each checked to be unitary when the library is
-    built; it records the matrix it checked and, for a gate on an (item,
-    payload) pair basis, the ``quanta.Step`` that the fold takes by index,
-    and cannot change.  An unknown name is refused here, with a
-    ``KeyError`` that lists the library's names."""
+    built; it records the matrix it checked, its unitarity gap and, for a
+    gate on an (item, payload) pair basis, the ``quanta.Step`` that the fold
+    takes by index, and cannot change.  An unknown name is refused here,
+    with a ``KeyError`` that lists the library's names."""
 
     def __init__(self, ops: Mapping[str, KleisliOp]) -> None:
-        self._ops: dict[str, tuple[KleisliOp, CMatrix, Step | None]] = {}
+        self._ops: dict[str, tuple[KleisliOp, CMatrix, float, Step | None]] = {}
         for name, op in ops.items():
             m = materialize(op, op.src)
-            if not is_unitary(m):
+            gap = unitarity_gap(m)
+            if not gap <= DEFAULT_TOL:
                 raise ValueError(f"gate {name!r} does not materialize to a unitary matrix")
             try:
                 step = Step(m, *step_shape(op))
             except ValueError:
                 step = None
-            self._ops[name] = (op, m, step)
+            self._ops[name] = (op, m, gap, step)
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._ops)
@@ -174,12 +177,18 @@ class GateLibrary:
     def matrix(self, name: str) -> CMatrix:
         return self._get(name)[1]
 
+    def unitarity_gap(self, name: str) -> float:
+        """``vecmonad.unitarity_gap`` of the gate's matrix, measured once, when
+        the library was built: the gate is unitary at ``tol`` when this is at
+        most ``tol``."""
+        return self._get(name)[2]
+
     def step(self, name: str) -> Step:
-        if (step := self._get(name)[2]) is None:
+        if (step := self._get(name)[3]) is None:
             raise ValueError(f"gate {name!r} does not act on an (item,payload) pair basis")
         return step
 
-    def _get(self, name: str) -> tuple[KleisliOp, CMatrix, Step | None]:
+    def _get(self, name: str) -> tuple[KleisliOp, CMatrix, float, Step | None]:
         try:
             return self._ops[name]
         except KeyError:

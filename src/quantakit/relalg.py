@@ -12,13 +12,19 @@ indices alone.  Labels read from files must be well formed
 (``check_label``).
 
 ``Rel`` and ``vecmonad.CMatrix`` are one typed matrix, ``_TypedMatrix``,
-with a bool or a complex128 ``dtype``.  Its public constructor coerces its
+with a bool or a complex128 ``dtype``, under one rule: the public
+constructor checks what it is given, and a matrix the library builds
+itself skips the checks its construction already guarantees.  The constructor coerces its
 matrix to that dtype, copies it and checks its shape; ``_trusted`` only
-marks an operator's fresh result read-only.  The operators (composition,
-converse, kernel, meet, pairing, junc) go through ``Rel._trusted``: each
-builds a fresh bool matrix whose shape follows from operands that were
-checked when they were built.  ``converse`` shares its operand's
-transposed read-only view.
+marks an operator's fresh result read-only and sets the fields through
+their slots.  Two kinds of build go through ``Rel._trusted``.  The
+operators (composition, converse, kernel, meet, pairing, junc) build a
+fresh bool matrix by a NumPy operation on the entries of operands that
+were checked when they were built, so its dtype and shape follow from
+theirs; ``converse`` shares its operand's transposed read-only view.  The
+constructors ``identity``, ``from_function``, ``bang``, ``inj1``,
+``inj2``, ``gamma`` and ``quotient`` fill a fresh bool matrix that they
+shape from its two bases.
 Composition and kernel are Boolean matrix products: a count of witnesses
 in a small integer type would wrap around on large bases.
 
@@ -269,7 +275,10 @@ class _TypedMatrix:
     entries of the subclass's ``dtype``; equal only to a value of the same
     class over equal bases with equal entries, and unhashable.  Each
     subclass is a frozen dataclass too, so that its values refuse new
-    attributes as well as writes to the fields."""
+    attributes as well as writes to the fields, and declares no slots of
+    its own, so that the three fields live in this class's slots."""
+
+    __slots__ = ("src", "tgt", "entries")
 
     dtype: ClassVar[type]
 
@@ -291,14 +300,13 @@ class _TypedMatrix:
     def _trusted(cls: type[_M], src: FinBasis, tgt: FinBasis, m: np.ndarray) -> _M:
         """An operator's result: ``m`` is a ``cls.dtype`` matrix of shape
         (len(tgt), len(src)) that no one else writes to.  Marked read-only,
-        neither copied nor checked.  The fields are set as the dataclass
-        ``__init__`` sets them; filling ``__dict__`` would give each
-        instance a dict of its own."""
+        neither copied nor checked.  The fields are set through their slots,
+        past the frozen ``__setattr__``."""
         m.setflags(write=False)
         r = object.__new__(cls)
-        object.__setattr__(r, "src", src)
-        object.__setattr__(r, "tgt", tgt)
-        object.__setattr__(r, "entries", m)
+        _set_src(r, src)
+        _set_tgt(r, tgt)
+        _set_entries(r, m)
         return r
 
     def __eq__(self, other: object) -> bool:
@@ -312,13 +320,21 @@ class _TypedMatrix:
 
     __hash__ = None  # type: ignore[assignment]
 
+    def __reduce__(self) -> tuple:
+        """Copies and pickles rebuild through the checked constructor: the
+        frozen ``__setattr__`` refuses the slot state a default copy sets."""
+        return self.__class__, (self.src, self.tgt, self.entries)
+
 
 _M = TypeVar("_M", bound=_TypedMatrix)
+_set_src, _set_tgt, _set_entries = (vars(_TypedMatrix)[f].__set__ for f in ("src", "tgt", "entries"))
 
 
 @dataclass(frozen=True, eq=False)
 class Rel(_TypedMatrix):
     """Boolean matrix relation typed src -> tgt (rows tgt, columns src)."""
+
+    __slots__ = ()
 
     dtype = bool
 
@@ -332,7 +348,7 @@ class Rel(_TypedMatrix):
 
 
 def identity(basis: FinBasis) -> Rel:
-    return Rel(basis, basis, np.eye(len(basis), dtype=bool))
+    return Rel._trusted(basis, basis, np.eye(len(basis), dtype=bool))
 
 
 def from_function(
@@ -343,12 +359,12 @@ def from_function(
     m = np.zeros((len(tgt), len(src)), dtype=bool)
     for j, x in enumerate(src):
         m[tgt.index(get(x)), j] = True
-    return Rel(src, tgt, m)
+    return Rel._trusted(src, tgt, m)
 
 
 def bang(src: FinBasis) -> Rel:
     """The unique function into the singleton basis."""
-    return Rel(src, POINT, np.ones((1, len(src)), dtype=bool))
+    return Rel._trusted(src, POINT, np.ones((1, len(src)), dtype=bool))
 
 
 def compose(r: Rel, s: Rel) -> Rel:
@@ -364,7 +380,8 @@ def converse(r: Rel) -> Rel:
 
 def kernel(r: Rel) -> Rel:
     """converse(r) . r, as the one product of r's entries with their transpose."""
-    return Rel._trusted(r.src, r.src, r.entries.T @ r.entries)
+    x = r.entries
+    return Rel._trusted(r.src, r.src, x.T @ x)
 
 
 def image(r: Rel) -> Rel:
@@ -385,11 +402,11 @@ def subset(r: Rel, s: Rel) -> bool:
 
 def pair(r: Rel, s: Rel) -> Rel:
     """Split <r,s>: relates (b,c) to a iff b r a and c s a."""
-    if r.src != s.src:
+    src, x, y = r.src, r.entries, s.entries
+    if s.src is not src and s.src != src:
         raise BasisMismatchError("pair: relations must share their source")
-    m = r.entries[:, None, :] & s.entries[None, :, :]
-    b, c, a = m.shape
-    return Rel._trusted(r.src, product_basis(r.tgt, s.tgt), m.reshape(b * c, a))
+    m = (x[:, None] & y).reshape(len(x) * len(y), len(src))
+    return Rel._trusted(src, product_basis(r.tgt, s.tgt), m)
 
 
 def either(r: Rel, s: Rel) -> Rel:
@@ -401,11 +418,11 @@ def either(r: Rel, s: Rel) -> Rel:
 
 
 def inj1(a: FinBasis, b: FinBasis) -> Rel:
-    return Rel(a, coproduct_basis(a, b), np.eye(len(a) + len(b), len(a), dtype=bool))
+    return Rel._trusted(a, coproduct_basis(a, b), np.eye(len(a) + len(b), len(a), dtype=bool))
 
 
 def inj2(a: FinBasis, b: FinBasis) -> Rel:
-    return Rel(b, coproduct_basis(a, b), np.eye(len(a) + len(b), len(b), -len(a), dtype=bool))
+    return Rel._trusted(b, coproduct_basis(a, b), np.eye(len(a) + len(b), len(b), -len(a), dtype=bool))
 
 
 def direct_sum(r: Rel, s: Rel) -> Rel:
@@ -415,7 +432,7 @@ def direct_sum(r: Rel, s: Rel) -> Rel:
 
 def gamma(a: FinBasis) -> Rel:
     """The bijection A+A -> BIT x A tagging with a leading bit."""
-    return Rel(coproduct_basis(a, a), product_basis(BIT, a), np.eye(2 * len(a), dtype=bool))
+    return Rel._trusted(coproduct_basis(a, a), product_basis(BIT, a), np.eye(2 * len(a), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +690,7 @@ def quotient(src: FinBasis, blocks: Iterable[Iterable[int]]) -> Rel:
     m = np.zeros((len(src), len(src)), dtype=bool)
     for b in blocks:
         m[b[0], b] = True
-    return Rel(src, src, m)
+    return Rel._trusted(src, src, m)
 
 
 # ---------------------------------------------------------------------------

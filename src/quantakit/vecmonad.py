@@ -10,17 +10,40 @@ the structural isomorphisms of product bases: these are row-major, so
 ``assoc_op`` and ``assoc_inv_op`` keep each basis index and ``xl_op``
 transposes the first two axes of the index grid.
 
-The public ``AmpVec(...)`` and ``CMatrix(...)`` constructors check what
-they are given.  Operator results skip that re-validation where their
-construction already guarantees it.  ``bind`` sums ``0j + a*b`` over
-finite kets, which leaves no repeated label and no -0.0 part, so its
-result needs one pruning pass; one finiteness test on the total of the
-sums stands for all of them, because a NaN or infinite sum makes the
-total non-finite, and then the checked constructor raises its own
-error.  ``CMatrix`` is ``relalg._TypedMatrix`` with a complex128 dtype,
-so it shares ``Rel``'s checked constructor and ``_trusted``.  ``matmul``,
-``kron`` and ``dagger`` go through ``_trusted``: each builds a fresh
-complex matrix whose shape follows from checked operands.
+One rule covers every value the module builds: the public ``AmpVec(...)``
+and ``CMatrix(...)`` constructors check what they are given, and a value
+the library computes from values it computed or checked itself skips the
+checks its construction already guarantees.
+
+A ket the library computes goes through ``AmpVec._trusted``.  It is handed
+a dict of Python complex amplitudes, so the constructor would find no
+repeated label and ``complex()`` would change nothing; what is left is
+finiteness, the prune epsilon and the sign of zero.  One finiteness test
+on the total stands for the per-entry test, since a NaN or infinite
+amplitude makes the total non-finite; one pass drops what is below
+``PRUNE_EPS`` and adds ``0j``, so a -0.0 part prints as +0.0; and a
+non-finite total or an overflowing magnitude goes to the constructor,
+which names it.  These kets take it:
+
+- ``ret``'s unit ket, one label at amplitude 1;
+- ``bind``'s and ``add``'s sums of the amplitudes of kets;
+- ``from_matrix``'s column kets, a column of a checked matrix read out
+  through ``tolist`` over the distinct labels of its target basis (a NaN
+  or infinite cell is named when its column is first applied);
+- ``tensor``'s products of two kets' amplitudes, and the tagged or paired
+  kets of ``direct_sum`` and ``gates.choice``, each amplitude taken from a
+  ket as it stands.
+
+``scale`` multiplies by the caller's number, of any numeric type, so its
+ket stays on the checked constructor.
+
+``bind``, ``add``, ``vec_equal`` and ``materialize`` read each ket's store
+and each basis's index dict directly, with no method call per entry.
+``CMatrix`` is ``relalg._TypedMatrix`` with a complex128 dtype, so it
+shares ``Rel``'s checked constructor and ``_trusted``.  ``matmul``,
+``kron``, ``dagger``, ``materialize`` and ``identity_matrix`` go through
+``_trusted``: each builds a fresh complex matrix whose shape follows from
+checked operands or from its bases.
 ``from_matrix`` builds each column's ket once, on first use, and returns
 that immutable ket on every later call.  A ket computed as an array, as
 the fold's is, enters through the constructor's array form: NumPy checks
@@ -71,6 +94,7 @@ __all__ = [
     "ret_op",
     "scale",
     "tensor",
+    "unitarity_gap",
     "vec_equal",
     "xl_op",
 ]
@@ -130,15 +154,23 @@ class AmpVec:
         self._amps = AmpVec(store)._amps if repeated else store
 
     @classmethod
-    def _from_sums(cls, acc: dict[str, complex]) -> AmpVec:
-        """``AmpVec(acc)`` for complex sums that each start from ``0j``."""
-        if not cmath.isfinite(sum(acc.values())):
-            return cls(acc)  # names the first non-finite amplitude
+    def _trusted(cls, amps: dict[str, complex]) -> AmpVec:
+        """``AmpVec(amps)`` for a dict of Python complex or float amplitudes
+        that the library computed.  One finiteness test on the total stands
+        for the per-entry test, since a NaN or infinite amplitude makes the
+        total non-finite; one pass drops what is below ``PRUNE_EPS`` and
+        adds ``0j``, as the constructor does.  A non-finite total, or a
+        magnitude that overflows, goes to the constructor, which names it."""
+        if not cmath.isfinite(sum(amps.values())):
+            return cls(amps)
         v = object.__new__(cls)
+        store = v._amps = {}
         try:
-            v._amps = {k: a for k, a in acc.items() if abs(a) >= PRUNE_EPS}
+            for k, a in amps.items():
+                if abs(a) >= PRUNE_EPS:
+                    store[k] = 0j + a  # turns a -0.0 part into +0.0, as the constructor does
         except OverflowError:
-            return cls(acc)  # names the first amplitude whose magnitude overflows
+            return cls(amps)
         return v
 
     def __getitem__(self, label: str) -> complex:
@@ -187,7 +219,7 @@ def _bulk_store(labels: Sequence[str], values: np.ndarray) -> dict[str, complex]
 
 def ret(label: str) -> AmpVec:
     """Unit of the monad: the classical basis state |label>."""
-    return AmpVec({label: 1.0 + 0j})
+    return AmpVec._trusted({label: 1.0 + 0j})
 
 
 def lift(f: Mapping[str, str] | Callable[[str], str], src: FinBasis) -> KleisliOp:
@@ -202,10 +234,10 @@ def lift(f: Mapping[str, str] | Callable[[str], str], src: FinBasis) -> KleisliO
 
 
 def add(u: AmpVec, v: AmpVec) -> AmpVec:
-    out = dict(u.items())
-    for k, a in v.items():
+    out = dict(u._amps)
+    for k, a in v._amps.items():
         out[k] = out.get(k, 0j) + a
-    return AmpVec(out)
+    return AmpVec._trusted(out)
 
 
 def scale(c: complex, v: AmpVec) -> AmpVec:
@@ -219,7 +251,13 @@ def norm(v: AmpVec) -> float:
 def vec_equal(u: AmpVec, v: AmpVec, tol: float = DEFAULT_TOL) -> bool:
     """Sup-norm comparison of two kets."""
     a, b = u._amps, v._amps
-    return all(abs(a.get(k, 0j) - b.get(k, 0j)) <= tol for k in a.keys() | b.keys())
+    for k, x in a.items():
+        if not abs(x - b.get(k, 0j)) <= tol:
+            return False
+    for k, y in b.items():
+        if k not in a and not abs(y) <= tol:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -235,13 +273,15 @@ class KleisliOp:
 
 def bind(v: AmpVec, f: KleisliOp) -> AmpVec:
     """Linear extension of f over the support of v."""
+    src, apply = f.src._index, f.apply
     acc: dict[str, complex] = {}
-    for label, a in v.items():
-        if label not in f.src:
+    get = acc.get
+    for label, a in v._amps.items():
+        if label not in src:
             raise KeyError(f"label {label!r} outside operation source basis")
-        for out, b in f.apply(label).items():
-            acc[out] = acc.get(out, 0j) + a * b
-    return AmpVec._from_sums(acc)
+        for out, b in apply(label)._amps.items():
+            acc[out] = get(out, 0j) + a * b
+    return AmpVec._trusted(acc)
 
 
 def ret_op(basis: FinBasis) -> KleisliOp:
@@ -259,10 +299,8 @@ def tensor(f: KleisliOp, g: KleisliOp) -> KleisliOp:
 
     def apply(label: str) -> AmpVec:
         a, b = split_pair(label)
-        fa, gb = f.apply(a), g.apply(b)
-        return AmpVec(
-            {pair_label(x, y): p * q for x, p in fa.items() for y, q in gb.items()}
-        )
+        fa, gb = f.apply(a)._amps, g.apply(b)._amps
+        return AmpVec._trusted({pair_label(x, y): p * q for x, p in fa.items() for y, q in gb.items()})
 
     return KleisliOp(src, apply)
 
@@ -274,8 +312,8 @@ def direct_sum(f: KleisliOp, g: KleisliOp) -> KleisliOp:
     def apply(label: str) -> AmpVec:
         side, x = untag(label)
         if side == 0:
-            return AmpVec({tag_left(k): a for k, a in f.apply(x).items()})
-        return AmpVec({tag_right(k): a for k, a in g.apply(x).items()})
+            return AmpVec._trusted({tag_left(k): a for k, a in f.apply(x)._amps.items()})
+        return AmpVec._trusted({tag_right(k): a for k, a in g.apply(x)._amps.items()})
 
     return KleisliOp(src, apply)
 
@@ -315,6 +353,8 @@ def assoc_inv_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
 class CMatrix(_TypedMatrix):
     """Complex matrix typed src -> tgt (rows tgt, columns src)."""
 
+    __slots__ = ()
+
     dtype = np.complex128
 
     def close_to(self, other: "CMatrix", tol: float = DEFAULT_TOL) -> bool:
@@ -327,33 +367,41 @@ class CMatrix(_TypedMatrix):
 
 def materialize(f: KleisliOp, tgt: FinBasis) -> CMatrix:
     """Column j of the result is the ket f(src[j]) laid out over tgt."""
+    index = tgt._index
     m = np.zeros((len(tgt), len(f.src)), dtype=np.complex128)
-    for j, x in enumerate(f.src):
-        for label, a in f.apply(x).items():
-            if label not in tgt:
+    for j, x in enumerate(f.src.labels):
+        for label, a in f.apply(x)._amps.items():
+            i = index.get(label)
+            if i is None:
                 raise KeyError(f"output label {label!r} outside target basis")
-            m[tgt.index(label), j] = a
-    return CMatrix(f.src, tgt, m)
+            m[i, j] = a
+    return CMatrix._trusted(f.src, tgt, m)
+
+
+class _ColumnKets(dict):
+    """Source label -> the ket of its column of a matrix, built on first use."""
+
+    __slots__ = ("_m", "_cols")
+
+    def __init__(self, m: CMatrix) -> None:
+        super().__init__()
+        self._m, self._cols = m, m.entries.T.tolist()
+
+    def __missing__(self, label: str) -> AmpVec:
+        m = self._m
+        ket = self[label] = AmpVec._trusted(dict(zip(m.tgt.labels, self._cols[m.src.index(label)])))
+        return ket
 
 
 def from_matrix(m: CMatrix) -> KleisliOp:
     """Columns of a matrix re-read as a vector-valued function.  Each
-    column's ket is built on its first call and returned on every later one."""
-
-    cols = m.entries.T.tolist()
-    kets: dict[str, AmpVec] = {}
-
-    def apply(label: str) -> AmpVec:
-        ket = kets.get(label)
-        if ket is None:
-            ket = kets[label] = AmpVec(zip(m.tgt.labels, cols[m.src.index(label)]))
-        return ket
-
-    return KleisliOp(m.src, apply)
+    column's ket is built on its first call and returned on every later
+    one, by a dict lookup with no Python frame."""
+    return KleisliOp(m.src, _ColumnKets(m).__getitem__)
 
 
 def identity_matrix(basis: FinBasis) -> CMatrix:
-    return CMatrix(basis, basis, np.eye(len(basis), dtype=np.complex128))
+    return CMatrix._trusted(basis, basis, np.eye(len(basis), dtype=np.complex128))
 
 
 def matmul(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -374,14 +422,20 @@ def dagger(m: CMatrix) -> CMatrix:
     return CMatrix._trusted(m.tgt, m.src, m.entries.conj().T)
 
 
-def is_unitary(m: CMatrix, tol: float = DEFAULT_TOL) -> bool:
+def unitarity_gap(m: CMatrix) -> float:
+    """How far m is from unitary: the larger sup-norm gap of m m* and m* m
+    from the identity.  ``m`` is unitary at ``tol`` when this is at most ``tol``."""
     n, k = m.entries.shape
     if n != k:
         raise ValueError("is_unitary requires a square matrix")
     eye = np.eye(n)
     left = np.max(np.abs(m.entries @ m.entries.conj().T - eye))
     right = np.max(np.abs(m.entries.conj().T @ m.entries - eye))
-    return bool(max(left, right) <= tol)
+    return float(max(left, right))
+
+
+def is_unitary(m: CMatrix, tol: float = DEFAULT_TOL) -> bool:
+    return unitarity_gap(m) <= tol
 
 
 # ---------------------------------------------------------------------------

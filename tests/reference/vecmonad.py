@@ -7,7 +7,9 @@ from collections.abc import Iterable, Mapping
 
 import numpy as np
 
-from quantakit.relalg import FinBasis, check_label, pair_label, product_basis, split_pair
+from quantakit.relalg import (
+    FinBasis, check_label, coproduct_basis, pair_label, product_basis, split_pair, tag_left, tag_right, untag,
+)
 from quantakit.vecmonad import PRUNE_EPS, AmpVec, CMatrix, KleisliOp, ret
 
 
@@ -143,6 +145,49 @@ def ref_bind(v: AmpVec, f: KleisliOp) -> AmpVec:
         for out, b in f.apply(label).items():
             acc[out] = acc.get(out, 0j) + a * b
     return AmpVec(acc)
+
+
+# ---------------------------------------------------------------------------
+# References: ``ret``, ``add``, ``tensor`` and ``direct_sum`` when each built
+# its ket through the checked constructor, kept verbatim apart from the names.
+
+def ref_ret(label: str) -> AmpVec:
+    """Unit of the monad: the classical basis state |label>."""
+    return AmpVec({label: 1.0 + 0j})
+
+
+def ref_add(u: AmpVec, v: AmpVec) -> AmpVec:
+    out = dict(u.items())
+    for k, a in v.items():
+        out[k] = out.get(k, 0j) + a
+    return AmpVec(out)
+
+
+def ref_tensor(f: KleisliOp, g: KleisliOp) -> KleisliOp:
+    """Pairwise tensor on the row-major product basis."""
+    src = product_basis(f.src, g.src)
+
+    def apply(label: str) -> AmpVec:
+        a, b = split_pair(label)
+        fa, gb = f.apply(a), g.apply(b)
+        return AmpVec(
+            {pair_label(x, y): p * q for x, p in fa.items() for y, q in gb.items()}
+        )
+
+    return KleisliOp(src, apply)
+
+
+def ref_direct_sum(f: KleisliOp, g: KleisliOp) -> KleisliOp:
+    """Blockwise action on the tagged coproduct basis."""
+    src = coproduct_basis(f.src, g.src)
+
+    def apply(label: str) -> AmpVec:
+        side, x = untag(label)
+        if side == 0:
+            return AmpVec({tag_left(k): a for k, a in f.apply(x).items()})
+        return AmpVec({tag_right(k): a for k, a in g.apply(x).items()})
+
+    return KleisliOp(src, apply)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tables as rt
+from diffs import first_difference
 from quantakit import circuitgen, gates, vecmonad
 from quantakit.circuitgen import (
     MAX_QASM_QUBITS,
@@ -34,7 +35,7 @@ from quantakit.circuitgen import (
 )
 from quantakit.cli import main
 from quantakit.relalg import FinBasis, SizeLimitError
-from quantakit.vecmonad import AmpVec, CMatrix, parse_matrix, vec_equal
+from quantakit.vecmonad import DEFAULT_TOL, AmpVec, CMatrix, parse_matrix, vec_equal
 from reference.circuitgen import (
     ref_export_qasm, ref_gray_chain, ref_is_classical, ref_label_simulate_state, ref_metrics, ref_ops, ref_parse_qasm,
     ref_permutation_of, ref_simulate, ref_stack_peephole, ref_synth_permutation, ref_transpositions, ref_view_ops,
@@ -209,6 +210,16 @@ class TestAncillas:
         out = simulate_state(c, AmpVec({"0": 1.0, "1": 1e-10}))
         assert dict(out.items()) == {"0": 1.0}
 
+    @pytest.mark.parametrize("small", [2 * DEFAULT_TOL, 5e-7, 0.99e-6])
+    def test_the_dense_path_keeps_what_is_above_the_tolerance_and_drops_the_rest(self, small):
+        # A t gate keeps the circuit off the lanes; it leaves "01", whose qubit 0 is 0, as it is.
+        c = Circuit(2, 0, (Gate("t", (0,)),))
+        kept = simulate_state(c, AmpVec({"10": 1.0, "01": small}))
+        assert [label for label, _ in kept.items()] == ["01", "10"] and kept["01"] == small
+        for tiny in (DEFAULT_TOL, DEFAULT_TOL / 2):
+            dropped = simulate_state(c, AmpVec({"10": 1.0, "01": tiny}))
+            assert [label for label, _ in dropped.items()] == ["10"]
+
     def test_lowered_mcx_returns_ancillas_clean(self):
         controls = ((0, 1), (1, 0), (2, 1), (3, 1))
         c = Circuit(5, 2, decompose_mcx(controls, 4, (5, 6)))
@@ -369,8 +380,12 @@ class TestSynthesisAgainstReference:
         got = synth_permutation(m)
         assert len({id(g) for g in got.gates}) == len(set(got.gates))
         want = ref_synth_permutation(m, Encoding(m.src))
-        assert got == want
-        assert export_qasm(got) == ref_export_qasm(want)
+        same = got == want
+        assert same, first_difference([got.data_qubits, got.ancilla_qubits, *got.gates],
+                                      [want.data_qubits, want.ancilla_qubits, *want.gates])
+        qasm, ref_qasm = export_qasm(got), ref_export_qasm(want)
+        same = qasm == ref_qasm
+        assert same, first_difference(qasm, ref_qasm)
         assert metrics(got) == ref_metrics(want)
 
     @pytest.mark.parametrize("perm", [

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffs import first_difference
 from label_strategies import labels
 from quantakit import cli, quanta, relalg, vecmonad
 from quantakit.cli import main
@@ -75,6 +76,24 @@ def test_matrix_refuses_a_negative_maxlen_golden(capsys):
 def test_run_applies_tol_to_the_library_matrix(capsys):
     assert main(["run", "--step", "bell", "--input", "([1],0)", "--tol", "1e-30"]) == 1
     assert capsys.readouterr().err == "error: gate 'bell' is not unitary at tolerance 1e-30\n"
+
+
+@pytest.mark.parametrize("command", [["run", "--input", "([1],0)"], ["matrix", "--maxlen", "1"]])
+@pytest.mark.parametrize("step", ["cnot", "bell", "cond"])
+@pytest.mark.parametrize("tol", ["1e-30", "1e-16", "1e-9"])
+def test_tol_judges_the_gap_the_library_measured(monkeypatch, capsys, command, step, tol):
+    """The verdict and text that ``is_unitary`` on the step's matrix gives,
+    with no unitarity test run per call."""
+    fits = vecmonad.is_unitary(default_library().step(step).u, float(tol))
+
+    def measured_again(*args, **kwargs):
+        raise AssertionError("unitarity measured again")
+
+    monkeypatch.setattr(vecmonad, "is_unitary", measured_again)
+    monkeypatch.setattr(vecmonad, "unitarity_gap", measured_again)
+    code = main([command[0], "--step", step, *command[1:], "--tol", tol, "--out", os.devnull])
+    err = capsys.readouterr().err
+    assert (code, err) == ((0, "") if fits else (1, f"error: gate {step!r} is not unitary at tolerance {float(tol)}\n"))
 
 
 @pytest.mark.parametrize(
@@ -224,7 +243,9 @@ def assert_complement_prints_the_reference(table: str, flags: list[str]) -> None
         path, out = Path(tmp) / "f.tbl", Path(tmp) / "out.txt"
         path.write_text(table)
         assert main(["complement", str(path), "--out", str(out), *flags]) == 0
-        assert out.read_text() == ref_complement_output(comps, ref_args)
+        got, want = out.read_text(), ref_complement_output(comps, ref_args)
+        same = got == want
+        assert same, first_difference(got, want)
 
 
 @COMPLEMENT_FLAGS

@@ -35,6 +35,7 @@ from quantakit.vecmonad import (
     matmul,
     ret_op,
     tensor,
+    unitarity_gap,
 )
 
 BB = product_basis(BIT, BIT)
@@ -180,6 +181,14 @@ class TestLibrary:
             assert lib.matrix(name) is lib.matrix(name)
             assert lib.matrix(name) == materialize(op, op.src)
 
+    def test_the_unitarity_gap_is_measured_once_on_the_registered_matrix(self):
+        lib = default_library()
+        for name in lib.names():
+            gap = lib.unitarity_gap(name)
+            assert gap == unitarity_gap(lib.matrix(name)) and gap <= 1e-9, name
+            for tol in (0.0, 1e-30, 1e-16, 1e-9, 1.0, -1.0, float("nan")):
+                assert (gap <= tol) == is_unitary(lib.matrix(name), tol=tol), (name, tol)
+
     def test_registration_rejects_non_unitary(self):
         squash = lift({"0": "0", "1": "0"}, BIT)
         with pytest.raises(ValueError):
@@ -192,7 +201,7 @@ class TestLibrary:
         with pytest.raises(KeyError):
             default_library().op("nope")
 
-    @pytest.mark.parametrize("method", ["op", "matrix", "step"])
+    @pytest.mark.parametrize("method", ["op", "matrix", "unitarity_gap", "step"])
     def test_unknown_gate_lists_the_library_names(self, method):
         lib = GateLibrary({"x": lift(NOT_TABLE, BIT), "cnot": lift(cnot_table(), BB)})
         with pytest.raises(KeyError) as info:

@@ -677,6 +677,37 @@ class TestOperatorsSkipRevalidation:
             assert _read_only(rel), name
         assert kernel(r) == compose(converse(r), r)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 4), m=st.integers(1, 4))
+    def test_each_constructor_equals_the_public_construction(self, data, n, m):
+        a, b = _basis("s", n), _basis("t", m)
+        outs = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        block_of = data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+        blocks = [[j for j in range(n) if block_of[j] == k] for k in range(n + 1)]
+        blocks = [blk for blk in blocks if blk]
+        least = [min(blk) for j in range(n) for blk in blocks if j in blk]
+        want = {
+            "identity": Rel(a, a, np.eye(n)),
+            "bang": Rel(a, relalg.POINT, np.ones((1, n))),
+            "inj1": Rel(a, coproduct_basis(a, b), np.eye(n + m, n)),
+            "inj2": Rel(b, coproduct_basis(a, b), np.eye(n + m, m, -n)),
+            "gamma": Rel(coproduct_basis(a, a), product_basis(BIT, a), np.eye(2 * n)),
+            "from_function": Rel(a, b, np.array([outs], dtype=int) == np.arange(m)[:, None]),
+            "quotient": Rel(a, a, np.array([least], dtype=int) == np.arange(n)[:, None]),
+        }
+        got = {
+            "identity": identity(a),
+            "bang": bang(a),
+            "inj1": relalg.inj1(a, b),
+            "inj2": relalg.inj2(a, b),
+            "gamma": gamma(a),
+            "from_function": from_function({x: b.labels[outs[j]] for j, x in enumerate(a)}, a, b),
+            "quotient": quotient(a, blocks),
+        }
+        for name, rel in got.items():
+            assert rel == want[name] == _public(rel), name
+            assert _read_only(rel), name
+
     @settings(max_examples=60, deadline=None)
     @given(r=rels())
     def test_results_are_read_only_and_leave_the_operand_alone(self, r):

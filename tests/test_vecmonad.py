@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -12,7 +14,7 @@ import reference_tables as rt
 from label_strategies import bases
 from quantakit import gates, quanta, vecmonad
 from quantakit.gates import NOT_TABLE, cnot_table, had, lift, tgate
-from quantakit.relalg import BIT, POINT, FinBasis, Rel, list_label, pair_label, product_basis
+from quantakit.relalg import BIT, POINT, FinBasis, Rel, list_label, pair_label, product_basis, tag_left, tag_right
 from quantakit.vecmonad import (
     PRUNE_EPS,
     AmpVec,
@@ -42,9 +44,10 @@ from quantakit.vecmonad import (
     vec_equal,
     xl_op,
 )
+from reference.gates import ref_choice
 from reference.vecmonad import (
-    RefAmpVec, ref_assoc_inv_op, ref_assoc_op, ref_bind, ref_format_matrix, ref_format_state, ref_from_matrix,
-    ref_parse_matrix, ref_xl_op,
+    RefAmpVec, ref_add, ref_assoc_inv_op, ref_assoc_op, ref_bind, ref_direct_sum, ref_format_matrix, ref_format_state,
+    ref_from_matrix, ref_parse_matrix, ref_ret, ref_tensor, ref_xl_op,
 )
 
 BB = product_basis(BIT, BIT)
@@ -484,11 +487,11 @@ class TestSummedKets:
     @settings(max_examples=400, deadline=None)
     @given(acc=sums())
     def test_same_items_order_sign_bits_and_errors_as_the_checked_constructor(self, acc):
-        assert _outcome(AmpVec._from_sums, dict(acc)) == _outcome(AmpVec, dict(acc))
+        assert _outcome(AmpVec._trusted, dict(acc)) == _outcome(AmpVec, dict(acc))
 
     @pytest.mark.parametrize("case", list(_EDGE_SUMS))
     def test_edge_sums(self, case):
-        got = _outcome(AmpVec._from_sums, dict(_EDGE_SUMS[case]))
+        got = _outcome(AmpVec._trusted, dict(_EDGE_SUMS[case]))
         assert got == _outcome(AmpVec, dict(_EDGE_SUMS[case]))
         if case in _RAISES:
             assert got == f"ValueError: non-finite amplitude at {_RAISES[case]!r}"
@@ -515,6 +518,51 @@ class TestSummedKets:
             assert _outcome(f.apply, label) == first
             if isinstance(first, list):
                 assert f.apply(label) is f.apply(label)
+
+
+# Parts for the trusted builds: signed zeros, NaN, infinities, subnormals,
+# values on both sides of the prune epsilon, finite values whose products
+# or sums overflow, and 1.7e308, whose magnitude with two such parts overflows.
+_TRUSTED_EDGE = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308, PRUNE_EPS, -PRUNE_EPS,
+    PRUNE_EPS * (1 - 2**-53), PRUNE_EPS * (1 + 2**-52), PRUNE_EPS / 3, 1e308, -1e308, 1.7e308, 1.0, -2.5,
+]
+_trusted_parts = st.one_of(st.sampled_from(_TRUSTED_EDGE), st.floats(-4, 4))
+_trusted_cells = st.one_of(st.builds(complex, _trusted_parts, _trusted_parts), st.just(complex(1.7e308, -1.7e308)))
+
+
+class TestTrustedBuilds:
+    """Every ket the library builds from values it computed skips the
+    per-entry loop, and equals what the checked constructor builds from the
+    same values, item for item and bit for bit, or raises the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(amps=st.dictionaries(st.sampled_from("abcd"), st.one_of(_trusted_cells, _trusted_parts)))
+    def test_the_builder_against_the_checked_constructor(self, amps):
+        assert _outcome(AmpVec._trusted, dict(amps)) == _outcome(AmpVec, dict(amps))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), src=bases(), tgt=bases())
+    def test_each_operator_against_its_checked_build(self, data, src, tgt):
+        def matrix(a, b):
+            cells = data.draw(st.lists(_trusted_cells, min_size=len(a) * len(b), max_size=len(a) * len(b)))
+            return CMatrix(a, b, np.array(cells, dtype=complex).reshape(len(b), len(a)))
+
+        fm, gm = matrix(src, tgt), matrix(src, tgt)
+        f, g, h = from_matrix(fm), from_matrix(gm), from_matrix(matrix(src, src))
+        cases = [(f.apply, lambda x: AmpVec(zip(tgt.labels, fm.entries[:, src.index(x)].tolist())), x) for x in src]
+        cases += [(ret, ref_ret, x) for x in tgt]
+        cases += [(tensor(f, g).apply, ref_tensor(f, g).apply, pair_label(x, y)) for x in src for y in src]
+        cases += [(direct_sum(f, g).apply, ref_direct_sum(f, g).apply, tag(x))
+                  for tag in (tag_left, tag_right) for x in src]
+        cases += [(gates.choice(f, g).apply, ref_choice(f, g).apply, pair_label(b, x)) for b in BIT for x in src]
+        for got, want, label in cases:
+            assert _outcome(got, label) == _outcome(want, label), label
+        kets = {op: [op.apply(x) for x in src if isinstance(_outcome(op.apply, x), list)] for op in (f, g, h)}
+        for u, v in itertools.product(kets[f] + kets[g], repeat=2):
+            assert _outcome(add, u, v) == _outcome(ref_add, u, v)
+        for v in kets[h]:
+            assert _outcome(bind, v, f) == _outcome(ref_bind, v, f)
 
 
 class TestMatrixOperatorsSkipRevalidation:
@@ -575,6 +623,11 @@ class TestTypedMatrixContract:
             m.src = POINT
         with pytest.raises(dataclasses.FrozenInstanceError):
             m.note = "x"
+
+    def test_copy_deepcopy_and_pickle_keep_the_value(self, cls, dtype):
+        m = cls(BIT, BB, np.arange(8).reshape(4, 2))
+        for d in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert type(d) is cls and d == m and d.entries.dtype == dtype and not d.entries.flags.writeable
 
     def test_replace_checks_again(self, cls, dtype):
         m = cls(BIT, BIT, np.eye(2))
@@ -717,7 +770,7 @@ class TestOverflowingAmplitudes:
 
     def test_summed_kets_name_the_label(self):
         with pytest.raises(ValueError, match=r"^amplitude magnitude overflows at 'b'$"):
-            AmpVec._from_sums({"a": 0j + 1, "b": 0j + _HUGE})
+            AmpVec._trusted({"a": 0j + 1, "b": 0j + _HUGE})
 
     def test_bind_names_the_label(self):
         f = KleisliOp(BIT, lambda label: AmpVec({"o": 1 + 1.5j}))
@@ -729,7 +782,7 @@ class TestOverflowingAmplitudes:
             with pytest.raises(ValueError, match=r"^non-finite amplitude at 'a'$"):
                 AmpVec({"a": a})
             with pytest.raises(ValueError, match=r"^non-finite amplitude at 'a'$"):
-                AmpVec._from_sums({"a": 0j + a})
+                AmpVec._trusted({"a": 0j + a})
 
 
 # ---------------------------------------------------------------------------
