@@ -14,17 +14,17 @@ indices alone.  Labels read from files must be well formed
 ``Rel`` and ``vecmonad.CMatrix`` are one typed matrix, ``_TypedMatrix``,
 with a bool or a complex128 ``dtype``, under one rule: the public
 constructor checks what it is given, and a matrix the library builds
-itself skips the checks its construction already guarantees.  The constructor coerces its
-matrix to that dtype, copies it and checks its shape; ``_trusted`` only
-marks an operator's fresh result read-only and sets the fields through
-their slots.  Two kinds of build go through ``Rel._trusted``.  The
-operators (composition, converse, kernel, meet, pairing, junc) build a
-fresh bool matrix by a NumPy operation on the entries of operands that
-were checked when they were built, so its dtype and shape follow from
-theirs; ``converse`` shares its operand's transposed read-only view.  The
-constructors ``identity``, ``from_function``, ``bang``, ``inj1``,
-``inj2``, ``gamma`` and ``quotient`` fill a fresh bool matrix that they
-shape from its two bases.
+itself skips the checks its construction already guarantees.  The
+constructor coerces its matrix to that dtype, copies it and checks its
+shape; ``_trusted`` only marks a fresh result read-only and sets the
+fields through their slots.  Two kinds of build go through
+``Rel._trusted``.  The operators (composition, converse, kernel, meet,
+pairing, junc) build a fresh bool matrix by a NumPy operation on the
+entries of operands that were checked when they were built, so its dtype
+and shape follow from theirs; ``converse`` shares its operand's
+transposed read-only view.  The constructors ``identity``,
+``from_function``, ``bang``, ``inj1``, ``inj2``, ``gamma`` and
+``quotient`` fill a fresh bool matrix that they shape from its two bases.
 Composition and kernel are Boolean matrix products: a count of witnesses
 in a small integer type would wrap around on large bases.
 
@@ -397,7 +397,7 @@ def meet(r: Rel, s: Rel) -> Rel:
 def subset(r: Rel, s: Rel) -> bool:
     if r.src != s.src or r.tgt != s.tgt:
         raise BasisMismatchError("subset: relations must share both bases")
-    return bool(np.all(~r.entries | s.entries))
+    return not (r.entries > s.entries).any()  # on bools, r > s holds where r does and s does not
 
 
 def pair(r: Rel, s: Rel) -> Rel:
