@@ -114,23 +114,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_in(label: str, basis: relalg.FinBasis, role: str, step: str) -> None:
-    if label not in basis:
-        raise ValueError(
-            f"{role} {label!r} is not in the {role} basis of step {step!r}"
-            f" (have: {', '.join(basis)})"
-        )
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    step = _gate_step(args.step, args.tol)
-    lst, b = relalg.split_pair(args.input)
-    items = relalg.split_list(lst)
-    for x in items:
-        _check_in(x, step.item, "item", args.step)
-    _check_in(b, step.payload, "payload", args.step)
-    quanta.ListBasis(len(items), step.item, step.payload)  # refuses an oversized run before any fold work
-    state = quanta.run_quanta(step, args.input)
+    state = quanta.run_quanta(_gate_step(args.step, args.tol), args.input)
     if args.format == "json":
         _write([json.dumps({lbl: [a.real, a.imag] for lbl, a in state.items()}) + "\n"], args.out)
     else:

@@ -160,7 +160,7 @@ class GateLibrary:
             if not gap <= DEFAULT_TOL:
                 raise ValueError(f"gate {name!r} does not materialize to a unitary matrix")
             try:
-                step = Step(m, *step_shape(op))
+                step = Step(m, *step_shape(op), name)
             except ValueError:
                 step = None
             self._ops[name] = (op, m, gap, step)

@@ -333,11 +333,14 @@ def _fold_blocks(u: np.ndarray, m: int, p: int, maxlen: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Step:
     """A step as the fold takes it: its matrix u over the (item, payload)
-    pair basis, index ``item * |payload| + payload``, and the two bases."""
+    pair basis, index ``item * |payload| + payload``, the two bases, and
+    the name ``GateLibrary`` registers it under, by which ``run_quanta``
+    names a label outside a basis; an ad-hoc step has none."""
 
     u: CMatrix
     item: FinBasis
     payload: FinBasis
+    name: str | None = None
 
 
 def _step(step: KleisliOp | Step) -> Step:
@@ -348,30 +351,35 @@ def _step(step: KleisliOp | Step) -> Step:
     return Step(materialize(step, step.src), *step_shape(step))
 
 
+def _index(basis: FinBasis, label: str, role: str, step: str | None) -> int:
+    try:
+        return basis.index(label)
+    except KeyError:
+        of = "" if step is None else f" of step {step!r}"
+        raise ValueError(f"{role} {label!r} is not in the {role} basis{of} (have: {', '.join(basis)})") from None
+
+
 def run_quanta(step: KleisliOp | Step, input_label: str) -> AmpVec:
     """Apply the quantum fold to one (list, payload) basis state: a one-hot
     payload through the slots, each reading the state's own item, last item
-    first.  The image grows by one item axis per slot, up to the length-n
-    block.  The ket lists its states in block index order, which is
-    ``ListBasis`` order.  Its labels are printed from
-    two half tables, filled from the support: each distinct half of the
-    items is printed once, then each state joins two halves and a payload.
-    The ket takes the support's amplitudes in ``AmpVec``'s array form."""
+    first.  The label is read here only: split once, each item and then the
+    payload named if it is outside the step's basis, and the list refused
+    if ``ListBasis`` up to its length passes the cap.  The image grows by
+    one item axis per slot, up to the length-n block.  The ket lists its
+    states in block index order, which is ``ListBasis`` order.  Its labels
+    are printed from two half tables, filled from the support: each
+    distinct half of the items is printed once, then each state joins two
+    halves and a payload.  The ket takes the support's amplitudes in
+    ``AmpVec``'s array form."""
     s = _step(step)
     l, b = split_pair(input_label)
     xs = split_list(l)
-    m, p = len(s.item), len(s.payload)
-    n = len(xs)
-    if _unprintable(m, p, n):
-        raise SizeLimitError(
-            f"lists of length {n} have more than {MAX_LIST_STATES} states; capped at {MAX_LIST_STATES}"
-        )
-    size = m**n * p
-    if size > MAX_LIST_STATES:
-        raise SizeLimitError(f"lists of length {n} have {size} states; capped at {MAX_LIST_STATES}")
-    reads = [(s.item.index(x),) for x in xs][::-1]
+    reads = [(_index(s.item, x, "item", s.name),) for x in xs][::-1]
+    payload = _index(s.payload, b, "payload", s.name)
+    n, p = len(xs), len(s.payload)
+    ListBasis(n, s.item, s.payload)  # refuses a list past the cap
     v = np.zeros((1, p), dtype=np.complex128)
-    v[0, s.payload.index(b)] = 1
+    v[0, payload] = 1
     *_, out = _slots(s.u.entries, p, reads, v)
     out = out.ravel()
     support = (out != 0).nonzero()[0]

@@ -427,7 +427,7 @@ def unitarity_gap(m: CMatrix) -> float:
     from the identity.  ``m`` is unitary at ``tol`` when this is at most ``tol``."""
     n, k = m.entries.shape
     if n != k:
-        raise ValueError("is_unitary requires a square matrix")
+        raise ValueError("unitarity_gap requires a square matrix")
     eye = np.eye(n)
     left = np.max(np.abs(m.entries @ m.entries.conj().T - eye))
     right = np.max(np.abs(m.entries.conj().T @ m.entries - eye))

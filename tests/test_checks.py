@@ -129,7 +129,8 @@ _simulate, _decompose_mcx, _simulate_state = circuitgen.simulate, circuitgen.dec
 _peephole, _cancel, _parse_qasm = circuitgen.peephole, circuitgen._cancel, circuitgen.parse_qasm
 _minimal_complements = relalg.minimal_complements
 _fold_matrix, _rfold_rel, _cata, _psi = quanta.fold_matrix, quanta.rfold_rel, quanta.cata, quanta.psi
-_choice, _mccarthy, _bell, _unbell, _is_unitary = gates.choice, gates.mccarthy, gates.bell, gates.unbell, vecmonad.is_unitary
+_choice, _mccarthy, _bell, _unbell = gates.choice, gates.mccarthy, gates.bell, gates.unbell
+_unitarity_gap = vecmonad.unitarity_gap
 
 
 def _both_branches(f, g):
@@ -230,7 +231,7 @@ LOOP_MUTATIONS = {
     "fold_matrix doubles": (quanta, "fold_matrix", lambda step, maxlen: (lambda f: vecmonad.CMatrix(
         f.src, f.tgt, 2 * f.entries))(_fold_matrix(step, maxlen)), {
             "fold of a unitary step is unitary (20 random steps)":
-                "step 0: F*F against the identity, sup-norm gap 3",
+                "step 0: unitarity gap 3",
             "fold of the identity step is the identity": None,
             "fused unfolding route equals the direct recursion": "step cnot: sup-norm gap 1",
         }),
@@ -263,14 +264,14 @@ LOOP_MUTATIONS = {
     "choice adds its branches": (gates, "choice", _both_branches, {
         "choice of classical bijections is a permutation": "f=01, g=01: no permutation matrix",
         CNOT_ROUTES: "input (0,0): the split and choice routes differ",
-        GUARDED: "case 0: U*U against the identity, sup-norm gap 1.38",
+        GUARDED: "case 0: unitarity gap 1.49",
     }),
     "choice swaps its branches": (gates, "choice", lambda f, g: _choice(g, f), {
         CNOT_ROUTES: "input (0,0): the split and choice routes differ",
     }),
     "mccarthy adds the identity": (gates, "mccarthy", lambda p, f, g: (lambda op: KleisliOp(
         op.src, lambda x: vecmonad.add(op.apply(x), vecmonad.ret(x))))(_mccarthy(p, f, g)), {
-            GUARDED: "case 0: U*U against the identity, sup-norm gap 1.53",
+            GUARDED: "case 0: unitarity gap 1.53",
         }),
     "u_construct ignores f": (relalg, "u_construct", lambda f, m: relalg.identity(product_basis(f.src, m.carrier)), {
         "ccnot: envelope route equals the lifted table": "input ((1,1),0): the envelope and the lifted table differ",
@@ -279,10 +280,11 @@ LOOP_MUTATIONS = {
         b.src, a.tgt, (a.entries @ b.entries).real), {
             "h squares and t eighth-powers to the identity": "t to the eighth against the identity, sup-norm gap 0.938",
         }, "gates"),
-    "is_unitary at zero tolerance": (vecmonad, "is_unitary", lambda m, tol=1e-9: _is_unitary(m, tol=0.0), {
-        "every library gate is unitary": "gate h: U*U against the identity, sup-norm gap 2.22e-16",
-        GUARDED: "case 0: U*U against the identity, sup-norm gap 3.93e-16",
-    }, "gates"),
+    "unitarity_gap of twice the matrix": (vecmonad, "unitarity_gap", lambda m: _unitarity_gap(
+        vecmonad.CMatrix(m.src, m.tgt, 2 * m.entries)), {
+            "every library gate is unitary": "gate x: unitarity gap 3",
+            GUARDED: "case 0: unitarity gap 3",
+        }, "gates"),
     "bell is unbell": (gates, "bell", _unbell, {
         BELL: "bell against cnot after h on the first bit, sup-norm gap 0.707",
     }),

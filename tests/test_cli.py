@@ -46,6 +46,33 @@ def test_run_accepts_labels_inside_the_step_basis(capsys):
     assert capsys.readouterr().out == "([1,0,0],0): 1+0i\n"
 
 
+def test_run_splits_its_input_once(monkeypatch, capsys):
+    """``run_quanta`` is the one reader of a ``run`` label."""
+    default_library()  # built once per process, splitting its gates' labels
+    split_pair, calls = relalg.split_pair, []
+
+    def spy(label):
+        calls.append(label)
+        return split_pair(label)
+
+    monkeypatch.setattr(relalg, "split_pair", spy)
+    monkeypatch.setattr(quanta, "split_pair", spy)
+    assert main(["run", "--step", "cnot", "--input", "([1,0,0],1)"]) == 0
+    assert calls == ["([1,0,0],1)"]
+
+
+RUN_17_BITS = "([" + ",".join(["1"] * 17) + "],0)"
+
+
+@pytest.mark.parametrize("step, label, golden", [
+    ("cnot", "([2],0)", "error_run_bad_item.txt"),
+    ("bell", RUN_17_BITS, "error_run_over_cap.txt"),
+], ids=["bad-item", "over-cap"])
+def test_run_refusal_goldens(capsys, step, label, golden):
+    assert main(["run", "--step", step, "--input", label]) == 1
+    assert capsys.readouterr() == ("", (GOLDENS / golden).read_text())
+
+
 @pytest.mark.parametrize(
     "step, item, n, states",
     # At 70 items the count exceeds ``sys.maxsize``, which ``len`` cannot

@@ -184,14 +184,38 @@ class TestAgainstReference:
         assert fold_matrix(step, 3) == want
 
     def test_run_refuses_a_block_above_the_cap(self):
-        n = 18  # 2**18 lists of 18 bits, times two payloads
-        with pytest.raises(SizeLimitError, match=f"lists of length {n} have {2 * MAX_LIST_STATES} states"):
+        n = 18  # 2**19 - 1 lists of up to 18 bits, times two payloads
+        with pytest.raises(SizeLimitError, match=f"list basis has {4 * MAX_LIST_STATES - 2} states"):
             run_quanta(bell(), pair_label(list_label(["1"] * n), "0"))
 
     def test_run_names_the_cap_where_the_count_is_too_long_to_print(self):
         n = 20000
-        with pytest.raises(SizeLimitError, match=f"^lists of length {n} have more than {MAX_LIST_STATES} states"):
+        with pytest.raises(SizeLimitError, match=f"^list basis on lists up to length {n} has more than {MAX_LIST_STATES} states"):
             run_quanta(bell(), pair_label(list_label(["1"] * n), "0"))
+
+    def test_run_caps_the_list_basis_up_to_its_length_as_the_cli_does(self):
+        """16 bits fold (262,142 states up to length 16); 17 are refused
+        with the text ``run`` prints, as the CLI reads no label itself."""
+        step = default_library().step("bell")
+        assert len(run_quanta(step, pair_label(list_label(["1"] * 16), "0"))) == 2**16
+        with pytest.raises(SizeLimitError, match=f"^list basis has 524286 states; capped at {MAX_LIST_STATES}$"):
+            run_quanta(step, pair_label(list_label(["1"] * 17), "0"))
+
+    @pytest.mark.parametrize("label, named", [
+        ("([2],0)", "item '2' is not in the item basis{} (have: 0, 1)"),
+        ("([1,x,y],1)", "item 'x' is not in the item basis{} (have: 0, 1)"),
+        ("([1],5)", "payload '5' is not in the payload basis{} (have: 0, 1)"),
+        ("([x],5)", "item 'x' is not in the item basis{} (have: 0, 1)"),
+        ("([" + "1," * 17 + "x],5)", "item 'x' is not in the item basis{} (have: 0, 1)"),  # items, payload, cap
+    ])
+    def test_run_names_a_label_outside_the_step_basis_and_the_step(self, label, named):
+        """A library step is named as ``run`` names it; an ad-hoc one is not."""
+        with pytest.raises(ValueError) as lib_step:
+            run_quanta(default_library().step("cnot"), label)
+        assert str(lib_step.value) == named.format(" of step 'cnot'")
+        with pytest.raises(ValueError) as ad_hoc:
+            run_quanta(bell(), label)
+        assert str(ad_hoc.value) == named.format("")
 
 
 @pytest.mark.parametrize(

@@ -208,7 +208,7 @@ class TestUnitarity:
         assert dagger(b).close_to(unb, tol=1e-12)
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unitarity_gap requires a square matrix$"):
             is_unitary(CMatrix(BIT, FinBasis(("a",)), np.zeros((1, 2))))
 
     def test_t_gate_unitary_with_phase(self):
@@ -484,11 +484,6 @@ def _outcome(make, *args) -> list[tuple[str, str, str]] | str:
 
 
 class TestSummedKets:
-    @settings(max_examples=400, deadline=None)
-    @given(acc=sums())
-    def test_same_items_order_sign_bits_and_errors_as_the_checked_constructor(self, acc):
-        assert _outcome(AmpVec._trusted, dict(acc)) == _outcome(AmpVec, dict(acc))
-
     @pytest.mark.parametrize("case", list(_EDGE_SUMS))
     def test_edge_sums(self, case):
         got = _outcome(AmpVec._trusted, dict(_EDGE_SUMS[case]))
@@ -497,15 +492,6 @@ class TestSummedKets:
             assert got == f"ValueError: non-finite amplitude at {_RAISES[case]!r}"
         else:
             assert isinstance(got, list)
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), src=bases(), tgt=bases())
-    def test_bind_matches_its_reference(self, data, src, tgt):
-        big = st.builds(complex, _big_parts, st.floats(-4, 4))
-        cells = data.draw(st.lists(big, min_size=len(src) * len(tgt), max_size=len(src) * len(tgt)))
-        f = from_matrix(CMatrix(src, tgt, np.array(cells, dtype=complex).reshape(len(tgt), len(src))))
-        v = AmpVec(zip(src.labels, data.draw(st.lists(big, min_size=len(src), max_size=len(src)))))
-        assert _outcome(bind, v, f) == _outcome(ref_bind, v, f)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), src=bases(), tgt=bases())
@@ -522,13 +508,15 @@ class TestSummedKets:
 
 # Parts for the trusted builds: signed zeros, NaN, infinities, subnormals,
 # values on both sides of the prune epsilon, finite values whose products
-# or sums overflow, and 1.7e308, whose magnitude with two such parts overflows.
+# or sums overflow, and 1.7e308, whose magnitude with two such parts overflows;
+# and cells whose one zero part is -0.0, which the builds print as +0.0.
 _TRUSTED_EDGE = [
     0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308, PRUNE_EPS, -PRUNE_EPS,
     PRUNE_EPS * (1 - 2**-53), PRUNE_EPS * (1 + 2**-52), PRUNE_EPS / 3, 1e308, -1e308, 1.7e308, 1.0, -2.5,
 ]
 _trusted_parts = st.one_of(st.sampled_from(_TRUSTED_EDGE), st.floats(-4, 4))
-_trusted_cells = st.one_of(st.builds(complex, _trusted_parts, _trusted_parts), st.just(complex(1.7e308, -1.7e308)))
+_trusted_cells = st.one_of(st.builds(complex, _trusted_parts, _trusted_parts),
+                           st.sampled_from([complex(1.7e308, -1.7e308), complex(1.0, -0.0), complex(-0.0, -2.5)]))
 
 
 class TestTrustedBuilds:
@@ -536,9 +524,11 @@ class TestTrustedBuilds:
     per-entry loop, and equals what the checked constructor builds from the
     same values, item for item and bit for bit, or raises the same error."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(amps=st.dictionaries(st.sampled_from("abcd"), st.one_of(_trusted_cells, _trusted_parts)))
+    @settings(max_examples=600, deadline=None)
+    @given(amps=st.one_of(sums(), st.dictionaries(st.sampled_from("abcd"), st.one_of(_trusted_cells, _trusted_parts))))
     def test_the_builder_against_the_checked_constructor(self, amps):
+        """Sums started from ``0j``, as ``bind`` and ``add`` build them, and
+        dicts of edge values, complex or float."""
         assert _outcome(AmpVec._trusted, dict(amps)) == _outcome(AmpVec, dict(amps))
 
     @settings(max_examples=150, deadline=None)
