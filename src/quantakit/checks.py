@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuitgen, gates, quanta, relalg, vecmonad
+from . import gates, quanta, relalg, vecmonad
 from .relalg import BIT, FinBasis, Rel, pair_label
 from .vecmonad import AmpVec, KleisliOp
 
@@ -530,6 +530,8 @@ def _banana_split(rng: np.random.Generator, cases: _Cases) -> None:
 # circuitgen
 
 def circuitgen_suite() -> list[CheckResult]:
+    from . import circuitgen
+
     rng = np.random.default_rng(20260814)
     rec = _Suite("circuitgen")
     lib = gates.default_library()

@@ -10,37 +10,33 @@ of ``GATES``, every control positive.
 
 A k=8 permutation compiles to tens of thousands of gate positions but a
 few dozen distinct gates, so a ``Circuit`` holds one table of its
-distinct gates and its positions as small-int indices into that table.
-The builders fill both as they go.  ``synth_permutation`` lowers the
-core of an MCX once per target qubit and its flips once per qubit,
-assembles each distinct Gray-chain swap from those parts as table
-indices, and builds each distinct gate once.  Each assembled swap is
-already reduced, so ``_cancel``, the one cancellation routine, compares
-gates only where one swap meets the last; ``peephole`` runs it on the
-positions one at a time.  ``parse_qasm`` maps every raw line to its index
-in one ``map``, reading each distinct line once through one reader that
-names the line's first fault, and each distinct qubit reference once.
-Every per-gate result (decoded masks, simulator views, QASM lines,
-qubits for the depth sweep) is computed once per table entry, from the
-entry's qubits, and read through the index, and the gate counts of
-``metrics`` come from each entry's position count.  Per position there
-remain only the passes that need order: the cancellation stack (which
-synthesis visits once per swap), the simulators and the depth sweep.
-Synthesis and ``parse_qasm`` check each distinct gate as they build it,
-and ``peephole`` keeps gates of a checked circuit, so the circuits of
-all three skip the constructor's range check.
+distinct gates and its positions as small-int indices into that table,
+which the builders fill as they go.  ``synth_permutation`` assembles each
+distinct Gray-chain swap from an MCX core lowered once per target qubit
+and x flips, and ``parse_qasm`` reads each distinct line and qubit
+reference once; both check each distinct gate as they build it, so their
+circuits, like those of ``peephole``, skip the constructor's range check.
+``_cancel`` is the one cancellation routine.  Every per-gate result
+(decoded masks, simulator views, QASM lines, qubits for the depth sweep)
+is computed once per table entry and read through the index, and the
+gate counts of ``metrics`` come from each entry's position count.  Per
+position there remain only the passes that need order: the cancellation
+stack, the simulators and the depth sweep.
 
-Circuits export to OpenQASM 2.0 and simulate on integers, with labels
-parsed and printed only at the edges.  A classical circuit (x/cx/ccx only)
-runs on one basis input by a fold of bitmasks over its index, and on a ket
-by a bit-sliced lane kernel: each qubit is one big int holding that bit of
-every support state, so each gate is one xor over all the states at once.
-Any other circuit runs on a ket as a dense statevector, of at most
-``MAX_STATE_QUBITS`` qubits.  The lanes need memory in proportion to the
-ket's support, not to 2^n, so they take a classical circuit of any width.
-Where both paths run, they give the same ket, bit for bit.  ``simulate``
-keeps its mask fold: on one input, a lane of one bit
-would only add the label round trip to the same gate loop.
+Circuits export to OpenQASM 2.0 and simulate on integers.  Labels are
+read and printed at the edges only, by one rule each: every simulator
+refuses a label that is not d characters 0 and 1 through ``_read_label``,
+names a dirty ancilla by its data and ancilla bits through ``_dirty``,
+and prints bits through ``_label``, as ``Encoding.bits_of`` does.  A
+classical circuit (x/cx/ccx only) runs on one basis input by a fold of
+bitmasks over its index, and on a ket by a bit-sliced lane kernel: each
+qubit is one big int holding that bit of every support state, so each
+gate is one xor over all the states at once; the lanes need memory in
+proportion to the support, so they take any width.  Any other circuit
+runs on a ket as a dense statevector, of at most ``MAX_STATE_QUBITS``
+qubits.  Where both paths run, they give the same ket, bit for bit.
+``simulate`` keeps its mask fold: on one input, a lane of one bit only
+adds the label round trip to the same gate loop.
 """
 from __future__ import annotations
 
@@ -94,11 +90,6 @@ GATES: dict[str, tuple[str, int]] = {
 action on the target qubit and its qubit count.  Every qubit but the last
 is a control that fires on 1."""
 
-Op = tuple[str, int, int]
-"""A decoded gate: (action, control mask, target mask), the action being
-that of ``GATES``; the target is acted on where every control bit is set."""
-
-
 class NonPermutationError(ValueError):
     """Raised for inputs outside the permutation fragment: general unitary
     synthesis is out of scope here."""
@@ -125,7 +116,7 @@ class Encoding:
     width: int = field(init=False, repr=False, compare=False)
 
     def bits_of(self, label: str) -> str:
-        return format(self.basis.index(label), f"0{self.width}b")
+        return _label(self.basis.index(label), self.width)
 
 
 @dataclass(frozen=True)
@@ -156,12 +147,8 @@ class Circuit:
     builders that know each position's index hand over table and index
     through ``_trusted``: ``_cancel``, for ``synth_permutation`` and
     ``peephole``, and ``parse_qasm``.  Their ``gates`` is built on demand,
-    one instance per entry.  Every per-gate result (``is_classical``, the
-    decoding of ``ops``, the simulators' views and masks, the lines of
-    ``export_qasm``, the qubits of ``metrics``) is computed once per entry,
-    on first use, and read through the index.  The dense simulator's views
-    are built from each entry's qubits, so a fresh circuit run only on the
-    statevector decodes no masks.
+    one instance per entry.  Every per-gate result is computed once per
+    entry, from its qubits, on first use, and read through the index.
     Equality, hash and ``repr`` are those of the field tuple
     (``data_qubits``, ``ancilla_qubits``, ``gates``), and a circuit is
     frozen.
@@ -234,15 +221,12 @@ class Circuit:
         return all(GATES[g.name][0] == "x" for g in self._table)
 
     @cached_property
-    def _decoded(self) -> list[Op]:
-        """``ops`` per table entry."""
+    def _masks(self) -> list[tuple[int, int]]:
+        """Per entry of a classical circuit, (control mask, target mask) over
+        basis indices, qubit q at bit n-1-q, for the mask fold of
+        ``simulate``: the target flips where every control bit is set."""
         n = self.total_qubits
-        return [_decode(g, n) for g in self._table]
-
-    @cached_property
-    def ops(self) -> tuple[Op, ...]:
-        """The gates as bitmasks over basis indices, qubit q at bit n-1-q."""
-        return tuple(map(self._decoded.__getitem__, self._index))
+        return [(sum(1 << (n - 1 - q) for q in g.qubits[:-1]), 1 << (n - 1 - g.qubits[-1])) for g in self._table]
 
     @cached_property
     def _view_ops(self) -> list[tuple[str, tuple, tuple]]:
@@ -273,12 +257,6 @@ class Circuit:
         qubit n, whose lane is all ones."""
         n = self.total_qubits
         return [((n, n) + g.qubits)[-3:] for g in self._table]
-
-
-def _decode(g: Gate, n: int) -> Op:
-    *controls, target = g.qubits
-    cmask = sum(1 << (n - 1 - q) for q in controls)  # the qubits are distinct
-    return GATES[g.name][0], cmask, 1 << (n - 1 - target)
 
 
 _COSTS: dict[str, tuple[int, int]] = {"cx": (1, 0), "ccx": (6, 7), "t": (0, 1), "tdg": (0, 1)}
@@ -540,7 +518,6 @@ def _cancel(
 # the index over all n = data + ancilla qubits, so qubit 0 is the leftmost
 # character of a bit-string label and the ancillas are the low bits.  The
 # lane kernel keeps one int per qubit instead, across the states of a ket.
-# Labels are parsed on input and printed on output only.
 
 def _label(i: int, width: int) -> str:
     # The guard bit keeps leading zeros and gives "" for width 0.
@@ -574,23 +551,22 @@ def simulate(c: Circuit, input_bits: str) -> str:
     ket must be one basis state of magnitude 1, to within ``DEFAULT_TOL``.
     Ancillas start at zero and must return to zero.
     """
-    if len(input_bits) != c.data_qubits or set(input_bits) - {"0", "1"}:
-        raise ValueError(f"input must be {c.data_qubits} bits")
+    d, anc = c.data_qubits, c.ancilla_qubits
+    s = _read_label(input_bits, d) << anc
     if not c.is_classical():
         states = list(simulate_state(c, AmpVec({input_bits: 1.0})).items())
         if len(states) != 1 or abs(abs(states[0][1]) - 1.0) > DEFAULT_TOL:
             raise ValueError("output is not a computational basis state")
         return states[0][0]
-    anc = c.ancilla_qubits
-    s = int(input_bits or "0", 2) << anc
-    decoded = c._decoded
+    masks = c._masks
     for i in c._index:
-        _, cmask, tmask = decoded[i]
+        cmask, tmask = masks[i]
         if s & cmask == cmask:
             s ^= tmask
-    if s & ((1 << anc) - 1):
-        raise AncillaError(f"ancillas left dirty on input {input_bits}")
-    return _label(s >> anc, c.data_qubits)
+    mask = (1 << anc) - 1
+    if s & mask:
+        raise _dirty(_label(s >> anc, d), _label(s & mask, anc))
+    return _label(s >> anc, d)
 
 
 def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
@@ -619,9 +595,7 @@ def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
         )
     psi = np.zeros(1 << n, dtype=np.complex128)
     for label, a in v.items():
-        if len(label) != d or label.strip("01"):
-            raise _label_error(label, d)
-        psi[int(label or "0", 2) << anc] = a
+        psi[_read_label(label, d) << anc] = a
     view = psi.reshape((2,) * n)
     views = c._view_ops
     for i in c._index:
@@ -643,8 +617,11 @@ def simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
     return AmpVec(_labels(nonzero >> anc, d), psi[nonzero])
 
 
-def _label_error(label: str, d: int) -> ValueError:
-    return ValueError(f"state label {label!r} must be {d} bits")
+def _read_label(label: str, d: int) -> int:
+    """The basis index of a label of d characters 0 and 1; any other is refused."""
+    if len(label) != d or label.strip("01"):
+        raise ValueError(f"state label {label!r} must be {d} bits")
+    return int(label or "0", 2)
 
 
 def _dirty(data: str, ancillas: str) -> AncillaError:
@@ -672,7 +649,8 @@ def _lanes(c: Circuit, v: AmpVec) -> AmpVec:
     k, d, n = len(labels), c.data_qubits, c.total_qubits
     bits = "".join(labels)
     if len(bits) != k * d or bits.strip("01") or max(map(len, labels)) != d:
-        raise _label_error(next(x for x in labels if len(x) != d or x.strip("01")), d)
+        for x in labels:
+            _read_label(x, d)  # raises at the first bad label
     full = (1 << k) - 1
     lanes = [int(bits[q::d], 2) for q in range(d)] + [0] * c.ancilla_qubits + [full]
     lane_ops = c._lane_ops

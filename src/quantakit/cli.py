@@ -5,9 +5,9 @@ complements from truth-table files, synthesize/export circuits, simulate
 QASM files, and run the invariant suites.  Outputs are deterministic;
 labels printed by one command parse back as inputs to another.
 
-Only ``synth`` and ``simulate`` import ``circuitgen``, and only ``check``
-imports ``checks``: ``run``, ``matrix`` and ``complement`` start without
-compiling either module.
+Only ``synth``, ``simulate`` and ``check`` of the ``circuitgen`` suite
+import ``circuitgen``, and only ``check`` imports ``checks``: ``run``,
+``matrix`` and ``complement`` start without compiling either module.
 """
 from __future__ import annotations
 

@@ -80,6 +80,7 @@ from .vecmonad import (
 )
 
 __all__ = [
+    "MAX_FOLD_STATES",
     "MAX_LIST_STATES",
     "ListBasis",
     "Step",
@@ -254,7 +255,7 @@ def rfold_rel(
     the quantamorphism of the lifted step that ``check_fst_complement``
     checks and returns."""
     u = check_fst_complement(table, item, payload).entries
-    basis = ListBasis(maxlen, item, payload).basis
+    basis = _fold_basis(maxlen, item, payload)
     return Rel._trusted(basis, basis, _fold_blocks(u, len(item), len(payload), maxlen) != 0)
 
 
@@ -309,6 +310,19 @@ def _slots(
         v = out.reshape(-1, p)
         v[np.abs(v) < PRUNE_EPS] = 0
         yield v
+
+
+MAX_FOLD_STATES = 2**12
+"""Largest ``ListBasis`` that ``fold_matrix`` and ``rfold_rel`` fold: the
+dense matrix takes 16 * states**2 bytes (256 MiB at the cap)."""
+
+
+def _fold_basis(maxlen: int, item: FinBasis, payload: FinBasis) -> FinBasis:
+    """``ListBasis(maxlen, item, payload).basis``, refused past the cap before it is built."""
+    lb = ListBasis(maxlen, item, payload)
+    if lb.states > MAX_FOLD_STATES:
+        raise SizeLimitError(f"fold matrix has {lb.states} states; MAX_FOLD_STATES caps it at {MAX_FOLD_STATES}")
+    return lb.basis
 
 
 def _fold_blocks(u: np.ndarray, m: int, p: int, maxlen: int) -> np.ndarray:
@@ -410,7 +424,7 @@ def fold_matrix(step: KleisliOp | Step, maxlen: int) -> CMatrix:
     by blocks, with no label per column: one pass of the slots yields every
     length block, and each lands at its cons-preorder rows and columns."""
     s = _step(step)
-    basis = ListBasis(maxlen, s.item, s.payload).basis
+    basis = _fold_basis(maxlen, s.item, s.payload)
     return CMatrix._trusted(basis, basis, _fold_blocks(s.u.entries, len(s.item), len(s.payload), maxlen))
 
 

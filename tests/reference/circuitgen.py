@@ -22,8 +22,9 @@ _PHASE = {"t": _T_PHASE, "tdg": np.conj(_T_PHASE)}
 
 # ---------------------------------------------------------------------------
 # Reference: the gate decoder and the bit-string printer, verbatim copies of
-# ``circuitgen``'s ``Op``, ``_decode`` and ``_label``, so that the
-# references below neither decode nor print through the code they check.
+# ``circuitgen``'s ``Op`` and ``_decode``, which its ``Circuit.ops`` read
+# until it went, and of its ``_label``, so that the references below
+# neither decode nor print through the code they check.
 
 Op = tuple[str, int, int]
 """A decoded gate: (action, control mask, target mask), the action being
@@ -298,8 +299,10 @@ def ref_dense_simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
 
 # ---------------------------------------------------------------------------
 # Reference: the label-dict simulator that circuitgen used before its
-# integer-index rewrite, kept verbatim apart from the function names and
-# from its branches for an mcx gate, which the gate set no longer has.
+# integer-index rewrite, kept verbatim apart from the function names, from
+# its branches for an mcx gate, which the gate set no longer has, and from
+# ``ref_simulate``'s texts for a bad input and a dirty ancilla, which are
+# now those of ``simulate_state``.
 # ``ref_label_simulate_state`` walks a dict of bit-string labels, one gate
 # at a time: on one input it takes about half the time of
 # ``ref_dense_simulate_state``, which the lanes need for its exact bits.
@@ -325,15 +328,16 @@ def ref_simulate(c: Circuit, input_bits: str, tol: float = 1e-9) -> str:
     Ancillas start at zero and must return to zero.
     """
     if len(input_bits) != c.data_qubits or set(input_bits) - {"0", "1"}:
-        raise ValueError(f"input must be {c.data_qubits} bits")
+        raise ValueError(f"state label {input_bits!r} must be {c.data_qubits} bits")
     if c.is_classical():
         bits = [int(b) for b in input_bits] + [0] * c.ancilla_qubits
         for g in c.gates:
             _classical_step(bits, g)
-        data = bits[: c.data_qubits]
+        data = "".join(str(b) for b in bits[: c.data_qubits])
         if any(bits[c.data_qubits:]):
-            raise AncillaError(f"ancillas left dirty on input {input_bits}")
-        return "".join(str(b) for b in data)
+            ancillas = "".join(str(b) for b in bits[c.data_qubits:])
+            raise AncillaError(f"ancillas left dirty: amplitude on data {data}, ancillas {ancillas}")
+        return data
     out = ref_label_simulate_state(c, AmpVec({input_bits: 1.0}), tol=tol)
     states = [(lbl, a) for lbl, a in out.items() if abs(a) > tol]
     if len(states) != 1 or abs(abs(states[0][1]) - 1.0) > tol:

@@ -592,6 +592,12 @@ def test_simulate_names_a_reference_outside_anc_golden(capsys):
     assert capsys.readouterr() == ("", (GOLDENS / "error_outside_anc.txt").read_text())
 
 
+def test_simulate_names_a_dirty_ancilla_of_a_classical_circuit_golden(capsys):
+    """The mask fold names a dirty ancilla as ``simulate_state`` does."""
+    assert main(["simulate", str(DATA / "dirty_anc.qasm"), "110"]) == 1
+    assert capsys.readouterr() == ("", (GOLDENS / "error_dirty_anc.txt").read_text())
+
+
 @pytest.mark.parametrize("name", ["long_index", "qreg_over_cap"])
 def test_simulate_names_an_oversized_number_golden(capsys, name):
     assert main(["simulate", str(DATA / f"{name}.qasm"), "000"]) == 1

@@ -58,8 +58,9 @@ def perm4_qasm(tmp_path_factory):
     (["complement", str(DATA / "xor.tbl"), "--matrices"], []),
     (["synth", "--maxlen", "pinned16", "--step", "cnot"], ["circuitgen"]),
     (["simulate", "PERM4", "0000"], ["circuitgen"]),
-    (["check", "gates"], ["checks", "circuitgen"]),
-], ids=["run", "matrix", "complement", "synth", "simulate", "check"])
+    (["check", "gates"], ["checks"]),
+    (["check", "circuitgen"], ["checks", "circuitgen"]),
+], ids=["run", "matrix", "complement", "synth", "simulate", "check", "check-circuitgen"])
 def test_a_command_loads_only_what_it_uses(perm4_qasm, argv, loaded):
     argv = [str(perm4_qasm) if a == "PERM4" else a for a in argv] + ["--out", os.devnull]
     assert _loaded_after(f"from quantakit.cli import main\nassert main({argv!r}) == 0") == loaded

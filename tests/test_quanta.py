@@ -14,6 +14,7 @@ from quantakit import quanta
 from quantakit.cli import main
 from quantakit.gates import bell, default_library
 from quantakit.quanta import (
+    MAX_FOLD_STATES,
     MAX_LIST_STATES,
     ListBasis,
     Step,
@@ -231,6 +232,31 @@ def test_a_million_item_list_basis_is_refused_at_once(item, named):
     with pytest.raises(SizeLimitError, match=f"^{named}"):
         ListBasis(10**6, item)
     assert time.perf_counter() - start < 1.0  # a term-by-term sum grows quadratically in maxlen
+
+
+_XOR = {"(0,0)": "0", "(0,1)": "1", "(1,0)": "1", "(1,1)": "0"}
+_DENSE_FOLDS = {
+    "fold_matrix": lambda maxlen: fold_matrix(default_library().step("bell"), maxlen),
+    "rfold_rel": lambda maxlen: rfold_rel(_XOR, maxlen),
+}
+
+
+@pytest.mark.parametrize("fold", _DENSE_FOLDS.values(), ids=_DENSE_FOLDS)
+def test_a_dense_fold_past_the_cap_is_refused_at_once(fold):
+    """maxlen 12 on bits is 16,382 states, a 4.3 GB matrix: refused before
+    anything is allocated."""
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match=f"^fold matrix has 16382 states; MAX_FOLD_STATES caps it at {MAX_FOLD_STATES}$"):
+        fold(12)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("fold", _DENSE_FOLDS.values(), ids=_DENSE_FOLDS)
+def test_a_dense_fold_at_the_cap_is_folded(fold, monkeypatch):
+    monkeypatch.setattr(quanta, "MAX_FOLD_STATES", 14)  # maxlen 2 on bits
+    assert len(fold(2).src) == 14
+    with pytest.raises(SizeLimitError, match="^fold matrix has 30 states; MAX_FOLD_STATES caps it at 14$"):
+        fold(3)
 
 
 def _run_inputs(item: FinBasis, payload: FinBasis, n: int) -> list[str]:
