@@ -43,28 +43,6 @@ def _label(i: int, width: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Reference: ``Circuit.ops``/``is_classical`` before they read each
-# distinct gate once through a table, kept verbatim apart from the names.
-
-def ref_ops(c: Circuit) -> tuple:
-    """The gates as bitmasks over basis indices, qubit q at bit n-1-q;
-    decoded once per circuit and once per distinct Gate instance."""
-    n = c.total_qubits
-    decoded: dict[int, tuple] = {}
-    out = []
-    for g in c.gates:
-        op = decoded.get(id(g))
-        if op is None:
-            op = decoded[id(g)] = _decode(g, n)
-        out.append(op)
-    return tuple(out)
-
-
-def ref_is_classical(c: Circuit) -> bool:
-    return all(op[0] == "x" for op in ref_ops(c))
-
-
-# ---------------------------------------------------------------------------
 # Reference: the one-pass stack that cancelled synthesized circuits before
 # circuitgen shared one Gate per distinct gate, kept verbatim apart from the
 # function name.  It is the reference of ``peephole`` too: cancelling
@@ -92,7 +70,9 @@ def ref_stack_peephole(c: Circuit) -> Circuit:
 # they stood before circuitgen shared one Gate per distinct gate: the
 # per-position lowering, kept verbatim apart from the function names and
 # from the export's branch for an mcx gate, which the gate set no longer
-# has.
+# has.  Only the test against ``ref_synth_permutation`` kills the mutant
+# that gives ``synth_permutation`` its ancillas when there is no swap to
+# lower (``if swaps else 0`` dropped).
 
 def ref_permutation_of(m: CMatrix, tol: float = 1e-9) -> list[int]:
     rows, cols = m.entries.shape
@@ -301,8 +281,10 @@ def ref_dense_simulate_state(c: Circuit, v: AmpVec) -> AmpVec:
 # Reference: the label-dict simulator that circuitgen used before its
 # integer-index rewrite, kept verbatim apart from the function names, from
 # its branches for an mcx gate, which the gate set no longer has, and from
-# ``ref_simulate``'s texts for a bad input and a dirty ancilla, which are
-# now those of ``simulate_state``.
+# its texts for a bad input and a dirty ancilla, which are now those of
+# ``simulate_state``: ``ref_label_simulate_state`` names the first dirty
+# basis state in index order in ``_dirty``'s words, where it once raised
+# "synthesis bug: amplitude on a dirty ancilla" at whichever it met first.
 # ``ref_label_simulate_state`` walks a dict of bit-string labels, one gate
 # at a time: on one input it takes about half the time of
 # ``ref_dense_simulate_state``, which the lanes need for its exact bits.
@@ -384,13 +366,16 @@ def ref_label_simulate_state(c: Circuit, v: AmpVec, tol: float = 1e-9) -> AmpVec
             raise ValueError(f"unknown gate kind {g.name!r}")
         state = {k: a for k, a in nxt.items() if abs(a) >= PRUNE_EPS}
 
+    d = c.data_qubits
+    dirty = [bits for bits, a in state.items() if abs(a) > tol and "1" in bits[d:]]
+    if dirty:
+        first = min(dirty)  # equal-length bit strings sort in basis index order
+        raise AncillaError(f"ancillas left dirty: amplitude on data {first[:d]}, ancillas {first[d:]}")
     out: dict[str, complex] = {}
     for bits, a in state.items():
         if abs(a) <= tol:
             continue
-        if any(b == "1" for b in bits[c.data_qubits :]):
-            raise AncillaError("synthesis bug: amplitude on a dirty ancilla")
-        data = bits[: c.data_qubits]
+        data = bits[:d]
         out[data] = out.get(data, 0j) + a
     return AmpVec(out)
 
@@ -400,7 +385,11 @@ def ref_label_simulate_state(c: Circuit, v: AmpVec, tol: float = 1e-9) -> AmpVec
 # a table, with the gate-line parser it used for every line.  Kept verbatim
 # apart from the names and one later rule: a register size or qubit index
 # is judged by its digits before ``int`` reads it, and a register above
-# ``MAX_QASM_QUBITS`` is refused where it is declared.
+# ``MAX_QASM_QUBITS`` is refused where it is declared.  Only the tests
+# against it kill three mutants of ``circuitgen``: the "gate before qreg"
+# test moved ahead of the gate-syntax test in ``_QasmLines._gate``;
+# ``{line!r}`` for ``{raw!r}`` in the "declared twice" text; and
+# ``_decimal`` without its non-ASCII branch.
 
 _QASM_QREG = re.compile(r"qreg\s+(q|anc)\[(\d+)\];")
 _QASM_GATE = re.compile(rf"^({'|'.join(GATES)})\s+(.+);$")

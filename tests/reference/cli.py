@@ -23,7 +23,11 @@ def ref_matrix_json(m: vecmonad.CMatrix) -> str:
 
 # ---------------------------------------------------------------------------
 # Reference: the label-level formatting that ``complement`` replaced, kept
-# verbatim: blocks and quotient maps read back from each quotient Rel.
+# verbatim: blocks and quotient maps read back from each quotient Rel.  The
+# goldens print no label that JSON escapes and no ``--matrices`` report
+# without ``--labels``, so only the tests against it kill two mutants of
+# ``cmd_complement``: JSON labels quoted without ``json.dumps``, and the
+# row prefix of ``--labels`` printed without it.
 
 def ref_partition_blocks(quotient: relalg.Rel) -> tuple[tuple[str, ...], ...]:
     """Blocks of a quotient function, grouped by shared representative."""

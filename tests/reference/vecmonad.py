@@ -2,8 +2,7 @@
 the module does now, each kept verbatim apart from its name, for tests to
 compare the current code with."""
 import functools
-import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -40,6 +39,9 @@ def _parse_amp(text: str) -> complex:
 # cell of the whole matrix once and ``format_state`` kept its line ends in a
 # dict, both formatting through a ``functools.cache`` built per call; kept
 # verbatim apart from the names and from reading a ket through ``items()``.
+# Only the tests against ``ref_format_matrix`` kill the mutant that lets
+# ``format_matrix`` merge NaN cells (``equal_nan=True``), so that NaN
+# cells of different texts print as one.
 
 def ref_format_matrix(m: CMatrix) -> str:
     """Header of column labels, then one ``label: amps...`` line per row.
@@ -65,7 +67,10 @@ def ref_format_state(v: AmpVec, basis: Iterable[str] | None = None) -> str:
 
 # ---------------------------------------------------------------------------
 # References: the label-level structural maps that vecmonad had before it
-# built them from basis indices, kept verbatim apart from the names.
+# built them from basis indices, kept verbatim apart from the names.  Only
+# the test against them kills the mutant that builds ``assoc_inv_op``'s
+# source as ((y,x),z), which the library cannot show: it calls the map
+# only on three bit bases.
 
 def ref_xl_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
     """Permutation (x,(y,z)) -> (y,(x,z)) swapping the first two of three."""
@@ -98,38 +103,6 @@ def ref_assoc_inv_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
         return ret(pair_label(x, pair_label(y, z)))
 
     return KleisliOp(product_basis(product_basis(a, b), c), apply)
-
-
-# ---------------------------------------------------------------------------
-# References: ``AmpVec.__init__`` and ``from_matrix`` before the one-pass
-# constructor and the column lists, kept verbatim apart from the names.
-
-class RefAmpVec:
-    __slots__ = ("_amps",)
-
-    def __init__(self, amps: Mapping[str, complex] | Iterable[tuple[str, complex]] = ()):
-        items = amps.items() if isinstance(amps, Mapping) else amps
-        store: dict[str, complex] = {}
-        for label, a in items:
-            a = complex(a)
-            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                raise ValueError(f"non-finite amplitude at {label!r}")
-            if abs(a) >= PRUNE_EPS:
-                store[label] = store.get(label, 0j) + a
-        self._amps = {k: v for k, v in store.items() if abs(v) >= PRUNE_EPS}
-
-    def items(self) -> Iterable[tuple[str, complex]]:
-        return self._amps.items()
-
-
-def ref_from_matrix(m: CMatrix) -> KleisliOp:
-    """Columns of a matrix re-read as a vector-valued function."""
-
-    def apply(label: str) -> RefAmpVec:
-        j = m.src.index(label)
-        return RefAmpVec({m.tgt.labels[i]: m.entries[i, j] for i in range(len(m.tgt))})
-
-    return KleisliOp(m.src, apply)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +166,10 @@ def ref_direct_sum(f: KleisliOp, g: KleisliOp) -> KleisliOp:
 # ---------------------------------------------------------------------------
 # Reference: ``parse_matrix`` before its fast row, kept verbatim apart from
 # the name and from reading each cell through the copy of ``_parse_amp``.
+# Only the tests against it kill these mutants of ``vecmonad``: the cell
+# count test ``!=`` made ``>``; blank lines kept in ``parse_matrix``;
+# ``{label}`` for ``{label!r}`` in the cell-count text; and ``"e"`` for
+# ``"eE"`` in ``_parse_amp``, which refuses a capital-E exponent.
 
 def ref_parse_matrix(text: str) -> CMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]

@@ -37,8 +37,8 @@ from quantakit.cli import main
 from quantakit.relalg import FinBasis, SizeLimitError
 from quantakit.vecmonad import DEFAULT_TOL, AmpVec, CMatrix, parse_matrix, vec_equal
 from reference.circuitgen import (
-    ref_export_qasm, ref_gray_chain, ref_is_classical, ref_label_simulate_state, ref_metrics, ref_parse_qasm,
-    ref_permutation_of, ref_simulate, ref_stack_peephole, ref_synth_permutation, ref_transpositions, ref_view_ops,
+    ref_export_qasm, ref_gray_chain, ref_label_simulate_state, ref_metrics, ref_parse_qasm,
+    ref_permutation_of, ref_simulate, ref_stack_peephole, ref_synth_permutation, ref_transpositions,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -122,12 +122,13 @@ def kets(draw, width):
     return AmpVec({lbl: complex(draw(_GRID), draw(_GRID)) for lbl in chosen})
 
 
-def outcome(fn, *args):
-    """The result of a simulator call, or the type of the error it raised."""
+def outcome_of(fn, *args):
+    """The result of a call, or the type and text of the ValueError (an
+    ``AncillaError`` among them) it raised."""
     try:
         return fn(*args)
-    except (AncillaError, ValueError) as exc:
-        return type(exc)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -140,27 +141,27 @@ class TestAgainstReference:
     def test_simulate_state_matches_reference(self, data):
         c = data.draw(circuits())
         v = data.draw(kets(c.data_qubits))
-        want = outcome(ref_label_simulate_state, c, v)
-        got = outcome(simulate_state, c, v)
+        want = outcome_of(ref_label_simulate_state, c, v)
+        got = outcome_of(simulate_state, c, v)
         if isinstance(want, AmpVec):
             assert isinstance(got, AmpVec)
             assert vec_equal(got, want, tol=1e-10)
         else:
-            assert got is want
+            assert got == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_simulate_matches_reference_exactly(self, data):
         c = data.draw(circuits(kinds=CLASSICAL, max_gates=20))
         bits = data.draw(st.text("01", min_size=c.data_qubits, max_size=c.data_qubits))
-        assert outcome(simulate, c, bits) == outcome(ref_simulate, c, bits)
+        assert outcome_of(simulate, c, bits) == outcome_of(ref_simulate, c, bits)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_simulate_through_the_statevector_matches_reference(self, data):
         c = data.draw(circuits())
         bits = data.draw(st.text("01", min_size=c.data_qubits, max_size=c.data_qubits))
-        assert outcome(simulate, c, bits) == outcome(ref_simulate, c, bits)
+        assert outcome_of(simulate, c, bits) == outcome_of(ref_simulate, c, bits)
 
     def test_simulate_checks_its_input(self):
         c = Circuit(2, 0, (Gate("cx", (0, 1)),))
@@ -408,14 +409,6 @@ def perm_matrix(perm: list[int]) -> CMatrix:
 def power_of_two_permutations(draw, max_width=7):
     k = draw(st.integers(0, max_width))
     return draw(st.permutations(range(1 << k)))
-
-
-def outcome_of(fn, *args):
-    """The result of a call, or the type and text of the ValueError it raised."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return type(exc), str(exc)
 
 
 class TestSynthesisAgainstReference:
@@ -828,22 +821,7 @@ def test_labels_in_bulk_and_one_at_a_time_print_as_label_does():
             assert circuitgen._labels(indices, width) == [circuitgen._label(i, width) for i in indices.tolist()]
 
 
-class TestViewsFromQubits:
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(circuits(), exportable_circuits(), qasm_texts().map(lambda text: outcome_of(parse_qasm, text))))
-    def test_views_equal_the_route_through_the_decoded_masks(self, c):
-        if isinstance(c, Circuit):
-            assert c._view_ops == ref_view_ops(c._table, c.total_qubits)
-
-
 class TestPassesPerDistinctGate:
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(words(), circuits(), exportable_circuits()))
-    def test_is_classical_and_export_match_the_references(self, c):
-        for d in (c, peephole(c)):
-            assert d.is_classical() == ref_is_classical(d)
-            assert export_qasm(d) == ref_export_qasm(d)
-
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(words(), circuits()))
     def test_peephole_results_equal_their_public_construction(self, c):
@@ -912,7 +890,7 @@ def assert_same_circuit(got: Circuit, want: Circuit) -> None:
     assert export_qasm(got) == ref_export_qasm(want)
     assert metrics(got) == ref_metrics(want)
     for bits in every_input(want):
-        assert outcome(simulate, got, bits) == outcome(ref_simulate, want, bits)
+        assert outcome_of(simulate, got, bits) == outcome_of(ref_simulate, want, bits)
 
 
 class TestIndexForm:
@@ -955,7 +933,7 @@ class TestIndexForm:
             "peepholed": lambda: peephole(public),
         }[kind]()
         if warm:  # fill the cached per-entry results first
-            export_qasm(c), metrics(c), c.gates, [outcome(simulate, c, b) for b in every_input(c)]
+            export_qasm(c), metrics(c), c.gates, [outcome_of(simulate, c, b) for b in every_input(c)]
         for d in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
             assert sharing(d) == sharing(c)
             assert_table(d)

@@ -598,6 +598,12 @@ def test_simulate_names_a_dirty_ancilla_of_a_classical_circuit_golden(capsys):
     assert capsys.readouterr() == ("", (GOLDENS / "error_dirty_anc.txt").read_text())
 
 
+def test_simulate_names_a_dirty_ancilla_of_a_dense_circuit_golden(capsys):
+    """The dense statevector names the first dirty basis state, in the mask fold's words."""
+    assert main(["simulate", str(DATA / "dirty_anc_dense.qasm"), "01"]) == 1
+    assert capsys.readouterr() == ("", (GOLDENS / "error_dirty_anc_dense.txt").read_text())
+
+
 @pytest.mark.parametrize("name", ["long_index", "qreg_over_cap"])
 def test_simulate_names_an_oversized_number_golden(capsys, name):
     assert main(["simulate", str(DATA / f"{name}.qasm"), "000"]) == 1

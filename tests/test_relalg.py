@@ -645,6 +645,11 @@ def _read_only(r: Rel) -> bool:
 
 
 class TestOperatorsSkipRevalidation:
+    """Only this class kills two mutants: ``bang`` building its row as
+    uint8, not bool, which every other test compares by value, where 1
+    equals True; and ``compose`` counting witnesses in uint8, which wraps
+    to none at 256."""
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), r=rels())
     def test_each_operator_equals_the_public_construction(self, data, r):
