@@ -1,7 +1,6 @@
 import argparse
 import builtins
 import io
-import json
 import os
 import stat
 import subprocess

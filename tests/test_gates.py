@@ -29,7 +29,6 @@ from quantakit.vecmonad import (
     from_matrix,
     identity_matrix,
     is_unitary,
-    kleisli,
     kron,
     materialize,
     matmul,

@@ -77,7 +77,7 @@ bool_matrices_5x5 = st.lists(
 
 class TestBasics:
     def test_basis_rejects_duplicates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^basis labels must be pairwise distinct$"):
             FinBasis(("x", "x"))
 
     @settings(max_examples=200, deadline=None)
@@ -148,7 +148,7 @@ class TestCompose:
                     assert got.holds(b, a) == want
 
     def test_mismatch_raises(self):
-        with pytest.raises(BasisMismatchError):
+        with pytest.raises(BasisMismatchError, match=r"^compose: target of s must equal source of r$"):
             compose(XOR, XOR)
 
 
@@ -205,7 +205,7 @@ class TestPair:
             assert kernel(pair(r, s)) == meet(kernel(r), kernel(s))
 
     def test_source_mismatch(self):
-        with pytest.raises(BasisMismatchError):
+        with pytest.raises(BasisMismatchError, match=r"^pair: relations must share their source$"):
             pair(XOR, NOT)
 
 
@@ -233,7 +233,7 @@ class TestEitherSum:
             assert either(pair(r, s), pair(t, v)) == pair(either(r, t), either(s, v))
 
     def test_target_mismatch(self):
-        with pytest.raises(BasisMismatchError):
+        with pytest.raises(BasisMismatchError, match=r"^either: relations must share their target$"):
             either(XOR, identity(BB))
 
 
@@ -287,7 +287,7 @@ class TestInjectivityPreorder:
             assert leq_injectivity(s, pair(s, r))
 
     def test_source_mismatch(self):
-        with pytest.raises(BasisMismatchError):
+        with pytest.raises(BasisMismatchError, match=r"^leq_injectivity: relations must share their source$"):
             leq_injectivity(XOR, NOT)
 
 
@@ -470,7 +470,7 @@ class TestMinimalComplements:
             assert is_injective(pair(f, quotient(f.src, p)))
 
     def test_requires_function(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^minimal_complements requires a function$"):
             minimal_complements(kernel(XOR))
 
 
@@ -539,7 +539,7 @@ class TestEnvelope:
     def test_monoid_laws_checked(self):
         bad = {k: v for k, v in xor_monoid().op.items()}
         bad[("1", "1")] = "1"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^self-annihilation x\.x = unit fails at 1$"):
             relalg.MonoidSpec(BIT, bad, "0")
 
 
@@ -590,13 +590,60 @@ class TestTextFormats:
         assert relalg.check_label(label) == label
 
     def test_truth_table_rejects_duplicates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate source label: 'a'$"):
             relalg.parse_truth_table("a -> 0\na -> 1\n")
 
     def test_bool_matrix_dump(self):
         assert relalg.format_bool_matrix(FST) == "1 1 0 0\n0 0 1 1\n"
         labeled = relalg.format_bool_matrix(FST, labels=True)
         assert labeled.splitlines()[0] == "0: 1 1 0 0"
+
+
+# ---------------------------------------------------------------------------
+# Every other guard of the module: the call, the error it raises and its
+# whole text.
+
+_XOR_OP = xor_monoid().op
+# A unital table on three elements where every element annihilates itself,
+# but (b.b).c = c and b.(b.c) = b.
+_NOT_ASSOCIATIVE = {(x, y): y if x == "a" else x if y == "a" else "a" for x in B3 for y in B3}
+GUARDS = {
+    "label outside its basis": (lambda: BIT.index("2"), KeyError, "label '2' not in basis"),
+    "pair label without parentheses": (lambda: relalg.split_pair("a"), ValueError, "not a pair label: 'a'"),
+    "pair label of three": (lambda: relalg.split_pair("(a,b,c)"), ValueError, "not a pair label: '(a,b,c)'"),
+    "list label without brackets": (lambda: relalg.split_list("(a)"), ValueError, "not a list label: '(a)'"),
+    "tag outside i1 and i2": (lambda: relalg.untag("i3(a)"), ValueError, "not a tagged label: 'i3(a)'"),
+    "meet across bases": (lambda: meet(XOR, NOT), BasisMismatchError, "meet: relations must share both bases"),
+    "subset across bases": (lambda: subset(XOR, NOT), BasisMismatchError, "subset: relations must share both bases"),
+    "unit outside the carrier": (
+        lambda: relalg.MonoidSpec(BIT, _XOR_OP, "2"), ValueError, "unit must belong to the carrier"),
+    "partial operation table": (
+        lambda: relalg.MonoidSpec(BIT, {k: v for k, v in _XOR_OP.items() if k != ("1", "1")}, "0"),
+        ValueError, "operation table not total at (1,1)"),
+    "unit law": (
+        lambda: relalg.MonoidSpec(BIT, {**_XOR_OP, ("0", "1"): "0"}, "0"), ValueError, "unit law fails at 1"),
+    "associativity": (
+        lambda: relalg.MonoidSpec(B3, _NOT_ASSOCIATIVE, "a"), ValueError, "associativity fails at (b,b,c)"),
+    "envelope of a non-function": (
+        lambda: u_construct(kernel(XOR), xor_monoid()), ValueError, "u_construct requires a function"),
+    "envelope outside the carrier": (
+        lambda: u_construct(identity(B3), xor_monoid()), BasisMismatchError,
+        "u_construct: f must map into the monoid carrier"),
+    "truth-table line without an arrow": (
+        lambda: relalg.parse_truth_table("a -> 0\n  b  \n"), ValueError, "malformed truth-table line: '  b  '"),
+    "truth table of comments only": (
+        lambda: relalg.parse_truth_table("# no lines\n\n"), ValueError, "empty truth table"),
+    "truth table of a non-function": (
+        lambda: relalg.format_truth_table(kernel(XOR)), ValueError, "only functions have a truth-table form"),
+}
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_each_guard_names_its_fault(case):
+    call, kind, text = GUARDS[case]
+    with pytest.raises(kind) as exc:
+        call()
+    assert type(exc.value) is kind and exc.value.args == (text,)
 
 
 # ---------------------------------------------------------------------------
