@@ -19,10 +19,16 @@ after each.  ``_slots`` runs it on the processed prefix: after slots n
 down to k, a basis state's image depends only on the items already read,
 and every unread slot still holds its input item.  So each slot is one
 product of the step's columns for the item read with a prefix image that
-grows by one item axis, and no work goes to unread slots.  ``run_quanta``
-pushes its one state through, reading its own items; ``_fold_blocks``
+grows by one item axis, and no work goes to unread slots.  ``_fold_blocks``
 reads every item at every slot, so one pass from the identity on payloads
 yields each length block in turn, for ``fold_matrix`` and ``rfold_rel``.
+
+``run_quanta`` keeps the rule that ``circuitgen`` keeps: support one runs
+on integers, and anything else runs dense.  A step whose every column is
+one exact 1 (a 0/1 function, as every classical step) sends one state to
+one state, so ``run_quanta`` walks its slots as one lookup each and prints
+the one label.  Any other step pushes its one state through ``_slots``,
+reading its own items.
 
 A step enters as a ``Step``, its matrix and (item, payload) bases held
 by index, as ``GateLibrary`` records it; ``_step`` is the one prologue,
@@ -30,12 +36,13 @@ and parses an ad-hoc ``KleisliOp`` with ``step_shape``.  Other labels
 are parsed and printed only at the edges: ``ListBasis``, the state label
 of ``run_quanta`` and the kets and matrices that the entry points return.
 Both print a list label from two half tables, the first n//2 items and
-the rest, each filled from the half codes that occur: each distinct half
-is printed once, and each label is one join, so printing a ket costs in
-proportion to its support, not to its states times their items.
+the rest, each half printed once, and each label is one join: printing a
+dense ket costs its support plus about 2·√(states) half texts, not its
+states times their items.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -130,28 +137,18 @@ def _cons_preorder(m: int, maxlen: int) -> list[tuple[int, int]]:
     return out
 
 
-def _list_label(n: int, code: int, labels: tuple[str, ...]) -> str:
-    xs = []
-    for _ in range(n):
-        code, c = divmod(code, len(labels))
-        xs.append(labels[c])
-    return list_label(xs)
-
-
-def _half_tables(
-    n: int, codes: np.ndarray, labels: tuple[str, ...]
-) -> tuple[list[int], list[int], dict[int, str], dict[int, str]]:
-    """Split the codes of length-n lists into (low, high) half codes, the
-    first n//2 items and the rest, with each distinct half that occurs
-    printed once: a low half as ``[a,b,`` (``[`` when empty) and a high
-    half as ``c,d]``.  Low text then high text is the list label."""
+def _half_tables(n: int, labels: tuple[str, ...]) -> tuple[list[str], list[str]]:
+    """The texts of every half of a length-n list, indexed by half code:
+    the low half (the first n//2 items) as ``[a,b,`` (``[`` when empty)
+    and the high half (the rest) as ``c,d]``.  A code holds its head in
+    the lowest digit, and ``itertools.product`` varies its last item
+    fastest, so each tuple is joined reversed.  The list of code c is
+    ``low[c % m**(n//2)] + high[c // m**(n//2)]``."""
     h = n // 2
-    high, low = np.divmod(codes, len(labels) ** h)
-    high, low = high.tolist(), low.tolist()
     sep = "," if h else ""
-    low_text = {c: _list_label(h, c, labels)[:-1] + sep for c in set(low)}
-    high_text = {c: _list_label(n - h, c, labels)[1:] for c in set(high)}
-    return low, high, low_text, high_text
+    low = ["[" + ",".join(t[::-1]) + sep for t in itertools.product(labels, repeat=h)]
+    high = [",".join(t[::-1]) + "]" for t in itertools.product(labels, repeat=n - h)]
+    return low, high
 
 
 @dataclass(frozen=True)
@@ -191,12 +188,11 @@ class ListBasis:
 
     @cached_property
     def list_basis(self) -> FinBasis:
-        m, labels = len(self.item), self.item.labels
         by_length = []
         for n in range(self.maxlen + 1):
-            low, high, low_text, high_text = _half_tables(n, np.arange(m**n), labels)
-            by_length.append([low_text[a] + high_text[b] for a, b in zip(low, high)])
-        return FinBasis(tuple(by_length[n][code] for n, code in _cons_preorder(m, self.maxlen)))
+            low, high = _half_tables(n, self.item.labels)
+            by_length.append([a + b for b in high for a in low])
+        return FinBasis(tuple(by_length[n][code] for n, code in _cons_preorder(len(self.item), self.maxlen)))
 
     @cached_property
     def basis(self) -> FinBasis:
@@ -356,6 +352,20 @@ class Step:
     payload: FinBasis
     name: str | None = None
 
+    @cached_property
+    def rows(self) -> list[int] | None:
+        """The row of each column's one entry, where every column of u has
+        exactly one nonzero entry and that entry is exactly 1, as for
+        ``id``, ``cnot``, ``ccnot`` and every lifted table; otherwise None.
+        ``run_quanta`` walks such a step on integers.  A unit phase keeps
+        the step dense: BLAS rounds the dense product of a phase apart
+        from a walk's products, and the two routes must agree bit for bit."""
+        e = self.u.entries
+        nonzero = e != 0
+        if not ((nonzero.sum(axis=0) == 1).all() and (e[nonzero] == 1).all()):
+            return None
+        return nonzero.argmax(axis=0).tolist()
+
 
 def _step(step: KleisliOp | Step) -> Step:
     """The entry points' one prologue: a ``Step`` passes as it is, and an
@@ -374,17 +384,19 @@ def _index(basis: FinBasis, label: str, role: str, step: str | None) -> int:
 
 
 def run_quanta(step: KleisliOp | Step, input_label: str) -> AmpVec:
-    """Apply the quantum fold to one (list, payload) basis state: a one-hot
-    payload through the slots, each reading the state's own item, last item
-    first.  The label is read here only: split once, each item and then the
-    payload named if it is outside the step's basis, and the list refused
-    if ``ListBasis`` up to its length passes the cap.  The image grows by
-    one item axis per slot, up to the length-n block.  The ket lists its
+    """Apply the quantum fold to one (list, payload) basis state, slot n
+    (the last item) first.  The label is read here only: split once, each
+    item and then the payload named if it is outside the step's basis, and
+    the list refused if ``ListBasis`` up to its length passes the cap.
+
+    A step with ``Step.rows`` walks integers: each slot is one lookup of
+    the (item, payload) row, and the one output label is one join.  Any
+    other step pushes a one-hot payload through the slots; the image grows
+    by one item axis per slot, up to the length-n block.  The ket lists its
     states in block index order, which is ``ListBasis`` order.  Its labels
-    are printed from two half tables, filled from the support: each
-    distinct half of the items is printed once, then each state joins two
-    halves and a payload.  The ket takes the support's amplitudes in
-    ``AmpVec``'s array form."""
+    join two halves and a payload from ``_half_tables``, which prints each
+    half once, so printing costs the support plus about 2·√(states) half
+    texts.  Both routes build the ket in ``AmpVec``'s array form."""
     s = _step(step)
     l, b = split_pair(input_label)
     xs = split_list(l)
@@ -392,16 +404,25 @@ def run_quanta(step: KleisliOp | Step, input_label: str) -> AmpVec:
     payload = _index(s.payload, b, "payload", s.name)
     n, p = len(xs), len(s.payload)
     ListBasis(n, s.item, s.payload)  # refuses a list past the cap
+    items, pays = s.item.labels, s.payload.labels
+    rows = s.rows
+    if rows is not None:  # support one: each slot sends (item, payload) to one row
+        out_items = []
+        for (d,) in reads:
+            a, payload = divmod(rows[d * p + payload], p)
+            out_items.append(items[a])
+        label = "([" + ",".join(out_items[::-1]) + "]," + pays[payload] + ")"
+        return AmpVec([label], np.ones(1, dtype=np.complex128))
     v = np.zeros((1, p), dtype=np.complex128)
     v[0, payload] = 1
     *_, out = _slots(s.u.entries, p, reads, v)
     out = out.ravel()
     support = (out != 0).nonzero()[0]
     codes, pay = np.divmod(support, p)
-    low, high, low_text, high_text = _half_tables(n, codes, s.item.labels)
-    pays = s.payload.labels
+    high, low = np.divmod(codes, len(items) ** (n // 2))
+    low_text, high_text = _half_tables(n, items)
     return AmpVec(
-        [f"({low_text[x]}{high_text[y]},{pays[z]})" for x, y, z in zip(low, high, pay.tolist())],
+        [f"({low_text[x]}{high_text[y]},{pays[z]})" for x, y, z in zip(low.tolist(), high.tolist(), pay.tolist())],
         out[support],
     )
 

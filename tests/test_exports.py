@@ -16,6 +16,7 @@ MODULES = ["quantakit"] + [
 ON_FIRST_USE = ("checks", "circuitgen")
 SRC = Path(quantakit.__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
+TRACING = SRC.parent / "perfbench" / "tracing.py"
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -87,6 +88,7 @@ def test_a_star_import_binds_every_name_in_all():
     assert _fresh(program) == "True\n"
 
 
+@pytest.mark.skipif(not TRACING.exists(), reason="no perfbench/tracing.py beside src/: a tree of the package and its tests only")
 def test_a_tracer_installed_before_the_lazy_modules_load_restores_every_name():
     """perfbench's tracer rebinds each traced function in every loaded
     ``quantakit`` module, loading ``checks`` and ``circuitgen`` on the way.
@@ -95,7 +97,7 @@ def test_a_tracer_installed_before_the_lazy_modules_load_restores_every_name():
     its module for this reason."""
     program = f"""
 import sys, types
-sys.path.insert(0, {str(SRC.parent / "perfbench")!r})
+sys.path.insert(0, {str(TRACING.parent)!r})
 import quantakit.cli, tracing
 tracer = tracing.Tracer()
 tracer.install()

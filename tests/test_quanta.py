@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import label_strategies
 import reference_tables as rt
 from quantakit import quanta
 from quantakit.cli import main
@@ -118,7 +119,8 @@ class TestPinnedReferences:
         ("alice", "([0,1,1,0,1],(0,1))", "run_alice.txt"),
         ("ccnot", "([(0,1),(1,1),(1,0)],1)", "run_ccnot.txt"),
         ("bell", "([],0)", "run_bell_empty.txt"),
-    ], ids=["alice", "ccnot", "bell-empty"])
+        ("cnot", "([1,0,1,1,0,0,1,0,1,1,1,0,0,1,0,1],0)", "run_cnot16.txt"),  # the longest list the cap allows
+    ], ids=["alice", "ccnot", "bell-empty", "cnot16"])
     def test_run_golden(self, capsys, step, label, golden):
         assert main(["run", "--step", step, "--input", label]) == 0
         assert capsys.readouterr().out == (GOLDENS / golden).read_text()
@@ -433,3 +435,128 @@ class TestPrefixKernel:
         for n in range(8 if name == "ccnot" else 11):
             for label in _run_inputs(s.item, s.payload, n):
                 assert_run_is_the_block_kernel_bit_for_bit(s, label)
+
+
+
+# ---------------------------------------------------------------------------
+# One rule for support one: run_quanta walks a step whose every column is
+# one exact 1 on integers, and runs any other step dense; both give what
+# the dense route gives, bit for bit.
+
+FOLD_CHECKED_STATES = 2**10
+"""Largest basis whose ``fold_matrix`` (16 MiB here) and ``cata`` table a
+property builds per example; past it the run is held to the block kernel."""
+
+
+def _states(n: int, item: FinBasis, payload: FinBasis) -> int:
+    return len(payload) * sum(len(item) ** k for k in range(n + 1))
+
+
+def _classical_fold(table: dict[str, str], n: int, item: FinBasis, payload: FinBasis) -> Rel:
+    """``cata`` of a step table into the list basis: the table maps the head
+    and the payload folded from the tail to a new head and payload."""
+    def algebra(tag: int, x: str) -> str:
+        if tag == 0:
+            return pair_label(list_label(()), x)
+        a, rest = split_pair(x)
+        l, b = split_pair(rest)
+        a2, b2 = split_pair(table[pair_label(a, b)])
+        return pair_label(list_label((a2,) + split_list(l)), b2)
+
+    return quanta.cata(algebra, n, ListBasis(n, item, payload).basis, item, payload)
+
+
+@st.composite
+def function_step_cases(draw):
+    """A 0/1 function step from a random table (not only a bijection) over
+    bit or three-label items and 1 to 3 payloads, and an input of length
+    0 to 12."""
+    item = draw(st.sampled_from([BIT, FinBasis(("x", "y", "z"))]))
+    payload = FinBasis(tuple(f"p{i}" for i in range(draw(st.integers(1, 3)))))
+    src = product_basis(item, payload)
+    outs = draw(st.lists(st.sampled_from(src.labels), min_size=len(src), max_size=len(src)))
+    table = dict(zip(src.labels, outs))
+    s = Step(CMatrix(src, src, from_function(table, src, src).entries), item, payload)
+    xs = draw(st.lists(st.sampled_from(item.labels), max_size=12))
+    return s, table, pair_label(list_label(xs), draw(st.sampled_from(payload.labels))), len(xs)
+
+
+def assert_run_is_the_fold_column_bit_for_bit(got: AmpVec, m: CMatrix, label: str) -> None:
+    col = m.entries[:, m.src.index(label)]
+    support = col.nonzero()[0]
+    assert [x for x, _ in got.items()] == [m.tgt.labels[i] for i in support]
+    assert np.array_equal(_bits([a for _, a in got.items()]), _bits(col[support]))
+
+
+class TestSupportOne:
+    @settings(max_examples=150, deadline=None)
+    @given(function_step_cases())
+    def test_a_function_step_walks_to_the_dense_route_bit_for_bit(self, case):
+        s, table, label, n = case
+        assert s.rows is not None
+        states = _states(n, s.item, s.payload)
+        if states > MAX_LIST_STATES:  # three-label items past length 10
+            with pytest.raises(SizeLimitError, match=f"^list basis has {states} states; capped at {MAX_LIST_STATES}$"):
+                run_quanta(s, label)
+            return
+        got = run_quanta(s, label)
+        if states > FOLD_CHECKED_STATES:
+            assert_run_is_the_block_kernel_bit_for_bit(s, label)
+            return
+        assert_run_is_the_fold_column_bit_for_bit(got, fold_matrix(s, n), label)
+        want = [y for y, x in _classical_fold(table, n, s.item, s.payload).pairs() if x == label]
+        assert list(got.items()) == [(want[0], 1 + 0j)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([BIT, FinBasis(("x", "y", "z"))]), st.integers(1, 3),
+        st.integers(0, 2**32 - 1), st.integers(0, 4),
+    )
+    def test_a_unit_phase_monomial_step_runs_dense_and_matches_its_fold_column(self, item, p, seed, n):
+        """A permutation times unit phases keeps support one, but its phases
+        round apart between BLAS and a walk, so it stays on the dense route."""
+        payload = FinBasis(tuple(f"p{i}" for i in range(p)))
+        src = product_basis(item, payload)
+        rng = np.random.default_rng(seed)
+        u = np.zeros((len(src),) * 2, dtype=np.complex128)
+        u[rng.permutation(len(src)), np.arange(len(src))] = np.exp(2j * np.pi * rng.random(len(src)))
+        s = Step(CMatrix(src, src, u), item, payload)
+        assert s.rows is None
+        m = fold_matrix(s, n)
+        for label in _run_inputs(item, payload, n):
+            assert_run_is_the_fold_column_bit_for_bit(run_quanta(s, label), m, label)
+
+    @pytest.mark.parametrize("name", FOLDABLE)
+    def test_the_library_steps_that_keep_support_one_are_walked(self, name):
+        s = default_library().step(name)
+        assert (s.rows is not None) == (name in ("id", "cnot", "ccnot"))
+
+    @pytest.mark.parametrize("entries, rows", [
+        ([[1, 0], [0, 1]], [0, 1]),
+        ([[1, 1], [0, 0]], [0, 0]),  # a function, not a bijection
+        ([[0, 0], [1, 1]], [1, 1]),
+        ([[1, 0], [1, 1]], None),  # two entries in a column
+        ([[1, 0], [0, 0]], None),  # an empty column
+        ([[1, 0], [0, -1]], None),  # a phase
+        ([[1, 0], [0, 1j]], None),
+        ([[1, 0], [0, 2]], None),
+        ([[1, 0], [0, 1 + 1e-16j]], None),
+    ])
+    def test_step_rows_are_recorded_only_for_one_exact_one_per_column(self, entries, rows):
+        src = product_basis(FinBasis(("a",)), BIT)
+        assert Step(CMatrix(src, src, np.array(entries)), FinBasis(("a",)), BIT).rows == rows
+
+    def test_the_walk_keeps_the_list_basis_cap(self):
+        step = default_library().step("cnot")
+        assert step.rows is not None
+        with pytest.raises(SizeLimitError, match=f"^list basis has 524286 states; capped at {MAX_LIST_STATES}$"):
+            run_quanta(step, pair_label(list_label(["1"] * 17), "0"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(label_strategies.bases(min_size=0), st.integers(0, 5))
+def test_list_basis_labels_are_the_reference_enumeration_of_any_item_labels(item, maxlen):
+    """Item labels as the text formats print them, nested ones with their
+    commas included: each half of a list is printed from them as they are."""
+    lists = tuple(list_label(t) for t in ref_enumerate_lists(item.labels, maxlen))
+    assert ListBasis(maxlen, item, BIT).list_basis.labels == lists
