@@ -16,12 +16,14 @@ distinct Gray-chain swap from an MCX core lowered once per target qubit
 and x flips, and ``parse_qasm`` reads each distinct line and qubit
 reference once; both check each distinct gate as they build it, so their
 circuits, like those of ``peephole``, skip the constructor's range check.
-``_cancel`` is the one cancellation routine.  Every per-gate result
-(decoded masks, simulator views, QASM lines, qubits for the depth sweep)
-is computed once per table entry and read through the index, and the
-gate counts of ``metrics`` come from each entry's position count.  Per
-position there remain only the passes that need order: the cancellation
-stack, the simulators and the depth sweep.
+``_cancel`` is the one cancellation routine.  ``synth_fold`` compiles
+the fold of a permutation step over lists on a ``ListEncoding``, one
+copy of the step's circuit per list slot, with no fold matrix.  Every
+per-gate result (decoded masks, simulator views, QASM lines, qubits for
+the depth sweep) is computed once per table entry and read through the
+index, and the gate counts of ``metrics`` come from each entry's
+position count.  Per position there remain only the passes that need
+order: the cancellation stack, the simulators and the depth sweep.
 
 Circuits export to OpenQASM 2.0 and simulate on integers.  Labels are
 read and printed at the edges only, by one rule each: every simulator
@@ -49,6 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import relalg  # its traced functions are called through the module
 from .relalg import FinBasis, SizeLimitError
 from .vecmonad import _BULK_MIN, DEFAULT_TOL, AmpVec, CMatrix
 
@@ -60,6 +63,7 @@ __all__ = [
     "Circuit",
     "Encoding",
     "Gate",
+    "ListEncoding",
     "Metrics",
     "NonPermutationError",
     "decompose_mcx",
@@ -69,6 +73,7 @@ __all__ = [
     "peephole",
     "simulate",
     "simulate_state",
+    "synth_fold",
     "synth_permutation",
 ]
 
@@ -117,6 +122,45 @@ class Encoding:
 
     def bits_of(self, label: str) -> str:
         return _label(self.basis.index(label), self.width)
+
+
+@dataclass(frozen=True)
+class ListEncoding:
+    """Bijection between the (list, payload) states of a fold over lists of
+    at most ``maxlen`` items and qubit strings, for the slot schedule.  Slot
+    k (k = 1 is the head) is one occupancy qubit, 1 while the list has k
+    items or more, then the index bits of its item, 0 in an unoccupied
+    slot; slots 1 to maxlen in order, then the index bits of the payload.
+    Item and payload bases must each have a power-of-two size."""
+
+    maxlen: int
+    item: FinBasis
+    payload: FinBasis
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "item_width", Encoding(self.item).width)
+        object.__setattr__(self, "payload_width", Encoding(self.payload).width)
+
+    item_width: int = field(init=False, repr=False, compare=False)
+    payload_width: int = field(init=False, repr=False, compare=False)
+
+    @property
+    def width(self) -> int:
+        return self.maxlen * (1 + self.item_width) + self.payload_width
+
+    def slot(self, k: int) -> tuple[int, ...]:
+        """Slot k's item qubits, then the payload qubits."""
+        first = (k - 1) * (1 + self.item_width) + 1
+        return (*range(first, first + self.item_width), *range(self.width - self.payload_width, self.width))
+
+    def bits_of(self, label: str) -> str:
+        lst, b = relalg.split_pair(label)
+        items = relalg.split_list(lst)
+        if len(items) > self.maxlen:
+            raise ValueError(f"list {lst} has more than {self.maxlen} items")
+        w = self.item_width
+        occupied = "".join([_label(1 << w | self.item.index(x), 1 + w) for x in items])  # a 1, then the item bits
+        return occupied + "0" * (1 + w) * (self.maxlen - len(items)) + _label(self.payload.index(b), self.payload_width)
 
 
 @dataclass(frozen=True)
@@ -448,6 +492,30 @@ def synth_permutation(m: CMatrix, tol: float = DEFAULT_TOL) -> Circuit:
         flips = [entry[flip[q]] for q, bit in bits if not state & bit and q != target]
         lowered[swap] = _with_flips(flips, core)
     return _cancel(width, need, tuple(entry.gates), map(lowered.__getitem__, swaps))
+
+
+def synth_fold(step: CMatrix, enc: ListEncoding, tol: float = DEFAULT_TOL) -> Circuit:
+    """The fold of a permutation step over lists of at most ``enc.maxlen``
+    items, on the qubits of ``enc``: ``synth_permutation(step)`` placed on
+    slot k's item qubits and the payload qubits, for k = maxlen down to 1,
+    as the fold runs its slots.  An unoccupied slot holds item 0 and gets
+    the same gates, so the step must fix every (item 0, payload) state;
+    then no gate needs an occupancy control, and no gate touches an
+    occupancy qubit.  The step's ancillas follow the data qubits, and every
+    slot shares them."""
+    if step.src != relalg.product_basis(enc.item, enc.payload):
+        raise ValueError("step basis must be the (item, payload) pairs of the encoding")
+    c = synth_permutation(step, tol)
+    fixed = step.entries.diagonal()[:len(enc.payload)]
+    if not (np.abs(fixed - 1) <= tol).all():
+        raise ValueError("step moves an (item 0, payload) state, which an unoccupied slot holds;"
+                         " its slots would need occupancy controls")
+    ancillas = tuple(range(enc.width, enc.width + c.ancilla_qubits))
+    gates = []
+    for k in range(enc.maxlen, 0, -1):
+        at = enc.slot(k) + ancillas
+        gates += [Gate(g.name, tuple(at[q] for q in g.qubits)) for g in c.gates]
+    return Circuit(enc.width, c.ancilla_qubits, tuple(gates))
 
 
 class _Entries(dict):

@@ -196,15 +196,25 @@ def cmd_complement(args: argparse.Namespace) -> int:
     return 0
 
 
-def _synth_matrix(args: argparse.Namespace) -> vecmonad.CMatrix:
+def _synth_circuit(args: argparse.Namespace) -> circuitgen.Circuit:
+    """The circuit ``synth`` compiles.  The fold of a step with ``Step.rows``
+    (``id``, ``cnot`` and ``ccnot``) at a maxlen from 1 to ``MAXLEN_CAP``
+    is compiled slot by slot through ``synth_fold``, which builds no fold
+    matrix and so needs no ``DIM_CAP``.  Every other route compiles a
+    permutation matrix: a dump, the pinned16 fold, or the fold matrix."""
+    from . import circuitgen
+
     if args.matrix_file is not None:
-        return vecmonad.parse_matrix(Path(args.matrix_file).read_text())
+        return circuitgen.synth_permutation(vecmonad.parse_matrix(Path(args.matrix_file).read_text()), args.tol)
     if args.step is None:
         raise ValueError("synth needs --step or --matrix-file")
     if args.maxlen != "pinned16":
         if args.maxlen is None or not args.maxlen.isdecimal():
             raise ValueError(f"synth --step needs --maxlen, a non-negative integer or 'pinned16' (got {args.maxlen!r})")
-        return _fold_matrix(args.step, int(args.maxlen), args.tol)
+        maxlen = int(args.maxlen)
+        if 0 < maxlen <= MAXLEN_CAP and (step := _gate_step(args.step, args.tol)).rows is not None:
+            return circuitgen.synth_fold(step.u, circuitgen.ListEncoding(maxlen, step.item, step.payload), args.tol)
+        return circuitgen.synth_permutation(_fold_matrix(args.step, maxlen, args.tol), args.tol)
     step = _gate_step(args.step, args.tol)
     if step.item != relalg.BIT or step.payload != relalg.BIT:
         raise ValueError(f"pinned16 needs a step on (bit,bit) pairs; step {args.step!r} has items"
@@ -216,14 +226,13 @@ def _synth_matrix(args: argparse.Namespace) -> vecmonad.CMatrix:
     if leaks:
         raise ValueError(f"the fold of step {args.step!r} leaves the pinned16 basis:"
                          f" output label {fold.tgt.labels[leaks[0]]!r} outside target basis")
-    return vecmonad.CMatrix(basis, basis, fold.entries[keep][:, keep])
+    return circuitgen.synth_permutation(vecmonad.CMatrix(basis, basis, fold.entries[keep][:, keep]), args.tol)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     from . import circuitgen
 
-    m = _synth_matrix(args)
-    circ = circuitgen.synth_permutation(m, args.tol)
+    circ = _synth_circuit(args)
     if args.qasm is not None:
         _write([circuitgen.export_qasm(circ)], args.qasm)
     _write([circuitgen.metrics(circ).to_json() + "\n"], args.out)

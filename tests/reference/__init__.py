@@ -5,4 +5,6 @@ No test module defines a reference, and no reference reads a private
 
 A reference stays while it kills a mutant of the code it checks that no
 other test kills, and its header names that mutant.  One that kills no
-mutant of its own goes, with the tests that read it."""
+mutant of its own goes, with the tests that read it; ``test_references``
+fails on a definition here that no test reaches, directly or through
+another reference."""

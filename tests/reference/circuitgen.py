@@ -45,9 +45,10 @@ def _label(i: int, width: int) -> str:
 # ---------------------------------------------------------------------------
 # Reference: the one-pass stack that cancelled synthesized circuits before
 # circuitgen shared one Gate per distinct gate, kept verbatim apart from the
-# function name.  It is the reference of ``peephole`` too: cancelling
-# adjacent pairs reaches one reduced word in whatever order it is done, so
-# the stack's word is that of the fixed-point rescan ``peephole`` once was.
+# function name.  ``ref_synth_permutation`` cancels through it, and the
+# index-form test compares ``peephole`` with it: cancelling adjacent pairs
+# reaches one reduced word in whatever order it is done, so the stack's
+# word is that of the fixed-point rescan ``peephole`` once was.
 
 def ref_stack_peephole(c: Circuit) -> Circuit:
     """Cancel adjacent identical self-inverse gates, in one pass on a stack.
@@ -72,7 +73,11 @@ def ref_stack_peephole(c: Circuit) -> Circuit:
 # from the export's branch for an mcx gate, which the gate set no longer
 # has.  Only the test against ``ref_synth_permutation`` kills the mutant
 # that gives ``synth_permutation`` its ancillas when there is no swap to
-# lower (``if swaps else 0`` dropped).
+# lower (``if swaps else 0`` dropped).  Only the tests against
+# ``ref_metrics`` kill the mutant of ``metrics`` in which a one-qubit gate
+# on an ancilla adds no depth, and only those against ``ref_export_qasm``
+# the mutant of ``export_qasm`` that drops the data register of a circuit
+# with no data qubits.
 
 def ref_permutation_of(m: CMatrix, tol: float = 1e-9) -> list[int]:
     rows, cols = m.entries.shape

@@ -4,12 +4,15 @@ output with."""
 import argparse
 import json
 
-from quantakit import circuitgen, quanta, relalg, vecmonad
-from quantakit.gates import default_library
+from quantakit import relalg, vecmonad
 
 
 # ---------------------------------------------------------------------------
 # Reference: the per-cell printer that ``matrix --format json`` replaced.
+# No golden prints a matrix as JSON, so only the tests against it kill the
+# mutants of ``cli``: cells told apart by value, not bits (0.0 and -0.0
+# then share a text), an imaginary part printed without its sign, and no
+# newline after the JSON.
 
 def ref_matrix_json(m: vecmonad.CMatrix) -> str:
     return json.dumps(
@@ -59,51 +62,3 @@ def ref_complement_output(comps: tuple[relalg.Rel, ...], args: argparse.Namespac
             for row in relalg.format_bool_matrix(relalg.kernel(q), labels=args.labels).splitlines():
                 lines.append(f"    {row}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Reference: the pinned16 route of ``synth`` before it folded by blocks, kept
-# verbatim apart from the names and the ``args`` namespace: the lazy maxlen-3
-# fold re-typed over the pinned basis and materialized one label at a time.
-
-def ref_step_op(name: str, tol: float) -> tuple[vecmonad.KleisliOp, relalg.FinBasis, relalg.FinBasis]:
-    lib = default_library()
-    if name not in lib:
-        raise KeyError(f"unknown gate {name!r} (have: {', '.join(lib.names())})")
-    op = lib.op(name)
-    try:
-        item, payload = quanta.step_shape(op)
-    except ValueError:
-        raise ValueError(
-            f"gate {name!r} does not act on an (item,payload) pair basis"
-        ) from None
-    if not vecmonad.is_unitary(lib.matrix(name), tol):
-        raise ValueError(f"gate {name!r} is not unitary at tolerance {tol}")
-    return op, item, payload
-
-
-def ref_pinned16_matrix(step: str, tol: float) -> vecmonad.CMatrix:
-    op, item, payload = ref_step_op(step, tol)
-    if item != relalg.BIT or payload != relalg.BIT:
-        raise ValueError(f"pinned16 needs a step on (bit,bit) pairs; step {step!r} has items"
-                         f" {', '.join(item)} and payloads {', '.join(payload)}")
-    basis = quanta.pinned16_basis()
-    fold = quanta.quantamorphism(op, 3)
-    try:
-        return vecmonad.materialize(vecmonad.KleisliOp(basis, fold.apply), basis)
-    except KeyError as exc:
-        raise ValueError(f"the fold of step {step!r} leaves the pinned16 basis: {exc.args[0]}") from None
-
-
-def ref_synth_pinned16(step: str, qasm_out: bool, tol: float = 1e-9) -> tuple[str, str]:
-    """stdout and stderr of ``synth --maxlen pinned16 --step <step>``, with
-    ``--qasm -`` when ``qasm_out``."""
-    try:
-        m = ref_pinned16_matrix(step, tol)
-        circ = circuitgen.synth_permutation(m, tol)
-    except (OSError, KeyError, ValueError, circuitgen.NonPermutationError) as exc:
-        # as ``main`` prints it: a KeyError's message, not the repr that str() gives
-        return "", f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}\n"
-    qasm = circuitgen.export_qasm(circ)
-    stats = circuitgen.metrics(circ)
-    return (qasm if qasm_out else "") + stats.to_json() + "\n", ""

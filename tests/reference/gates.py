@@ -7,7 +7,9 @@ from quantakit.vecmonad import AmpVec, KleisliOp
 
 # ---------------------------------------------------------------------------
 # Reference: ``choice`` when it built its ket through the checked
-# constructor, kept verbatim apart from the name.
+# constructor, kept verbatim apart from the name.  Only the test against it
+# kills the mutant that reverses the items of the branch's ket, since every
+# other test compares kets by value.
 
 def ref_choice(f: KleisliOp, g: KleisliOp) -> KleisliOp:
     """Quantum choice f <> g: control 0 routes the payload through f,

@@ -44,6 +44,8 @@ def _fold_blocks(u: np.ndarray, m: int, p: int, maxlen: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Reference: the list enumeration that ListBasis used before it derived its
 # labels from an integer walk, kept verbatim apart from the function name.
+# ``_fold_blocks`` places its blocks by it; the list basis itself is pinned
+# by ``reference_tables``, the goldens and the run tests.
 
 def ref_enumerate_lists(items: tuple[str, ...], maxlen: int) -> tuple[tuple[str, ...], ...]:
     out: list[tuple[str, ...]] = []
@@ -97,7 +99,10 @@ def ref_quanta_apply(step: KleisliOp) -> Callable[[str], AmpVec]:
 # ---------------------------------------------------------------------------
 # Reference: the label-level classical reversible fold that quanta had
 # before rfold_rel became the quantamorphism of the lifted step, kept
-# verbatim apart from the names.
+# verbatim apart from the names.  Only the test against it kills the
+# mutant of ``rfold_rel`` that folds the lifted step's inverse (``u.T``),
+# which is the step itself on bit payloads: it alone folds tables on a
+# three-state payload, whose rows can be 3-cycles.
 
 def ref__rfold_run(table: Mapping[str, str], xs: tuple[str, ...], b: str) -> tuple[tuple[str, ...], str]:
     if not xs:

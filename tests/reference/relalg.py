@@ -5,40 +5,7 @@ from typing import Iterator
 
 import numpy as np
 
-from quantakit.relalg import (
-    BIT, POINT, FinBasis, Rel, coproduct_basis, from_function, kernel, pair_label, product_basis, tag_left, tag_right,
-    untag,
-)
-
-
-# ---------------------------------------------------------------------------
-# References: the label-level structural relations that relalg had before
-# it built them from basis indices, kept verbatim apart from the names.
-
-def ref_bang(src: FinBasis) -> Rel:
-    """The unique function into the singleton basis."""
-    return from_function(lambda _x: "*", src, POINT)
-
-
-def ref_inj1(a: FinBasis, b: FinBasis) -> Rel:
-    cop = coproduct_basis(a, b)
-    return from_function(lambda x: tag_left(x), a, cop)
-
-
-def ref_inj2(a: FinBasis, b: FinBasis) -> Rel:
-    cop = coproduct_basis(a, b)
-    return from_function(lambda x: tag_right(x), b, cop)
-
-
-def ref_gamma(a: FinBasis) -> Rel:
-    """The bijection A+A -> BIT x A tagging with a leading bit."""
-    cop = coproduct_basis(a, a)
-
-    def route(label: str) -> str:
-        side, x = untag(label)
-        return pair_label("1" if side else "0", x)
-
-    return from_function(route, cop, product_basis(BIT, a))
+from quantakit.relalg import Rel, from_function, kernel
 
 
 # ---------------------------------------------------------------------------

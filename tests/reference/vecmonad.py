@@ -107,7 +107,9 @@ def ref_assoc_inv_op(a: FinBasis, b: FinBasis, c: FinBasis) -> KleisliOp:
 
 # ---------------------------------------------------------------------------
 # Reference: ``bind`` before its result took the summed-ket path, kept
-# verbatim apart from the name.
+# verbatim apart from the name.  Only the test against it kills the mutant
+# of ``bind`` that reads v's items in reverse, which lists the result's
+# items in another order: every other test compares kets by value.
 
 def ref_bind(v: AmpVec, f: KleisliOp) -> AmpVec:
     """Linear extension of f over the support of v."""
@@ -121,13 +123,11 @@ def ref_bind(v: AmpVec, f: KleisliOp) -> AmpVec:
 
 
 # ---------------------------------------------------------------------------
-# References: ``ret``, ``add``, ``tensor`` and ``direct_sum`` when each built
-# its ket through the checked constructor, kept verbatim apart from the names.
-
-def ref_ret(label: str) -> AmpVec:
-    """Unit of the monad: the classical basis state |label>."""
-    return AmpVec({label: 1.0 + 0j})
-
+# References: ``add``, ``tensor`` and ``direct_sum`` when each built its ket
+# through the checked constructor, kept verbatim apart from the names.  Only
+# the test against them sees the order of a result's items, so only it
+# kills three mutants: ``add`` listing v's items first, ``tensor`` varying
+# g's items slowest, and ``direct_sum`` reversing its left block's items.
 
 def ref_add(u: AmpVec, v: AmpVec) -> AmpVec:
     out = dict(u.items())

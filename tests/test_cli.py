@@ -18,7 +18,7 @@ from label_strategies import labels
 from quantakit import cli, quanta, relalg, vecmonad
 from quantakit.cli import main
 from quantakit.gates import default_library
-from reference.cli import ref_complement_output, ref_matrix_json, ref_synth_pinned16
+from reference.cli import ref_complement_output, ref_matrix_json
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -129,6 +129,8 @@ def test_tol_judges_the_gap_the_library_measured(monkeypatch, capsys, command, s
         (["--maxlen", "abc", "--step", "cnot"], "synth --step needs --maxlen, a non-negative integer or 'pinned16' (got 'abc')"),
         (["--maxlen", "-1", "--step", "cnot"], "synth --step needs --maxlen, a non-negative integer or 'pinned16' (got '-1')"),
         (["--maxlen", "40", "--step", "cnot"], "maxlen 40 exceeds cap 4"),
+        (["--maxlen", "1", "--step", "bell"], "basis size 6 is not a power of two"),  # steps without Step.rows
+        (["--maxlen", "4", "--step", "alice"], "matrix dimension 124 exceeds cap 62"),
         (["--maxlen", "1"], "synth needs --step or --matrix-file"),
         (
             ["--maxlen", "pinned16", "--step", "ccnot"],
@@ -142,6 +144,15 @@ def test_tol_judges_the_gap_the_library_measured(monkeypatch, capsys, command, s
             ["--maxlen", "pinned16", "--step", "bell"],
             "the fold of step 'bell' leaves the pinned16 basis: output label '([1,0,0],1)' outside target basis",
         ),
+        (
+            ["--maxlen", "pinned16", "--step", "unbell"],
+            "the fold of step 'unbell' leaves the pinned16 basis: output label '([1,0,0],0)' outside target basis",
+        ),
+        (
+            ["--maxlen", "pinned16", "--step", "cond"],
+            "the fold of step 'cond' leaves the pinned16 basis: output label '([1,0,0],1)' outside target basis",
+        ),
+        (["--maxlen", "pinned16", "--step", "x"], "gate 'x' does not act on an (item,payload) pair basis"),
     ],
 )
 def test_synth_names_a_bad_argument(capsys, args, named):
@@ -172,8 +183,8 @@ def test_a_key_error_without_one_message_prints_as_str_does(monkeypatch, capsys)
 
 
 def test_synth_pinned16_accepts_a_bit_pair_step(capsys):
-    assert main(["synth", "--maxlen", "pinned16", "--step", "id"]) == 0
-    assert capsys.readouterr().out.startswith("{")
+    assert main(["synth", "--maxlen", "pinned16", "--step", "id", "--qasm", "-"]) == 0
+    assert capsys.readouterr() == ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n{"size": 0, "cx": 0, "depth": 0}\n', "")
 
 
 @pytest.mark.parametrize("flags, golden", [([], "check_all.txt"), (["--format", "json"], "check_all.json")])
@@ -668,15 +679,6 @@ def test_the_one_parser_answers_repeated_calls_as_a_fresh_parser_would(monkeypat
     assert [_outcome(argv, capsys) for argv in calls] == cached
     assert [code for code, _, _ in cached] == [0, 2, 0, 2, 1, 0, 0]
     assert cached[0] == cached[-1]
-
-
-@pytest.mark.parametrize("qasm_out", [False, True], ids=["metrics", "qasm"])
-@pytest.mark.parametrize("step", [*default_library().names(), "nope"])
-def test_synth_pinned16_prints_what_the_label_level_route_printed(capsys, step, qasm_out):
-    out, err = ref_synth_pinned16(step, qasm_out)
-    argv = ["synth", "--maxlen", "pinned16", "--step", step] + (["--qasm", "-"] if qasm_out else [])
-    assert main(argv) == (1 if err else 0)
-    assert capsys.readouterr() == (out, err)
 
 
 def test_library_steps_reach_the_fold_without_a_parse_or_a_materialize(monkeypatch, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tables as rt
-from label_strategies import bases, labels
+from label_strategies import labels
 from quantakit import relalg
 from quantakit.gates import xor_table
 from quantakit.relalg import (
@@ -46,7 +46,7 @@ from quantakit.relalg import (
     xor_monoid,
 )
 from reference import relalg as ref
-from reference.relalg import ref_bang, ref_gamma, ref_inj1, ref_inj2, ref_minimal_complements
+from reference.relalg import ref_minimal_complements
 
 BB = product_basis(BIT, BIT)
 B3 = FinBasis(("a", "b", "c"))
@@ -644,24 +644,6 @@ def test_each_guard_names_its_fault(case):
     with pytest.raises(kind) as exc:
         call()
     assert type(exc.value) is kind and exc.value.args == (text,)
-
-
-# ---------------------------------------------------------------------------
-# The structural relations against their label-level references
-
-
-class TestStructuralRelationsAgainstReference:
-    @settings(max_examples=60, deadline=None)
-    @given(bases(1, 3))
-    def test_gamma_and_bang(self, a):
-        assert gamma(a) == ref_gamma(a)
-        assert bang(a) == ref_bang(a)
-
-    @settings(max_examples=60, deadline=None)
-    @given(bases(1, 3), bases(1, 3))
-    def test_injections(self, a, b):
-        assert inj1(a, b) == ref_inj1(a, b)
-        assert inj2(a, b) == ref_inj2(a, b)
 
 
 # ---------------------------------------------------------------------------
