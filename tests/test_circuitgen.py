@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import reference_tables as rt
 from diffs import first_difference
-from quantakit import circuitgen, gates, quanta, vecmonad
+from quantakit import circuitgen, cli, gates, quanta, relalg, vecmonad
 from quantakit.circuitgen import (
     MAX_QASM_QUBITS,
     MAX_STATE_QUBITS,
@@ -31,6 +31,7 @@ from quantakit.circuitgen import (
     peephole,
     simulate,
     simulate_state,
+    synth_fold,
     synth_permutation,
 )
 from quantakit.cli import main
@@ -323,6 +324,36 @@ class TestSlotSchedule:
         assert capsys.readouterr().out == m.to_json() + "\n"
         assert c.data_qubits == maxlen * (1 + enc.item_width) + 1
         for label in quanta.ListBasis(maxlen, step.item, step.payload).labels:
+            [(out, _)] = quanta.run_quanta(step, label).items()
+            assert simulate(c, enc.bits_of(label)) == enc.bits_of(out)
+
+    @pytest.mark.parametrize("name, printed, kinds, cost", [
+        ("id", '{"size": 0, "cx": 0, "depth": 0}', {}, (0, 0)),
+        ("cnot", '{"size": 4, "cx": 4, "depth": 4}', {"cx": 4}, (4, 0)),
+        ("ccnot", '{"size": 4, "cx": 0, "depth": 4}', {"ccx": 4}, (24, 28)),
+    ])
+    def test_maxlen_4_metrics_are_pinned(self, monkeypatch, capsys, name, printed, kinds, cost):
+        """At the cap, and past ``DIM_CAP`` for ``ccnot``, with no fold matrix built."""
+        monkeypatch.setattr(cli, "_fold_matrix", lambda *a: pytest.fail("built the fold matrix"))
+        built = []
+        monkeypatch.setattr(circuitgen, "synth_fold", lambda *a: built.append(synth_fold(*a)) or built[-1])
+        assert main(["synth", "--step", name, "--maxlen", "4"]) == 0
+        assert capsys.readouterr() == (printed + "\n", "")
+        m = metrics(built[0])
+        assert m.kinds == {k: kinds.get(k, 0) for k in circuitgen.GATES}
+        assert (m.ancillas, m.cx_cost, m.t_count) == (0, *cost)
+
+    def test_every_slot_shares_the_steps_ancilla(self):
+        """A swap under three item controls lowers to a ccx ladder on one
+        ancilla; the fold keeps one, and every list maps as run_quanta maps it."""
+        item = FinBasis(tuple("abcdefgh"))
+        src = relalg.product_basis(item, relalg.BIT)
+        u = CMatrix(src, src, np.eye(16)[[*range(14), 15, 14]].astype(complex))  # (h,0) <-> (h,1)
+        enc = circuitgen.ListEncoding(3, item, relalg.BIT)
+        c = synth_fold(u, enc)
+        assert (c.data_qubits, c.ancilla_qubits, metrics(c).kinds["ccx"]) == (13, 1, 9)
+        step = quanta.Step(u, item, relalg.BIT)
+        for label in quanta.ListBasis(3, item, relalg.BIT).labels:
             [(out, _)] = quanta.run_quanta(step, label).items()
             assert simulate(c, enc.bits_of(label)) == enc.bits_of(out)
 
