@@ -502,7 +502,11 @@ def synth_fold(step: CMatrix, enc: ListEncoding, tol: float = DEFAULT_TOL) -> Ci
     the same gates, so the step must fix every (item 0, payload) state;
     then no gate needs an occupancy control, and no gate touches an
     occupancy qubit.  The step's ancillas follow the data qubits, and every
-    slot shares them."""
+    slot shares them.  ``enc`` may have at most ``MAX_QASM_QUBITS`` qubits,
+    so that ``parse_qasm`` reads the circuit back; a wider one is refused
+    before any gate is built."""
+    if enc.width > MAX_QASM_QUBITS:
+        raise SizeLimitError(f"maxlen {enc.maxlen} needs {enc.width} data qubits; capped at {MAX_QASM_QUBITS}")
     if step.src != relalg.product_basis(enc.item, enc.payload):
         raise ValueError("step basis must be the (item, payload) pairs of the encoding")
     c = synth_permutation(step, tol)

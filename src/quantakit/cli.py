@@ -197,11 +197,13 @@ def cmd_complement(args: argparse.Namespace) -> int:
 
 
 def _synth_circuit(args: argparse.Namespace) -> circuitgen.Circuit:
-    """The circuit ``synth`` compiles.  The fold of a step with ``Step.rows``
-    (``id``, ``cnot`` and ``ccnot``) at a maxlen from 1 to ``MAXLEN_CAP``
-    is compiled slot by slot through ``synth_fold``, which builds no fold
-    matrix and so needs no ``DIM_CAP``.  Every other route compiles a
-    permutation matrix: a dump, the pinned16 fold, or the fold matrix."""
+    """The circuit ``synth`` compiles.  ``--step S --maxlen N`` has one
+    route: at N = 0 the empty circuit on the payload qubits; above it, the
+    fold of a step with ``Step.rows`` (``id``, ``cnot`` and ``ccnot``),
+    compiled slot by slot by ``synth_fold`` with no fold matrix built, up to
+    its cap of ``MAX_QASM_QUBITS`` data qubits.  Any other step's slots need
+    controlled gates, which are not compiled yet.  A matrix dump and the
+    pinned16 fold are compiled as permutation matrices."""
     from . import circuitgen
 
     if args.matrix_file is not None:
@@ -211,10 +213,12 @@ def _synth_circuit(args: argparse.Namespace) -> circuitgen.Circuit:
     if args.maxlen != "pinned16":
         if args.maxlen is None or not args.maxlen.isdecimal():
             raise ValueError(f"synth --step needs --maxlen, a non-negative integer or 'pinned16' (got {args.maxlen!r})")
-        maxlen = int(args.maxlen)
-        if 0 < maxlen <= MAXLEN_CAP and (step := _gate_step(args.step, args.tol)).rows is not None:
-            return circuitgen.synth_fold(step.u, circuitgen.ListEncoding(maxlen, step.item, step.payload), args.tol)
-        return circuitgen.synth_permutation(_fold_matrix(args.step, maxlen, args.tol), args.tol)
+        maxlen, step = int(args.maxlen), _gate_step(args.step, args.tol)
+        if maxlen == 0:
+            return circuitgen.Circuit(circuitgen.Encoding(step.payload).width, 0, ())
+        if step.rows is None:
+            raise ValueError(f"step {args.step!r} is not classical: its slots need controlled gates (not compiled yet)")
+        return circuitgen.synth_fold(step.u, circuitgen.ListEncoding(maxlen, step.item, step.payload), args.tol)
     step = _gate_step(args.step, args.tol)
     if step.item != relalg.BIT or step.payload != relalg.BIT:
         raise ValueError(f"pinned16 needs a step on (bit,bit) pairs; step {args.step!r} has items"
@@ -311,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, "format")
     sp.set_defaults(fn=cmd_complement)
 
-    sp = sub.add_parser("synth", help="compile a permutation matrix to a circuit")
+    sp = sub.add_parser("synth", help="compile the fold of a classical gate, or a permutation matrix, to a circuit")
     sp.add_argument("--step", default=None)
-    sp.add_argument("--maxlen", default=None, help="integer, or 'pinned16' for the 16-state basis")
+    sp.add_argument("--maxlen", default=None, help="integer, compiled slot by slot up to a data register of"
+                    " 2^16 qubits; or 'pinned16' for the 16-state basis")
     sp.add_argument("--matrix-file", default=None, help="matrix dump to compile instead of a gate")
     sp.add_argument("--qasm", default=None, help=f"write OpenQASM 2.0 here ('-' for stdout){OVERWRITE_NOTE}")
     common(sp, "tol")

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import os
 import pickle
 import sys
 import time
@@ -310,7 +311,7 @@ class TestQubitCap:
 
 
 class TestSlotSchedule:
-    @pytest.mark.parametrize("maxlen", [1, 2, 3, 4])
+    @pytest.mark.parametrize("maxlen", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("name", ["id", "cnot", "ccnot"])
     def test_synth_maps_every_encoded_list_as_run_quanta_does(self, tmp_path, capsys, name, maxlen):
         qasm = tmp_path / "fold.qasm"
@@ -333,8 +334,8 @@ class TestSlotSchedule:
         ("ccnot", '{"size": 4, "cx": 0, "depth": 4}', {"ccx": 4}, (24, 28)),
     ])
     def test_maxlen_4_metrics_are_pinned(self, monkeypatch, capsys, name, printed, kinds, cost):
-        """At the cap, and past ``DIM_CAP`` for ``ccnot``, with no fold matrix built."""
-        monkeypatch.setattr(cli, "_fold_matrix", lambda *a: pytest.fail("built the fold matrix"))
+        """Past ``matrix``'s caps for ``ccnot``, with no fold matrix built."""
+        monkeypatch.setattr(quanta, "fold_matrix", lambda *a: pytest.fail("built the fold matrix"))
         built = []
         monkeypatch.setattr(circuitgen, "synth_fold", lambda *a: built.append(synth_fold(*a)) or built[-1])
         assert main(["synth", "--step", name, "--maxlen", "4"]) == 0
@@ -342,6 +343,46 @@ class TestSlotSchedule:
         m = metrics(built[0])
         assert m.kinds == {k: kinds.get(k, 0) for k in circuitgen.GATES}
         assert (m.ancillas, m.cx_cost, m.t_count) == (0, *cost)
+
+    @pytest.mark.parametrize("maxlen", [64, 1024])
+    @pytest.mark.parametrize("name", ["cnot", "ccnot"])
+    def test_a_long_fold_xors_each_item_into_the_payload(self, tmp_path, name, maxlen):
+        """Past the lists ``run_quanta`` takes, so the fold is written out
+        here: slot k is an occupancy bit, then the item's bits (a for
+        ``cnot``, a and b for ``ccnot``), all 0 when unoccupied, and the
+        payload bit last.  The items stay, and the payload is xored with
+        each item (``cnot``) or with each item's a and b (``ccnot``)."""
+        qasm = tmp_path / "fold.qasm"
+        assert main(["synth", "--step", name, "--maxlen", str(maxlen), "--qasm", str(qasm), "--out", os.devnull]) == 0
+        c = parse_qasm(qasm.read_text())
+        width = 1 if name == "cnot" else 2
+        assert (c.data_qubits, c.ancilla_qubits) == (maxlen * (1 + width) + 1, 0)
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(0, maxlen + 1))
+            items = rng.integers(0, 2, size=(n, width))
+            payload = int(rng.integers(0, 2))
+            slots = "".join("1" + "".join(map(str, item)) for item in items) + "0" * (1 + width) * (maxlen - n)
+            want = payload ^ (int(items.all(axis=1).sum()) % 2)  # a for cnot, a and b for ccnot
+            assert simulate(c, slots + str(payload)) == slots + str(want)
+
+    @pytest.mark.parametrize("name, cap", [("cnot", 32767), ("ccnot", 21845)])
+    def test_the_qubit_cap_refuses_before_any_gate_is_built(self, monkeypatch, tmp_path, capsys, name, cap):
+        """The longest list compiles and reads back; one more item is
+        refused by ``synth_fold`` with no gate built."""
+        qasm = tmp_path / "fold.qasm"
+        assert main(["synth", "--step", name, "--maxlen", str(cap), "--qasm", str(qasm)]) == 0
+        c = parse_qasm(qasm.read_text())
+        assert (c.data_qubits, len(c.gates)) == (MAX_QASM_QUBITS - (name == "cnot"), cap)
+        capsys.readouterr()
+        monkeypatch.setattr(circuitgen, "Gate", lambda *a: pytest.fail("built a gate"))
+        monkeypatch.setattr(circuitgen, "synth_permutation", lambda *a: pytest.fail("synthesized the step"))
+        assert main(["synth", "--step", name, "--maxlen", str(cap + 1)]) == 1
+        width = (cap + 1) * (2 if name == "cnot" else 3) + 1
+        assert capsys.readouterr() == ("", f"error: maxlen {cap + 1} needs {width} data qubits; capped at 65536\n")
+        step = gates.default_library().step(name)
+        with pytest.raises(SizeLimitError):
+            synth_fold(step.u, circuitgen.ListEncoding(cap + 1, step.item, step.payload))
 
     def test_every_slot_shares_the_steps_ancilla(self):
         """A swap under three item controls lowers to a ccx ladder on one

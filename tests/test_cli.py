@@ -99,6 +99,15 @@ def test_matrix_refuses_a_negative_maxlen_golden(capsys):
     assert capsys.readouterr() == ("", (GOLDENS / "error_negative_maxlen.txt").read_text())
 
 
+@pytest.mark.parametrize("step, maxlen, named", [
+    ("cnot", "5", "maxlen 5 exceeds cap 4"),
+    ("alice", "4", "matrix dimension 124 exceeds cap 62"),
+])
+def test_matrix_names_its_caps(capsys, step, maxlen, named):
+    assert main(["matrix", "--step", step, "--maxlen", maxlen]) == 1
+    assert capsys.readouterr() == ("", f"error: {named}\n")
+
+
 def test_run_applies_tol_to_the_library_matrix(capsys):
     assert main(["run", "--step", "bell", "--input", "([1],0)", "--tol", "1e-30"]) == 1
     assert capsys.readouterr().err == "error: gate 'bell' is not unitary at tolerance 1e-30\n"
@@ -128,9 +137,14 @@ def test_tol_judges_the_gap_the_library_measured(monkeypatch, capsys, command, s
         (["--step", "cnot"], "synth --step needs --maxlen, a non-negative integer or 'pinned16' (got None)"),
         (["--maxlen", "abc", "--step", "cnot"], "synth --step needs --maxlen, a non-negative integer or 'pinned16' (got 'abc')"),
         (["--maxlen", "-1", "--step", "cnot"], "synth --step needs --maxlen, a non-negative integer or 'pinned16' (got '-1')"),
-        (["--maxlen", "40", "--step", "cnot"], "maxlen 40 exceeds cap 4"),
-        (["--maxlen", "1", "--step", "bell"], "basis size 6 is not a power of two"),  # steps without Step.rows
-        (["--maxlen", "4", "--step", "alice"], "matrix dimension 124 exceeds cap 62"),
+        *[
+            (["--maxlen", n, "--step", step],
+             f"step {step!r} is not classical: its slots need controlled gates (not compiled yet)")
+            for step in ("bell", "unbell", "alice", "cond") for n in ("1", "4")  # steps without Step.rows
+        ],
+        # One item past the data register that parse_qasm reads back.
+        (["--maxlen", "32768", "--step", "cnot"], "maxlen 32768 needs 65537 data qubits; capped at 65536"),
+        (["--maxlen", "21846", "--step", "ccnot"], "maxlen 21846 needs 65539 data qubits; capped at 65536"),
         (["--maxlen", "1"], "synth needs --step or --matrix-file"),
         (
             ["--maxlen", "pinned16", "--step", "ccnot"],
@@ -180,6 +194,19 @@ def test_a_key_error_without_one_message_prints_as_str_does(monkeypatch, capsys)
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert main(["run", "--step", "x", "--input", "([],0)"]) == 1
     assert capsys.readouterr().err == "error: ('a', 'b')\n"
+
+
+@pytest.mark.parametrize("step", ["id", "cnot", "ccnot", "bell", "unbell", "alice", "cond"])
+def test_synth_maxlen_0_is_the_empty_circuit_on_the_payload_qubits(capsys, step):
+    qubits = 2 if step == "alice" else 1
+    assert main(["synth", "--step", step, "--maxlen", "0", "--qasm", "-"]) == 0
+    assert capsys.readouterr() == (
+        f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{qubits}];\n{{"size": 0, "cx": 0, "depth": 0}}\n', "")
+
+
+def test_synth_not_classical_golden(capsys):
+    assert main(["synth", "--step", "bell", "--maxlen", "2"]) == 1
+    assert capsys.readouterr() == ("", (GOLDENS / "error_synth_not_classical.txt").read_text())
 
 
 def test_synth_pinned16_accepts_a_bit_pair_step(capsys):
